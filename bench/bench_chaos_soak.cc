@@ -91,12 +91,12 @@ int main(int argc, char** argv) {
       });
 
   // The soak gate: every run must be violation-free, loss-free, and fully
-  // terminated. Metric order matches the list returned above.
+  // terminated.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
-    const double violations = run.metrics[0].second;
-    const double outputs_lost = run.metrics[1].second;
-    const double all_terminated = run.metrics[2].second;
+    const double violations = run.Metric("violations");
+    const double outputs_lost = run.Metric("outputs_lost");
+    const double all_terminated = run.Metric("all_terminated");
     if (violations == 0 && outputs_lost == 0 && all_terminated == 1.0) {
       continue;
     }

@@ -102,13 +102,6 @@ std::vector<GrayRow> Rows(bool fast) {
   return rows;
 }
 
-double MetricValue(const exp::Metrics& metrics, const char* name) {
-  for (const auto& [key, value] : metrics) {
-    if (key == name) return value;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -147,11 +140,14 @@ int main(int argc, char** argv) {
   std::vector<Agg> agg(rows.size());
   for (const exp::RunRecord& run : sweep.runs) {
     Agg& a = agg[run.config_index];
-    a.false_suspects += MetricValue(run.metrics, "false_suspects");
-    a.detect_all_s += MetricValue(run.metrics, "detect_all_s");
-    a.goodput += MetricValue(run.metrics, "goodput_per_slot_hour");
-    a.violations += MetricValue(run.metrics, "audit_violations");
-    a.reached += MetricValue(run.metrics, "reached_target");
+    if (rows[run.config_index].storm) {
+      a.goodput += run.Metric("goodput_per_slot_hour");
+      a.violations += run.Metric("audit_violations");
+    } else {
+      a.false_suspects += run.Metric("false_suspects");
+      a.detect_all_s += run.Metric("detect_all_s");
+    }
+    a.reached += run.Metric("reached_target");
     ++a.runs;
   }
   for (Agg& a : agg) {

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
-// queue throughput, flow-network sharing policies, disk fair queue, and
-// namenode placement. These bound how large a HOG experiment the simulator
-// can run per wall-clock second.
+// queue throughput, flow-network churn, disk fair queue, and namenode
+// placement. These bound how large a HOG experiment the simulator can run
+// per wall-clock second.
 //
 // After the google-benchmark suite, an exp::Sweep of the core event-queue
 // scenarios (schedule+fire, cancel-heavy, heartbeat cancel/re-arm) runs
@@ -79,12 +79,9 @@ void BM_EventQueueCancelReArm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelReArm)->Arg(65536);
 
-void RunFlowChurn(net::SharingPolicy policy, int sites, int nodes_per_site,
-                  int flows) {
+void RunFlowChurn(int sites, int nodes_per_site, int flows) {
   sim::Simulation sim;
-  net::FlowNetworkConfig config;
-  config.sharing = policy;
-  net::FlowNetwork net(sim, config);
+  net::FlowNetwork net(sim);
   Rng rng(7);
   std::vector<net::NodeId> nodes;
   for (int s = 0; s < sites; ++s) {
@@ -110,21 +107,11 @@ void RunFlowChurn(net::SharingPolicy policy, int sites, int nodes_per_site,
 
 void BM_FlowNetworkEvenShare(benchmark::State& state) {
   for (auto _ : state) {
-    RunFlowChurn(net::SharingPolicy::kEvenShare, 5, 40,
-                 static_cast<int>(state.range(0)));
+    RunFlowChurn(5, 40, static_cast<int>(state.range(0)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FlowNetworkEvenShare)->Arg(512)->Arg(4096);
-
-void BM_FlowNetworkMaxMin(benchmark::State& state) {
-  for (auto _ : state) {
-    RunFlowChurn(net::SharingPolicy::kMaxMinFair, 5, 40,
-                 static_cast<int>(state.range(0)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FlowNetworkMaxMin)->Arg(512);
 
 void BM_DiskFairQueue(benchmark::State& state) {
   for (auto _ : state) {

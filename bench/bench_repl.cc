@@ -125,17 +125,13 @@ int main(int argc, char** argv) {
                  static_cast<double>(result.repl_excess_removed)}};
       });
 
-  // Contract gate. Metric indices match the list returned above.
-  constexpr std::size_t kViolations = 0;
-  constexpr std::size_t kOutputsLost = 1;
-  constexpr std::size_t kAllTerminated = 2;
-  constexpr std::size_t kBytesStored = 3;
+  // Contract gate.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
     const ReplConfig& cfg = configs[run.config_index];
-    const double violations = run.metrics[kViolations].second;
-    const double outputs_lost = run.metrics[kOutputsLost].second;
-    const double all_terminated = run.metrics[kAllTerminated].second;
+    const double violations = run.Metric("violations");
+    const double outputs_lost = run.Metric("outputs_lost");
+    const double all_terminated = run.Metric("all_terminated");
     // Durability is only promised where redundancy is adequate: the full
     // paper RF or the availability-targeted controller. The cheap flat
     // rungs exist to lose data — that is the tradeoff being measured.
@@ -165,7 +161,7 @@ int main(int argc, char** argv) {
     double rf10_stored = -1;
     for (const exp::RunRecord& run : sweep.runs) {
       if (run.seed == seed && labels[run.config_index] == "rf10") {
-        rf10_stored = run.metrics[kBytesStored].second;
+        rf10_stored = run.Metric("bytes_stored_gib");
       }
     }
     if (rf10_stored < 0) continue;
@@ -174,7 +170,7 @@ int main(int argc, char** argv) {
           configs[run.config_index].target <= 0) {
         continue;
       }
-      const double stored = run.metrics[kBytesStored].second;
+      const double stored = run.Metric("bytes_stored_gib");
       if (stored >= rf10_stored) {
         ++bad_runs;
         std::printf("REPL FAIL: %s seed %llu: stored %.3f GiB, not below "

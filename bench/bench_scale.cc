@@ -1,10 +1,10 @@
 // Scale grid: nodes x jobs sweeps over the HOG cluster, up to 10k
 // glideins across 100 sites — the asymptotics regression gate.
 //
-// The incremental max-min solver, the deadline-heap expiry monitors, and
-// the flat block/node arenas all claim O(changed state) costs; this bench
-// runs grids large enough that an accidental O(cluster) scan shows up in
-// wall-clock and events/sec. Every config arms the fail-fast invariant
+// The incremental even-share re-rating, the deadline-heap expiry monitors,
+// and the flat block/node arenas all claim O(changed state) costs; this
+// bench runs grids large enough that an accidental O(cluster) scan shows
+// up in wall-clock and events/sec. Every config arms the fail-fast invariant
 // auditor, so a 10k-node run finishing at all is also a correctness
 // statement. BENCH_scale.json commits the trajectory for compare_bench.
 //
@@ -106,13 +106,13 @@ int main(int argc, char** argv) {
       });
 
   // Gate: every run must reach its node target, finish every job, and
-  // audit clean. Metric order matches RunScaleWorkload's emission order.
+  // audit clean.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
-    const double reached = run.metrics[0].second;
-    const double succeeded = run.metrics[1].second;
-    const double failed = run.metrics[2].second;
-    const double violations = run.metrics[7].second;
+    const double reached = run.Metric("reached_target");
+    const double succeeded = run.Metric("jobs_succeeded");
+    const double failed = run.Metric("jobs_failed");
+    const double violations = run.Metric("audit_violations");
     const double jobs = grid[run.config_index].config.jobs;
     if (reached == 1.0 && failed == 0 && succeeded == jobs &&
         violations == 0) {

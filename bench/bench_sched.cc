@@ -92,15 +92,14 @@ int main(int argc, char** argv) {
   // terminal state, and audit clean. Chaos may legitimately fail a job
   // (max_attempts exhausted on a dying site) — same contract as the
   // chaos soak — and failed jobs already drag the goodput headline, so
-  // failures are compared, not gated. Metric order matches
-  // RunSchedWorkload's emission order.
+  // failures are compared, not gated.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
-    const double reached = run.metrics[0].second;
-    const double succeeded = run.metrics[1].second;
-    const double failed = run.metrics[2].second;
-    const double terminated = run.metrics[3].second;
-    const double violations = run.metrics.back().second;
+    const double reached = run.Metric("reached_target");
+    const double succeeded = run.Metric("jobs_succeeded");
+    const double failed = run.Metric("jobs_failed");
+    const double terminated = run.Metric("all_terminated");
+    const double violations = run.Metric("audit_violations");
     if (reached == 1.0 && terminated == 1.0 && violations == 0) {
       continue;
     }

@@ -205,20 +205,14 @@ int main(int argc, char** argv) {
         return metrics;
       });
 
-  // Contract gate. Metric indices match the list returned above.
-  constexpr std::size_t kViolations = 0;
-  constexpr std::size_t kOutputsLost = 1;
-  constexpr std::size_t kAllTerminated = 2;
-  constexpr std::size_t kResponse = 3;
-  constexpr std::size_t kFullyReplicated = 4;
-  constexpr std::size_t kBurstToHealed = 6;
+  // Contract gate.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
     const TopoConfig& cfg = configs[run.config_index];
-    const double violations = run.metrics[kViolations].second;
-    const double outputs_lost = run.metrics[kOutputsLost].second;
-    const double all_terminated = run.metrics[kAllTerminated].second;
-    const double healed = run.metrics[kFullyReplicated].second;
+    const double violations = run.Metric("violations");
+    const double outputs_lost = run.Metric("outputs_lost");
+    const double all_terminated = run.Metric("all_terminated");
+    const double healed = run.Metric("fully_replicated");
     if (violations == 0 && all_terminated == 1.0 && outputs_lost == 0 &&
         (cfg.mode == Mode::kShuffle || healed == 1.0)) {
       continue;
@@ -235,17 +229,17 @@ int main(int argc, char** argv) {
   // slower than star on the shuffle replay and strictly slower to heal
   // on the drain — otherwise the topology model is not binding.
   const auto metric_for = [&](std::uint64_t seed, const char* label,
-                              std::size_t metric) -> double {
+                              const char* metric) -> double {
     for (const exp::RunRecord& run : sweep.runs) {
       if (run.seed == seed && labels[run.config_index] == label) {
-        return run.metrics[metric].second;
+        return run.Metric(metric);
       }
     }
     return -1;
   };
   for (std::uint64_t seed : spec.seeds) {
-    const double star_resp = metric_for(seed, "star-shuffle", kResponse);
-    const double tor_resp = metric_for(seed, "tor16-shuffle", kResponse);
+    const double star_resp = metric_for(seed, "star-shuffle", "response_s");
+    const double tor_resp = metric_for(seed, "tor16-shuffle", "response_s");
     if (star_resp >= 0 && tor_resp >= 0 && tor_resp <= star_resp) {
       ++bad_runs;
       std::printf("TOPO FAIL: seed %llu: tor16 shuffle response %.3f s not "
@@ -253,8 +247,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(seed), tor_resp,
                   star_resp);
     }
-    const double star_heal = metric_for(seed, "star-drain", kBurstToHealed);
-    const double tor_heal = metric_for(seed, "tor16-drain", kBurstToHealed);
+    const double star_heal =
+        metric_for(seed, "star-drain", "burst_to_healed_s");
+    const double tor_heal =
+        metric_for(seed, "tor16-drain", "burst_to_healed_s");
     if (star_heal >= 0 && tor_heal >= 0 && tor_heal <= star_heal) {
       ++bad_runs;
       std::printf("TOPO FAIL: seed %llu: tor16 drain healed in %.3f s, not "

@@ -11,8 +11,10 @@
 # BENCH_scale.json baseline via compare_bench, the fast topology zoo
 # (bench_topo) diffed against BENCH_topo.json, and the fast gray-failure
 # frontier + quarantine storm (bench_gray) diffed against
-# BENCH_gray.json. This is what a PR must keep green; see ROADMAP.md
-# ("tier-1 tests").
+# BENCH_gray.json. A preflight first fails the gate if any of those
+# baselines is not tracked by git, and each preset fails if a tier-1
+# ctest name embeds raw parameter bytes wider than a scoped enum. This is
+# what a PR must keep green; see ROADMAP.md ("tier-1 tests").
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   default preset only (skip the sanitizer build)
@@ -29,6 +31,15 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 2)
 
+echo "== tracked baselines =="
+# Every baseline a compare_bench leg below diffs against must be committed:
+# an untracked or ignored baseline passes locally and is missing from a
+# fresh checkout.
+for baseline in BENCH_sched.json BENCH_repl.json BENCH_scale.json \
+                BENCH_topo.json BENCH_gray.json; do
+  git ls-files --error-unmatch "$baseline" > /dev/null
+done
+
 echo "== docs links =="
 scripts/check_docs.sh
 
@@ -38,6 +49,17 @@ run_preset() {
   cmake --preset "$preset"
   echo "== [$preset] build =="
   cmake --build --preset "$preset" -j "$jobs"
+  echo "== [$preset] stable test names =="
+  # gtest prints a parameter type without a PrintTo as raw bytes
+  # ("N-byte object <...>"). Past four bytes such a dump can hold padding
+  # or a pointer, which makes the ctest name differ from build to build;
+  # a 4-byte dump (a scoped enum) is just its value.
+  local names
+  names=$(ctest --test-dir "$dir" -N -L tier1)
+  if grep -E '([5-9]|[1-9][0-9]+)-byte object' <<< "$names"; then
+    echo "tier-1 ctest names embed raw parameter bytes" >&2
+    exit 1
+  fi
   echo "== [$preset] tier-1 tests =="
   ctest --test-dir "$dir" -L tier1 --output-on-failure -j "$jobs"
   echo "== [$preset] scenario smoke =="

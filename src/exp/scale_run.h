@@ -3,11 +3,11 @@
 // (optionally) host-side cost metrics.
 //
 // The point of bench_scale is to keep the simulator honest about
-// asymptotics: the incremental max-min solver, the deadline-heap expiry
-// monitors, and the flat block/node arenas all claim O(changed state)
-// behaviour, and the only way to regress-test that claim is to run grids
-// that are big enough for an accidental O(cluster) scan to show up in
-// wall-clock. The grid tops out at 10k glideins across 100 sites — an
+// asymptotics: the incremental even-share re-rating, the deadline-heap
+// expiry monitors, and the flat block/node arenas all claim O(changed
+// state) behaviour, and the only way to regress-test that claim is to run
+// grids that are big enough for an accidental O(cluster) scan to show up
+// in wall-clock. The grid tops out at 10k glideins across 100 sites — an
 // order of magnitude past the paper's 1101-node experiment.
 //
 // Metric split: `executed`/`jobs_succeeded`/`audit_violations`/... depend

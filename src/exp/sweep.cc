@@ -8,11 +8,21 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "src/util/log.h"
 
 namespace hogsim::exp {
+
+double RunRecord::Metric(std::string_view name) const {
+  for (const auto& [key, value] : metrics) {
+    if (key == name) return value;
+  }
+  throw std::out_of_range("no metric \"" + std::string(name) +
+                          "\" in config " + std::to_string(config_index) +
+                          " (seed " + std::to_string(seed) + ")");
+}
 
 namespace {
 

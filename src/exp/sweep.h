@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,6 +59,12 @@ struct RunRecord {
   std::size_t config_index = 0;
   std::uint64_t seed = 0;
   Metrics metrics;
+
+  /// The value of the metric called `name`. Bench gates read metrics by
+  /// name so reordering a run function's output cannot re-target a gate;
+  /// an unknown name throws std::out_of_range naming the metric and the
+  /// config, so a misspelt gate fails loudly instead of reading 0.
+  double Metric(std::string_view name) const;
 };
 
 /// Per-config, per-metric summary across seeds. Non-finite per-run values

@@ -189,11 +189,7 @@ void FlowNetwork::RescheduleCompletion(FlowId id, Flow& flow) {
 }
 
 void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
-  if (config_.sharing == SharingPolicy::kMaxMinFair) {
-    ReallocateMaxMin(touched);
-    return;
-  }
-  // Even-share: only flows crossing a touched link can change rate.
+  // Only flows crossing a touched link can change rate.
   std::unordered_set<FlowId> affected;
   for (LinkId l : touched) {
     for (FlowId f : links_[l].flows) affected.insert(f);
@@ -212,161 +208,10 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   }
 }
 
-void FlowNetwork::GatherComponent(const std::vector<LinkId>& seeds,
-                                  std::vector<LinkId>* comp_links,
-                                  std::vector<FlowId>* comp_flows) const {
-  std::unordered_set<LinkId> seen_links;
-  std::unordered_set<FlowId> seen_flows;
-  std::vector<LinkId> work;
-  for (LinkId l : seeds) {
-    if (seen_links.insert(l).second) work.push_back(l);
-  }
-  while (!work.empty()) {
-    const LinkId l = work.back();
-    work.pop_back();
-    comp_links->push_back(l);
-    for (FlowId f : links_[l].flows) {
-      if (!seen_flows.insert(f).second) continue;
-      comp_flows->push_back(f);
-      for (LinkId pl : flows_.at(f).path) {
-        if (seen_links.insert(pl).second) work.push_back(pl);
-      }
-    }
-  }
-  // The solver's entire iteration order derives from these two sorts, so
-  // the rates it produces depend only on which links/flows are in the
-  // component — not on how the worklist happened to discover them.
-  std::sort(comp_links->begin(), comp_links->end());
-  std::sort(comp_flows->begin(), comp_flows->end());
-}
-
-std::vector<Rate> FlowNetwork::SolveComponentRates(
-    const std::vector<LinkId>& comp_links,
-    const std::vector<FlowId>& comp_flows) const {
-  // Progressive filling: repeatedly saturate the most-contended link.
-  // Restricted to one (sorted) component; because a flow's share is
-  // derived only from the state of the links on its own path, solving a
-  // component alone or as part of a larger dirty union yields
-  // bitwise-identical rates (ties between links break toward the lowest
-  // link id, and interleaved rounds from a disjoint sub-component never
-  // touch this one's link state). Paths are arbitrary-length link vectors
-  // (a topology fabric adds per-hop links); nothing here assumes the
-  // two/four-link star shape.
-  struct LinkState {
-    double remaining;
-    std::size_t unfixed;
-  };
-  const std::size_t nl = comp_links.size();
-  const std::size_t nf = comp_flows.size();
-  auto link_index = [&comp_links](LinkId l) {
-    return static_cast<std::size_t>(
-        std::lower_bound(comp_links.begin(), comp_links.end(), l) -
-        comp_links.begin());
-  };
-  std::vector<LinkState> state(nl);
-  std::vector<std::vector<std::uint32_t>> flows_on(nl);
-  for (std::size_t i = 0; i < nl; ++i) {
-    const Link& link = links_[comp_links[i]];
-    state[i] = {link.capacity, link.flows.size()};
-  }
-  std::vector<Rate> rates(nf, 0.0);
-  std::vector<char> fixed(nf, 0);
-  std::size_t unfixed_total = 0;
-  for (std::size_t i = 0; i < nf; ++i) {
-    const Flow& flow = flows_.at(comp_flows[i]);
-    // comp_flows is ascending, so every flows_on list comes out ascending:
-    // flows on the bottleneck are fixed lowest-id first.
-    for (LinkId l : flow.path) {
-      flows_on[link_index(l)].push_back(static_cast<std::uint32_t>(i));
-    }
-    if (FlowBlocked(flow)) {
-      // Severed or rack-faulted: pinned at zero and withdrawn from every
-      // link it crosses so it neither claims nor blocks a share.
-      fixed[i] = 1;
-      for (LinkId l : flow.path) {
-        LinkState& s = state[link_index(l)];
-        assert(s.unfixed > 0);
-        --s.unfixed;
-      }
-      continue;
-    }
-    ++unfixed_total;
-  }
-  while (unfixed_total > 0) {
-    double best_share = 0.0;
-    std::size_t best = 0;
-    bool found = false;
-    for (std::size_t i = 0; i < nl; ++i) {
-      if (state[i].unfixed == 0) continue;
-      const double share =
-          state[i].remaining / static_cast<double>(state[i].unfixed);
-      if (!found || share < best_share) {
-        best_share = share;
-        best = i;
-        found = true;
-      }
-    }
-    if (!found) break;
-    // Fix every unfixed flow crossing the bottleneck at the fair share.
-    for (std::uint32_t fi : flows_on[best]) {
-      if (fixed[fi]) continue;
-      fixed[fi] = 1;
-      --unfixed_total;
-      const Flow& flow = flows_.at(comp_flows[fi]);
-      rates[fi] = best_share;
-      // The WAN cap is applied as a post-hoc ceiling under max-min fairness
-      // (slightly non-work-conserving; the capped residue is not
-      // redistributed — links are still charged the full share).
-      if (flow.cross_site && config_.wan_flow_cap > 0.0) {
-        rates[fi] = std::min(rates[fi], config_.wan_flow_cap);
-      }
-      for (LinkId l : flow.path) {
-        LinkState& s = state[link_index(l)];
-        s.remaining -= best_share;
-        if (s.remaining < 0.0) s.remaining = 0.0;
-        assert(s.unfixed > 0);
-        --s.unfixed;
-      }
-    }
-  }
-  return rates;
-}
-
-void FlowNetwork::ReallocateMaxMin(const std::vector<LinkId>& touched) {
-  std::vector<LinkId> comp_links;
-  std::vector<FlowId> comp_flows;
-  GatherComponent(touched, &comp_links, &comp_flows);
-  if (comp_flows.empty()) return;
-  const std::vector<Rate> rates = SolveComponentRates(comp_links, comp_flows);
-  for (std::size_t i = 0; i < comp_flows.size(); ++i) {
-    Flow& flow = flows_.at(comp_flows[i]);
-    const Rate rate = rates[i];
-    // Rate-unchanged flows keep both their linear trajectory and their
-    // scheduled completion event — same invariant as the even-share skip
-    // above. Flows outside the dirty component were never gathered, so
-    // disjoint traffic is untouched by construction.
-    if (rate == flow.rate && flow.completion.pending()) continue;
-    if (rate == flow.rate && rate <= 0.0) continue;  // starved stays starved
-    AdvanceFlow(flow);
-    flow.rate = rate;
-    RescheduleCompletion(comp_flows[i], flow);
-  }
-}
-
-std::vector<std::pair<FlowId, Rate>> FlowNetwork::MaxMinOracle() const {
+std::vector<std::pair<FlowId, Rate>> FlowNetwork::EvenShareOracle() const {
   std::vector<std::pair<FlowId, Rate>> out;
-  std::vector<char> visited(links_.size(), 0);
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (visited[l] || links_[l].flows.empty()) continue;
-    std::vector<LinkId> comp_links;
-    std::vector<FlowId> comp_flows;
-    GatherComponent({static_cast<LinkId>(l)}, &comp_links, &comp_flows);
-    for (LinkId cl : comp_links) visited[cl] = 1;
-    const std::vector<Rate> rates =
-        SolveComponentRates(comp_links, comp_flows);
-    for (std::size_t i = 0; i < comp_flows.size(); ++i) {
-      out.emplace_back(comp_flows[i], rates[i]);
-    }
+  for (const auto& [id, flow] : flows_) {
+    if (!flow.path.empty()) out.emplace_back(id, EvenShareRate(flow));
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -422,10 +267,9 @@ void FlowNetwork::SetSiteUplink(SiteId site, Rate uplink) {
   assert(uplink > 0);
   links_[sites_[site].wan_tx].capacity = uplink;
   links_[sites_[site].wan_rx].capacity = uplink;
-  // The WAN links are the only capacities that moved, so they alone seed
-  // the dirty set; under a multi-level topology GatherComponent reaches
-  // any fabric links through the crossing flows' own paths. Untouched
-  // components keep their completion events.
+  // The WAN links are the only capacities that moved, so only the flows
+  // crossing them are re-rated; everything else keeps its completion
+  // events.
   Reallocate({sites_[site].wan_tx, sites_[site].wan_rx});
 }
 
@@ -437,11 +281,11 @@ void FlowNetwork::SetSitePartition(SiteId a, SiteId b, bool severed) {
   if (!changed) return;
   // Every flow between the pair crosses both sites' WAN links regardless
   // of topology (fabric hops are additions to the path, never a
-  // replacement for the uplinks), so touching those four links re-dirties
-  // exactly the affected component on sever AND on heal (severed flows
-  // starve via FlowBlocked(); healed flows get completions back).
-  // Disjoint components — including fabric-only intra-site traffic —
-  // never lose their scheduled completion events.
+  // replacement for the uplinks), so touching those four links re-rates
+  // every affected flow on sever AND on heal (severed flows starve via
+  // FlowBlocked(); healed flows get completions back). Flows crossing
+  // none of them — including fabric-only intra-site traffic — never lose
+  // their scheduled completion events.
   Reallocate({sites_[a].wan_tx, sites_[a].wan_rx, sites_[b].wan_tx,
               sites_[b].wan_rx});
 }
@@ -468,8 +312,9 @@ void FlowNetwork::SetRackIsolated(SiteId site, std::uint32_t rack,
 
 void FlowNetwork::ReallocateRack(SiteId site, std::uint32_t rack,
                                  bool count_stalled) {
-  // The union of the rack's flows' paths seeds the dirty set — the same
-  // only-the-affected-component discipline as the site-partition path.
+  // Touching the union of the rack's flows' paths re-rates exactly the
+  // flows that can change — the same discipline as the site-partition
+  // path.
   std::unordered_set<FlowId> seen;
   std::vector<LinkId> touched;
   std::uint64_t stalled = 0;

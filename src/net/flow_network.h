@@ -15,22 +15,18 @@
 // case is pinned byte-identical to the pre-topology two-level model (the
 // trivial topology skips every hook).
 //
-// Bandwidth sharing between concurrent flows is pluggable:
-//  * kEvenShare (default): each link splits its capacity evenly among the
-//    flows crossing it and a flow runs at the minimum share along its path.
-//    Cheap to maintain incrementally; slightly pessimistic because a flow
-//    bottlenecked elsewhere does not return its unused share.
-//  * kMaxMinFair: exact progressive-filling max-min fairness, solved
-//    incrementally: a flow add/remove/capacity change re-solves only the
-//    connected component of links reachable from the touched ("dirty")
-//    links through shared flows. Max-min allocations decompose exactly by
-//    connected component, and the solver iterates links and flows in
-//    sorted order, so the incremental result is byte-identical to a fresh
-//    full solve (MaxMinOracle() recomputes it from scratch; the solver
-//    fuzz test cross-checks every churn step against it — on star and on
-//    the multi-level tor/fattree/rotor graphs alike). Flows in untouched
-//    components keep their rates and their scheduled completion events —
-//    disjoint traffic is never disturbed.
+// Bandwidth sharing between concurrent flows is even-share: each link
+// splits its capacity evenly among the flows crossing it, and a flow runs
+// at the minimum share along its path. Slightly pessimistic (a flow
+// bottlenecked elsewhere does not return its unused share) but local: a
+// flow's rate depends only on the links of its own path and the fault
+// state of its endpoints, so a flow add/remove, capacity change, or fault
+// re-rates exactly the flows crossing the touched links. The incremental
+// rates are bitwise equal to a from-scratch recomputation
+// (EvenShareOracle(); the solver fuzz cross-checks every churn and fault
+// op against it on star and on the multi-level tor/fattree/rotor graphs).
+// A re-rate that leaves a flow's rate unchanged keeps its scheduled
+// completion event, so traffic on untouched links is never disturbed.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +46,7 @@
 
 namespace hogsim::net {
 
-enum class SharingPolicy { kEvenShare, kMaxMinFair };
-
 struct FlowNetworkConfig {
-  SharingPolicy sharing = SharingPolicy::kEvenShare;
   /// Intra-site topology spec, `NAME[:key=value;...]` — see src/net/topo.
   /// "star" is the degenerate pre-topology model (no fabric links).
   std::string topology = "star";
@@ -61,7 +54,7 @@ struct FlowNetworkConfig {
   SimDuration wan_latency = 40 * kMillisecond;
   /// Per-flow ceiling on inter-site transfers: a single 2012-era TCP
   /// stream over a ~40 ms-RTT path is window-limited far below link rate.
-  /// Applied on top of the sharing policy; <= 0 disables the cap.
+  /// Applied on top of the even share; <= 0 disables the cap.
   Rate wan_flow_cap = Mbps(32.0);
 
   /// §VI security model (PKI-encrypted HTTP): per-message handshake and
@@ -166,13 +159,12 @@ class FlowNetwork : private topo::Fabric {
 
   const FlowNetworkConfig& config() const { return config_; }
 
-  /// Fresh full max-min solve from scratch (per connected component, same
-  /// canonical ordering as the incremental path), returned as (flow, rate)
-  /// pairs sorted by flow id. Covers flows that are active on links; latent
-  /// and loopback flows have no bandwidth allocation and are omitted. The
-  /// differential tests compare this bitwise against the incrementally
-  /// maintained rates after every churn op. Meaningful under kMaxMinFair.
-  std::vector<std::pair<FlowId, Rate>> MaxMinOracle() const;
+  /// Every flow's even-share rate recomputed from scratch, returned as
+  /// (flow, rate) pairs sorted by flow id. Covers flows that are active on
+  /// links; latent and loopback flows have no bandwidth allocation and are
+  /// omitted. The differential tests compare this bitwise against the
+  /// incrementally maintained rates after every churn and fault op.
+  std::vector<std::pair<FlowId, Rate>> EvenShareOracle() const;
 
  private:
   struct Link {
@@ -256,36 +248,15 @@ class FlowNetwork : private topo::Fabric {
   void AdvanceFlow(Flow& flow);
 
   /// Recomputes rates and completion events for the flows crossing the
-  /// given links (even-share) or for all flows (max-min).
+  /// given links; flows whose rate is unchanged keep their scheduled
+  /// completion event.
   void Reallocate(const std::vector<LinkId>& touched);
 
   /// Re-rates every flow with an endpoint in the rack (rack fault arm /
-  /// heal): the dirty seed is the union of those flows' paths, so — like
-  /// the site-partition path — only the affected component is re-solved.
+  /// heal) by touching the union of those flows' paths.
   void ReallocateRack(SiteId site, std::uint32_t rack, bool count_stalled);
 
   Rate EvenShareRate(const Flow& flow) const;
-
-  /// Incremental max-min: gathers the connected component of the touched
-  /// (dirty) links and re-solves only it. Flows whose rate is unchanged
-  /// keep their scheduled completion event (see satellite invariants in
-  /// the class comment).
-  void ReallocateMaxMin(const std::vector<LinkId>& touched);
-
-  /// Worklist BFS over the links<->flows bipartite graph from `seeds`.
-  /// Outputs are sorted ascending, which fixes the solver's iteration
-  /// order and makes incremental solves bitwise-reproducible.
-  void GatherComponent(const std::vector<LinkId>& seeds,
-                       std::vector<LinkId>* comp_links,
-                       std::vector<FlowId>* comp_flows) const;
-
-  /// Canonical progressive-filling solve restricted to one (sorted)
-  /// component. Pure: returns rates aligned with `comp_flows`, does not
-  /// touch flow state. Both the incremental path and MaxMinOracle() call
-  /// this, so equality between them is structural.
-  std::vector<Rate> SolveComponentRates(
-      const std::vector<LinkId>& comp_links,
-      const std::vector<FlowId>& comp_flows) const;
 
   void RescheduleCompletion(FlowId id, Flow& flow);
 

@@ -6,7 +6,7 @@
 // id — hash collisions concentrate flows on a shared core link while
 // others idle, which is exactly the imbalance the net.topo.ecmp_imbalance
 // gauge reports. `nonblocking=1` lifts every fabric link to an
-// unreachable capacity: paths are still threaded (the solver sees the
+// unreachable capacity: paths are still threaded (every flow crosses the
 // multi-level graph) but rates are byte-identical to star, which is the
 // degeneracy golden the conformance tests pin.
 //

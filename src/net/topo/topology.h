@@ -6,8 +6,8 @@
 // each site into an internal fabric — extra capacity-constrained links the
 // flow's path also crosses — so intra-site contention (rack
 // oversubscription, a congested fat-tree core, a rotor matching) becomes
-// visible to the same incremental max-min machinery, and "rack" becomes a
-// real failure/placement domain instead of an alias for "site".
+// visible to the same even-share machinery, and "rack" becomes a real
+// failure/placement domain instead of an alias for "site".
 //
 // Four implementations:
 //  * star     — the degenerate case: no fabric links, one rack per site.
@@ -55,7 +55,7 @@ TopologySpec ParseTopologySpec(const std::string& spec);
 
 /// The surface FlowNetwork hands a topology for minting and resizing its
 /// fabric links. Fabric links live in the same dense link arena as NICs
-/// and WAN uplinks, so the solver treats them uniformly.
+/// and WAN uplinks, so even-share re-rating treats them uniformly.
 class Fabric {
  public:
   virtual ~Fabric() = default;

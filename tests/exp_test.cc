@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/bench_main.h"
@@ -308,6 +309,36 @@ TEST(Sweep, PropagatesWorkerExceptions) {
                           return {{"ok", 1.0}};
                         }),
                std::runtime_error);
+}
+
+TEST(RunRecord, MetricLookupIsByNameNotPosition) {
+  RunRecord run;
+  run.metrics = {{"violations", 0.0}, {"outputs_lost", 2.0},
+                 {"bytes_stored_gib", 7.5}};
+  EXPECT_EQ(run.Metric("outputs_lost"), 2.0);
+  // Reordering the emission (what silently re-targeted positional gates)
+  // must not change what a named lookup reads.
+  std::swap(run.metrics[0], run.metrics[2]);
+  std::swap(run.metrics[1], run.metrics[2]);
+  EXPECT_EQ(run.metrics[1].first, "violations");
+  EXPECT_EQ(run.Metric("violations"), 0.0);
+  EXPECT_EQ(run.Metric("outputs_lost"), 2.0);
+  EXPECT_EQ(run.Metric("bytes_stored_gib"), 7.5);
+}
+
+TEST(RunRecord, UnknownMetricThrowsNamingMetricAndConfig) {
+  RunRecord run;
+  run.config_index = 3;
+  run.seed = 11;
+  run.metrics = {{"audit_violations", 0.0}};
+  try {
+    run.Metric("audit_violation");  // misspelt: must not read as 0
+    FAIL() << "unknown metric name did not throw";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"audit_violation\""), std::string::npos) << what;
+    EXPECT_NE(what.find("config 3"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

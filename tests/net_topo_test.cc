@@ -4,9 +4,10 @@
 //  1. Degeneracy: star, tor with a non-blocking fabric, fattree with
 //     nonblocking=1, and rotor with one rack all produce byte-identical
 //     flow trajectories — same completion SimTime ticks, not "close".
-//  2. The incremental max-min solver stays bitwise-equal to the fresh
-//     full solve (MaxMinOracle) on the multi-level tor/fattree/rotor
-//     graphs under a thousand seeded churn ops.
+//  2. The incremental even-share rates stay bitwise-equal to the
+//     from-scratch EvenShareOracle() on the multi-level tor/fattree/rotor
+//     graphs under seeded churn and fault ops (the TopoSolver fuzz lives
+//     with the star fuzz in net_solver_test.cc).
 //  3. Racks are real failure domains: fail-tor stalls every flow touching
 //     the rack, partition-rack spares intra-rack traffic, degrade-fabric
 //     rescales against nominal (idempotent), and the rack-aware
@@ -14,25 +15,21 @@
 //     racks == sites.
 //  4. Rotor slices are RNG-free and lazy: no cross-rack flows, no slice
 //     events; and a site-partition heal never cancels completion events
-//     in untouched components (the incremental re-dirty fix).
+//     of flows off the healed path (the incremental re-rate).
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hdfs/replication_queue.h"
 #include "src/hog/hog_cluster.h"
 #include "src/net/flow_network.h"
 #include "src/net/topo/topology.h"
-#include "src/util/rng.h"
 #include "src/workload/runner.h"
 
 namespace hogsim::net {
-using hogsim::Rng;
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -131,11 +128,9 @@ TEST(TopoRacks, FatTreeHasOneRackPerEdgeSwitch) {
 /// A fixed scripted flow workload (staggered starts, intra-rack,
 /// cross-rack, and cross-site transfers, one mid-flight cancel) on a
 /// 2-site network; returns every completion timestamp in SimTime ticks.
-std::vector<SimTime> ScriptedCompletions(const std::string& topology,
-                                         SharingPolicy sharing) {
+std::vector<SimTime> ScriptedCompletions(const std::string& topology) {
   sim::Simulation sim;
   FlowNetworkConfig config;
-  config.sharing = sharing;
   config.topology = topology;
   FlowNetwork net(sim, config);
   std::vector<NodeId> nodes;
@@ -171,17 +166,13 @@ std::vector<SimTime> ScriptedCompletions(const std::string& topology,
 }
 
 TEST(TopoDegeneracy, NonBindingFabricsMatchStarBitwise) {
-  for (const SharingPolicy sharing :
-       {SharingPolicy::kEvenShare, SharingPolicy::kMaxMinFair}) {
-    const auto star = ScriptedCompletions("star", sharing);
-    // Each degenerate fabric threads real multi-level paths through the
-    // solver, yet every completion must land on the same SimTime tick.
-    for (const char* spec :
-         {"tor:racks=3;oversub=0", "fattree:k=4;nonblocking=1",
-          "rotor:racks=1"}) {
-      EXPECT_EQ(ScriptedCompletions(spec, sharing), star)
-          << spec << " diverged from star";
-    }
+  const auto star = ScriptedCompletions("star");
+  // Each degenerate fabric threads real multi-level paths through the
+  // sharing model, yet every completion must land on the same SimTime tick.
+  for (const char* spec :
+       {"tor:racks=3;oversub=0", "fattree:k=4;nonblocking=1",
+        "rotor:racks=1"}) {
+    EXPECT_EQ(ScriptedCompletions(spec), star) << spec << " diverged from star";
   }
 }
 
@@ -217,95 +208,6 @@ TEST(TopoDegeneracy, SingleRackTorClusterRunIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental solver vs oracle on multi-level graphs
-
-/// The net_solver_test fuzz loop, pointed at a non-trivial topology with a
-/// fabric tight enough to genuinely bind: 1000 random churn ops
-/// (add / cancel / uplink change), cross-checking every live flow's
-/// incrementally maintained rate bit-for-bit against MaxMinOracle() after
-/// every op and again after time advances (rotor slices rotate).
-void FuzzTopologyAgainstOracle(const std::string& topology,
-                               std::uint64_t seed) {
-  sim::Simulation sim;
-  FlowNetworkConfig config;
-  config.sharing = SharingPolicy::kMaxMinFair;
-  config.wan_flow_cap = Mbps(32.0);
-  config.topology = topology;
-  FlowNetwork net(sim, config);
-
-  constexpr int kSites = 4;
-  constexpr int kNodesPerSite = 5;
-  std::vector<NodeId> nodes;
-  for (int s = 0; s < kSites; ++s) {
-    const SiteId site = net.AddSite(Mbps(60.0 + 35.0 * s));
-    for (int n = 0; n < kNodesPerSite; ++n) {
-      nodes.push_back(net.AddNode(site, Mbps(18.0 + 11.0 * n)));
-    }
-  }
-
-  Rng rng(seed);
-  std::set<FlowId> live;
-  const auto check = [&](int op) {
-    const auto oracle = net.MaxMinOracle();
-    std::unordered_map<FlowId, Rate> expected(oracle.begin(), oracle.end());
-    for (FlowId id : live) {
-      const auto it = expected.find(id);
-      const Rate want = it == expected.end() ? 0.0 : it->second;
-      ASSERT_EQ(net.FlowRate(id), want)
-          << topology << " op " << op << ": flow " << id
-          << " diverged from the fresh full solve";
-    }
-  };
-
-  for (int op = 0; op < 1000; ++op) {
-    const std::int64_t kind = rng.UniformInt(0, 99);
-    if (kind < 55 || live.empty()) {
-      const auto last = static_cast<std::int64_t>(nodes.size()) - 1;
-      const auto si = static_cast<std::size_t>(rng.UniformInt(0, last));
-      auto di = static_cast<std::size_t>(rng.UniformInt(0, last));
-      if (di == si) di = (si + 1) % nodes.size();
-      const Bytes bytes = rng.UniformInt(64 * kKiB, 8 * kMiB);
-      auto slot = std::make_shared<FlowId>(kInvalidFlow);
-      const FlowId id = net.StartFlow(nodes[si], nodes[di], bytes,
-                                      [&live, slot](bool) { live.erase(*slot); });
-      *slot = id;
-      live.insert(id);
-    } else if (kind < 85) {
-      auto it = live.begin();
-      std::advance(
-          it, rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-      const FlowId id = *it;
-      live.erase(it);
-      net.CancelFlow(id);
-    } else {
-      const SiteId site = static_cast<SiteId>(rng.UniformInt(0, kSites - 1));
-      net.SetSiteUplink(site, Mbps(rng.Uniform(10.0, 250.0)));
-    }
-    check(op);
-    sim.RunUntil(sim.now() + rng.UniformInt(1, 60) * kMillisecond);
-    check(op);
-  }
-  EXPECT_GT(net.delivered_bytes(), 0);
-}
-
-TEST(TopoSolver, FuzzMatchesOracleOnTor) {
-  FuzzTopologyAgainstOracle("tor:racks=3;oversub=2", 0x70705001);
-}
-
-TEST(TopoSolver, FuzzMatchesOracleOnFatTree) {
-  // 20 Mbps cables sit below most NICs: the core genuinely binds and ECMP
-  // collisions create shared fabric bottlenecks.
-  FuzzTopologyAgainstOracle("fattree:k=4;gbps=0.02", 0x70705002);
-}
-
-TEST(TopoSolver, FuzzMatchesOracleOnRotor) {
-  // 25 ms slices rotate within the 1-60 ms advances between ops, so the
-  // oracle is exercised across re-routed slice-dependent paths too.
-  FuzzTopologyAgainstOracle("rotor:racks=4;slice_ms=25;gbps=0.025",
-                            0x70705003);
-}
-
-// ---------------------------------------------------------------------------
 // Rack fault semantics
 
 class TopoFaultTest : public ::testing::Test {
@@ -313,7 +215,6 @@ class TopoFaultTest : public ::testing::Test {
   // tor with a binding 2:1 fabric: cross-rack flows run at NIC/2.
   void Build(const std::string& topology) {
     FlowNetworkConfig config;
-    config.sharing = SharingPolicy::kMaxMinFair;
     config.wan_flow_cap = 0;
     config.topology = topology;
     net_ = std::make_unique<FlowNetwork>(sim_, config);
@@ -371,8 +272,9 @@ TEST_F(TopoFaultTest, PartitionRackSparesIntraRackTraffic) {
   sim_.RunUntil(2 * kSecond);
   // Isolation severs the rack boundary only: the intra-rack flow keeps
   // running (and finishes under isolation), the cross-rack one stalls —
-  // and max-min hands its share of node 0's TX back to the survivor.
-  EXPECT_EQ(net_->FlowRate(intra), Mbps(40));
+  // still holding its even share of node 0's TX, so the survivor keeps
+  // its half rather than getting the stalled flow's share back.
+  EXPECT_EQ(net_->FlowRate(intra), Mbps(20));
   EXPECT_FALSE(cross_ok);
   sim_.RunUntil(kMinute);
   EXPECT_TRUE(intra_ok);
@@ -442,7 +344,6 @@ TEST(TopoRotor, SliceTimerIsLazyAndRunAllTerminates) {
 TEST(TopoRotor, CrossRackFlowsRideSlicesAndDrainCleanly) {
   sim::Simulation sim;
   FlowNetworkConfig config;
-  config.sharing = SharingPolicy::kMaxMinFair;
   config.topology = "rotor:racks=4;slice_ms=50;gbps=0.05";
   FlowNetwork net(sim, config);
   const SiteId s = net.AddSite(Gbps(10));
@@ -468,12 +369,11 @@ TEST(TopoRotor, CrossRackFlowsRideSlicesAndDrainCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition heal keeps untouched components intact (incremental re-dirty)
+// Partition heal keeps flows off the healed path intact (incremental re-rate)
 
 TEST(TopoPartition, HealDoesNotCancelCompletionsInUntouchedComponents) {
   sim::Simulation sim;
   FlowNetworkConfig config;
-  config.sharing = SharingPolicy::kMaxMinFair;
   config.topology = "tor:racks=2;oversub=2";
   FlowNetwork net(sim, config);
   const SiteId sa = net.AddSite(Mbps(100));
@@ -492,14 +392,15 @@ TEST(TopoPartition, HealDoesNotCancelCompletionsInUntouchedComponents) {
   sim.RunUntil(2 * kSecond);
   EXPECT_FALSE(ab_ok);
 
-  // The heal re-rates only the a<->b component. The victim flow in site C
-  // shares no links with it; its completion event must survive the heal
-  // untouched (one cancellation is legal: the stalled a->b flow's own
-  // completion does get rescheduled from "never" to a real time).
+  // The heal re-rates only flows crossing the A and B uplinks. The victim
+  // flow in site C shares no links with them; its completion event must
+  // survive the heal untouched (one cancellation is legal: the stalled
+  // a->b flow's own completion does get rescheduled from "never" to a real
+  // time).
   const std::uint64_t cancelled_before = sim.cancelled();
   net.SetSitePartition(sa, sb, false);
   EXPECT_LE(sim.cancelled(), cancelled_before + 1)
-      << "partition heal cancelled events outside the healed component";
+      << "partition heal cancelled events off the healed path";
   sim.RunAll();
   EXPECT_TRUE(ab_ok);
   EXPECT_TRUE(victim_ok);

@@ -2,7 +2,9 @@
 // hold for every (replication, topology, seed) combination.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "src/hdfs/datanode.h"
 #include "src/hdfs/namenode.h"
@@ -19,6 +21,22 @@ struct PlacementCase {
   bool site_aware;
   int seed;
 };
+
+// Without these, gtest names and prints the raw struct bytes — padding
+// included, which made the test names differ between builds.
+void PrintTo(const PlacementCase& c, std::ostream* os) {
+  *os << c.sites << "x" << c.per_site << " rf" << c.replication
+      << (c.site_aware ? " site-aware" : " default") << " seed" << c.seed;
+}
+
+std::string PlacementCaseName(
+    const ::testing::TestParamInfo<PlacementCase>& info) {
+  const PlacementCase& c = info.param;
+  return "s" + std::to_string(c.sites) + "x" + std::to_string(c.per_site) +
+         "_rf" + std::to_string(c.replication) +
+         (c.site_aware ? "_aware" : "_default") + "_seed" +
+         std::to_string(c.seed);
+}
 
 class PlacementProperty : public ::testing::TestWithParam<PlacementCase> {};
 
@@ -86,7 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PlacementCase{5, 4, 10, false, 7},
                       PlacementCase{4, 6, 2, true, 8},
                       PlacementCase{1, 8, 3, true, 9},    // single site
-                      PlacementCase{6, 3, 6, true, 10}));
+                      PlacementCase{6, 3, 6, true, 10}),
+    PlacementCaseName);
 
 // Writer-locality property: when the writing client is a datanode with
 // room, the first replica lands on it (both policies).

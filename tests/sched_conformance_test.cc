@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -47,6 +48,10 @@ struct PolicyCase {
   const char* label;  // gtest-safe name
   const char* spec;   // CreatePolicy spec
 };
+
+// Prints the label, not the two pointers gtest would otherwise dump into
+// the test names (they moved between builds).
+void PrintTo(const PolicyCase& param, std::ostream* os) { *os << param.label; }
 
 class SchedConformance : public ::testing::TestWithParam<PolicyCase> {};
 
