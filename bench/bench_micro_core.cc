@@ -113,6 +113,29 @@ void BM_FlowNetworkEvenShare(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowNetworkEvenShare)->Arg(512)->Arg(4096);
 
+// The glidein spin-up shape that the 200-node spread above never builds:
+// n nodes arriving 10 ms apart each download the 75 MiB worker package
+// from one 1 Gbps NIC, so up to n flows share that link and every arrival
+// or finish re-rates all of them.
+void BM_FlowNetworkHotLink(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    net::FlowNetwork net(sim);
+    const net::SiteId site = net.AddSite(Gbps(10));
+    const net::NodeId master = net.AddNode(site, Gbps(1));
+    for (int i = 0; i < n; ++i) {
+      const net::NodeId dst = net.AddNode(site, Gbps(1));
+      sim.ScheduleAt(i * 10 * kMillisecond, [&net, master, dst] {
+        net.StartFlow(master, dst, 75 * kMiB, [](bool) {});
+      });
+    }
+    sim.RunAll();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FlowNetworkHotLink)->Arg(1000)->Arg(4000);
+
 void BM_DiskFairQueue(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;
@@ -127,7 +150,7 @@ void BM_DiskFairQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DiskFairQueue)->Arg(256)->Arg(2048);
+BENCHMARK(BM_DiskFairQueue)->Arg(256)->Arg(2048)->Arg(16384);
 
 struct PlacementFixture {
   sim::Simulation sim;

@@ -6,7 +6,11 @@
 // bench runs grids large enough that an accidental O(cluster) scan shows
 // up in wall-clock and events/sec. Every config arms the fail-fast invariant
 // auditor, so a 10k-node run finishing at all is also a correctness
-// statement. BENCH_scale.json commits the trajectory for compare_bench.
+// statement. Every run must also cancel at most 5% as many events as it
+// executes: with one completion event per flow, each spin-up download on
+// the master's NIC cancelled and rescheduled every other download's event
+// (n^2 cancellations), and this gate keeps that storm from coming back.
+// BENCH_scale.json commits the trajectory for compare_bench.
 //
 // Metric split (see src/exp/scale_run.h): deterministic rows
 // (executed_events, jobs_succeeded, audit_violations, ...) are byte-stable
@@ -40,6 +44,9 @@ struct GridPoint {
 /// configs keep the full-grid labels and parameters, so a fast candidate
 /// compares row-for-row against the committed full baseline.
 constexpr int kFastConfigs = 3;
+
+/// Gate: cancelled_events <= kMaxCancelShare x executed_events per run.
+constexpr double kMaxCancelShare = 0.05;
 
 std::vector<GridPoint> Grid() {
   auto point = [](const char* label, int nodes, int sites, int jobs) {
@@ -105,25 +112,30 @@ int main(int argc, char** argv) {
         return exp::RunScaleWorkload(scale, seed);
       });
 
-  // Gate: every run must reach its node target, finish every job, and
-  // audit clean.
+  // Gate: every run must reach its node target, finish every job, audit
+  // clean, and keep its cancellations below kMaxCancelShare of its
+  // executed events.
   int bad_runs = 0;
   for (const exp::RunRecord& run : sweep.runs) {
     const double reached = run.Metric("reached_target");
     const double succeeded = run.Metric("jobs_succeeded");
     const double failed = run.Metric("jobs_failed");
     const double violations = run.Metric("audit_violations");
+    const double executed = run.Metric("executed_events");
+    const double cancelled = run.Metric("cancelled_events");
     const double jobs = grid[run.config_index].config.jobs;
     if (reached == 1.0 && failed == 0 && succeeded == jobs &&
-        violations == 0) {
+        violations == 0 && cancelled <= kMaxCancelShare * executed) {
       continue;
     }
     ++bad_runs;
     std::printf("SCALE FAIL: %s seed %llu: reached=%g succeeded=%g/%g "
-                "failed=%g violations=%g\n",
+                "failed=%g violations=%g cancelled/executed=%g/%g "
+                "(max share %g)\n",
                 labels[run.config_index].c_str(),
                 static_cast<unsigned long long>(run.seed), reached,
-                succeeded, jobs, failed, violations);
+                succeeded, jobs, failed, violations, cancelled, executed,
+                kMaxCancelShare);
   }
   if (bad_runs > 0) {
     std::printf("\nscale grid FAILED: %d of %zu runs broke the scale "
@@ -131,6 +143,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nscale grid PASSED: %zu runs, all node targets reached, "
-              "all jobs succeeded, audits clean\n", sweep.runs.size());
+              "all jobs succeeded, audits clean, cancellations <= %g x "
+              "executed\n", sweep.runs.size(), kMaxCancelShare);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 
 namespace hogsim::net {
 
@@ -17,7 +18,8 @@ FlowNetwork::FlowNetwork(sim::Simulation& sim, FlowNetworkConfig config)
       config_(std::move(config)),
       topo_(topo::CreateTopology(config_.topology)),
       topo_trivial_(topo_->trivial()),
-      slice_period_(topo_->SlicePeriod()) {
+      slice_period_(topo_->SlicePeriod()),
+      completions_(sim_, [this](FlowId id) { FinishFlow(id, true); }) {
   if (!topo_trivial_) {
     ins_ = std::make_unique<TopoInstruments>(sim_.obs().metrics());
   }
@@ -27,6 +29,18 @@ LinkId FlowNetwork::AddLink(Rate capacity) {
   assert(capacity > 0);
   links_.push_back(Link{capacity, {}});
   return static_cast<LinkId>(links_.size() - 1);
+}
+
+void FlowNetwork::AddToLink(LinkId link, FlowId id) {
+  std::vector<FlowId>& on = links_[link].flows;
+  on.insert(std::upper_bound(on.begin(), on.end(), id), id);
+}
+
+void FlowNetwork::RemoveFromLink(LinkId link, FlowId id) {
+  std::vector<FlowId>& on = links_[link].flows;
+  const auto it = std::lower_bound(on.begin(), on.end(), id);
+  assert(it != on.end() && *it == id);
+  on.erase(it);
 }
 
 LinkId FlowNetwork::NewFabricLink(Rate capacity) {
@@ -88,7 +102,7 @@ FlowId FlowNetwork::StartFlow(NodeId src, NodeId dst, Bytes bytes,
 
   const SimDuration latency = Latency(src, dst);
   auto& stored = flows_.at(id);
-  stored.completion =
+  stored.activation =
       sim_.ScheduleAfter(latency, [this, id] { Activate(id); });
   return id;
 }
@@ -103,6 +117,7 @@ void FlowNetwork::Activate(FlowId id) {
   if (flow.src == flow.dst) {
     flow.rate = kLoopbackRate;
     RescheduleCompletion(id, flow);
+    completions_.Arm();
     return;
   }
 
@@ -126,7 +141,7 @@ void FlowNetwork::Activate(FlowId id) {
       ArmSliceTimer();
     }
   }
-  for (LinkId l : flow.path) links_[l].flows.insert(id);
+  for (LinkId l : flow.path) AddToLink(l, id);
   if (ins_) {
     ins_->ecmp_imbalance.Set(topo_->EcmpImbalance(
         [this](LinkId l) { return links_[l].flows.size(); }));
@@ -178,34 +193,45 @@ Rate FlowNetwork::EvenShareRate(const Flow& flow) const {
   return rate;
 }
 
-void FlowNetwork::RescheduleCompletion(FlowId id, Flow& flow) {
-  sim_.Cancel(flow.completion);
-  if (flow.rate <= 0.0) return;  // starved; rescheduled on next change
+void FlowNetwork::RescheduleCompletion(FlowId id, const Flow& flow) {
+  if (flow.rate <= 0.0) {  // starved; rescheduled on next change
+    completions_.Erase(id);
+    return;
+  }
   const auto remaining =
       static_cast<Bytes>(std::ceil(flow.remaining));
   const SimDuration eta = TransferTime(remaining, flow.rate);
-  flow.completion =
-      sim_.ScheduleAfter(eta, [this, id] { FinishFlow(id, true); });
+  completions_.Set(id, sim_.now() + eta);
 }
 
 void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
-  // Only flows crossing a touched link can change rate.
-  std::unordered_set<FlowId> affected;
+  // Only flows crossing a touched link can change rate. Each link's list
+  // is id-sorted, so merging them yields the affected flows in ascending
+  // id: re-rates reserve same-tick order, and so fire same-tick
+  // completions, in id order.
+  std::vector<FlowId> affected;
+  std::vector<FlowId> merged;
   for (LinkId l : touched) {
-    for (FlowId f : links_[l].flows) affected.insert(f);
+    const std::vector<FlowId>& on = links_[l].flows;
+    merged.clear();
+    std::set_union(affected.begin(), affected.end(), on.begin(), on.end(),
+                   std::back_inserter(merged));
+    affected.swap(merged);
   }
   for (FlowId f : affected) {
     Flow& flow = flows_.at(f);
     const Rate rate = EvenShareRate(flow);
     // WAN-capped (or otherwise unmoved) flows keep their trajectory: the
     // linear extrapolation from last_update stays valid, so skipping the
-    // advance + reschedule is exact, and it turns hot-link churn from
-    // O(flows-on-link) heap operations into O(changed flows).
-    if (rate == flow.rate && flow.completion.pending()) continue;
+    // advance + re-key is exact, and it turns hot-link churn from
+    // O(flows-on-link) calendar operations into O(changed flows). An
+    // unchanged zero rate has no deadline to keep and no progress to bank.
+    if (rate == flow.rate) continue;
     AdvanceFlow(flow);
     flow.rate = rate;
     RescheduleCompletion(f, flow);
   }
+  completions_.Arm();
 }
 
 std::vector<std::pair<FlowId, Rate>> FlowNetwork::EvenShareOracle() const {
@@ -218,14 +244,15 @@ std::vector<std::pair<FlowId, Rate>> FlowNetwork::EvenShareOracle() const {
 }
 
 void FlowNetwork::RemoveFromLinks(Flow& flow, FlowId id) {
-  for (LinkId l : flow.path) links_[l].flows.erase(id);
+  for (LinkId l : flow.path) RemoveFromLink(l, id);
 }
 
 void FlowNetwork::FinishFlow(FlowId id, bool ok) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  sim_.Cancel(flow.completion);
+  sim_.Cancel(flow.activation);
+  completions_.Erase(id);
   AdvanceFlow(flow);
   // A successful completion delivers the whole payload: the scheduled
   // completion time already covers any sub-tick rounding remainder.
@@ -245,7 +272,8 @@ void FlowNetwork::CancelFlow(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  sim_.Cancel(flow.completion);
+  sim_.Cancel(flow.activation);
+  completions_.Erase(id);
   const std::vector<LinkId> path = flow.path;
   RemoveFromLinks(flow, id);
   flows_by_node_[flow.src].erase(id);
@@ -257,8 +285,9 @@ void FlowNetwork::CancelFlow(FlowId id) {
 
 void FlowNetwork::FailFlowsAtNode(NodeId node) {
   if (node >= flows_by_node_.size() || flows_by_node_[node].empty()) return;
-  const std::vector<FlowId> ids(flows_by_node_[node].begin(),
-                                flows_by_node_[node].end());
+  std::vector<FlowId> ids(flows_by_node_[node].begin(),
+                          flows_by_node_[node].end());
+  std::sort(ids.begin(), ids.end());  // failure callbacks in id order
   for (FlowId id : ids) FinishFlow(id, false);
 }
 
@@ -269,7 +298,7 @@ void FlowNetwork::SetSiteUplink(SiteId site, Rate uplink) {
   links_[sites_[site].wan_rx].capacity = uplink;
   // The WAN links are the only capacities that moved, so only the flows
   // crossing them are re-rated; everything else keeps its completion
-  // events.
+  // deadline.
   Reallocate({sites_[site].wan_tx, sites_[site].wan_rx});
 }
 
@@ -285,7 +314,7 @@ void FlowNetwork::SetSitePartition(SiteId a, SiteId b, bool severed) {
   // every affected flow on sever AND on heal (severed flows starve via
   // FlowBlocked(); healed flows get completions back). Flows crossing
   // none of them — including fabric-only intra-site traffic — never lose
-  // their scheduled completion events.
+  // their completion deadlines.
   Reallocate({sites_[a].wan_tx, sites_[a].wan_rx, sites_[b].wan_tx,
               sites_[b].wan_rx});
 }
@@ -367,12 +396,12 @@ void FlowNetwork::OnSliceBoundary() {
     topo_->IntraSitePath(flow.src, flow.dst, id, sim_.now(), &fresh);
     if (fresh == flow.path) continue;
     for (LinkId l : flow.path) {
-      links_[l].flows.erase(id);
+      RemoveFromLink(l, id);
       touched.push_back(l);
     }
     flow.path = std::move(fresh);
     for (LinkId l : flow.path) {
-      links_[l].flows.insert(id);
+      AddToLink(l, id);
       touched.push_back(l);
     }
     ++repaths;
@@ -389,6 +418,13 @@ void FlowNetwork::OnSliceBoundary() {
 Rate FlowNetwork::FlowRate(FlowId id) const {
   auto it = flows_.find(id);
   return (it != flows_.end() && it->second.active) ? it->second.rate : 0.0;
+}
+
+std::optional<sim::Deadline> FlowNetwork::ScheduledCompletion(
+    FlowId id) const {
+  const sim::Deadline* due = completions_.Find(id);
+  if (due == nullptr) return std::nullopt;
+  return *due;
 }
 
 }  // namespace hogsim::net

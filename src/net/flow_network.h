@@ -25,13 +25,19 @@
 // rates are bitwise equal to a from-scratch recomputation
 // (EvenShareOracle(); the solver fuzz cross-checks every churn and fault
 // op against it on star and on the multi-level tor/fattree/rotor graphs).
-// A re-rate that leaves a flow's rate unchanged keeps its scheduled
-// completion event, so traffic on untouched links is never disturbed.
+// Every flow's completion deadline sits in one sim::Calendar, so a
+// re-rate moves deadlines without touching the event queue unless the
+// network's earliest completion changes. A re-rate that leaves a flow's
+// rate unchanged keeps its deadline, so traffic on untouched links is
+// never disturbed. Re-rates walk flows in ascending id and node failures
+// sort their flow ids, so same-tick completions and failure callbacks run
+// in id order, independent of hash-table layout.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -41,6 +47,7 @@
 #include "src/net/topo/topology.h"
 #include "src/net/types.h"
 #include "src/obs/obs.h"
+#include "src/sim/calendar.h"
 #include "src/sim/simulation.h"
 #include "src/util/units.h"
 
@@ -117,6 +124,11 @@ class FlowNetwork : private topo::Fabric {
   /// Instantaneous rate of a flow in bytes/sec; 0 if unknown or latent.
   Rate FlowRate(FlowId id) const;
 
+  /// The flow's pending completion deadline; nullopt while it is latent,
+  /// stalled at rate zero, or unknown. A re-rate that leaves the flow's
+  /// rate unchanged leaves this (time, seq) key unchanged.
+  std::optional<sim::Deadline> ScheduledCompletion(FlowId id) const;
+
   std::size_t active_flows() const { return flows_.size(); }
 
   /// Total bytes fully delivered so far (conservation checks in tests).
@@ -169,7 +181,7 @@ class FlowNetwork : private topo::Fabric {
  private:
   struct Link {
     Rate capacity;
-    std::unordered_set<FlowId> flows;
+    std::vector<FlowId> flows;  // ascending id
   };
 
   struct Node {
@@ -194,7 +206,7 @@ class FlowNetwork : private topo::Fabric {
     SimTime last_update = 0;
     bool active = false;  // false during the latency phase
     FlowCallback done;
-    sim::EventHandle completion;
+    sim::EventHandle activation;  // pending during the latency phase
   };
 
   // Observability handles for the non-trivial topologies, registered only
@@ -240,6 +252,8 @@ class FlowNetwork : private topo::Fabric {
   void SetFabricLinkCapacity(LinkId link, Rate capacity) override;
 
   LinkId AddLink(Rate capacity);
+  void AddToLink(LinkId link, FlowId id);
+  void RemoveFromLink(LinkId link, FlowId id);
   void Activate(FlowId id);
   void FinishFlow(FlowId id, bool ok);
   void RemoveFromLinks(Flow& flow, FlowId id);
@@ -247,9 +261,10 @@ class FlowNetwork : private topo::Fabric {
   /// Brings `flow.remaining` up to date with the clock.
   void AdvanceFlow(Flow& flow);
 
-  /// Recomputes rates and completion events for the flows crossing the
-  /// given links; flows whose rate is unchanged keep their scheduled
-  /// completion event.
+  /// Recomputes rates and completion deadlines for the flows crossing the
+  /// given links, in ascending flow id; flows whose rate is unchanged keep
+  /// their deadline. Ends by re-arming the completion calendar, so every
+  /// mutation that removes or re-rates a flow goes through here.
   void Reallocate(const std::vector<LinkId>& touched);
 
   /// Re-rates every flow with an endpoint in the rack (rack fault arm /
@@ -258,7 +273,7 @@ class FlowNetwork : private topo::Fabric {
 
   Rate EvenShareRate(const Flow& flow) const;
 
-  void RescheduleCompletion(FlowId id, Flow& flow);
+  void RescheduleCompletion(FlowId id, const Flow& flow);
 
   // Rotor slice machinery: the boundary timer is armed lazily, only while
   // slice-dependent flows exist, and re-routes exactly those flows.
@@ -275,6 +290,7 @@ class FlowNetwork : private topo::Fabric {
   std::vector<Node> nodes_;
   std::vector<Site> sites_;
   std::unordered_map<FlowId, Flow> flows_;
+  sim::Calendar completions_;  // one deadline per flow moving bytes
   // NodeId-indexed (node ids are dense, assigned by AddNode): flat arena
   // lookup on the hot StartFlow/FailFlowsAtNode paths.
   std::vector<std::unordered_set<FlowId>> flows_by_node_;

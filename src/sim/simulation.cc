@@ -33,8 +33,14 @@ Simulation::~Simulation() {
 }
 
 EventHandle Simulation::ScheduleAt(SimTime t, Callback cb) {
-  assert(cb);
   if (t < now_) t = now_;
+  return ScheduleAtSeq(t, next_seq_++, std::move(cb));
+}
+
+EventHandle Simulation::ScheduleAtSeq(SimTime t, std::uint64_t seq,
+                                      Callback cb) {
+  assert(cb);
+  assert(t >= now_ && seq < next_seq_);
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -45,7 +51,7 @@ EventHandle Simulation::ScheduleAt(SimTime t, Callback cb) {
   }
   slots_[slot].cb = std::move(cb);
   const std::uint32_t gen = slots_[slot].gen;
-  heap_.push_back(Entry{t, next_seq_++, slot, gen});
+  heap_.push_back(Entry{t, seq, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), Later);
   ++live_;
   return EventHandle(this, slot, gen);

@@ -87,6 +87,16 @@ class Simulation {
   /// Schedules `cb` after `delay` ticks (negative delays clamp to 0).
   EventHandle ScheduleAfter(SimDuration delay, Callback cb);
 
+  /// Reserves the same-tick order a ScheduleAt made right now would draw,
+  /// without scheduling anything. Pair it with ScheduleAtSeq to place an
+  /// event later at exactly that queue position (see sim::Calendar).
+  std::uint64_t TakeSeq() { return next_seq_++; }
+
+  /// Schedules `cb` at (`t`, `seq`) for a `seq` from TakeSeq(): among
+  /// events at `t` it fires exactly where a ScheduleAt(t) made at the
+  /// moment of the reservation would have. `t` must not be in the past.
+  EventHandle ScheduleAtSeq(SimTime t, std::uint64_t seq, Callback cb);
+
   /// Cancels a pending event; no-op if it already fired, was already
   /// cancelled, or the handle is empty. The callback (and anything it
   /// captured) is destroyed immediately, not when its timestamp is reached.

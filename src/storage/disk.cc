@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace hogsim::storage {
 
-FairQueue::FairQueue(sim::Simulation& sim, Rate rate) : sim_(sim), rate_(rate) {
+FairQueue::FairQueue(sim::Simulation& sim, Rate rate)
+    : sim_(sim),
+      rate_(rate),
+      completions_(sim, [this](OpId id) { Finish(id); }) {
   assert(rate > 0);
 }
 
@@ -27,14 +29,14 @@ void FairQueue::Cancel(OpId id) {
   auto it = ops_.find(id);
   if (it == ops_.end()) return;
   AdvanceAll();
-  sim_.Cancel(it->second.completion);
+  completions_.Erase(id);
   ops_.erase(it);
   RescheduleAll();
 }
 
 void FairQueue::CancelAll() {
-  for (auto& [id, op] : ops_) sim_.Cancel(op.completion);
   ops_.clear();
+  completions_.Clear();
 }
 
 void FairQueue::Freeze(SimDuration duration) {
@@ -64,17 +66,16 @@ void FairQueue::AdvanceAll() {
 }
 
 void FairQueue::RescheduleAll() {
-  if (ops_.empty()) return;
-  const Rate share = rate_ / static_cast<double>(ops_.size());
-  const SimTime start = std::max(sim_.now(), frozen_until_);
-  for (auto& [id, op] : ops_) {
-    sim_.Cancel(op.completion);
-    const auto remaining = static_cast<Bytes>(std::ceil(op.remaining));
-    const SimDuration eta = TransferTime(remaining, share);
-    const OpId captured = id;
-    op.completion =
-        sim_.ScheduleAt(start + eta, [this, captured] { Finish(captured); });
+  if (!ops_.empty()) {
+    const Rate share = rate_ / static_cast<double>(ops_.size());
+    const SimTime start = std::max(sim_.now(), frozen_until_);
+    for (const auto& [id, op] : ops_) {
+      const auto remaining = static_cast<Bytes>(std::ceil(op.remaining));
+      const SimDuration eta = TransferTime(remaining, share);
+      completions_.Set(id, start + eta);
+    }
   }
+  completions_.Arm();
 }
 
 void FairQueue::Finish(OpId id) {

@@ -14,15 +14,18 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 
+#include "src/sim/calendar.h"
 #include "src/sim/simulation.h"
 #include "src/util/units.h"
 
 namespace hogsim::storage {
 
 /// A capacity-`rate` resource whose concurrent operations progress at
-/// rate / n. Completion callbacks fire in deterministic order.
+/// rate / n. Every op's completion deadline sits in one sim::Calendar, and
+/// re-rates walk ops in ascending id, so same-tick completions fire in id
+/// order.
 class FairQueue {
  public:
   using OpId = std::uint64_t;
@@ -56,16 +59,17 @@ class FairQueue {
     double remaining;
     SimTime last_update;
     std::function<void()> done;
-    sim::EventHandle completion;
   };
 
   void AdvanceAll();
+  /// Re-keys every op's deadline at the current share, then re-arms.
   void RescheduleAll();
   void Finish(OpId id);
 
   sim::Simulation& sim_;
   Rate rate_;
-  std::unordered_map<OpId, Op> ops_;
+  std::map<OpId, Op> ops_;  // ascending id: the re-rate order
+  sim::Calendar completions_;
   OpId next_op_ = 1;
   SimTime frozen_until_ = 0;
 };

@@ -13,12 +13,13 @@
 //  2. Churn on disjoint links never disturbs other flows: their rates AND
 //     their scheduled completion timestamps are exactly those of a
 //     churn-free twin run.
-//  3. A re-rate that leaves a flow's rate unchanged must not
-//     cancel-and-reschedule its completion event (asserted through the
-//     sim queue's cancellation counter).
+//  3. A re-rate that leaves a flow's rate unchanged must not reschedule
+//     its completion: the flow keeps the same (time, seq) deadline key
+//     (asserted through FlowNetwork::ScheduledCompletion).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -252,24 +253,30 @@ TEST(NetSolver, UnchangedRateKeepsCompletionEvent) {
   const NodeId c = net.AddNode(s, MiBps(4));
 
   bool victim_ok = false;
-  net.StartFlow(a, b, 8 * kMiB, [&](bool ok) { victim_ok = ok; });
+  const FlowId victim =
+      net.StartFlow(a, b, 8 * kMiB, [&](bool ok) { victim_ok = ok; });
   sim.RunUntil(sim.now() + kMillisecond);  // past LAN latency: active at 4 MiB/s
+  const std::optional<sim::Deadline> due = net.ScheduledCompletion(victim);
+  ASSERT_TRUE(due.has_value());
 
   // Adding c->b shares b's RX (a touched link on the victim's path!) but
   // leaves the victim pinned at its own 4 MiB/s TX: 10/2 = 5 > 4. The
   // re-rate must see the unchanged rate and keep the victim's completion
-  // event: no sim-queue cancellation may occur.
-  const std::uint64_t cancelled_before = sim.cancelled();
+  // deadline: the same (time, seq) key, not a fresh one at the same time.
   net.StartFlow(c, b, 8 * kMiB, [](bool) {});
   sim.RunUntil(sim.now() + kMillisecond);
-  EXPECT_EQ(sim.cancelled(), cancelled_before)
-      << "rate-unchanged re-rate cancelled and rescheduled a completion";
+  EXPECT_EQ(net.FlowRate(victim), MiBps(4));
+  EXPECT_EQ(net.ScheduledCompletion(victim), due)
+      << "rate-unchanged re-rate rescheduled a completion";
 
   // Contrast: a second a->b flow halves the victim's TX share (4 -> 2),
-  // which legitimately reschedules — the counter must move now.
+  // which legitimately reschedules — the key must move later now.
   net.StartFlow(a, b, 8 * kMiB, [](bool) {});
   sim.RunUntil(sim.now() + kMillisecond);
-  EXPECT_GT(sim.cancelled(), cancelled_before);
+  const std::optional<sim::Deadline> moved = net.ScheduledCompletion(victim);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_GT(moved->time, due->time);
+  EXPECT_GT(moved->seq, due->seq);
 
   sim.RunAll();
   EXPECT_TRUE(victim_ok);

@@ -14,11 +14,12 @@
 //     ReplicationQueue::LevelFor degenerates to the site overload when
 //     racks == sites.
 //  4. Rotor slices are RNG-free and lazy: no cross-rack flows, no slice
-//     events; and a site-partition heal never cancels completion events
-//     of flows off the healed path (the incremental re-rate).
+//     events; and a site-partition heal never moves the completion
+//     deadlines of flows off the healed path (the incremental re-rate).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -385,22 +386,26 @@ TEST(TopoPartition, HealDoesNotCancelCompletionsInUntouchedComponents) {
   const NodeId c2 = net.AddNode(sc, Mbps(40));
 
   bool ab_ok = false, victim_ok = false;
-  net.StartFlow(a, b, 8 * kMiB, [&](bool ok) { ab_ok = ok; });
-  net.StartFlow(c1, c2, 64 * kMiB, [&](bool ok) { victim_ok = ok; });
+  const FlowId ab = net.StartFlow(a, b, 8 * kMiB, [&](bool ok) { ab_ok = ok; });
+  const FlowId victim =
+      net.StartFlow(c1, c2, 64 * kMiB, [&](bool ok) { victim_ok = ok; });
   sim.RunUntil(kSecond);
   net.SetSitePartition(sa, sb, true);
   sim.RunUntil(2 * kSecond);
   EXPECT_FALSE(ab_ok);
+  EXPECT_EQ(net.ScheduledCompletion(ab), std::nullopt);  // stalled: no key
 
   // The heal re-rates only flows crossing the A and B uplinks. The victim
-  // flow in site C shares no links with them; its completion event must
-  // survive the heal untouched (one cancellation is legal: the stalled
-  // a->b flow's own completion does get rescheduled from "never" to a real
-  // time).
-  const std::uint64_t cancelled_before = sim.cancelled();
+  // flow in site C shares no links with them; its completion deadline must
+  // survive the heal with the same (time, seq) key, while the stalled
+  // a->b flow gets a deadline back.
+  const std::optional<sim::Deadline> victim_due =
+      net.ScheduledCompletion(victim);
+  ASSERT_TRUE(victim_due.has_value());
   net.SetSitePartition(sa, sb, false);
-  EXPECT_LE(sim.cancelled(), cancelled_before + 1)
-      << "partition heal cancelled events off the healed path";
+  EXPECT_EQ(net.ScheduledCompletion(victim), victim_due)
+      << "partition heal rescheduled a completion off the healed path";
+  EXPECT_NE(net.ScheduledCompletion(ab), std::nullopt);
   sim.RunAll();
   EXPECT_TRUE(ab_ok);
   EXPECT_TRUE(victim_ok);

@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/net/flow_network.h"
+#include "src/sim/calendar.h"
 #include "src/sim/simulation.h"
+#include "src/storage/disk.h"
+#include "src/util/rng.h"
 
 namespace hogsim::sim {
 namespace {
@@ -324,6 +332,310 @@ TEST(PeriodicTimer, RestartFromTickCallback) {
   sim.RunUntil(22);
   timer.Stop();
   EXPECT_EQ(ticks, (std::vector<SimTime>{10, 15, 20}));
+}
+
+// ---------------------------------------------------------------------------
+// Calendar: keyed deadlines behind one event, fired in per-event order
+
+// Runs one script of plain events and keyed deadlines either through a
+// Calendar or with one event per deadline (cancel + reschedule on every
+// re-key: the pattern a Calendar replaces), and logs what fires when.
+// Deadline `key` logs as 1000 + key, plain event `label` as itself.
+class DeadlineHarness {
+ public:
+  using Key = Calendar::Key;
+
+  explicit DeadlineHarness(bool calendar)
+      : use_calendar_(calendar),
+        calendar_(sim_, [this](Key key) { Fired(key); }) {}
+
+  Simulation& sim() { return sim_; }
+  Calendar& calendar() { return calendar_; }
+  const std::vector<std::pair<SimTime, int>>& log() const { return log_; }
+
+  /// Runs after each deadline fires, before the batch is re-armed.
+  std::function<void(Key)> on_fire;
+
+  void Plain(SimTime t, int label, std::function<void()> then = {}) {
+    sim_.ScheduleAt(t, [this, label, then] {
+      log_.emplace_back(sim_.now(), label);
+      if (then) then();
+      Commit();
+    });
+  }
+  void Due(Key key, SimTime t) {
+    if (use_calendar_) {
+      calendar_.Set(key, t);
+      return;
+    }
+    sim_.Cancel(events_[key]);
+    events_[key] = sim_.ScheduleAt(t, [this, key] {
+      events_.erase(key);
+      Fired(key);
+    });
+  }
+  void Drop(Key key) {
+    if (use_calendar_) {
+      calendar_.Erase(key);
+      return;
+    }
+    auto it = events_.find(key);
+    if (it == events_.end()) return;
+    sim_.Cancel(it->second);
+    events_.erase(it);
+  }
+  /// Ends a batch of Due/Drop calls (the owner contract).
+  void Commit() {
+    if (use_calendar_) calendar_.Arm();
+  }
+
+ private:
+  void Fired(Key key) {
+    log_.emplace_back(sim_.now(), 1000 + static_cast<int>(key));
+    if (on_fire) on_fire(key);
+    Commit();
+  }
+
+  bool use_calendar_;
+  Simulation sim_;
+  Calendar calendar_;
+  std::map<Key, EventHandle> events_;
+  std::vector<std::pair<SimTime, int>> log_;
+};
+
+void RunInterleavedScript(DeadlineHarness& h) {
+  h.Plain(10, 1);
+  h.Due(1, 10);
+  h.Plain(10, 2);
+  h.Due(2, 5);
+  h.Due(3, 10);
+  h.Due(8, 30);
+  h.Plain(20, 3, [&h] {
+    h.Due(4, 20);
+    h.Plain(20, 4);
+    h.Due(5, 20);
+  });
+  h.Commit();
+  h.on_fire = [&h](DeadlineHarness::Key key) {
+    if (key == 2) {
+      h.Plain(10, 6);
+      h.Due(3, 10);  // re-keyed to the same tick: now behind plain 6
+      h.Due(6, 10);
+      h.Plain(10, 5);
+      h.Due(7, 5);  // same tick as the deadline firing now
+    }
+    if (key == 7) h.Due(8, 12);  // re-keyed earlier than its first key
+    if (key == 6) h.Drop(3);     // already fired: no-op
+    if (key == 4) h.Drop(5);     // erase a same-tick peer about to fire
+  };
+  h.sim().RunAll();
+}
+
+TEST(Calendar, InterleavesWithPlainEventsLikeOneEventPerDeadline) {
+  DeadlineHarness per_event(false);
+  DeadlineHarness calendar(true);
+  RunInterleavedScript(per_event);
+  RunInterleavedScript(calendar);
+  const std::vector<std::pair<SimTime, int>> expected = {
+      {5, 1002}, {5, 1007}, {10, 1}, {10, 1001}, {10, 2},
+      {10, 6}, {10, 1003}, {10, 1006}, {10, 5}, {12, 1008},
+      {20, 3}, {20, 1004}, {20, 4}};
+  EXPECT_EQ(per_event.log(), expected);
+  EXPECT_EQ(calendar.log(), expected);
+  // One executed event per fired deadline, exactly as before.
+  EXPECT_EQ(calendar.sim().executed(), per_event.sim().executed());
+  EXPECT_TRUE(calendar.calendar().empty());
+}
+
+TEST(Calendar, RekeyEarlierAndLaterMovesTheArmedEvent) {
+  Simulation sim;
+  std::vector<std::pair<SimTime, Calendar::Key>> fired;
+  Calendar cal(sim, [&](Calendar::Key key) { fired.emplace_back(sim.now(), key); });
+  cal.Set(1, 100);
+  cal.Set(2, 200);
+  cal.Arm();
+  EXPECT_EQ(sim.pending(), 1u);  // one event, however many deadlines
+
+  cal.Set(2, 200);  // same time, fresh seq: not the earliest, no re-arm
+  cal.Arm();
+  EXPECT_EQ(sim.cancelled(), 0u);
+
+  cal.Set(1, 300);  // the armed minimum moves later: re-arm at key 2
+  cal.Arm();
+  EXPECT_EQ(sim.cancelled(), 1u);
+  ASSERT_NE(cal.Find(1), nullptr);
+  EXPECT_EQ(cal.Find(1)->time, 300);
+
+  cal.Set(1, 50);  // ... and earlier than everything again
+  cal.Arm();
+  EXPECT_EQ(sim.cancelled(), 2u);
+  EXPECT_EQ(sim.pending(), 1u);
+
+  sim.RunAll();
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, Calendar::Key>>{
+                       {50, 1}, {200, 2}}));
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(cal.Find(1), nullptr);
+}
+
+TEST(Calendar, ErasingTheArmedMinimumFiresTheNext) {
+  Simulation sim;
+  std::vector<Calendar::Key> fired;
+  Calendar cal(sim, [&](Calendar::Key key) { fired.push_back(key); });
+  cal.Set(1, 100);
+  cal.Set(2, 200);
+  cal.Arm();
+  cal.Erase(1);
+  cal.Erase(9);  // unknown key: no-op
+  cal.Arm();
+  EXPECT_EQ(sim.cancelled(), 1u);
+  sim.RunAll();
+  EXPECT_EQ(fired, (std::vector<Calendar::Key>{2}));
+  EXPECT_EQ(sim.now(), 200);
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(Calendar, ClearAndEmptyScheduleNothing) {
+  Simulation sim;
+  int fired = 0;
+  Calendar cal(sim, [&](Calendar::Key) { ++fired; });
+  cal.Arm();  // empty: nothing to arm
+  EXPECT_EQ(sim.pending(), 0u);
+
+  cal.Set(1, 10);
+  cal.Erase(1);
+  cal.Arm();  // emptied before arming: still nothing
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.cancelled(), 0u);
+
+  for (Calendar::Key k = 0; k < 5; ++k) cal.Set(k, 10 + k);
+  cal.Arm();
+  EXPECT_EQ(sim.pending(), 1u);
+  cal.Clear();
+  EXPECT_TRUE(cal.empty());
+  EXPECT_EQ(cal.entries(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.executed(), 0u);
+}
+
+TEST(Calendar, FireMayDestroyTheOwner) {
+  // A disk op's `done` deletes its Disk while another op is still queued
+  // on it: the calendar must neither touch itself after the callback nor
+  // leave an armed event behind (ASan/UBSan verify under the sanitize
+  // preset).
+  Simulation sim;
+  auto disk = std::make_unique<storage::Disk>(sim, kGiB, MiBps(1));
+  bool survivor_fired = false;
+  disk->Read(kMiB / 4, [&] { disk.reset(); });
+  disk->Read(kMiB, [&] { survivor_fired = true; });
+  sim.RunAll();
+  EXPECT_EQ(disk, nullptr);
+  EXPECT_FALSE(survivor_fired);
+  EXPECT_EQ(sim.pending(), 0u);
+
+  // The bare calendar, destroyed by its owner from inside a fire.
+  std::unique_ptr<Calendar> owner;
+  owner = std::make_unique<Calendar>(sim, [&](Calendar::Key) {
+    owner.reset();
+  });
+  owner->Set(1, sim.now() + 5);
+  owner->Set(2, sim.now() + 6);
+  owner->Arm();
+  sim.RunAll();
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Calendar, SameTickFlowCompletionsFireInIdOrder) {
+  // Eight equal flows out of one 8 MiB/s NIC get 1 MiB/s each and finish
+  // their 1 MiB on the same tick; they must complete in ascending flow id,
+  // not in hash-table order.
+  Simulation sim;
+  net::FlowNetworkConfig config;
+  config.wan_flow_cap = 0;
+  net::FlowNetwork net(sim, config);
+  const net::SiteId site = net.AddSite(Gbps(10));
+  const net::NodeId src = net.AddNode(site, MiBps(8));
+  std::vector<net::FlowId> ids;
+  std::vector<net::FlowId> done_order;
+  std::vector<SimTime> done_at;
+  for (int i = 0; i < 8; ++i) {
+    const net::NodeId dst = net.AddNode(site, MiBps(8));
+    auto slot = std::make_shared<net::FlowId>(0);
+    *slot = net.StartFlow(src, dst, kMiB, [&, slot](bool ok) {
+      EXPECT_TRUE(ok);
+      done_order.push_back(*slot);
+      done_at.push_back(sim.now());
+    });
+    ids.push_back(*slot);
+  }
+  sim.RunAll();
+  EXPECT_EQ(done_order, ids);
+  ASSERT_EQ(done_at.size(), 8u);
+  EXPECT_EQ(std::count(done_at.begin(), done_at.end(), done_at.front()), 8);
+}
+
+TEST(Calendar, SameTickDiskOpsFireInIdOrder) {
+  Simulation sim;
+  storage::Disk disk(sim, kGiB, MiBps(8));
+  std::vector<storage::FairQueue::OpId> ids;
+  std::vector<storage::FairQueue::OpId> done_order;
+  std::vector<SimTime> done_at;
+  for (int i = 0; i < 8; ++i) {
+    auto slot = std::make_shared<storage::FairQueue::OpId>(0);
+    *slot = disk.Read(kMiB, [&, slot] {
+      done_order.push_back(*slot);
+      done_at.push_back(sim.now());
+    });
+    ids.push_back(*slot);
+  }
+  sim.RunAll();
+  EXPECT_EQ(done_order, ids);
+  ASSERT_EQ(done_at.size(), 8u);
+  EXPECT_EQ(std::count(done_at.begin(), done_at.end(), kSecond), 8);
+}
+
+void RunChurnScript(DeadlineHarness& h) {
+  // 200 keys, re-keyed and erased at random from inside plain events, so
+  // stale entries pile up far past the 64-entry compaction floor while
+  // live deadlines keep being stored and fired.
+  Rng rng(42);
+  for (DeadlineHarness::Key k = 0; k < 200; ++k) {
+    h.Due(k, rng.UniformInt(1000, 2000));
+  }
+  h.Commit();
+  for (int round = 0; round < 20; ++round) {
+    h.Plain(10 * round, round, [&h, round] {
+      Rng r(static_cast<std::uint64_t>(round) + 7);
+      for (int i = 0; i < 150; ++i) {
+        const auto k = static_cast<DeadlineHarness::Key>(r.UniformInt(0, 199));
+        if (r.UniformInt(0, 9) == 0) {
+          h.Drop(k);
+        } else {
+          h.Due(k, h.sim().now() + r.UniformInt(0, 2000));
+        }
+      }
+      // Bounded by compaction: live keys plus at most as many stale ones.
+      EXPECT_LE(h.calendar().entries(), 2 * h.calendar().size() + 64);
+    });
+  }
+  h.sim().RunAll();
+}
+
+TEST(Calendar, CompactionUnderChurnKeepsEveryLiveDeadline) {
+  DeadlineHarness per_event(false);
+  DeadlineHarness calendar(true);
+  RunChurnScript(per_event);
+  RunChurnScript(calendar);
+  // Every live deadline fired exactly once, at the key it last held, in
+  // the same order and at the same times as with one event per deadline.
+  EXPECT_GT(per_event.log().size(), 100u);
+  EXPECT_EQ(calendar.log(), per_event.log());
+  EXPECT_EQ(calendar.sim().executed(), per_event.sim().executed());
+  EXPECT_LT(calendar.sim().cancelled(), per_event.sim().cancelled());
+  EXPECT_TRUE(calendar.calendar().empty());
 }
 
 }  // namespace
