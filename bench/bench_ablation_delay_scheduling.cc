@@ -27,32 +27,26 @@ constexpr Case kCases[] = {
     {"rep 10, FIFO + delay 10 s", 10, 10 * kSecond},
 };
 
-exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
+exp::Metrics Run(const Case& c, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.replication = c.replication;
   config.mr.locality_wait_node = c.wait;
   config.mr.locality_wait_rack = c.wait;
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(60);
-  if (!cluster.WaitForNodes(60, exp::kSpinUpDeadline) &&
-      !cluster.WaitForNodes(57, cluster.sim().now() + exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(60)) {
     return {{"response_s", 0.0}, {"local_frac", 0.0}, {"remote_input_gib", 0.0}};
   }
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
-  const auto result = runner.Run(cluster.sim().now() + exp::kRunDeadline);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
+  const auto result = run.Run();
+  run.Finish();
+  const mr::JobTracker& jt = run.cluster().jobtracker();
   long long local = 0, rack = 0, remote = 0;
   Bytes remote_input = 0;
-  for (std::size_t j = 0; j < cluster.jobtracker().job_count(); ++j) {
-    const auto& job = cluster.jobtracker().job(static_cast<mr::JobId>(j));
+  for (std::size_t j = 0; j < jt.job_count(); ++j) {
+    const auto& job = jt.job(static_cast<mr::JobId>(j));
     local += job.data_local_maps;
     rack += job.rack_local_maps;
     remote += job.remote_maps;
@@ -81,19 +75,17 @@ int main(int argc, char** argv) {
   spec.configs = std::size(kCases);
   spec.config_labels = {"rep3_fifo", "rep3_delay10", "rep10_fifo",
                         "rep10_delay10"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kCases[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kCases[config], seed, opts, scenario);
       });
 
   TextTable table({"scheduler", "response (s)", "node-local maps",
                    "remote input (GiB)"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({kCases[c].name, FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean() * 100, 1) + "%",
-                  FormatDouble(m[2].stats.mean(), 1)});
+    table.AddRow({kCases[c].name, FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "local_frac") * 100, 1) + "%",
+                  FormatDouble(sweep.Mean(c, "remote_input_gib"), 1)});
   }
   table.Print(std::cout);
   std::printf(
@@ -106,11 +98,9 @@ int main(int argc, char** argv) {
       "locality' (§IV.D.2) — raises locality without idling slots, which "
       "is why the scheduler-side trick that shines on stable clusters is "
       "the wrong tool on a churning grid.\n");
-  const auto local = [&](std::size_t c) {
-    return sweep.summaries[c][1].stats.mean();
-  };
+  const auto local = [&](std::size_t c) { return sweep.Mean(c, "local_frac"); };
   const auto response = [&](std::size_t c) {
-    return sweep.summaries[c][0].stats.mean();
+    return sweep.Mean(c, "response_s");
   };
   std::printf("Delay scheduling lifts locality: %s; but costs response "
               "under churn: %s\n",

@@ -25,30 +25,22 @@ constexpr Case kCases[] = {
     {"traditional (15 min)", 15 * kMinute},
 };
 
-exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
+exp::Metrics Run(const Case& c, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.heartbeat_recheck = c.recheck;
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(60);
-  if (!cluster.WaitForNodes(60, exp::kSpinUpDeadline) &&
-      !cluster.WaitForNodes(57, cluster.sim().now() + exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(60)) {
     return {{"response_s", 0.0}, {"failed_jobs", 0.0}, {"maps_reexecuted", 0.0}};
   }
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
-  const auto result = runner.Run(cluster.sim().now() + exp::kRunDeadline);
-  return {{"response_s", result.response_time_s},
-          {"failed_jobs", static_cast<double>(result.failed)},
-          {"maps_reexecuted",
-           static_cast<double>(cluster.jobtracker().maps_reexecuted())}};
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
+  run.Run();
+  const exp::HogRunResult result = run.Finish();
+  return {{"response_s", result.workload.response_time_s},
+          {"failed_jobs", static_cast<double>(result.workload.failed)},
+          {"maps_reexecuted", static_cast<double>(result.maps_reexecuted)}};
 }
 
 }  // namespace
@@ -65,20 +57,19 @@ int main(int argc, char** argv) {
   spec.name = "ablation_heartbeat";
   spec.configs = std::size(kCases);
   spec.config_labels = {"recheck_30s", "recheck_2min", "recheck_15min"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kCases[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kCases[config], seed, opts, scenario);
       });
 
   TextTable table({"recheck", "response (s)", "ci95", "failed jobs",
                    "maps re-executed"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({kCases[c].name, FormatDouble(m[0].stats.mean(), 0),
-                  "+-" + FormatDouble(m[0].ci95_halfwidth, 0),
-                  FormatDouble(m[1].stats.mean(), 1),
-                  FormatDouble(m[2].stats.mean(), 0)});
+    table.AddRow({kCases[c].name, FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  "+-" + FormatDouble(
+                             sweep.Summary(c, "response_s").ci95_halfwidth, 0),
+                  FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
+                  FormatDouble(sweep.Mean(c, "maps_reexecuted"), 0)});
   }
   table.Print(std::cout);
   std::printf(
@@ -87,7 +78,7 @@ int main(int argc, char** argv) {
       "before recovery starts, stretching (or wedging) the workload; 30 s "
       "detection recovers almost immediately.\n");
   const auto response = [&](std::size_t c) {
-    return sweep.summaries[c][0].stats.mean();
+    return sweep.Mean(c, "response_s");
   };
   std::printf("30 s detection fastest: %s\n",
               (response(0) <= response(1) && response(0) <= response(2))

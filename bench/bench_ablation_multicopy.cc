@@ -2,7 +2,6 @@
 // running a configurable number of copies of every task and taking the
 // fastest. The paper proposes this to mask node loss; the cost is extra
 // slot consumption. Swept across seeds; each copy count is a config.
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -16,7 +15,8 @@ namespace {
 
 constexpr int kNodes = 240;
 
-exp::Metrics Run(int copies, std::uint64_t seed, bool fast,
+exp::Metrics Run(int copies, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.task_copies = copies;
@@ -26,41 +26,33 @@ exp::Metrics Run(int copies, std::uint64_t seed, bool fast,
     site.burst_interval_s = 900.0;
     site.burst_fraction = 0.15;
   }
-  hog::HogCluster cluster(seed, config);
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
   // Over-request: under churn, running nodes settle below the lease
   // target (replacements sit in remote batch queues), so keep extra
-  // pressure — standard GlideinWMS practice.
-  cluster.RequestNodes(kNodes * 115 / 100);
-  if (!cluster.WaitForNodes(kNodes, exp::kSpinUpDeadline)) {
+  // pressure — standard GlideinWMS practice. SpinUp keeps the larger
+  // standing request.
+  run.cluster().RequestNodes(kNodes * 115 / 100);
+  if (!run.SpinUp(kNodes)) {
     return {{"response_s", 0.0},
             {"mean_job_latency_s", 0.0},
             {"attempts", 0.0},
             {"failed_jobs", 0.0}};
   }
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
   // Bins 1-4 (76 jobs): N-copy reduces multiply WAN shuffle N-fold, so the
   // heaviest bins would congest the benches' wall clock without changing
   // the conclusion.
-  schedule.erase(std::remove_if(schedule.begin(), schedule.end(),
-                                [](const auto& j) { return j.bin > 4; }),
-                 schedule.end());
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast, 4));
+  run.Submit(&scenario);
   // Bounded deadline: a blacklist-wedged job should cap the run, not
   // stretch it to the global limit.
-  const auto result = runner.Run(cluster.sim().now() + 4 * kHour);
+  const auto result = run.Run(4 * kHour);
+  run.Finish();
   RunningStats per_job;
   for (double r : result.job_response_s) per_job.Add(r);
   return {{"response_s", result.response_time_s},
           {"mean_job_latency_s", per_job.mean()},
-          {"attempts",
-           static_cast<double>(cluster.jobtracker().attempts_launched())},
+          {"attempts", static_cast<double>(
+                           run.cluster().jobtracker().attempts_launched())},
           {"failed_jobs", static_cast<double>(result.failed)}};
 }
 
@@ -79,20 +71,19 @@ int main(int argc, char** argv) {
   spec.name = "ablation_multicopy";
   spec.configs = 3;
   spec.config_labels = {"copies1", "copies2", "copies3"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(static_cast<int>(config) + 1, seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(static_cast<int>(config) + 1, seed, opts, scenario);
       });
 
   TextTable table({"copies", "response (s)", "mean job latency (s)",
                    "attempts launched", "failed jobs"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({std::to_string(c + 1), FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean(), 0),
-                  FormatDouble(m[2].stats.mean(), 0),
-                  FormatDouble(m[3].stats.mean(), 1)});
+    table.AddRow({std::to_string(c + 1),
+                  FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "mean_job_latency_s"), 0),
+                  FormatDouble(sweep.Mean(c, "attempts"), 0),
+                  FormatDouble(sweep.Mean(c, "failed_jobs"), 1)});
   }
   table.Print(std::cout);
   std::printf(
@@ -103,7 +94,7 @@ int main(int argc, char** argv) {
       "the extra copies stay effectively free. Attempts grow ~linearly "
       "with N either way.\n");
   const auto response = [&](std::size_t c) {
-    return sweep.summaries[c][0].stats.mean();
+    return sweep.Mean(c, "response_s");
   };
   const bool second_copy_helps = response(1) < response(0);
   std::printf("Measured: second copy %s response (%.0f -> %.0f s); third "

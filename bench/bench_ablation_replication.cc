@@ -17,7 +17,8 @@ namespace {
 
 constexpr int kFactors[] = {2, 3, 10};
 
-exp::Metrics Run(int replication, std::uint64_t seed, bool fast,
+exp::Metrics Run(int replication, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.replication = replication;
@@ -27,35 +28,25 @@ exp::Metrics Run(int replication, std::uint64_t seed, bool fast,
     site.burst_interval_s = 900.0;  // simultaneous preemptions are common
     site.burst_fraction = 0.15;
   }
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(60);
-  if (!cluster.WaitForNodes(60, exp::kSpinUpDeadline) &&
-      !cluster.WaitForNodes(57, cluster.sim().now() + exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(60)) {
     return {{"response_s", 0.0},
             {"failed_jobs", 0.0},
             {"missing_blocks", 0.0},
             {"replications", 0.0},
             {"replication_gib", 0.0}};
   }
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
-  const auto result = runner.Run(cluster.sim().now() + exp::kRunDeadline);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
+  const auto result = run.Run();
+  run.Finish();
+  const hdfs::Namenode& nn = run.cluster().namenode();
   return {{"response_s", result.response_time_s},
           {"failed_jobs", static_cast<double>(result.failed)},
-          {"missing_blocks",
-           static_cast<double>(cluster.namenode().missing_blocks())},
-          {"replications",
-           static_cast<double>(cluster.namenode().replications_completed())},
-          {"replication_gib",
-           static_cast<double>(cluster.namenode().replication_bytes()) /
-               static_cast<double>(kGiB)}};
+          {"missing_blocks", static_cast<double>(nn.missing_blocks())},
+          {"replications", static_cast<double>(nn.replications_completed())},
+          {"replication_gib", static_cast<double>(nn.replication_bytes()) /
+                                  static_cast<double>(kGiB)}};
 }
 
 }  // namespace
@@ -72,22 +63,20 @@ int main(int argc, char** argv) {
   spec.name = "ablation_replication";
   spec.configs = std::size(kFactors);
   spec.config_labels = {"rep2", "rep3", "rep10"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kFactors[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kFactors[config], seed, opts, scenario);
       });
 
   TextTable table({"replication", "response (s)", "failed jobs",
                    "missing blocks", "re-replications", "re-repl (GiB)"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
     table.AddRow({std::to_string(kFactors[c]),
-                  FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean(), 1),
-                  FormatDouble(m[2].stats.mean(), 1),
-                  FormatDouble(m[3].stats.mean(), 0),
-                  FormatDouble(m[4].stats.mean(), 1)});
+                  FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
+                  FormatDouble(sweep.Mean(c, "missing_blocks"), 1),
+                  FormatDouble(sweep.Mean(c, "replications"), 0),
+                  FormatDouble(sweep.Mean(c, "replication_gib"), 1)});
   }
   table.Print(std::cout);
   std::printf(
@@ -97,7 +86,7 @@ int main(int argc, char** argv) {
       "traffic (the paper's trade-off: 'too many replicas would impose "
       "extra overhead ... too few would cause frequent data failures').\n");
   const auto missing = [&](std::size_t c) {
-    return sweep.summaries[c][2].stats.mean();
+    return sweep.Mean(c, "missing_blocks");
   };
   std::printf("Replication 10 loses no more data than 2: %s\n",
               missing(2) <= missing(0) ? "YES" : "NO");

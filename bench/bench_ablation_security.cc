@@ -27,29 +27,18 @@ constexpr Case kCases[] = {
     {"PKI worst-case: +20 ms, +25%", 20 * kMillisecond, 0.25},
 };
 
-exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
+exp::Metrics Run(const Case& c, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.net.crypto_latency = c.handshake;
   config.net.crypto_byte_overhead = c.overhead;
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(60);
-  if (!cluster.WaitForNodes(60, exp::kSpinUpDeadline) &&
-      !cluster.WaitForNodes(57, cluster.sim().now() + exp::kSpinUpDeadline)) {
-    return {{"response_s", 0.0}};
-  }
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
-  return {{"response_s",
-           runner.Run(cluster.sim().now() + exp::kRunDeadline)
-               .response_time_s}};
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(60)) return {{"response_s", 0.0}};
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
+  run.Run();
+  return {{"response_s", run.Finish().workload.response_time_s}};
 }
 
 }  // namespace
@@ -65,16 +54,15 @@ int main(int argc, char** argv) {
   spec.name = "ablation_security";
   spec.configs = std::size(kCases);
   spec.config_labels = {"plain", "pki_moderate", "pki_worst"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kCases[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kCases[config], seed, opts, scenario);
       });
 
-  const double baseline = sweep.summaries[0][0].stats.mean();
+  const double baseline = sweep.Mean(0, "response_s");
   TextTable table({"configuration", "response (s)", "ci95", "slowdown"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const exp::MetricSummary& m = sweep.summaries[c][0];
+    const exp::MetricSummary& m = sweep.Summary(c, "response_s");
     table.AddRow({kCases[c].name, FormatDouble(m.stats.mean(), 0),
                   "+-" + FormatDouble(m.ci95_halfwidth, 0),
                   FormatDouble(m.stats.mean() / baseline, 2) + "x"});

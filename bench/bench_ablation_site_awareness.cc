@@ -17,7 +17,8 @@ namespace {
 
 constexpr int kReplication = 4;
 
-exp::Metrics Run(bool site_aware, std::uint64_t seed, bool fast,
+exp::Metrics Run(bool site_aware, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.site_awareness = site_aware;
@@ -27,9 +28,8 @@ exp::Metrics Run(bool site_aware, std::uint64_t seed, bool fast,
     site.node_mtbf_s = 1e9;  // isolate the site-outage effect
     site.burst_interval_s = 0;
   }
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(60);
-  if (!cluster.WaitForNodes(60, exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(60)) {
     return {{"response_s", 0.0},
             {"failed_jobs", 0.0},
             {"missing_blocks", 0.0},
@@ -37,21 +37,16 @@ exp::Metrics Run(bool site_aware, std::uint64_t seed, bool fast,
             {"remote_maps", 0.0}};
   }
 
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
   // Whole-site outage ("a core network component failure, or a large
   // power outage") 5 minutes into the workload.
+  hog::HogCluster& cluster = run.cluster();
   cluster.sim().ScheduleAfter(5 * kMinute, [&cluster] {
     cluster.grid().PreemptSiteFraction(0, 1.0);
   });
-  const auto result = runner.Run(cluster.sim().now() + exp::kRunDeadline);
+  const auto result = run.Run();
+  run.Finish();
   long long data_local = 0, remote = 0;
   for (std::size_t j = 0; j < cluster.jobtracker().job_count(); ++j) {
     const auto& job = cluster.jobtracker().job(static_cast<mr::JobId>(j));
@@ -81,22 +76,20 @@ int main(int argc, char** argv) {
   spec.name = "ablation_site_awareness";
   spec.configs = 2;
   spec.config_labels = {"site_aware", "flat"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(config == 0, seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(config == 0, seed, opts, scenario);
       });
 
   const char* names[] = {"hog-site-aware", "flat (topology-blind)"};
   TextTable table({"placement", "response (s)", "failed jobs",
                    "missing blocks", "node-local maps", "remote maps"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({names[c], FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean(), 1),
-                  FormatDouble(m[2].stats.mean(), 1),
-                  FormatDouble(m[3].stats.mean(), 0),
-                  FormatDouble(m[4].stats.mean(), 0)});
+    table.AddRow({names[c], FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
+                  FormatDouble(sweep.Mean(c, "missing_blocks"), 1),
+                  FormatDouble(sweep.Mean(c, "data_local_maps"), 0),
+                  FormatDouble(sweep.Mean(c, "remote_maps"), 0)});
   }
   table.Print(std::cout);
   std::printf(
@@ -105,7 +98,7 @@ int main(int argc, char** argv) {
       "all copies of a block to one site (paper: sites are the natural "
       "failure domain of the grid).\n");
   const auto missing = [&](std::size_t c) {
-    return sweep.summaries[c][2].stats.mean();
+    return sweep.Mean(c, "missing_blocks");
   };
   std::printf("Site awareness avoids data loss at least as well as flat: "
               "%s\n", missing(0) <= missing(1) ? "YES" : "NO");

@@ -59,18 +59,15 @@ int main(int argc, char** argv) {
   spec.name = "soak";
   spec.configs = scenario_count;
   spec.config_labels = labels;
-  const bool fail_fast = opts.audit;
+  // The auditor is always armed (violations are a soak row); --audit
+  // makes it fail fast.
+  exp::HogRunOptions ropts = exp::HogRunOptionsFrom(opts);
+  ropts.audit = true;
+  ropts.drain_deadline = 2 * kHour;
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&scenarios, fail_fast, repl_target = opts.repl_target,
-       topology = opts.topology](
-          std::size_t config, std::uint64_t seed) -> exp::Metrics {
-        exp::HogRunOptions ropts;
-        ropts.audit = true;
-        ropts.audit_fail_fast = fail_fast;
-        ropts.drain_deadline = 2 * kHour;
-        ropts.repl_target = repl_target;
-        ropts.topology = topology;
+      [&scenarios, &ropts](std::size_t config,
+                           std::uint64_t seed) -> exp::Metrics {
         const auto result =
             exp::RunHogWorkload(55, seed, {}, &scenarios[config], ropts);
         const int jobs =

@@ -28,7 +28,8 @@ constexpr Case kCases[] = {
     {"roomy scratch disks (100 GiB)", 100 * kGiB},
 };
 
-exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
+exp::Metrics Run(const Case& c, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.sites = hog::DefaultOsgSites();
@@ -37,9 +38,8 @@ exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
     site.node_mtbf_s = 1e9;  // isolate the disk effect from churn
     site.burst_interval_s = 0;
   }
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(40);
-  if (!cluster.WaitForNodes(40, exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(40)) {
     return {{"response_s", 0.0},
             {"jobs_ok", 0.0},
             {"jobs_failed", 0.0},
@@ -47,23 +47,14 @@ exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
             {"peak_disk_util", 0.0}};
   }
 
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
   // Keep input volume modest so the *intermediate* data is what overflows.
-  schedule.erase(std::remove_if(schedule.begin(), schedule.end(),
-                                [](const auto& j) { return j.bin > 5; }),
-                 schedule.end());
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast, 5));
+  run.Submit(&scenario);
 
   // Track peak disk utilization across workers while running.
+  hog::HogCluster& cluster = run.cluster();
   double peak_disk_util = 0;
-  while (!runner.Done() && cluster.sim().now() < exp::kRunDeadline) {
+  while (!run.runner().Done() && cluster.sim().now() < exp::kRunDeadline) {
     cluster.sim().RunUntil(cluster.sim().now() + 30 * kSecond);
     for (auto id : cluster.grid().RunningNodeIds()) {
       const auto& disk = cluster.grid().node(id)->disk();
@@ -72,7 +63,10 @@ exp::Metrics Run(const Case& c, std::uint64_t seed, bool fast,
                                        static_cast<double>(disk.capacity()));
     }
   }
-  const auto result = runner.Collect();
+  // The sampling loop above ran the workload; a zero-length Run phase
+  // closes it.
+  const auto result = run.Run(0);
+  run.Finish();
   return {{"response_s", result.response_time_s},
           {"jobs_ok", static_cast<double>(result.succeeded)},
           {"jobs_failed", static_cast<double>(result.failed)},
@@ -95,21 +89,20 @@ int main(int argc, char** argv) {
   spec.name = "exp_disk_overflow";
   spec.configs = std::size(kCases);
   spec.config_labels = {"disk8gib", "disk100gib"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kCases[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kCases[config], seed, opts, scenario);
       });
 
   TextTable table({"configuration", "response (s)", "jobs ok", "jobs failed",
                    "attempts", "peak disk util"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({kCases[c].name, FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean(), 1),
-                  FormatDouble(m[2].stats.mean(), 1),
-                  FormatDouble(m[3].stats.mean(), 0),
-                  FormatDouble(m[4].stats.mean() * 100, 1) + "%"});
+    table.AddRow({kCases[c].name, FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "jobs_ok"), 1),
+                  FormatDouble(sweep.Mean(c, "jobs_failed"), 1),
+                  FormatDouble(sweep.Mean(c, "attempts"), 0),
+                  FormatDouble(sweep.Mean(c, "peak_disk_util") * 100, 1) +
+                      "%"});
   }
   table.Print(std::cout);
   std::printf(
@@ -117,12 +110,10 @@ int main(int argc, char** argv) {
       "out-of-disk task failures (extra attempts, possibly failed jobs), "
       "exactly the worker-out-of-disk errors the paper saw; roomy disks "
       "stay clean.\n");
-  const auto mean = [&](std::size_t c, std::size_t metric) {
-    return sweep.summaries[c][metric].stats.mean();
-  };
   std::printf("Overflow visible on tight disks: %s\n",
-              (mean(0, 4) > 0.97 &&
-               (mean(0, 2) > mean(1, 2) || mean(0, 3) > mean(1, 3)))
+              (sweep.Mean(0, "peak_disk_util") > 0.97 &&
+               (sweep.Mean(0, "jobs_failed") > sweep.Mean(1, "jobs_failed") ||
+                sweep.Mean(0, "attempts") > sweep.Mean(1, "attempts")))
                   ? "YES"
                   : "NO");
   return 0;

@@ -36,7 +36,8 @@ constexpr Variant kVariants[] = {
     {"single process tree (fix 2)", 0.0, 3 * kMinute},
 };
 
-exp::Metrics Run(const Variant& variant, std::uint64_t seed, bool fast,
+exp::Metrics Run(const Variant& variant, std::uint64_t seed,
+                 const exp::BenchOptions& opts,
                  const fault::Scenario& scenario) {
   hog::HogConfig config;
   config.grid.zombie_probability = variant.zombie_probability;
@@ -46,9 +47,8 @@ exp::Metrics Run(const Variant& variant, std::uint64_t seed, bool fast,
     site.node_mtbf_s = 1e9;  // all preemption comes from the injections
     site.burst_interval_s = 0;
   }
-  hog::HogCluster cluster(seed, config);
-  cluster.RequestNodes(55);
-  if (!cluster.WaitForNodes(55, exp::kSpinUpDeadline)) {
+  exp::HogRun run(seed, config, exp::HogRunOptionsFrom(opts));
+  if (!run.SpinUp(55)) {
     return {{"response_s", 0.0},
             {"failed_jobs", 0.0},
             {"attempts", 0.0},
@@ -56,18 +56,12 @@ exp::Metrics Run(const Variant& variant, std::uint64_t seed, bool fast,
             {"zombies_left", 0.0}};
   }
 
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  auto schedule = workload::GenerateFacebookSchedule(rng, wl);
-  if (fast) schedule.resize(schedule.size() / 2);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  runner.PrepareInputs(schedule);
-  const auto chaos = exp::ArmScenario(cluster, scenario);
-  runner.SubmitAll(schedule);
+  run.Prepare(exp::FacebookSchedule(seed, opts.fast));
+  run.Submit(&scenario);
   // The injected preemption schedule: identical across variants. Gentle
   // waves (20% of one site each) so the damage signal is the daemons'
   // fate, not raw capacity loss.
+  hog::HogCluster& cluster = run.cluster();
   for (int wave = 0; wave < 6; ++wave) {
     cluster.sim().ScheduleAfter((4 + 6 * wave) * kMinute,
                                 [&cluster, wave] {
@@ -76,7 +70,8 @@ exp::Metrics Run(const Variant& variant, std::uint64_t seed, bool fast,
                                       0.2);
                                 });
   }
-  const auto result = runner.Run(cluster.sim().now() + exp::kRunDeadline);
+  const auto result = run.Run();
+  run.Finish();
   return {{"response_s", result.response_time_s},
           {"failed_jobs", static_cast<double>(result.failed)},
           {"attempts",
@@ -101,21 +96,20 @@ int main(int argc, char** argv) {
   spec.name = "exp_zombie_datanodes";
   spec.configs = std::size(kVariants);
   spec.config_labels = {"bug_no_probe", "probe_3min", "process_tree"};
-  const bool fast = opts.fast;
   const exp::SweepResult sweep = exp::RunBenchSweep(
-      opts, spec, [fast, &scenario](std::size_t config, std::uint64_t seed) {
-        return Run(kVariants[config], seed, fast, scenario);
+      opts, spec, [&opts, &scenario](std::size_t config, std::uint64_t seed) {
+        return Run(kVariants[config], seed, opts, scenario);
       });
 
   TextTable table({"variant", "response (s)", "failed jobs",
                    "attempts", "zombie events", "zombies at end"});
   for (std::size_t c = 0; c < spec.configs; ++c) {
-    const auto& m = sweep.summaries[c];
-    table.AddRow({kVariants[c].name, FormatDouble(m[0].stats.mean(), 0),
-                  FormatDouble(m[1].stats.mean(), 1),
-                  FormatDouble(m[2].stats.mean(), 0),
-                  FormatDouble(m[3].stats.mean(), 1),
-                  FormatDouble(m[4].stats.mean(), 1)});
+    table.AddRow({kVariants[c].name,
+                  FormatDouble(sweep.Mean(c, "response_s"), 0),
+                  FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
+                  FormatDouble(sweep.Mean(c, "attempts"), 0),
+                  FormatDouble(sweep.Mean(c, "zombie_events"), 1),
+                  FormatDouble(sweep.Mean(c, "zombies_left"), 1)});
   }
   table.Print(std::cout);
   std::printf(
@@ -126,15 +120,17 @@ int main(int argc, char** argv) {
       "zombies within ~3 minutes, cutting the failures; the process-tree "
       "fix never creates zombies and is the only variant that completes "
       "the whole workload.\n");
-  const auto mean = [&](std::size_t c, std::size_t metric) {
-    return sweep.summaries[c][metric].stats.mean();
+  const auto failed = [&](std::size_t c) {
+    return sweep.Mean(c, "failed_jobs");
+  };
+  const auto left = [&](std::size_t c) {
+    return sweep.Mean(c, "zombies_left");
   };
   std::printf("Failed jobs strictly improve bug -> probe -> process-tree: "
               "%s; zombies drained by the fixes: %s\n",
-              (mean(0, 1) > mean(1, 1) && mean(1, 1) > mean(2, 1)) ? "YES"
-                                                                   : "NO",
-              (mean(0, 4) >= mean(0, 3) && mean(1, 4) <= 2 &&
-               mean(2, 4) == 0)
+              (failed(0) > failed(1) && failed(1) > failed(2)) ? "YES" : "NO",
+              (left(0) >= sweep.Mean(0, "zombie_events") && left(1) <= 2 &&
+               left(2) == 0)
                   ? "YES"
                   : "NO");
   return 0;

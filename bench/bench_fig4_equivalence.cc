@@ -42,10 +42,7 @@ int main(int argc, char** argv) {
   for (int nodes : points) {
     spec.config_labels.push_back("hog" + std::to_string(nodes));
   }
-  exp::HogRunOptions ropts;
-  ropts.repl_target = opts.repl_target;
-  ropts.topology = opts.topology;
-  ropts.detector = opts.detector;
+  const exp::HogRunOptions ropts = exp::HogRunOptionsFrom(opts);
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
       [&points, &scenario, &ropts](std::size_t config,
@@ -70,7 +67,7 @@ int main(int argc, char** argv) {
       });
 
   const std::size_t n_seeds = spec.seeds.size();
-  const double cluster_mean = sweep.summaries[0][0].stats.mean();
+  const double cluster_mean = sweep.Mean(0, "response_s");
   std::printf("\nDedicated cluster (100 cores): %.0f s\n\n", cluster_mean);
 
   TextTable table({"max nodes", "runs (s)", "mean (s)", "ci95", "vs cluster",
@@ -84,12 +81,12 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < n_seeds; ++s) {
       const exp::RunRecord& run = sweep.run(c, s, n_seeds);
       if (s) per_seed += " / ";
-      per_seed += std::isfinite(run.metrics[0].second)
-                      ? FormatDouble(run.metrics[0].second, 0)
-                      : "unreached";
+      const double seconds = run.Metric("response_s");
+      per_seed += std::isfinite(seconds) ? FormatDouble(seconds, 0)
+                                         : "unreached";
     }
-    const exp::MetricSummary& response = sweep.summaries[c][0];
-    const exp::MetricSummary& preempts = sweep.summaries[c][1];
+    const exp::MetricSummary& response = sweep.Summary(c, "response_s");
+    const exp::MetricSummary& preempts = sweep.Summary(c, "preemptions");
     table.AddRow({std::to_string(nodes), per_seed,
                   FormatDouble(response.stats.mean(), 0),
                   "+-" + FormatDouble(response.ci95_halfwidth, 0),

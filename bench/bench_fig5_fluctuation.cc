@@ -8,6 +8,7 @@
 // Sweep layout: one config ("hog55"); each seed is one of the paper's
 // executions, and the LAST seed runs on the unstable grid (run c). With
 // the default three seeds this is exactly the paper's a/b/c trio.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -19,19 +20,6 @@
 using namespace hogsim;
 
 namespace {
-
-hog::HogConfig StableGrid() { return {}; }
-
-hog::HogConfig UnstableGrid() {
-  hog::HogConfig config;
-  config.sites = hog::DefaultOsgSites();
-  for (auto& site : config.sites) {
-    site.node_mtbf_s = 3200.0;       // busier owners
-    site.burst_interval_s = 600.0;   // frequent higher-priority bursts
-    site.burst_fraction = 0.18;
-  }
-  return config;
-}
 
 void PrintRun(char label, bool unstable, const exp::HogRunResult& result) {
   std::printf("\nFig. 5%c (%s): response %.0f s, area %.0f node-s, mean "
@@ -79,16 +67,12 @@ int main(int argc, char** argv) {
   std::vector<exp::HogRunResult> runs(seeds.size());
   exp::RunBenchSweep(
       opts, spec, [&](std::size_t, std::uint64_t seed) -> exp::Metrics {
-        std::size_t idx = 0;
-        while (seeds[idx] != seed) ++idx;
+        const auto idx = static_cast<std::size_t>(
+            std::find(seeds.begin(), seeds.end(), seed) - seeds.begin());
         const bool unstable = idx + 1 == seeds.size();
-        exp::HogRunOptions ropts;
-        ropts.repl_target = opts.repl_target;
-        ropts.topology = opts.topology;
-        ropts.detector = opts.detector;
         runs[idx] = exp::RunHogWorkload(
-            55, seed, unstable ? UnstableGrid() : StableGrid(), &scenario,
-            ropts);
+            55, seed, unstable ? exp::UnstableGrid() : hog::HogConfig{},
+            &scenario, exp::HogRunOptionsFrom(opts));
         return {{"response_s", runs[idx].workload.response_time_s},
                 {"area_node_s", runs[idx].area_beneath_curve}};
       });

@@ -119,12 +119,15 @@ int main(int argc, char** argv) {
   spec.name = "gray";
   spec.configs = rows.size();
   spec.config_labels = labels;
+  // The frontier rows' detector overrides --detector; the storm rows
+  // take it like every other flag.
+  const exp::HogRunOptions ropts = exp::HogRunOptionsFrom(opts);
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&rows](std::size_t config, std::uint64_t seed) -> exp::Metrics {
+      [&rows, &ropts](std::size_t config, std::uint64_t seed) -> exp::Metrics {
         const GrayRow& row = rows[config];
-        if (row.storm) return exp::RunGrayStorm(row.storm_config, seed);
-        return exp::RunGrayDetection(row.detection, seed);
+        if (row.storm) return exp::RunGrayStorm(row.storm_config, seed, ropts);
+        return exp::RunGrayDetection(row.detection, seed, ropts);
       });
 
   // Aggregate per row (mean over seeds; the rows are deterministic per

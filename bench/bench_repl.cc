@@ -82,18 +82,19 @@ int main(int argc, char** argv) {
   spec.name = "repl";
   spec.configs = configs.size();
   spec.config_labels = labels;
-  const bool fail_fast = opts.audit;
+  // The auditor is always armed (violations are gated); --audit makes it
+  // fail fast. The repl target is this bench's per-config knob.
+  exp::HogRunOptions base = exp::HogRunOptionsFrom(opts);
+  base.audit = true;
+  base.drain_deadline = 2 * kHour;
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&configs, &scenario, fail_fast](std::size_t config,
-                                       std::uint64_t seed) -> exp::Metrics {
+      [&configs, &scenario, &base](std::size_t config,
+                                   std::uint64_t seed) -> exp::Metrics {
         const ReplConfig& cfg = configs[config];
         hog::HogConfig hog;
         hog.replication = cfg.fixed_rf;
-        exp::HogRunOptions ropts;
-        ropts.audit = true;
-        ropts.audit_fail_fast = fail_fast;
-        ropts.drain_deadline = 2 * kHour;
+        exp::HogRunOptions ropts = base;
         ropts.repl_target = cfg.target;
         const auto result =
             exp::RunHogWorkload(55, seed, hog, &scenario, ropts);

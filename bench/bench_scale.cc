@@ -102,14 +102,14 @@ int main(int argc, char** argv) {
   spec.name = "scale";
   spec.configs = grid.size();
   spec.config_labels = labels;
+  const exp::HogRunOptions ropts = exp::HogRunOptionsFrom(opts);
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&grid, host_metrics](std::size_t config,
-                            std::uint64_t seed) -> exp::Metrics {
+      [&grid, &ropts, host_metrics](std::size_t config,
+                                    std::uint64_t seed) -> exp::Metrics {
         exp::ScaleConfig scale = grid[config].config;
-        scale.audit = true;
         scale.host_metrics = host_metrics;
-        return exp::RunScaleWorkload(scale, seed);
+        return exp::RunScaleWorkload(scale, seed, ropts);
       });
 
   // Gate: every run must reach its node target, finish every job, audit

@@ -12,6 +12,7 @@
 // armed per-run on that run's own Simulation and draw no run RNG.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "src/exp/paper_runs.h"
 #include "src/exp/bench_main.h"
@@ -40,12 +41,7 @@ int main(int argc, char** argv) {
   spec.config_labels = {"hog55"};
   // --audit arms the fail-fast invariant auditor: the storm then proves
   // not just that jobs survive, but that every layer stays consistent.
-  exp::HogRunOptions ropts;
-  ropts.audit = opts.audit;
-  ropts.audit_fail_fast = true;
-  ropts.repl_target = opts.repl_target;
-  ropts.topology = opts.topology;
-  ropts.detector = opts.detector;
+  const exp::HogRunOptions ropts = exp::HogRunOptionsFrom(opts);
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
       [&scenario, &ropts](std::size_t, std::uint64_t seed) -> exp::Metrics {
@@ -61,11 +57,15 @@ int main(int argc, char** argv) {
       });
 
   TextTable table({"metric", "mean", "ci95"});
-  const char* names[] = {"response (s)", "failed jobs", "preemptions",
-                         "maps re-executed", "faults injected"};
-  for (std::size_t m = 0; m < std::size(names); ++m) {
-    const exp::MetricSummary& summary = sweep.summaries[0][m];
-    table.AddRow({names[m], FormatDouble(summary.stats.mean(), 1),
+  const std::pair<const char*, const char*> rows[] = {
+      {"response (s)", "response_s"},
+      {"failed jobs", "failed_jobs"},
+      {"preemptions", "preemptions"},
+      {"maps re-executed", "maps_reexecuted"},
+      {"faults injected", "faults_injected"}};
+  for (const auto& [label, metric] : rows) {
+    const exp::MetricSummary& summary = sweep.Summary(0, metric);
+    table.AddRow({label, FormatDouble(summary.stats.mean(), 1),
                   "+-" + FormatDouble(summary.ci95_halfwidth, 1)});
   }
   table.Print(std::cout);

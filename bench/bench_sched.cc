@@ -78,14 +78,14 @@ int main(int argc, char** argv) {
   spec.name = "sched";
   spec.configs = zoo.size();
   spec.config_labels = labels;
+  // The policy is this bench's per-config knob.
+  const exp::HogRunOptions base = exp::HogRunOptionsFrom(opts);
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&zoo, &opts](std::size_t config, std::uint64_t seed) -> exp::Metrics {
-        exp::SchedRunConfig run;
-        run.scheduler = zoo[config].spec;
-        run.audit = true;
-        run.audit_fail_fast = opts.audit;
-        return exp::RunSchedWorkload(run, seed);
+      [&zoo, &base](std::size_t config, std::uint64_t seed) -> exp::Metrics {
+        exp::HogRunOptions ropts = base;
+        ropts.scheduler = zoo[config].spec;
+        return exp::RunSchedWorkload({}, seed, ropts);
       });
 
   // Gate: every run must reach its node target, bring every job to a

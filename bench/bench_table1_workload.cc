@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
     const exp::RunRecord& run = sweep.run(0, s, spec.seeds.size());
     std::string counts;
-    for (std::size_t m = 1; m <= 6; ++m) {
-      if (m > 1) counts += "/";
-      counts += FormatDouble(run.metrics[m].second, 0);
+    for (int b = 1; b <= 6; ++b) {
+      if (b > 1) counts += "/";
+      counts += FormatDouble(run.Metric("bin" + std::to_string(b)), 0);
     }
     check.AddRow({std::to_string(run.seed),
-                  FormatDouble(run.metrics[0].second, 0), counts,
-                  FormatDuration(FromSeconds(run.metrics[7].second))});
+                  FormatDouble(run.Metric("jobs"), 0), counts,
+                  FormatDuration(FromSeconds(run.Metric("schedule_len_s")))});
   }
   check.Print(std::cout);
 
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   for (const auto& bin : workload::FacebookTable1()) {
     if (bin.bin <= 6) covered += bin.fraction;
   }
-  const auto& jobs = sweep.summaries[0][0].stats;
+  const auto& jobs = sweep.Summary(0, "jobs").stats;
   std::printf(
       "\nBins 1-6 cover %.0f%% of Facebook's jobs (paper: ~89%%); mean "
       "inter-arrival 14 s (exponential) => ~21 min schedule.\n",

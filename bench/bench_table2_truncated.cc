@@ -42,14 +42,14 @@ int main(int argc, char** argv) {
                 {"input_gib", static_cast<double>(input) / kGiB}};
       });
 
-  const auto& totals = sweep.summaries[0];
+  const RunningStats& maps = sweep.Summary(0, "map_tasks").stats;
+  const RunningStats& reduces = sweep.Summary(0, "reduce_tasks").stats;
   std::printf("\nSchedule totals (every seed): %.0f map tasks, %.0f reduce "
               "tasks, %.1f GiB of input data (64 MiB per map, §II.A)\n",
-              totals[0].stats.mean(), totals[1].stats.mean(),
-              totals[2].stats.mean());
+              maps.mean(), reduces.mean(),
+              sweep.Mean(0, "input_gib"));
   std::printf("Totals seed-invariant (stddev 0): %s\n",
-              (totals[0].stats.stddev() == 0 &&
-               totals[1].stats.stddev() == 0)
+              (maps.stddev() == 0 && reduces.stddev() == 0)
                   ? "YES"
                   : "NO");
   return 0;

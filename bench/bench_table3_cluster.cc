@@ -48,12 +48,12 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
     const exp::RunRecord& run = sweep.run(0, s, spec.seeds.size());
     runs.AddRow({std::to_string(run.seed),
-                 FormatDouble(run.metrics[0].second, 0),
-                 FormatDouble(run.metrics[1].second, 0),
-                 FormatDouble(run.metrics[2].second, 0)});
+                 FormatDouble(run.Metric("response_s"), 0),
+                 FormatDouble(run.Metric("jobs_ok"), 0),
+                 FormatDouble(run.Metric("jobs_failed"), 0)});
   }
   runs.Print(std::cout);
-  const exp::MetricSummary& response = sweep.summaries[0][0];
+  const exp::MetricSummary& response = sweep.Summary(0, "response_s");
   std::printf("\nCluster baseline: mean %.0f s +-%.0f (95%% CI; the Fig. 4 "
               "dashed line)\n",
               response.stats.mean(), response.ci95_halfwidth);

@@ -28,41 +28,24 @@ int main(int argc, char** argv) {
 
   std::printf("Table IV: area beneath the Fig. 5 node-availability curves\n\n");
 
-  hog::HogConfig unstable;
-  unstable.sites = hog::DefaultOsgSites();
-  for (auto& site : unstable.sites) {
-    site.node_mtbf_s = 3200.0;
-    site.burst_interval_s = 600.0;
-    site.burst_fraction = 0.18;
-  }
-
   // The paper's runs, executed in parallel by the sweep harness (one
   // Simulation per thread; per-seed results identical to sequential runs).
   exp::SweepSpec spec;
   spec.name = "table4";
   spec.configs = 1;
   spec.config_labels = {"hog55"};
-  const std::vector<std::uint64_t>& seeds = opts.seeds;
-  std::vector<exp::HogRunResult> runs(seeds.size());
-  exp::RunBenchSweep(
+  const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec, [&](std::size_t, std::uint64_t seed) -> exp::Metrics {
-        std::size_t idx = 0;
-        while (seeds[idx] != seed) ++idx;
-        exp::HogRunOptions ropts;
-        ropts.repl_target = opts.repl_target;
-        ropts.topology = opts.topology;
-        ropts.detector = opts.detector;
-        auto run =
-            idx + 1 == seeds.size()
-                ? exp::RunHogWorkload(55, seed, unstable, &scenario, ropts)
-                : exp::RunHogWorkload(55, seed, {}, &scenario, ropts);
-        exp::Metrics metrics = {
-            {"response_s", run.workload.response_time_s},
-            {"area_node_s", run.area_beneath_curve},
-            {"mean_nodes", run.mean_reported_nodes}};
-        runs[idx] = std::move(run);
-        return metrics;
+        const bool unstable = seed == opts.seeds.back();
+        const auto run = exp::RunHogWorkload(
+            55, seed, unstable ? exp::UnstableGrid() : hog::HogConfig{},
+            &scenario, exp::HogRunOptionsFrom(opts));
+        return {{"response_s", run.workload.response_time_s},
+                {"area_node_s", run.area_beneath_curve},
+                {"mean_nodes", run.mean_reported_nodes}};
       });
+  // One config, so the runs are in seed order.
+  const std::vector<exp::RunRecord>& runs = sweep.runs;
 
   // Paper reference values for the canonical three-run configuration.
   struct PaperRow {
@@ -77,10 +60,9 @@ int main(int argc, char** argv) {
   for (std::size_t idx = 0; idx < runs.size(); ++idx) {
     std::string figure = "5";
     figure += static_cast<char>('a' + idx);
-    table.AddRow({figure,
-                  FormatDouble(runs[idx].workload.response_time_s, 0),
-                  FormatDouble(runs[idx].area_beneath_curve, 0),
-                  FormatDouble(runs[idx].mean_reported_nodes, 1),
+    table.AddRow({figure, FormatDouble(runs[idx].Metric("response_s"), 0),
+                  FormatDouble(runs[idx].Metric("area_node_s"), 0),
+                  FormatDouble(runs[idx].Metric("mean_nodes"), 1),
                   canonical ? FormatDouble(paper[idx].response, 0) : "-",
                   canonical ? FormatDouble(paper[idx].area, 0) : "-"});
   }
@@ -88,9 +70,8 @@ int main(int argc, char** argv) {
 
   bool ordering_holds = true;
   for (std::size_t idx = 0; idx + 1 < runs.size(); ++idx) {
-    ordering_holds = ordering_holds &&
-                     runs.back().workload.response_time_s >
-                         runs[idx].workload.response_time_s;
+    ordering_holds = ordering_holds && runs.back().Metric("response_s") >
+                                           runs[idx].Metric("response_s");
   }
   std::printf("\nShape check: unstable run (last) has the longest response: "
               "%s\n", ordering_holds ? "YES (matches paper)" : "NO");

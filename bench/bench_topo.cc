@@ -87,20 +87,6 @@ constexpr const char* kDrainScenario =
 // otherwise get a head start on its own drain clock.
 constexpr double kBurstOffsetS = 78 * 60.0;
 
-// A grid with owner churn disabled: no single-node preemptions, no
-// correlated bursts. The shuffle rows run on it so the star-vs-tor
-// response delta measures the fabric, not the preemption lottery.
-hog::HogConfig QuietGrid() {
-  hog::HogConfig config;
-  config.sites = hog::DefaultOsgSites();
-  for (auto& site : config.sites) {
-    site.node_mtbf_s = 1e9;
-    site.burst_interval_s = 1e9;
-    site.burst_fraction = 0;
-  }
-  return config;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,26 +142,28 @@ int main(int argc, char** argv) {
   spec.name = "topo";
   spec.configs = configs.size();
   spec.config_labels = labels;
-  const bool fail_fast = opts.audit;
+  // The auditor is always armed (violations are gated); --audit makes it
+  // fail fast. The topology is this bench's per-config knob. Every row
+  // runs on the quiet grid, so the star-vs-tor response delta measures
+  // the fabric, not the preemption lottery.
+  exp::HogRunOptions base = exp::HogRunOptionsFrom(opts);
+  base.audit = true;
   const exp::SweepResult sweep = exp::RunBenchSweep(
       opts, spec,
-      [&configs, &drain_scenario, fail_fast, host_metrics](
+      [&configs, &drain_scenario, &base, host_metrics](
           std::size_t config, std::uint64_t seed) -> exp::Metrics {
         const TopoConfig& cfg = configs[config];
-        exp::HogRunOptions ropts;
-        ropts.audit = true;
-        ropts.audit_fail_fast = fail_fast;
+        exp::HogRunOptions ropts = base;
         ropts.topology = cfg.topology;
         const fault::Scenario* scenario = nullptr;
-        hog::HogConfig hog = QuietGrid();
         if (cfg.mode != Mode::kShuffle) {
           scenario = &drain_scenario;
           ropts.drain_deadline = 2 * kHour;
         }
         if (cfg.mode == Mode::kAdaptive) ropts.repl_target = 0.999;
         const auto t0 = std::chrono::steady_clock::now();
-        const auto result =
-            exp::RunHogWorkload(kNodes, seed, hog, scenario, ropts);
+        const auto result = exp::RunHogWorkload(kNodes, seed, exp::QuietGrid(),
+                                                scenario, ropts);
         const double wall =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)

@@ -3,8 +3,10 @@
 # (default and ASan/UBSan) and run the tier1-labelled tests under each —
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
 # fault-scenario smoke leg (bench_scenario_storm under a committed
-# scenario, which also proves the examples compiled), the scheduler
-# policy-conformance harness plus the audited fast scheduler head-to-head
+# scenario, which also proves the examples compiled), the six ablations
+# and both §IV.D experiences fast with fail-fast audits (one also on a
+# ToR fabric), the scheduler policy-conformance harness plus the audited
+# fast scheduler head-to-head
 # (bench_sched) diffed against BENCH_sched.json, the audited fast
 # replication ladder (bench_repl) diffed against BENCH_repl.json, the
 # audited fast scale grid (bench_scale) diffed against the committed
@@ -89,6 +91,21 @@ run_preset() {
   # (and, under the sanitize preset, any memory error surfaces here too).
   "$dir/bench/bench_chaos_soak" --fast --audit \
     --out="$dir/BENCH_soak_fast.json"
+  echo "== [$preset] ablations + experiences (fast, audited) =="
+  # The six ablations and both §IV.D experiences run through exp::HogRun,
+  # so the uniform flags reach them: each runs fast with the
+  # fail-fast auditor armed, and the replication ablation runs once more
+  # on a multi-rack ToR fabric.
+  for bench in ablation_delay_scheduling ablation_heartbeat \
+               ablation_multicopy ablation_replication ablation_security \
+               ablation_site_awareness exp_disk_overflow \
+               exp_zombie_datanodes; do
+    "$dir/bench/bench_$bench" --fast --audit \
+      --out="$dir/BENCH_${bench}_audit.json"
+  done
+  "$dir/bench/bench_ablation_replication" --fast --audit \
+    --topology="tor:racks=4;oversub=4" \
+    --out="$dir/BENCH_ablation_replication_tor.json"
   echo "== [$preset] sched conformance =="
   # The policy-conformance harness, one filtered pass per zoo policy so a
   # failure names the policy in the leg output, plus the FIFO extraction

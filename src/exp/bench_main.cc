@@ -1,13 +1,16 @@
 #include "src/exp/bench_main.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string_view>
 
+#include "src/exp/paper_runs.h"
 #include "src/health/detector.h"
 #include "src/net/topo/topology.h"
 #include "src/obs/obs.h"
+#include "src/sched/policy.h"
 #include "src/util/log.h"
 #include "src/util/strings.h"
 
@@ -37,7 +40,7 @@ namespace {
       "                      fast with a diagnostic\n"
       "  --scheduler=NAME    scheduling policy (fifo, fair, capacity,\n"
       "                      atlas; optional :params) for benches that run\n"
-      "                      a MapReduce cluster; bench_sched uses it to\n"
+      "                      a HOG cluster; bench_sched uses it to\n"
       "                      restrict its policy head-to-head\n"
       "  --topology=NAME     intra-site network topology (star, tor,\n"
       "                      fattree, rotor; optional :key=value;... params,\n"
@@ -51,7 +54,8 @@ namespace {
       "                      optional :key=value;... params, e.g.\n"
       "                      phi:threshold=8;window=64) for both masters'\n"
       "                      expiry checks in benches that run a HOG\n"
-      "                      cluster; bench_gray runs its own head-to-head\n",
+      "                      cluster (bench_gray's frontier rows set\n"
+      "                      their own)\n",
       prog);
   std::exit(status);
 }
@@ -128,6 +132,16 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
         std::fprintf(stderr, "%s: --seeds needs at least one seed\n", prog);
         Usage(prog, 2);
       }
+      // A sweep keys its runs by seed: a repeated seed would run twice
+      // and collide in the per-seed tables.
+      std::vector<std::uint64_t> sorted = opts.seeds;
+      std::sort(sorted.begin(), sorted.end());
+      const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+      if (dup != sorted.end()) {
+        std::fprintf(stderr, "%s: duplicate seed %llu in --seeds\n", prog,
+                     static_cast<unsigned long long>(*dup));
+        Usage(prog, 2);
+      }
       continue;
     }
     if (eat("--threads=", value)) {
@@ -162,6 +176,13 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
     }
     if (eat("--scheduler=", value)) {
       if (value.empty()) Usage(prog, 2);
+      try {
+        (void)sched::CreatePolicy(std::string(value));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: bad --scheduler value: %s\n", prog,
+                     e.what());
+        Usage(prog, 2);
+      }
       opts.scheduler = std::string(value);
       continue;
     }
@@ -207,6 +228,15 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
     Usage(prog, 2);
   }
   return opts;
+}
+
+HogRunOptions HogRunOptionsFrom(const BenchOptions& opts) {
+  return {.audit = opts.audit,
+          .audit_fail_fast = opts.audit,
+          .repl_target = opts.repl_target,
+          .topology = opts.topology,
+          .detector = opts.detector,
+          .scheduler = opts.scheduler};
 }
 
 fault::Scenario LoadBenchScenario(const BenchOptions& opts) {

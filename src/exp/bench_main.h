@@ -18,6 +18,9 @@
 //   --audit            arm the cross-layer invariant auditor (src/check)
 //                      in every run, fail-fast: the first violated
 //                      invariant aborts the bench with a diagnostic.
+//   --scheduler/--topology/--detector/--repl-target
+//                      HOG-cluster knobs; HogRunOptionsFrom carries them
+//                      and --audit into every HOG run of a bench.
 //
 // The obs flags produce one file per (config, seed) run: with a single run
 // the path is used verbatim; with several, ".<config>.s<seed>" is inserted
@@ -40,9 +43,11 @@
 
 namespace hogsim::exp {
 
+struct HogRunOptions;  // src/exp/paper_runs.h
+
 struct BenchOptions {
   /// Seeds for the sweep. Default: the paper's "3 runs at each sampling
-  /// point" (11/23/47).
+  /// point" (11/23/47). Distinct: a repeated seed fails the parse.
   std::vector<std::uint64_t> seeds = {11, 23, 47};
   unsigned threads = 0;  ///< Pool width; 0 = hardware concurrency.
   std::string out;       ///< Output path; "" = "BENCH_<name>.json" in cwd.
@@ -61,11 +66,13 @@ struct BenchOptions {
   /// fail-fast mode: the first violated invariant aborts the bench with a
   /// diagnostic. Audits read state only, so results are unchanged.
   bool audit = false;
-  /// Scheduler policy spec for benches that run a MapReduce cluster
-  /// ("" = the bench's default). Passed to sched::CreatePolicy, so
+  /// Scheduler policy spec for benches that run a HOG cluster
+  /// ("" = the bench's default, fifo). Passed to sched::CreatePolicy, so
   /// "name[:params]" grammars work: --scheduler=fair or
-  /// --scheduler="capacity:queues=prod:0.7:1;adhoc:0.3:1". bench_sched
-  /// instead treats it as a filter over its policy head-to-head.
+  /// --scheduler="capacity:queues=prod:0.7:1;adhoc:0.3:1". Validated at
+  /// parse time, since every HOG run builds the policy. bench_sched
+  /// sets the policy per config and treats the flag as a filter over its
+  /// head-to-head.
   std::string scheduler;
   /// Intra-site network topology spec for benches that run a HOG cluster
   /// ("" = the bench's default, star). Passed to net::topo::CreateTopology,
@@ -82,8 +89,8 @@ struct BenchOptions {
   /// ("" = the bench's default, the fixed-recheck deadline detector).
   /// Passed to health::CreateDetector, so "name[:key=value;...]" grammars
   /// work: --detector=deadline or --detector="phi:threshold=8;window=64".
-  /// Validated at parse time. bench_gray instead runs its own detector
-  /// head-to-head and ignores this flag.
+  /// Validated at parse time. bench_gray's frontier rows set their own
+  /// detector per config; its storm rows honour the flag.
   std::string detector;
 };
 
@@ -103,6 +110,12 @@ std::vector<std::uint64_t> DefaultSeeds(std::size_t count);
 /// environment sets `fast` exactly like --fast.
 BenchOptions ParseBenchOptions(int argc, char* const* argv,
                                BenchOptions defaults = {});
+
+/// The one mapping from the bench flags onto a HOG run: --audit (armed
+/// fail-fast), --scheduler, --topology, --detector and --repl-target.
+/// Every bench that runs a HOG cluster starts from it; a bench that
+/// sweeps one of these knobs overrides that field per config.
+HogRunOptions HogRunOptionsFrom(const BenchOptions& opts);
 
 /// Loads opts.scenario; an empty path yields an empty Scenario. Unreadable
 /// files and parse errors print the "<path>:<line>:<col>: ..." diagnostic

@@ -1,74 +1,45 @@
 #include "src/exp/gray_run.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "src/check/auditor.h"
-#include "src/exp/paper_runs.h"
-#include "src/fault/injector.h"
 #include "src/fault/scenario.h"
 #include "src/health/quarantine.h"
-#include "src/hog/hog_cluster.h"
 #include "src/util/rng.h"
 #include "src/workload/facebook.h"
-#include "src/workload/runner.h"
 
 namespace hogsim::exp {
 
 namespace {
 
-/// A grid with owner churn disabled: every tracker loss in a detection run
-/// is the detector's verdict, and the storm is the only fault source.
-hog::HogConfig QuietGrid() {
-  hog::HogConfig config;
-  config.sites = hog::DefaultOsgSites();
-  for (auto& site : config.sites) {
-    site.node_mtbf_s = 1e9;
-    site.burst_interval_s = 1e9;
-    site.burst_fraction = 0;
-  }
-  return config;
-}
-
-/// A `jobs`-long two-shape schedule with Poisson arrivals — enough slot
-/// pressure that a 4x-slowed node drags job tails and attracts
-/// speculation, the signal quarantine's degraded-node probe keys on.
-std::vector<workload::ScheduledJob> SynthesizeStormSchedule(
-    int jobs, Rng& rng, const workload::WorkloadConfig& wl) {
-  std::vector<workload::ScheduledJob> schedule;
-  schedule.reserve(jobs);
-  SimTime at = 0;
-  for (int i = 0; i < jobs; ++i) {
-    const bool heavy = i % 3 == 0;
-    workload::ScheduledJob job;
-    job.bin = heavy ? 1 : 2;
-    job.maps = heavy ? 18 : 6;
-    job.reduces = heavy ? 3 : 1;
-    job.submit_time = at;
-    job.name = "storm-" + std::to_string(i);
-    schedule.push_back(std::move(job));
-    at += FromSeconds(rng.Exponential(wl.interarrival_mean_s));
-  }
-  return schedule;
+/// A heavy job then two light ones, repeated — enough slot pressure that
+/// a 4x-slowed node drags job tails and attracts speculation, the signal
+/// quarantine's degraded-node probe keys on.
+std::vector<workload::ScheduledJob> StormShapes() {
+  workload::ScheduledJob heavy;
+  heavy.bin = 1;
+  heavy.maps = 18;
+  heavy.reduces = 3;
+  heavy.name = "storm";
+  workload::ScheduledJob light = heavy;
+  light.bin = 2;
+  light.maps = 6;
+  light.reduces = 1;
+  return {heavy, light, light};
 }
 
 }  // namespace
 
 Metrics RunGrayDetection(const GrayDetectionConfig& config,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, HogRunOptions options) {
   hog::HogConfig hog = QuietGrid();
-  hog.detector = config.detector;
   // HogCluster fans heartbeat_recheck out to both masters (tracker expiry
   // and datanode recheck) — the per-layer knobs would be overwritten.
   hog.heartbeat_recheck = config.expiry;
-  hog::HogCluster cluster(seed, std::move(hog));
-
-  cluster.RequestNodes(config.nodes);
-  const bool reached =
-      cluster.WaitForNodes(config.nodes, kSpinUpDeadline) ||
-      cluster.WaitForNodes(config.nodes * 95 / 100,
-                           cluster.sim().now() + kSpinUpDeadline);
+  options.detector = config.detector;
+  HogRun run(seed, std::move(hog), options);
+  hog::HogCluster& cluster = run.cluster();
+  const bool reached = run.SpinUp(config.nodes);
 
   const mr::JobTracker& jt = cluster.jobtracker();
   obs::Histogram& latency_hist = cluster.sim().obs().metrics().GetHistogram(
@@ -134,6 +105,7 @@ Metrics RunGrayDetection(const GrayDetectionConfig& config,
           (latency_hist.sum() - hist_sum) / static_cast<double>(declares);
     }
   }
+  run.Finish();
 
   Metrics metrics;
   metrics.emplace_back("reached_target", reached ? 1.0 : 0.0);
@@ -146,38 +118,22 @@ Metrics RunGrayDetection(const GrayDetectionConfig& config,
   return metrics;
 }
 
-Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed) {
+Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed,
+                     HogRunOptions options) {
   hog::HogConfig hog = QuietGrid();
-  hog.detector = config.detector;
   hog.quarantine.enabled = config.quarantine;
-  hog::HogCluster cluster(seed, std::move(hog));
-
-  check::Auditor::Options aopts;
-  aopts.period = 30 * kSecond;
-  check::Auditor auditor(cluster.sim(), &cluster.namenode(),
-                         &cluster.jobtracker(), &cluster.grid(), aopts);
-  auditor.Start();
-
-  cluster.RequestNodes(config.nodes);
-  const bool reached =
-      cluster.WaitForNodes(config.nodes, kSpinUpDeadline) ||
-      cluster.WaitForNodes(config.nodes * 95 / 100,
-                           cluster.sim().now() + kSpinUpDeadline);
-
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  const auto schedule = SynthesizeStormSchedule(config.jobs, rng, wl);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  workload::WorkloadResult result;
-  std::unique_ptr<fault::FaultInjector> injector;
-  fault::Scenario storm;
+  options.audit = true;
+  HogRun run(seed, std::move(hog), options);
+  hog::HogCluster& cluster = run.cluster();
+  const bool reached = run.SpinUp(config.nodes);
   if (reached) {
-    runner.PrepareInputs(schedule);
+    Rng rng(seed);
+    run.Prepare(workload::CycleSchedule(StormShapes(), config.jobs, rng));
     // The storm: the first `slow_nodes` leases drop to 1/slow_factor
     // compute speed for the rest of the run. Built in code (not a file)
     // so the bench is cwd-independent; the committed
     // scenarios/slow_node_storm.txt drives the same grammar in check.sh.
+    fault::Scenario storm;
     storm.name = "slow-node-storm";
     for (int i = 0; i < config.slow_nodes; ++i) {
       fault::TimedAction timed;
@@ -187,36 +143,27 @@ Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed) {
       timed.action.value = config.slow_factor;
       storm.actions.push_back(timed);
     }
-    injector = ArmScenario(cluster, storm);
-    runner.SubmitAll(schedule);
-    result = runner.Run(cluster.sim().now() + kRunDeadline);
+    run.Submit(&storm);
+    run.Run();
   }
-
-  auditor.AuditNow();
+  const HogRunResult result = run.Finish();
 
   const mr::JobTracker& jt = cluster.jobtracker();
-  double tasks_done = 0;  // tasks of SUCCEEDED jobs
-  for (std::size_t j = 0; j < jt.job_count(); ++j) {
-    const mr::JobInfo& job = jt.job(static_cast<mr::JobId>(j));
-    if (job.state != mr::JobState::kSucceeded) continue;
-    tasks_done += static_cast<double>(job.maps.size() + job.reduces.size());
-  }
-  const hog::HogConfig defaults;
-  const double slots_per_node =
-      defaults.map_slots_per_node + defaults.reduce_slots_per_node;
-  const double window_h = result.response_time_s / 3600.0;
-  const double slot_hours = config.nodes * slots_per_node * window_h;
-  const double goodput = slot_hours > 0 ? tasks_done / slot_hours : 0.0;
+  const double tasks_done = TasksCompleted(jt);
   const health::Quarantine* q = cluster.quarantine();
 
   Metrics metrics;
   metrics.emplace_back("reached_target", reached ? 1.0 : 0.0);
-  metrics.emplace_back("jobs_succeeded", result.succeeded);
-  metrics.emplace_back("jobs_failed", result.failed);
-  metrics.emplace_back("all_terminated", result.completed ? 1.0 : 0.0);
-  metrics.emplace_back("response_s", result.response_time_s);
+  metrics.emplace_back("jobs_succeeded", result.workload.succeeded);
+  metrics.emplace_back("jobs_failed", result.workload.failed);
+  metrics.emplace_back("all_terminated",
+                       result.workload.completed ? 1.0 : 0.0);
+  metrics.emplace_back("response_s", result.workload.response_time_s);
   metrics.emplace_back("tasks_completed", tasks_done);
-  metrics.emplace_back("goodput_per_slot_hour", goodput);
+  metrics.emplace_back(
+      "goodput_per_slot_hour",
+      GoodputPerSlotHour(tasks_done, config.nodes,
+                         result.workload.response_time_s));
   metrics.emplace_back("speculative_attempts",
                        static_cast<double>(jt.speculative_attempts()));
   metrics.emplace_back("maps_reexecuted",
@@ -232,12 +179,11 @@ Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed) {
       "probated_at_end",
       q != nullptr ? static_cast<double>(q->probated_count()) : 0.0);
   metrics.emplace_back("faults_injected",
-                       injector ? static_cast<double>(injector->injected())
-                                : 0.0);
+                       static_cast<double>(result.faults_injected));
   metrics.emplace_back("executed_events",
                        static_cast<double>(cluster.sim().executed()));
   metrics.emplace_back("audit_violations",
-                       static_cast<double>(auditor.violations()));
+                       static_cast<double>(result.audit_violations));
   return metrics;
 }
 

@@ -24,13 +24,15 @@
 #include <cstdint>
 #include <string>
 
+#include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
 #include "src/util/units.h"
 
 namespace hogsim::exp {
 
 struct GrayDetectionConfig {
-  /// Detector spec for both masters (health::CreateDetector grammar).
+  /// Detector spec for both masters (health::CreateDetector grammar). The
+  /// detector under test, so it overrides options.detector.
   std::string detector = "deadline";
   /// mr.tracker_expiry: the deadline detector's timeout and the phi
   /// detector's bootstrap silence budget.
@@ -53,13 +55,11 @@ struct GrayDetectionConfig {
 /// Rows: false_suspects, detect_all_s, detect_mean_silence_s,
 /// trackers_killed, executed_events, ...
 Metrics RunGrayDetection(const GrayDetectionConfig& config,
-                         std::uint64_t seed);
+                         std::uint64_t seed, HogRunOptions options = {});
 
 struct GrayStormConfig {
   /// Arm health::Quarantine (flap + degraded-node probation).
   bool quarantine = false;
-  /// Detector spec for both masters.
-  std::string detector = "deadline";
   /// Target glideins (quiet grid; the storm is the only fault source).
   int nodes = 40;
   /// Length of the synthesized schedule.
@@ -75,7 +75,9 @@ struct GrayStormConfig {
 };
 
 /// Rows: jobs_succeeded, response_s, goodput_per_slot_hour,
-/// speculative_attempts, probations, audit_violations, ...
-Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed);
+/// speculative_attempts, probations, audit_violations, ... The auditor is
+/// always armed: its violations are a row the storm gate reads.
+Metrics RunGrayStorm(const GrayStormConfig& config, std::uint64_t seed,
+                     HogRunOptions options = {});
 
 }  // namespace hogsim::exp

@@ -1,8 +1,12 @@
-// Shared harness for the paper-reproduction benches (hogsim::exp): spins
-// up a HOG deployment or the Table III dedicated cluster, replays the
-// 88-job Facebook workload, and returns the paper's metrics. Optionally
-// arms a fault scenario (src/fault) once the cluster has spun up, so
-// scenario times are workload-relative and identical across sweep seeds.
+// The one HOG run sequence (hogsim::exp): every HOG experiment in the paper
+// follows the same protocol — build the deployment, request glideins and
+// wait for the configured maximum (§IV.C), load the inputs, replay the
+// submission schedule — and exp::HogRun is that protocol, one method per
+// phase. RunHogWorkload (the 88-job Facebook run behind Fig. 4/5 and
+// Table IV), the scale, scheduler and gray-failure harnesses, and every
+// ablation and §IV.D experience run through it; a step only one
+// experiment needs (a site kill, preemption waves, disk sampling) goes
+// between two phase calls on cluster().
 //
 // This lives in src/exp (not bench/) so examples and tests can drive the
 // same runs the benches measure; it replaced bench/bench_util.h.
@@ -10,6 +14,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/fault/injector.h"
 #include "src/fault/scenario.h"
@@ -17,14 +23,17 @@
 #include "src/util/stats.h"
 #include "src/workload/runner.h"
 
+namespace hogsim::check {
+class Auditor;
+}
+
 namespace hogsim::exp {
 
-constexpr SimTime kSpinUpDeadline = 4 * kHour;
+constexpr SimTime kSpinUpDeadline = hog::kSpinUpWait;
 constexpr SimTime kRunDeadline = 12 * kHour;
 
 struct HogRunResult {
   bool reached_target = false;
-  int nodes_at_start = 0;
   workload::WorkloadResult workload;
   double area_beneath_curve = 0;  // Table IV metric (node-seconds)
   double mean_reported_nodes = 0;
@@ -62,8 +71,8 @@ struct HogRunResult {
   std::uint64_t repl_excess_removed = 0;
 };
 
-/// Optional verification extras for RunHogWorkload; the default-constructed
-/// value reproduces the plain run exactly.
+/// What a HOG run adds to its HogConfig: the uniform bench flags
+/// (HogRunOptionsFrom maps BenchOptions onto them) and the drain.
 struct HogRunOptions {
   /// Arm a check::Auditor over all four layers for the whole run (periodic
   /// tick + one final end-of-run pass). The auditor only reads state and
@@ -92,14 +101,72 @@ struct HogRunOptions {
   /// (health::CreateDetector grammar, e.g. "phi:threshold=8") — the
   /// --detector knob. Overrides config.detector.
   std::string detector;
+  /// When non-empty: the MapReduce scheduling policy spec
+  /// (sched::CreatePolicy grammar, e.g. "fair") — the --scheduler knob.
+  /// Overrides config.mr.scheduler.
+  std::string scheduler;
 };
 
+/// One HOG run, phase by phase: SpinUp, Prepare, Submit, Run, Finish.
+/// The workload phases are skipped when SpinUp fails (or the run has no
+/// workload); Finish is always last.
+class HogRun {
+ public:
+  /// Build: applies the option overrides to `config`, constructs the
+  /// cluster, and starts the auditor when options.audit is set.
+  HogRun(std::uint64_t seed, hog::HogConfig config,
+         const HogRunOptions& options = {});
+  ~HogRun();
+  HogRun(const HogRun&) = delete;
+  HogRun& operator=(const HogRun&) = delete;
+
+  hog::HogCluster& cluster() { return cluster_; }
+  const workload::WorkloadRunner& runner() const { return runner_; }
+
+  bool SpinUp(int nodes) {
+    return result_.reached_target = cluster_.SpinUp(nodes);
+  }
+
+  /// Loads the schedule's inputs (instantly: the paper uploads them
+  /// before timing).
+  void Prepare(std::vector<workload::ScheduledJob> schedule);
+
+  /// Arms `scenario` (null or empty = none) and submits the prepared
+  /// schedule, both relative to now: `at 600s` in a scenario means ten
+  /// minutes into the measured window, for every seed of a sweep.
+  void Submit(const fault::Scenario* scenario = nullptr);
+
+  /// Runs until every job terminates or `limit` of sim time passes, then
+  /// records the workload window, preemptions, re-executed maps and
+  /// injected faults.
+  const workload::WorkloadResult& Run(SimDuration limit = kRunDeadline);
+
+  /// Optional drain (options.drain_deadline > 0) with the lost-output
+  /// scan, then the final audit pass and the storage accounting.
+  HogRunResult Finish();
+
+ private:
+  void Drain();
+
+  HogRunOptions options_;
+  hog::HogCluster cluster_;
+  std::unique_ptr<check::Auditor> auditor_;
+  workload::WorkloadRunner runner_;
+  std::vector<workload::ScheduledJob> schedule_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+  std::uint64_t preemptions_before_ = 0;
+  HogRunResult result_;
+};
+
+/// The seed's 88-job Facebook schedule (§IV.A) restricted to bins
+/// 1..max_bin; `fast` keeps its first half (the benches' --fast trim).
+std::vector<workload::ScheduledJob> FacebookSchedule(std::uint64_t seed,
+                                                     bool fast = false,
+                                                     int max_bin = 6);
+
 /// Runs the full 88-job Facebook workload on a HOG deployment of
-/// `max_nodes` glideins: wait for the configured maximum (falling back to
-/// 95% under churn, as an operator would), then replay the schedule. When
-/// `scenario` is non-null and non-empty, a FaultInjector arms it at
-/// workload start (right before submission), so `at 600s` in a scenario
-/// file means ten minutes into the measured window.
+/// `max_nodes` glideins through HogRun, with the 1 Hz availability trace
+/// (Fig. 5, Table IV) recorded over the workload window.
 HogRunResult RunHogWorkload(int max_nodes, std::uint64_t seed,
                             hog::HogConfig config = {},
                             const fault::Scenario* scenario = nullptr,
@@ -114,5 +181,23 @@ workload::WorkloadResult RunClusterWorkload(std::uint64_t seed);
 /// benches can thread --scenario through unconditionally.
 std::unique_ptr<fault::FaultInjector> ArmScenario(
     hog::HogCluster& cluster, const fault::Scenario& scenario);
+
+/// The default OSG sites with owner churn disabled (no single-node
+/// preemptions, no correlated bursts): the only node loss in a run on it
+/// is the one the experiment injects.
+hog::HogConfig QuietGrid();
+
+/// Fig. 5c's unstable grid: busier owners and frequent higher-priority
+/// bursts on the default OSG sites.
+hog::HogConfig UnstableGrid();
+
+/// Tasks of succeeded jobs — work that survived the run's faults.
+double TasksCompleted(const mr::JobTracker& jobtracker);
+
+/// `tasks` per nominal slot-hour: `nodes` requested glideins x the
+/// default map + reduce slots per node x `response_s`. Using the nominal
+/// (not surviving) node count charges a policy for the capacity faults
+/// take away — winning it back is the game.
+double GoodputPerSlotHour(double tasks, int nodes, double response_s);
 
 }  // namespace hogsim::exp

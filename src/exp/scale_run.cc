@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,12 +12,8 @@
 #include <sys/resource.h>
 #endif
 
-#include "src/check/auditor.h"
-#include "src/exp/paper_runs.h"
-#include "src/hog/hog_cluster.h"
 #include "src/util/rng.h"
 #include "src/workload/facebook.h"
-#include "src/workload/runner.h"
 
 namespace hogsim::exp {
 
@@ -66,92 +61,62 @@ std::vector<grid::SiteConfig> StableSites(int count, int pool_per_site) {
   return sites;
 }
 
-/// A `jobs`-long schedule cycling four loadgen size classes (the Facebook
-/// schedule is fixed at 88 jobs, so the jobs axis needs its own
-/// generator). Poisson arrivals like the paper's; bins 1-4 key the
-/// per-bin stats.
-std::vector<workload::ScheduledJob> SynthesizeSchedule(
-    int jobs, Rng& rng, const workload::WorkloadConfig& wl) {
-  static constexpr int kMapClasses[] = {5, 10, 20, 50};
-  static constexpr int kClasses = 4;
-  std::vector<workload::ScheduledJob> schedule;
-  schedule.reserve(jobs);
-  SimTime at = 0;
-  for (int i = 0; i < jobs; ++i) {
-    const int cls = i % kClasses;
+/// Four loadgen size classes (bins 1-4 key the per-bin stats).
+std::vector<workload::ScheduledJob> SizeClasses() {
+  std::vector<workload::ScheduledJob> shapes;
+  for (const int maps : {5, 10, 20, 50}) {
     workload::ScheduledJob job;
-    job.bin = cls + 1;
-    job.maps = kMapClasses[cls];
-    job.reduces = std::max(1, kMapClasses[cls] / 5);
-    job.submit_time = at;
-    job.name = "scale-" + std::to_string(i);
-    schedule.push_back(std::move(job));
-    at += FromSeconds(rng.Exponential(wl.interarrival_mean_s));
+    job.bin = static_cast<int>(shapes.size()) + 1;
+    job.maps = maps;
+    job.reduces = std::max(1, maps / 5);
+    job.name = "scale";
+    shapes.push_back(std::move(job));
   }
-  return schedule;
+  return shapes;
 }
 
 }  // namespace
 
-Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed) {
+Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed,
+                         HogRunOptions options) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   hog::HogConfig hog;
   const int pool = std::max(1, config.nodes / std::max(1, config.sites));
   hog.sites = StableSites(config.sites, pool);
 
-  hog::HogCluster cluster(seed, std::move(hog));
-
-  std::unique_ptr<check::Auditor> auditor;
-  if (config.audit) {
-    check::Auditor::Options aopts;
-    aopts.fail_fast = true;
-    // A full audit pass is O(cluster); at 10k nodes the default 10 s
-    // cadence would dominate the run, so scale runs audit every 10 min
-    // plus once at the end.
-    aopts.period = 10 * kMinute;
-    auditor = std::make_unique<check::Auditor>(
-        cluster.sim(), &cluster.namenode(), &cluster.jobtracker(),
-        &cluster.grid(), aopts);
-    auditor->Start();
-  }
-
-  cluster.RequestNodes(config.nodes);
-  const bool reached =
-      cluster.WaitForNodes(config.nodes, kSpinUpDeadline) ||
-      cluster.WaitForNodes(config.nodes * 95 / 100,
-                           cluster.sim().now() + kSpinUpDeadline);
-
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  const auto schedule = SynthesizeSchedule(config.jobs, rng, wl);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  workload::WorkloadResult result;
+  options.audit = true;
+  options.audit_fail_fast = true;
+  // A full audit pass is O(cluster); at 10k nodes the default 30 s
+  // cadence would dominate the run, so scale runs audit every 10 min
+  // plus once at the end.
+  options.audit_period = 10 * kMinute;
+  HogRun run(seed, std::move(hog), options);
+  const bool reached = run.SpinUp(config.nodes);
   if (reached) {
-    runner.PrepareInputs(schedule);
-    runner.SubmitAll(schedule);
-    result = runner.Run(cluster.sim().now() + kRunDeadline);
+    Rng rng(seed);
+    run.Prepare(workload::CycleSchedule(SizeClasses(), config.jobs, rng));
+    run.Submit();
+    run.Run();
   }
-
-  if (auditor != nullptr) auditor->AuditNow();
+  const HogRunResult result = run.Finish();
+  const sim::Simulation& sim = run.cluster().sim();
 
   Metrics metrics;
   // Deterministic rows first: identical for (config, seed) on any
   // machine and any --threads, so gates and determinism tests can key on
   // them alone.
   metrics.emplace_back("reached_target", reached ? 1.0 : 0.0);
-  metrics.emplace_back("jobs_succeeded", result.succeeded);
-  metrics.emplace_back("jobs_failed", result.failed);
-  metrics.emplace_back("response_s", result.response_time_s);
-  metrics.emplace_back("sim_hours", ToSeconds(cluster.sim().now()) / 3600.0);
+  metrics.emplace_back("jobs_succeeded", result.workload.succeeded);
+  metrics.emplace_back("jobs_failed", result.workload.failed);
+  metrics.emplace_back("response_s", result.workload.response_time_s);
+  metrics.emplace_back("sim_hours", ToSeconds(sim.now()) / 3600.0);
   metrics.emplace_back("executed_events",
-                       static_cast<double>(cluster.sim().executed()));
+                       static_cast<double>(sim.executed()));
   metrics.emplace_back("cancelled_events",
-                       static_cast<double>(cluster.sim().cancelled()));
-  metrics.emplace_back(
-      "audit_violations",
-      auditor ? static_cast<double>(auditor->violations()) : 0.0);
+                       static_cast<double>(sim.cancelled()));
+  metrics.emplace_back("audit_violations",
+                       static_cast<double>(result.audit_violations));
 
   if (config.host_metrics) {
     const double wall_s =
@@ -162,7 +127,7 @@ Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed) {
     metrics.emplace_back("peak_rss_mib", PeakRssMib());
     metrics.emplace_back(
         "events_per_sec",
-        wall_s > 0 ? static_cast<double>(cluster.sim().executed()) / wall_s
+        wall_s > 0 ? static_cast<double>(sim.executed()) / wall_s
                    : std::numeric_limits<double>::quiet_NaN());
   }
   return metrics;

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 
+#include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
 
 namespace hogsim::exp {
@@ -34,8 +35,6 @@ struct ScaleConfig {
   int sites = 10;
   /// Length of the synthesized submission schedule.
   int jobs = 60;
-  /// Arm the cross-layer invariant auditor (fail-fast) for the whole run.
-  bool audit = true;
   /// Emit wall_s / peak_rss_mib / events_per_sec rows.
   bool host_metrics = true;
 };
@@ -44,6 +43,8 @@ struct ScaleConfig {
 /// `nodes` glideins, runs a synthesized `jobs`-job schedule to
 /// completion, and returns the run's metrics. Deterministic rows come
 /// first and are identical for a given (config, seed) on any machine.
-Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed);
+/// The fail-fast auditor is always armed, on a 10 min tick.
+Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed,
+                         HogRunOptions options = {});
 
 }  // namespace hogsim::exp

@@ -1,17 +1,10 @@
 #include "src/exp/sched_run.h"
 
-#include <algorithm>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "src/check/auditor.h"
-#include "src/exp/paper_runs.h"
 #include "src/fault/random_scenario.h"
-#include "src/hog/hog_cluster.h"
 #include "src/util/rng.h"
 #include "src/workload/facebook.h"
-#include "src/workload/runner.h"
 
 namespace hogsim::exp {
 
@@ -19,119 +12,59 @@ namespace {
 
 /// Three personas with distinct pools, queues, and job shapes — enough
 /// contention for fair shares, capacity routing, and FIFO ordering to
-/// produce different trajectories on the same arrival sequence.
-struct Persona {
-  const char* user;
-  const char* queue;
-  int maps;
-  int reduces;
-};
-
-constexpr Persona kPersonas[] = {
-    {"etl", "prod", 20, 4},      // heavy production pipelines
-    {"analyst", "prod", 10, 2},  // medium interactive queries
-    {"adhoc", "adhoc", 4, 1},    // small opportunistic jobs
-};
-
-/// A `jobs`-long multi-user schedule cycling the personas, Poisson
-/// arrivals like the paper's workload. The persona cycle keys `bin` so
-/// per-persona stats stay separable downstream.
-std::vector<workload::ScheduledJob> SynthesizeMultiUserSchedule(
-    int jobs, Rng& rng, const workload::WorkloadConfig& wl) {
-  constexpr int kCount = static_cast<int>(std::size(kPersonas));
-  std::vector<workload::ScheduledJob> schedule;
-  schedule.reserve(jobs);
-  SimTime at = 0;
-  for (int i = 0; i < jobs; ++i) {
-    const Persona& persona = kPersonas[i % kCount];
-    workload::ScheduledJob job;
-    job.bin = i % kCount + 1;
-    job.maps = persona.maps;
-    job.reduces = persona.reduces;
-    job.submit_time = at;
-    job.name = std::string(persona.user) + "-" + std::to_string(i);
-    job.user = persona.user;
-    job.queue = persona.queue;
-    schedule.push_back(std::move(job));
-    at += FromSeconds(rng.Exponential(wl.interarrival_mean_s));
-  }
-  return schedule;
+/// produce different trajectories on the same arrival sequence. The
+/// persona cycle keys `bin` so per-persona stats stay separable
+/// downstream.
+std::vector<workload::ScheduledJob> Personas() {
+  return {
+      // heavy production pipelines
+      {.bin = 1, .maps = 20, .reduces = 4, .name = "etl", .user = "etl",
+       .queue = "prod"},
+      // medium interactive queries
+      {.bin = 2, .maps = 10, .reduces = 2, .name = "analyst",
+       .user = "analyst", .queue = "prod"},
+      // small opportunistic jobs
+      {.bin = 3, .maps = 4, .reduces = 1, .name = "adhoc", .user = "adhoc",
+       .queue = "adhoc"},
+  };
 }
 
 }  // namespace
 
-Metrics RunSchedWorkload(const SchedRunConfig& config, std::uint64_t seed) {
-  hog::HogConfig hog;
-  hog.mr.scheduler = config.scheduler;
-  hog::HogCluster cluster(seed, std::move(hog));
-
-  std::unique_ptr<check::Auditor> auditor;
-  if (config.audit) {
-    check::Auditor::Options aopts;
-    aopts.fail_fast = config.audit_fail_fast;
-    aopts.period = 30 * kSecond;
-    auditor = std::make_unique<check::Auditor>(
-        cluster.sim(), &cluster.namenode(), &cluster.jobtracker(),
-        &cluster.grid(), aopts);
-    auditor->Start();
-  }
-
-  cluster.RequestNodes(config.nodes);
-  const bool reached =
-      cluster.WaitForNodes(config.nodes, kSpinUpDeadline) ||
-      cluster.WaitForNodes(config.nodes * 95 / 100,
-                           cluster.sim().now() + kSpinUpDeadline);
-
-  Rng rng(seed);
-  workload::WorkloadConfig wl;
-  const auto schedule = SynthesizeMultiUserSchedule(config.jobs, rng, wl);
-  workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                  cluster.namenode(), wl);
-  workload::WorkloadResult result;
-  std::unique_ptr<fault::FaultInjector> injector;
-  fault::Scenario chaos;
+Metrics RunSchedWorkload(const SchedRunConfig& config, std::uint64_t seed,
+                         HogRunOptions options) {
+  options.audit = true;
+  HogRun run(seed, {}, options);
+  const bool reached = run.SpinUp(config.nodes);
   if (reached) {
-    runner.PrepareInputs(schedule);
+    Rng rng(seed);
+    run.Prepare(workload::CycleSchedule(Personas(), config.jobs, rng));
     // The chaos palette is keyed by chaos_seed alone: every policy and
     // every sweep seed replays the identical fault sequence, so metric
     // deltas between configs isolate the policy.
+    fault::Scenario chaos;
     if (config.chaos_seed != 0) {
       chaos = fault::RandomScenario(config.chaos_seed);
-      injector = ArmScenario(cluster, chaos);
     }
-    runner.SubmitAll(schedule);
-    result = runner.Run(cluster.sim().now() + kRunDeadline);
+    run.Submit(&chaos);
+    run.Run();
   }
+  const HogRunResult result = run.Finish();
 
-  if (auditor != nullptr) auditor->AuditNow();
-
-  const mr::JobTracker& jt = cluster.jobtracker();
-  double tasks_done = 0;  // tasks of SUCCEEDED jobs: chaos-surviving work
-  for (std::size_t j = 0; j < jt.job_count(); ++j) {
-    const mr::JobInfo& job = jt.job(static_cast<mr::JobId>(j));
-    if (job.state != mr::JobState::kSucceeded) continue;
-    tasks_done += static_cast<double>(job.maps.size() + job.reduces.size());
-  }
-  // Nominal capacity over the measured window: requested nodes x slots
-  // per node x response hours. Using the nominal (not surviving) node
-  // count charges the policy for capacity chaos takes away — re-winning
-  // that capacity through steering and re-replication is the game.
-  const hog::HogConfig defaults;
-  const double slots_per_node = defaults.map_slots_per_node +
-                                defaults.reduce_slots_per_node;
-  const double window_h = result.response_time_s / 3600.0;
-  const double slot_hours = config.nodes * slots_per_node * window_h;
-  const double goodput =
-      slot_hours > 0 ? tasks_done / slot_hours : 0.0;
-
+  const mr::JobTracker& jt = run.cluster().jobtracker();
+  const double tasks_done = TasksCompleted(jt);
   Metrics metrics;
   metrics.emplace_back("reached_target", reached ? 1.0 : 0.0);
-  metrics.emplace_back("jobs_succeeded", result.succeeded);
-  metrics.emplace_back("jobs_failed", result.failed);
-  metrics.emplace_back("all_terminated", result.completed ? 1.0 : 0.0);
-  metrics.emplace_back("response_s", result.response_time_s);
+  metrics.emplace_back("jobs_succeeded", result.workload.succeeded);
+  metrics.emplace_back("jobs_failed", result.workload.failed);
+  metrics.emplace_back("all_terminated",
+                       result.workload.completed ? 1.0 : 0.0);
+  metrics.emplace_back("response_s", result.workload.response_time_s);
   metrics.emplace_back("tasks_completed", tasks_done);
-  metrics.emplace_back("goodput_per_slot_hour", goodput);
+  metrics.emplace_back(
+      "goodput_per_slot_hour",
+      GoodputPerSlotHour(tasks_done, config.nodes,
+                         result.workload.response_time_s));
   metrics.emplace_back("attempts_launched",
                        static_cast<double>(jt.attempts_launched()));
   metrics.emplace_back("speculative_attempts",
@@ -143,13 +76,11 @@ Metrics RunSchedWorkload(const SchedRunConfig& config, std::uint64_t seed) {
   metrics.emplace_back("trackers_lost",
                        static_cast<double>(jt.trackers_declared_lost()));
   metrics.emplace_back("faults_injected",
-                       injector ? static_cast<double>(injector->injected())
-                                : 0.0);
+                       static_cast<double>(result.faults_injected));
   metrics.emplace_back("executed_events",
-                       static_cast<double>(cluster.sim().executed()));
-  metrics.emplace_back(
-      "audit_violations",
-      auditor ? static_cast<double>(auditor->violations()) : 0.0);
+                       static_cast<double>(run.cluster().sim().executed()));
+  metrics.emplace_back("audit_violations",
+                       static_cast<double>(result.audit_violations));
   return metrics;
 }
 

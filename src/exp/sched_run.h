@@ -17,15 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
+#include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
 
 namespace hogsim::exp {
 
 struct SchedRunConfig {
-  /// Policy spec for sched::CreatePolicy ("name" or "name:params").
-  std::string scheduler = "fifo";
   /// Target glideins on the five default OSG sites.
   int nodes = 55;
   /// Length of the synthesized multi-user schedule.
@@ -34,16 +32,15 @@ struct SchedRunConfig {
   /// start (0 = no chaos). Fixed per config — not derived from the sweep
   /// seed — so every policy and seed faces the identical fault sequence.
   std::uint64_t chaos_seed = 7001;
-  /// Arm the cross-layer auditor; violations are reported as a metric.
-  bool audit = true;
-  /// Audit violations abort the run (check::AuditError) instead of
-  /// accumulating into the audit_violations row.
-  bool audit_fail_fast = false;
 };
 
 /// Spins up the cluster, replays the schedule under chaos, and returns
 /// deterministic metrics (jobs_succeeded, response_s, goodput_per_slot_hour,
-/// attempts_preempted, audit_violations, ...).
-Metrics RunSchedWorkload(const SchedRunConfig& config, std::uint64_t seed);
+/// attempts_preempted, audit_violations, ...). The policy is
+/// options.scheduler ("" = fifo). The auditor is always armed — its
+/// violations are a row — and options.audit_fail_fast makes the first
+/// one abort the run (check::AuditError).
+Metrics RunSchedWorkload(const SchedRunConfig& config, std::uint64_t seed,
+                         HogRunOptions options = {});
 
 }  // namespace hogsim::exp

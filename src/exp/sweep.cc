@@ -24,6 +24,18 @@ double RunRecord::Metric(std::string_view name) const {
                           " (seed " + std::to_string(seed) + ")");
 }
 
+const MetricSummary& SweepResult::Summary(std::size_t config,
+                                          std::string_view name) const {
+  if (config < summaries.size()) {
+    for (const MetricSummary& summary : summaries[config]) {
+      if (summary.name == name) return summary;
+    }
+  }
+  throw std::out_of_range("no metric \"" + std::string(name) +
+                          "\" in config " + std::to_string(config) +
+                          " summaries");
+}
+
 namespace {
 
 std::vector<std::vector<MetricSummary>> Aggregate(const SweepSpec& spec,

@@ -89,6 +89,17 @@ struct SweepResult {
                        std::size_t num_seeds) const {
     return runs[config * num_seeds + seed_index];
   }
+
+  /// The summary of the metric called `name` in `config`. Like
+  /// RunRecord::Metric, an unknown name (or config) throws
+  /// std::out_of_range naming the metric and the config, so bench tables
+  /// and gates read summaries by name, never by position.
+  const MetricSummary& Summary(std::size_t config,
+                               std::string_view name) const;
+  /// Summary(config, name).stats.mean(): what bench tables print.
+  double Mean(std::size_t config, std::string_view name) const {
+    return Summary(config, name).stats.mean();
+  }
 };
 
 /// Runs the sweep. Exceptions thrown by `fn` are re-thrown on the calling

@@ -176,6 +176,12 @@ bool HogCluster::WaitForNodes(int count, SimTime deadline) {
                   deadline);
 }
 
+bool HogCluster::SpinUp(int nodes) {
+  if (grid_->target_nodes() < nodes) RequestNodes(nodes);
+  return WaitForNodes(nodes, sim_.now() + kSpinUpWait) ||
+         WaitForNodes(nodes * 95 / 100, sim_.now() + kSpinUpWait);
+}
+
 bool HogCluster::RunUntil(const std::function<bool()>& done, SimTime deadline,
                           SimDuration step) {
   while (!done()) {

@@ -84,6 +84,9 @@ struct HogConfig {
   hdfs::ReplControllerConfig repl;
 };
 
+/// How long SpinUp waits for each of its two targets.
+constexpr SimDuration kSpinUpWait = 4 * kHour;
+
 /// Returns the five-site OSG environment the paper restricts itself to,
 /// with per-site pools large enough for the 1101-node experiment.
 std::vector<grid::SiteConfig> DefaultOsgSites();
@@ -120,6 +123,13 @@ class HogCluster {
   /// waits for the configured maximum before starting the workload).
   /// Returns false if `deadline` passes first.
   bool WaitForNodes(int count, SimTime deadline);
+
+  /// The spin-up rule every HOG experiment follows (§IV.C): request
+  /// `nodes` glideins (a larger standing request, e.g. an over-request, is
+  /// kept), wait up to kSpinUpWait for all of them, then — as an operator
+  /// would under churn — up to kSpinUpWait more for 95% of them. Returns
+  /// false if neither count was reached.
+  bool SpinUp(int nodes);
 
   /// Runs until the predicate holds, checking every `step`. Returns false
   /// on deadline.

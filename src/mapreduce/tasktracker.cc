@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "src/mapreduce/jobtracker.h"
 #include "src/util/log.h"
@@ -168,9 +169,8 @@ void TaskTracker::StartMapAttempt(const MapAttemptSpec& spec) {
 }
 
 void TaskTracker::MapRead(AttemptId id) {
-  Attempt& a = attempts_.at(id);
-  a.dfs_op =
-      dfs_.ReadBlock(node_, a.map.block, [this, id](bool ok, bool local) {
+  hdfs::DfsOp op = dfs_.ReadBlock(
+      node_, attempts_.at(id).map.block, [this, id](bool ok, bool local) {
         if (!attempts_.contains(id)) return;
         if (!ok) {
           FailAttempt(id, FailureKind::kInputUnavailable);
@@ -179,6 +179,10 @@ void TaskTracker::MapRead(AttemptId id) {
         attempts_.at(id).input_local = local;
         MapCompute(id);
       });
+  // A block with no live replica fails the read before ReadBlock returns,
+  // and FailAttempt has then already erased the attempt.
+  const auto it = attempts_.find(id);
+  if (it != attempts_.end()) it->second.dfs_op = std::move(op);
 }
 
 void TaskTracker::MapCompute(AttemptId id) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace hogsim::workload {
 
@@ -63,6 +64,22 @@ std::vector<ScheduledJob> GenerateFacebookSchedule(
     t += FromSeconds(rng.Exponential(config.interarrival_mean_s));
   }
   return jobs;
+}
+
+std::vector<ScheduledJob> CycleSchedule(const std::vector<ScheduledJob>& shapes,
+                                        int jobs, Rng& rng,
+                                        const WorkloadConfig& config) {
+  std::vector<ScheduledJob> schedule;
+  schedule.reserve(static_cast<std::size_t>(jobs));
+  SimTime at = 0;
+  for (int i = 0; i < jobs; ++i) {
+    ScheduledJob job = shapes[static_cast<std::size_t>(i) % shapes.size()];
+    job.submit_time = at;
+    job.name += "-" + std::to_string(i);
+    schedule.push_back(std::move(job));
+    at += FromSeconds(rng.Exponential(config.interarrival_mean_s));
+  }
+  return schedule;
 }
 
 mr::JobSpec MakeJobSpec(const ScheduledJob& job, hdfs::FileId input,

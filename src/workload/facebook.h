@@ -70,6 +70,16 @@ std::vector<ScheduledJob> GenerateFacebookSchedule(Rng& rng,
                                                    const WorkloadConfig&
                                                        config = {});
 
+/// A synthetic `jobs`-long schedule that cycles through `shapes` in
+/// order, with Poisson arrivals like the paper's (mean
+/// config.interarrival_mean_s). Job i copies shapes[i % shapes.size()]
+/// (bin, maps, reduces, user, queue) and is named "<shape name>-<i>".
+/// The Facebook schedule has a fixed 88 jobs, so benches that sweep
+/// schedule length or need multi-user or storm-shaped load use this.
+std::vector<ScheduledJob> CycleSchedule(const std::vector<ScheduledJob>& shapes,
+                                        int jobs, Rng& rng,
+                                        const WorkloadConfig& config = {});
+
 /// Builds the JobSpec for a scheduled job (input file must be created by
 /// the harness: maps * block_size bytes).
 mr::JobSpec MakeJobSpec(const ScheduledJob& job, hdfs::FileId input,

@@ -1,6 +1,6 @@
 // Unit tests for the exp::Sweep parallel multi-seed harness: determinism
-// (parallel == sequential, bit for bit), aggregation, and BENCH_*.json
-// serialization.
+// (parallel == sequential, bit for bit), aggregation, BENCH_*.json
+// serialization, the bench flags, and exp::HogRun.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "src/exp/bench_main.h"
+#include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
+#include "src/fault/scenario.h"
 #include "src/sim/simulation.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -339,6 +341,128 @@ TEST(RunRecord, UnknownMetricThrowsNamingMetricAndConfig) {
     EXPECT_NE(what.find("\"audit_violation\""), std::string::npos) << what;
     EXPECT_NE(what.find("config 3"), std::string::npos) << what;
   }
+}
+
+TEST(SweepResult, SummaryLookupIsByName) {
+  SweepSpec spec;
+  spec.seeds = {1, 2};
+  spec.configs = 2;
+  const SweepResult result =
+      RunSweep(spec, [](std::size_t config, std::uint64_t seed) -> Metrics {
+        return {{"response_s", 100.0 * static_cast<double>(config + 1)},
+                {"seed", static_cast<double>(seed)}};
+      });
+  EXPECT_EQ(result.Summary(1, "response_s").stats.mean(), 200.0);
+  EXPECT_EQ(result.Summary(0, "seed").stats.mean(), 1.5);
+  EXPECT_EQ(&result.Summary(0, "seed"), &result.summaries[0][1]);
+}
+
+TEST(SweepResult, UnknownSummaryThrowsNamingMetricAndConfig) {
+  SweepSpec spec;
+  spec.seeds = {1};
+  spec.configs = 2;
+  const SweepResult result = RunSweep(
+      spec, [](std::size_t, std::uint64_t) -> Metrics { return {{"u", 1}}; });
+  for (const std::size_t config : {std::size_t{1}, std::size_t{7}}) {
+    try {
+      (void)result.Summary(config, "v");
+      FAIL() << "unknown summary did not throw";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("\"v\""), std::string::npos) << what;
+      EXPECT_NE(what.find("config " + std::to_string(config)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(BenchMainDeathTest, DuplicateSeedExitsWithUsageError) {
+  // A repeated seed would run twice and collide in the per-seed tables
+  // (bench_fig5_fluctuation, bench_table4_area).
+  const char* argv[] = {"bench", "--seeds=11,23,11"};
+  EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(argv)),
+              ::testing::ExitedWithCode(2), "duplicate seed 11");
+}
+
+TEST(BenchMainDeathTest, UnknownSchedulerExitsWithUsageError) {
+  // Every HOG run builds the policy, so a bad spec must fail the parse,
+  // not abort the sweep mid-run.
+  const char* argv[] = {"bench", "--scheduler=lottery"};
+  EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(argv)),
+              ::testing::ExitedWithCode(2), "bad --scheduler value");
+}
+
+TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {
+  const char* argv[] = {"bench",
+                        "--audit",
+                        "--scheduler=fair",
+                        "--topology=tor:racks=4;oversub=4",
+                        "--detector=phi:threshold=8",
+                        "--repl-target=0.999"};
+  const HogRunOptions ropts =
+      HogRunOptionsFrom(ParseBenchOptions(6, const_cast<char* const*>(argv)));
+  EXPECT_TRUE(ropts.audit);
+  EXPECT_TRUE(ropts.audit_fail_fast);
+  EXPECT_EQ(ropts.scheduler, "fair");
+  EXPECT_EQ(ropts.topology, "tor:racks=4;oversub=4");
+  EXPECT_EQ(ropts.detector, "phi:threshold=8");
+  EXPECT_EQ(ropts.repl_target, 0.999);
+  // No bench-owned knob leaks in: the drain and the audit cadence stay
+  // at the plain run's defaults.
+  EXPECT_EQ(ropts.drain_deadline, HogRunOptions{}.drain_deadline);
+  EXPECT_EQ(ropts.audit_period, HogRunOptions{}.audit_period);
+
+  const char* plain[] = {"bench"};
+  const HogRunOptions none =
+      HogRunOptionsFrom(ParseBenchOptions(1, const_cast<char* const*>(plain)));
+  EXPECT_FALSE(none.audit);
+  EXPECT_FALSE(none.audit_fail_fast);
+  EXPECT_TRUE(none.scheduler.empty());
+  EXPECT_TRUE(none.topology.empty());
+  EXPECT_TRUE(none.detector.empty());
+  EXPECT_EQ(none.repl_target, 0.0);
+}
+
+// One small audited, drained HOG run through HogRun: two site kills at
+// replication 3 fail jobs and lose committed outputs. The pinned values
+// are RunHogWorkload's result for these inputs, which a change to HogRun
+// must reproduce exactly, as must a twin run.
+TEST(HogRun, AuditedDrainedRunIsPinnedAndTwinIdentical) {
+  const fault::Scenario storm = fault::ParseScenario(
+      "at 20m preempt-site 0 1.0\nat 21m preempt-site 2 1.0\n", "<pin>");
+  const auto run = [&storm] {
+    hog::HogConfig config;
+    config.replication = 3;
+    HogRunOptions options;
+    options.audit = true;
+    options.drain_deadline = 30 * kMinute;
+    return RunHogWorkload(55, 11, config, &storm, options);
+  };
+  const HogRunResult first = run();
+  EXPECT_TRUE(first.reached_target);
+  EXPECT_EQ(first.workload.response_time_s, 1934.784407);
+  EXPECT_EQ(first.workload.succeeded, 70);
+  EXPECT_EQ(first.workload.failed, 18);
+  EXPECT_TRUE(first.workload.completed);
+  EXPECT_EQ(first.preemptions, 59u);
+  EXPECT_EQ(first.outputs_lost, 5u);
+  EXPECT_EQ(first.audit_passes, 212u);
+  EXPECT_EQ(first.audit_violations, 0u);
+  EXPECT_EQ(first.faults_injected, 2u);
+  EXPECT_TRUE(first.fully_replicated);
+
+  const HogRunResult twin = run();
+  EXPECT_EQ(twin.workload.response_time_s, first.workload.response_time_s);
+  EXPECT_EQ(twin.workload.job_response_s, first.workload.job_response_s);
+  EXPECT_EQ(twin.preemptions, first.preemptions);
+  EXPECT_EQ(twin.outputs_lost, first.outputs_lost);
+  EXPECT_EQ(twin.audit_passes, first.audit_passes);
+  EXPECT_EQ(twin.area_beneath_curve, first.area_beneath_curve);
+  EXPECT_EQ(twin.bytes_stored, first.bytes_stored);
+  EXPECT_EQ(twin.repair_bytes, first.repair_bytes);
+  EXPECT_EQ(twin.time_to_full_replication_s,
+            first.time_to_full_replication_s);
 }
 
 }  // namespace

@@ -182,5 +182,43 @@ TEST(HogWorkload, SmallFacebookSliceRunsOnHog) {
   EXPECT_EQ(result.per_bin_response_s.size(), 3u);
 }
 
+// SpinUp on stable sites whose pools hold exactly 20 glideins: the
+// target when it is reachable, 95% of it after the first wait when only
+// that is, and failure at the end of the second wait otherwise.
+HogConfig TwentySlotGrid() {
+  HogConfig config;
+  config.sites = QuietSites();
+  config.sites.resize(2);
+  for (auto& site : config.sites) site.pool_size = 10;
+  return config;
+}
+
+TEST(HogSpinUp, ReachableTargetReturnsBeforeFirstWaitEnds) {
+  HogCluster hog(3, TwentySlotGrid());
+  EXPECT_TRUE(hog.SpinUp(20));
+  EXPECT_GE(hog.grid().running_nodes(), 20);
+  EXPECT_LT(hog.sim().now(), kSpinUpWait);
+}
+
+TEST(HogSpinUp, FallsBackToNinetyFivePercentAfterFirstWait) {
+  HogCluster hog(3, TwentySlotGrid());
+  EXPECT_TRUE(hog.SpinUp(21));  // 95% of 21 is 19 <= 20
+  EXPECT_GE(hog.sim().now(), kSpinUpWait);
+  EXPECT_LT(hog.sim().now(), 2 * kSpinUpWait);
+}
+
+TEST(HogSpinUp, UnreachableTargetFailsAtEndOfSecondWait) {
+  HogCluster hog(3, TwentySlotGrid());
+  EXPECT_FALSE(hog.SpinUp(25));  // 95% of 25 is 23 > 20
+  EXPECT_EQ(hog.sim().now(), 2 * kSpinUpWait);
+}
+
+TEST(HogSpinUp, KeepsALargerStandingRequest) {
+  HogCluster hog(3, TwentySlotGrid());
+  hog.RequestNodes(20);
+  EXPECT_TRUE(hog.SpinUp(10));
+  EXPECT_EQ(hog.grid().target_nodes(), 20);
+}
+
 }  // namespace
 }  // namespace hogsim::hog

@@ -107,7 +107,6 @@ TEST(Scale, BenchScaleJsonByteIdenticalAcrossThreads) {
           scale.nodes = 120;
           scale.sites = 2;
           scale.jobs = 6 + static_cast<int>(config) * 6;
-          scale.audit = true;
           scale.host_metrics = false;  // host rows are machine-dependent
           return exp::RunScaleWorkload(scale, seed);
         });

@@ -24,10 +24,11 @@ TEST(SchedBench, BenchSchedJsonByteIdenticalAcrossThreads) {
     const exp::SweepResult result = exp::RunSweep(
         spec, [](std::size_t config, std::uint64_t seed) -> exp::Metrics {
           exp::SchedRunConfig run;
-          run.scheduler = config == 0 ? "fifo" : "atlas";
           run.nodes = 20;
           run.jobs = 9;
-          return exp::RunSchedWorkload(run, seed);
+          exp::HogRunOptions options;
+          options.scheduler = config == 0 ? "fifo" : "atlas";
+          return exp::RunSchedWorkload(run, seed, options);
         });
     return exp::ToBenchJson(spec, result);
   };
@@ -44,10 +45,11 @@ TEST(SchedBench, BenchSchedJsonByteIdenticalAcrossThreads) {
 TEST(SchedBench, PoliciesShareFaultsButDiverge) {
   const auto run = [](const std::string& scheduler) {
     exp::SchedRunConfig config;
-    config.scheduler = scheduler;
     config.nodes = 20;
     config.jobs = 12;
-    return exp::RunSchedWorkload(config, 11);
+    exp::HogRunOptions options;
+    options.scheduler = scheduler;
+    return exp::RunSchedWorkload(config, 11, options);
   };
   const exp::Metrics fifo = run("fifo");
   const exp::Metrics fifo_again = run("fifo");
