@@ -2,21 +2,17 @@
 # Tier-1 gate: check docs links, then configure + build both CMake presets
 # (default and ASan/UBSan) and run the tier1-labelled tests under each —
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
-# fault-scenario smoke leg (bench_scenario_storm under a committed
-# scenario, which also proves the examples compiled), the six ablations
-# and both §IV.D experiences fast with fail-fast audits (one also on a
-# ToR fabric), the scheduler policy-conformance harness plus the audited
-# fast scheduler head-to-head
-# (bench_sched) diffed against BENCH_sched.json, the audited fast
-# replication ladder (bench_repl) diffed against BENCH_repl.json, the
-# audited fast scale grid (bench_scale) diffed against the committed
-# BENCH_scale.json baseline via compare_bench, the fast topology zoo
-# (bench_topo) diffed against BENCH_topo.json, and the fast gray-failure
-# frontier + quarantine storm (bench_gray) diffed against
-# BENCH_gray.json. A preflight first fails the gate if any of those
-# baselines is not tracked by git, and each preset fails if a tier-1
-# ctest name embeds raw parameter bytes wider than a scoped enum. This is
-# what a PR must keep green; see ROADMAP.md ("tier-1 tests").
+# fault-scenario smoke leg (hogbench scenario_storm under the committed
+# scenarios, which also proves the examples compiled), every experiment
+# `hogbench --list` names, fast with fail-fast audits (the six gated ones
+# exit 1 on a broken contract; the replication ablation runs once more on
+# a ToR fabric), the scheduler policy-conformance harness, and the
+# compare_bench legs: the fast sched, repl, scale and topo outputs of that
+# loop, and a fast unaudited gray run, each diffed against its committed
+# BENCH_*.json baseline. A preflight first fails the gate if any of those
+# baselines is not tracked by git, and each preset fails if a tier-1 ctest
+# name embeds raw parameter bytes wider than a scoped enum. This is what a
+# PR must keep green; see ROADMAP.md ("tier-1 tests").
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   default preset only (skip the sanitizer build)
@@ -64,46 +60,47 @@ run_preset() {
   fi
   echo "== [$preset] tier-1 tests =="
   ctest --test-dir "$dir" -L tier1 --output-on-failure -j "$jobs"
+  local hogbench="$dir/bench/hogbench"
   echo "== [$preset] scenario smoke =="
   # One fast chaos run through a committed scenario: the parser, the
   # injector, and every layer hook execute end to end.
-  "$dir/bench/bench_scenario_storm" --fast \
+  "$hogbench" scenario_storm --fast \
     --scenario=scenarios/site_storm.txt --out="$dir/BENCH_scenario_storm.json"
   # The rack-fault grammar end to end: the same fast chaos run through the
   # committed ToR-failure scenario on a multi-rack ToR fabric (fail-tor /
   # partition-rack / degrade-fabric all fire against live racks).
-  "$dir/bench/bench_scenario_storm" --fast --seeds=1 \
+  "$hogbench" scenario_storm --fast --seeds=1 \
     --topology="tor:racks=4;oversub=4" \
     --scenario=scenarios/tor_failure.txt \
     --out="$dir/BENCH_scenario_tor.json"
   # The gray-fault grammar end to end: heartbeat jitter + a stalled disk
   # (nothing dies, the masters must not over-react), then the slow-node
   # storm palette (slow-node / slow-site with restores).
-  "$dir/bench/bench_scenario_storm" --fast --seeds=1 \
+  "$hogbench" scenario_storm --fast --seeds=1 \
     --scenario=scenarios/heartbeat_jitter.txt \
     --out="$dir/BENCH_scenario_jitter.json"
-  "$dir/bench/bench_scenario_storm" --fast --seeds=1 \
+  "$hogbench" scenario_storm --fast --seeds=1 \
     --scenario=scenarios/slow_node_storm.txt \
     --out="$dir/BENCH_scenario_slow.json"
-  echo "== [$preset] chaos soak (fail-fast audits) =="
-  # Random-scenario soak with the invariant auditor armed in fail-fast
-  # mode: any cross-layer inconsistency chaos shakes loose aborts the run
-  # (and, under the sanitize preset, any memory error surfaces here too).
-  "$dir/bench/bench_chaos_soak" --fast --audit \
-    --out="$dir/BENCH_soak_fast.json"
-  echo "== [$preset] ablations + experiences (fast, audited) =="
-  # The six ablations and both §IV.D experiences run through exp::HogRun,
-  # so the uniform flags reach them: each runs fast with the
-  # fail-fast auditor armed, and the replication ablation runs once more
-  # on a multi-rack ToR fabric.
-  for bench in ablation_delay_scheduling ablation_heartbeat \
-               ablation_multicopy ablation_replication ablation_security \
-               ablation_site_awareness exp_disk_overflow \
-               exp_zombie_datanodes; do
-    "$dir/bench/bench_$bench" --fast --audit \
-      --out="$dir/BENCH_${bench}_audit.json"
+  echo "== [$preset] every experiment (fast, audited) =="
+  # Every experiment in hogbench's table, so a new one cannot miss the
+  # gate: fast, with the fail-fast auditor armed (any cross-layer
+  # inconsistency aborts the run, and under the sanitize preset any memory
+  # error surfaces here too). The six gated experiments (soak, sched,
+  # scale, repl, topo, gray) exit 1 on a broken contract. Host rows are
+  # off, so the compare_bench legs below diff these outputs directly.
+  local experiments
+  experiments=$("$hogbench" --list | cut -d' ' -f1)
+  [ -n "$experiments" ] || { echo "hogbench --list is empty" >&2; exit 1; }
+  mkdir -p "$dir/fast"
+  for name in $experiments; do
+    echo "-- hogbench $name"
+    "$hogbench" "$name" --fast --audit --no-host-metrics \
+      --out="$dir/fast/BENCH_$name.json" \
+      || { echo "hogbench $name failed" >&2; exit 1; }
   done
-  "$dir/bench/bench_ablation_replication" --fast --audit \
+  # The replication ablation once more on a multi-rack ToR fabric.
+  "$hogbench" ablation_replication --fast --audit \
     --topology="tor:racks=4;oversub=4" \
     --out="$dir/BENCH_ablation_replication_tor.json"
   echo "== [$preset] sched conformance =="
@@ -117,66 +114,22 @@ run_preset() {
   done
   "$dir/tests/hogsim_tests" --gtest_brief=1 \
     --gtest_filter="SchedGolden.*:SchedRegistry.*:SchedFair.*:SchedCapacity.*:SchedAtlas.*:SchedBench.*"
-  echo "== [$preset] sched head-to-head (fast, audited) =="
-  # FIFO / Fair / ATLAS under the fixed chaos palette with fail-fast
-  # audits; rows are deterministic, so the next leg diffs them against
-  # the committed baseline.
-  "$dir/bench/bench_sched" --fast --audit \
-    --out="$dir/BENCH_sched_fast.json"
-  echo "== [$preset] compare_bench against BENCH_sched.json =="
-  # The fast run keeps the full-run labels/specs/seeds for its three
-  # policies; the baseline's capacity rows count as missing-in-candidate,
-  # which is not a regression.
-  "$dir/bench/compare_bench" BENCH_sched.json "$dir/BENCH_sched_fast.json" \
-    --tol=0.01
-  echo "== [$preset] replication ladder (fast, audited) =="
-  # Flat RF=10 vs the availability-targeted controller under the soak
-  # palette with fail-fast audits; the bench itself gates zero violations,
-  # zero lost committed outputs, and adaptive storing fewer bytes than
-  # rf10. Rows are deterministic, so the next leg diffs them against the
-  # committed baseline (the full ladder's rf3/rf5/adaptive9999 rows count
-  # as missing-in-candidate, which is not a regression).
-  "$dir/bench/bench_repl" --fast --audit \
-    --out="$dir/BENCH_repl_fast.json"
-  echo "== [$preset] compare_bench against BENCH_repl.json =="
-  "$dir/bench/compare_bench" BENCH_repl.json "$dir/BENCH_repl_fast.json" \
-    --tol=0.01
-  echo "== [$preset] scale grid (fast, audited) =="
-  # The CI-sized nodes x jobs points with the fail-fast auditor armed.
-  # --no-host-metrics keeps only the deterministic rows, so the next leg
-  # can diff them against the committed baseline on any machine.
-  "$dir/bench/bench_scale" --fast --no-host-metrics \
-    --out="$dir/BENCH_scale_fast.json"
-  echo "== [$preset] compare_bench against BENCH_scale.json =="
-  # Byte-stable rows (executed_events, jobs_succeeded, audit_violations,
-  # ...) must match the committed baseline; the baseline's host-only rows
+  echo "== [$preset] compare_bench against the committed baselines =="
+  # Every compared row is deterministic; the tolerance only pads rounding
+  # in the JSON serialization. A full baseline's extra rows (sched's
+  # capacity policy, repl's rf3/rf5/adaptive9999 rungs, the full scale
+  # grid and topology zoo, gray's calm palette) and scale's host-only rows
   # (wall_s, peak_rss_mib, events_per_sec) count as missing-in-candidate,
-  # which is not a regression. The tolerance only pads rounding in the
-  # JSON serialization — the compared rows are deterministic.
-  "$dir/bench/compare_bench" BENCH_scale.json "$dir/BENCH_scale_fast.json" \
-    --tol=0.01
-  echo "== [$preset] topology zoo (fast, audited) =="
-  # Star vs the oversubscribed ToR tier on the shuffle and drain
-  # workloads, cross-layer auditor armed; the bench itself gates zero
-  # violations, zero lost outputs, and the fabric claims (tor16 strictly
-  # slower than star per seed). Rows are deterministic and host-metric
-  # free, so the next leg diffs them against the committed baseline (the
-  # full zoo's sweep rows count as missing-in-candidate).
-  "$dir/bench/bench_topo" --fast --no-host-metrics --audit \
-    --out="$dir/BENCH_topo_fast.json"
-  echo "== [$preset] compare_bench against BENCH_topo.json =="
-  "$dir/bench/compare_bench" BENCH_topo.json "$dir/BENCH_topo_fast.json" \
-    --tol=0.01
-  echo "== [$preset] gray-failure frontier + quarantine storm (fast) =="
-  # The detector frontier under the noisy jitter palette plus both storm
-  # rows; the bench itself gates phi's frontier position (zero false
-  # suspicions, not dominated by any fixed deadline, strictly dominating
-  # at least one) and the quarantine goodput win. Rows are deterministic,
-  # so the next leg diffs them against the committed baseline (the full
-  # run's calm-palette rows count as missing-in-candidate).
-  "$dir/bench/bench_gray" --fast \
-    --out="$dir/BENCH_gray_fast.json"
-  echo "== [$preset] compare_bench against BENCH_gray.json =="
+  # which is not a regression. The fast loop keeps the full runs' labels,
+  # specs and seeds, so its rows diff one-to-one against the baselines.
+  for name in sched repl scale topo; do
+    "$dir/bench/compare_bench" "BENCH_$name.json" "$dir/fast/BENCH_$name.json" \
+      --tol=0.01
+  done
+  # The committed gray baseline is unaudited, and the auditor's ticks are
+  # executed events on the detection rows, so gray is diffed from its own
+  # unaudited fast run (noisy jitter palette plus both storm rows).
+  "$hogbench" gray --fast --out="$dir/BENCH_gray_fast.json"
   "$dir/bench/compare_bench" BENCH_gray.json "$dir/BENCH_gray_fast.json" \
     --tol=0.01
   echo "== [$preset] examples present =="

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <string_view>
 
+#include "src/exp/experiment.h"
 #include "src/exp/paper_runs.h"
 #include "src/health/detector.h"
 #include "src/net/topo/topology.h"
@@ -25,37 +28,40 @@ namespace {
       "          [--metrics-out=PATH] [--trace-out=PATH] [--scenario=PATH]\n"
       "          [--audit] [--scheduler=NAME[:PARAMS]] [--repl-target=A]\n"
       "          [--topology=NAME[:PARAMS]] [--detector=NAME[:PARAMS]]\n"
+      "          [--no-host-metrics]\n"
       "  --seeds=11,23,47  explicit seed list\n"
       "  --seeds=5         first 5 seeds of the default progression\n"
       "  --threads=N       sweep pool width (0 = hardware concurrency)\n"
       "  --out=PATH        BENCH_*.json output path (default: cwd)\n"
-      "  --fast            trimmed smoke run (HOGSIM_FAST=1 equivalent)\n"
+      "  --fast            trimmed smoke run\n"
       "  --metrics-out=PATH  per-run metrics snapshot JSON\n"
       "  --trace-out=PATH    per-run Chrome trace JSON (chrome://tracing)\n"
       "                      (multi-run sweeps insert .<config>.s<seed>)\n"
       "  --scenario=PATH     fault scenario file (.trace = preemption\n"
-      "                      trace) injected into every run of the sweep\n"
+      "                      trace) injected into every run of the sweep;\n"
+      "                      experiments that would not inject it refuse it\n"
       "  --audit             arm the cross-layer invariant auditor\n"
       "                      (src/check) in every run; violations fail\n"
       "                      fast with a diagnostic\n"
       "  --scheduler=NAME    scheduling policy (fifo, fair, capacity,\n"
-      "                      atlas; optional :params) for benches that run\n"
-      "                      a HOG cluster; bench_sched uses it to\n"
-      "                      restrict its policy head-to-head\n"
+      "                      atlas; optional :params) for experiments that\n"
+      "                      run a HOG cluster; sched uses it to restrict\n"
+      "                      its policy head-to-head\n"
       "  --topology=NAME     intra-site network topology (star, tor,\n"
       "                      fattree, rotor; optional :key=value;... params,\n"
-      "                      e.g. tor:racks=4;oversub=8) for benches that\n"
-      "                      run a HOG cluster\n"
+      "                      e.g. tor:racks=4;oversub=8) for experiments\n"
+      "                      that run a HOG cluster\n"
       "  --repl-target=A     availability target in (0, 1) for the\n"
       "                      adaptive replication controller (e.g. 0.999);\n"
-      "                      0 keeps the flat paper RF. bench_repl adds it\n"
-      "                      as an extra adaptive ladder rung\n"
+      "                      0 keeps the flat paper RF. repl adds it as an\n"
+      "                      extra adaptive ladder rung\n"
       "  --detector=NAME     heartbeat failure detector (deadline, phi;\n"
       "                      optional :key=value;... params, e.g.\n"
       "                      phi:threshold=8;window=64) for both masters'\n"
-      "                      expiry checks in benches that run a HOG\n"
-      "                      cluster (bench_gray's frontier rows set\n"
-      "                      their own)\n",
+      "                      expiry checks in experiments that run a HOG\n"
+      "                      cluster (gray's frontier rows set their own)\n"
+      "  --no-host-metrics   drop host-measured rows (wall clock, RSS) so\n"
+      "                      the JSON is byte-comparable across machines\n",
       prog);
   std::exit(status);
 }
@@ -86,9 +92,6 @@ std::vector<std::uint64_t> DefaultSeeds(std::size_t count) {
 BenchOptions ParseBenchOptions(int argc, char* const* argv,
                                BenchOptions defaults) {
   BenchOptions opts = std::move(defaults);
-  const char* fast_env = std::getenv("HOGSIM_FAST");
-  if (fast_env != nullptr && fast_env[0] == '1') opts.fast = true;
-
   const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -99,6 +102,10 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
     }
     if (arg == "--audit") {
       opts.audit = true;
+      continue;
+    }
+    if (arg == "--no-host-metrics") {
+      opts.host_metrics = false;
       continue;
     }
     const auto eat = [&](std::string_view flag,
@@ -265,12 +272,10 @@ std::string PerRunOutPath(const std::string& base, std::string_view config,
 namespace {
 
 void WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    HOG_LOG(kWarn, 0, "bench") << "cannot open " << path;
-    return;
-  }
+  std::ofstream out(path, std::ios::trunc);
   out << content;
+  out.flush();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 }  // namespace
@@ -294,9 +299,7 @@ SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
                                                     std::uint64_t seed) {
       obs::RunCapture capture(want_metrics, want_trace);
       Metrics metrics = fn(config, seed);
-      const std::string label = config < spec.config_labels.size()
-                                    ? spec.config_labels[config]
-                                    : "config" + std::to_string(config);
+      const std::string label = spec.Label(config);
       if (capture.delivered()) {
         if (want_metrics) {
           WriteTextFile(PerRunOutPath(opts.metrics_out, label, seed,
@@ -318,13 +321,13 @@ SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
   const SweepResult result = RunSweep(spec, run);
   const std::string path =
       opts.out.empty() ? "BENCH_" + spec.name + ".json" : opts.out;
-  WriteBenchJson(path, spec, result);
+  if (!WriteBenchJson(path, spec, result)) {
+    throw std::runtime_error("cannot write " + path);
+  }
   std::printf("\n%s: %zu runs (%zu configs x %zu seeds)\n", path.c_str(),
               result.runs.size(), spec.configs, spec.seeds.size());
   for (std::size_t c = 0; c < result.summaries.size(); ++c) {
-    const std::string label = c < spec.config_labels.size()
-                                  ? spec.config_labels[c]
-                                  : "config" + std::to_string(c);
+    const std::string label = spec.Label(c);
     for (const MetricSummary& m : result.summaries[c]) {
       std::printf("  %-24s %-20s mean %.6g +-%.3g  [p50 %.6g p95 %.6g p99 "
                   "%.6g]\n",
@@ -333,6 +336,108 @@ SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
     }
   }
   return result;
+}
+
+namespace {
+
+void TrimSeeds(std::vector<std::uint64_t>& seeds, FastSeeds keep) {
+  if (keep == FastSeeds::kFirst) {
+    seeds.resize(1);
+  } else if (keep == FastSeeds::kFirstAndLast && seeds.size() > 2) {
+    seeds = {seeds.front(), seeds.back()};
+  }
+}
+
+}  // namespace
+
+int RunExperiment(const Experiment& experiment, int argc,
+                  char* const* argv) {
+  BenchOptions opts = ParseBenchOptions(argc, argv);
+  const char* prog = argc > 0 ? argv[0] : "hogbench";
+  if (!experiment.takes_scenario && !opts.scenario.empty()) {
+    std::fprintf(stderr,
+                 "%s: --scenario is not injected into this experiment's "
+                 "runs\n",
+                 prog);
+    return 2;
+  }
+  if (opts.fast) TrimSeeds(opts.seeds, experiment.fast_seeds);
+  try {
+    const Setup setup{opts, LoadBenchScenario(opts), HogRunOptionsFrom(opts)};
+    Plan plan = experiment.plan(setup);
+    if (opts.fast) {
+      std::erase_if(plan.configs, [](const Config& c) { return !c.fast; });
+    }
+    SweepSpec spec;
+    spec.name = std::string(experiment.name);
+    spec.seeds = opts.seeds;
+    spec.configs = plan.configs.size();
+    for (const Config& config : plan.configs) {
+      spec.config_labels.push_back(config.label);
+    }
+    if (plan.header) plan.header(spec);
+    const SweepResult result = RunBenchSweep(
+        opts, spec, [&plan](std::size_t config, std::uint64_t seed) {
+          try {
+            return plan.configs[config].run(seed);
+          } catch (const std::exception& e) {
+            throw std::runtime_error(plan.configs[config].label + " seed " +
+                                     std::to_string(seed) + ": " + e.what());
+          }
+        });
+    if (plan.table) plan.table(spec, result);
+    if (!plan.gated()) return 0;
+    const std::vector<std::string> failures =
+        EvaluateGates(plan, spec, result);
+    for (const std::string& failure : failures) {
+      std::printf("GATE FAIL: %s\n", failure.c_str());
+    }
+    if (!failures.empty()) {
+      std::printf("\n%s FAILED: %zu gate failure(s) in %zu runs\n",
+                  spec.name.c_str(), failures.size(), result.runs.size());
+      return 1;
+    }
+    std::printf("\n%s PASSED: %zu runs, every gate held\n",
+                spec.name.c_str(), result.runs.size());
+    return 0;
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: error: %s\n", prog, e.what());
+    return 1;
+  }
+}
+
+int HogbenchMain(int argc, char* const* argv) {
+  const std::string_view first = argc > 1 ? argv[1] : "";
+  if (first == "--list") {
+    for (const Experiment* experiment : Experiments()) {
+      std::printf("%-26s %s\n", std::string(experiment->name).c_str(),
+                  std::string(experiment->title).c_str());
+    }
+    return 0;
+  }
+  if (first.empty() || first == "--help" || first == "-h") {
+    std::fprintf(first.empty() ? stderr : stdout,
+                 "usage: hogbench EXPERIMENT [flags]  (hogbench EXPERIMENT "
+                 "--help lists the flags)\n"
+                 "       hogbench --list              (every experiment)\n");
+    return first.empty() ? 2 : 0;
+  }
+  const Experiment* experiment = FindExperiment(first);
+  if (experiment == nullptr) {
+    std::fprintf(stderr,
+                 "hogbench: unknown experiment '%s' (hogbench --list names "
+                 "them)\n",
+                 std::string(first).c_str());
+    return 2;
+  }
+  // The experiment's flags follow its name; "hogbench <name>" stands in
+  // for argv[0] in their messages.
+  std::string prog = "hogbench " + std::string(first);
+  std::vector<char*> args = {prog.data()};
+  args.insert(args.end(), argv + 2, argv + argc);
+  return RunExperiment(*experiment, static_cast<int>(args.size()),
+                       args.data());
 }
 
 }  // namespace hogsim::exp

@@ -1,37 +1,40 @@
-// Uniform command-line surface for the paper benches.
+// Uniform command-line surface for hogbench, and the one runner behind it.
 //
-// Every harness bench (tables, figures, ablations, §IV.D experiences)
-// accepts the same flags and produces the same artifacts:
+// Every experiment (src/exp/experiment.h) accepts the same flags and
+// produces the same artifacts:
 //
 //   --seeds=11,23,47   explicit seed list, or
 //   --seeds=5          a count: the default 11/23/47 progression, extended
 //                      deterministically (s[i] = 2*s[i-1] + 1)
 //   --threads=N        sweep pool width (0 = hardware concurrency)
 //   --out=PATH         where to write BENCH_<name>.json (default: cwd)
-//   --fast             trim the run for smoke testing (HOGSIM_FAST=1 too)
+//   --fast             trim the run for smoke testing
 //   --metrics-out=PATH per-run obs::MetricsRegistry snapshot JSON
 //   --trace-out=PATH   per-run Chrome trace-event JSON (chrome://tracing)
 //   --scenario=PATH    fault scenario (or .trace preemption trace) injected
 //                      into every run of the sweep (see src/fault and
 //                      EXPERIMENTS.md). Per-config and seed-independent:
 //                      the same faults hit every (config, seed) run.
+//                      Experiments that would not inject it refuse it.
 //   --audit            arm the cross-layer invariant auditor (src/check)
 //                      in every run, fail-fast: the first violated
-//                      invariant aborts the bench with a diagnostic.
+//                      invariant aborts the experiment with a diagnostic.
 //   --scheduler/--topology/--detector/--repl-target
 //                      HOG-cluster knobs; HogRunOptionsFrom carries them
-//                      and --audit into every HOG run of a bench.
+//                      and --audit into every HOG run of an experiment.
+//   --no-host-metrics  drop the wall-clock/RSS rows (scale, topo), so the
+//                      JSON is byte-comparable across machines.
 //
 // The obs flags produce one file per (config, seed) run: with a single run
 // the path is used verbatim; with several, ".<config>.s<seed>" is inserted
 // before the extension (trace.json -> trace.55nodes.s11.json). See
 // docs/OBSERVABILITY.md for the analysis workflow.
 //
-// RunBenchSweep applies the options to a SweepSpec, runs the sweep, writes
-// the BENCH_*.json baseline, and prints the per-config summaries — so a
-// bench's main() is just "parse, describe configs, run, print its paper
-// table". This replaces the per-bench argv/seed/FAST handling that each
-// bench used to carry.
+// RunExperiment is the runner: parse, trim for --fast, load --scenario,
+// print the header, RunBenchSweep, print the table, evaluate the gates and
+// set the exit code. RunBenchSweep applies the options to a SweepSpec,
+// runs the sweep, writes the BENCH_*.json baseline, and prints the
+// per-config summaries.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,7 @@
 
 namespace hogsim::exp {
 
+struct Experiment;     // src/exp/experiment.h
 struct HogRunOptions;  // src/exp/paper_runs.h
 
 struct BenchOptions {
@@ -51,7 +55,7 @@ struct BenchOptions {
   std::vector<std::uint64_t> seeds = {11, 23, 47};
   unsigned threads = 0;  ///< Pool width; 0 = hardware concurrency.
   std::string out;       ///< Output path; "" = "BENCH_<name>.json" in cwd.
-  bool fast = false;     ///< Smoke-test mode (--fast or HOGSIM_FAST=1).
+  bool fast = false;     ///< Smoke-test mode (--fast).
   /// Per-run metrics snapshot path ("" = disabled). Multi-run sweeps get
   /// ".<config>.s<seed>" inserted before the extension.
   std::string metrics_out;
@@ -63,16 +67,16 @@ struct BenchOptions {
   /// stay deterministic and thread-count independent.
   std::string scenario;
   /// Arm the cross-layer invariant auditor (src/check) in every run, in
-  /// fail-fast mode: the first violated invariant aborts the bench with a
-  /// diagnostic. Audits read state only, so results are unchanged.
+  /// fail-fast mode: the first violated invariant aborts the experiment
+  /// with a diagnostic. Audits read state only, so results are unchanged.
   bool audit = false;
   /// Scheduler policy spec for benches that run a HOG cluster
   /// ("" = the bench's default, fifo). Passed to sched::CreatePolicy, so
   /// "name[:params]" grammars work: --scheduler=fair or
   /// --scheduler="capacity:queues=prod:0.7:1;adhoc:0.3:1". Validated at
-  /// parse time, since every HOG run builds the policy. bench_sched
-  /// sets the policy per config and treats the flag as a filter over its
-  /// head-to-head.
+  /// parse time, since every HOG run builds the policy. The sched
+  /// experiment sets the policy per config and treats the flag as a filter
+  /// over its head-to-head.
   std::string scheduler;
   /// Intra-site network topology spec for benches that run a HOG cluster
   /// ("" = the bench's default, star). Passed to net::topo::CreateTopology,
@@ -82,16 +86,20 @@ struct BenchOptions {
   std::string topology;
   /// Availability target in (0, 1) for the adaptive replication
   /// controller (--repl-target=0.999). 0 = flat RF (the bench's default).
-  /// bench_repl instead runs its own fixed-vs-adaptive ladder and treats
-  /// a non-zero value as an extra adaptive config.
+  /// The repl experiment instead runs its own fixed-vs-adaptive ladder and
+  /// treats a non-zero value as an extra adaptive config.
   double repl_target = 0;
   /// Failure-detector spec for both masters' heartbeat expiry
   /// ("" = the bench's default, the fixed-recheck deadline detector).
   /// Passed to health::CreateDetector, so "name[:key=value;...]" grammars
   /// work: --detector=deadline or --detector="phi:threshold=8;window=64".
-  /// Validated at parse time. bench_gray's frontier rows set their own
-  /// detector per config; its storm rows honour the flag.
+  /// Validated at parse time. The gray experiment's frontier rows set
+  /// their own detector per config; its storm rows honour the flag.
   std::string detector;
+  /// Emit host-measured rows (wall clock, peak RSS) where an experiment
+  /// has them; --no-host-metrics clears it, which makes scale and topo
+  /// JSON byte-comparable across machines and --threads values.
+  bool host_metrics = true;
 };
 
 /// The per-run output path for --metrics-out/--trace-out: `base` verbatim
@@ -105,29 +113,44 @@ std::string PerRunOutPath(const std::string& base, std::string_view config,
 /// seeds on every machine.
 std::vector<std::uint64_t> DefaultSeeds(std::size_t count);
 
-/// Parses the uniform bench flags. Unknown arguments print usage and exit
-/// with status 2; --help prints usage and exits 0. HOGSIM_FAST=1 in the
-/// environment sets `fast` exactly like --fast.
+/// Parses the uniform bench flags; argv[0] names the program in messages.
+/// Unknown arguments print usage and exit with status 2; --help prints
+/// usage and exits 0.
 BenchOptions ParseBenchOptions(int argc, char* const* argv,
                                BenchOptions defaults = {});
 
 /// The one mapping from the bench flags onto a HOG run: --audit (armed
 /// fail-fast), --scheduler, --topology, --detector and --repl-target.
-/// Every bench that runs a HOG cluster starts from it; a bench that
+/// Every experiment that runs a HOG cluster starts from it; one that
 /// sweeps one of these knobs overrides that field per config.
 HogRunOptions HogRunOptionsFrom(const BenchOptions& opts);
 
 /// Loads opts.scenario; an empty path yields an empty Scenario. Unreadable
 /// files and parse errors print the "<path>:<line>:<col>: ..." diagnostic
-/// and exit with status 2 — a broken scenario file should fail the bench
-/// up front, not mid-sweep.
+/// and exit with status 2 — a broken scenario file should fail the
+/// experiment up front, not mid-sweep.
 fault::Scenario LoadBenchScenario(const BenchOptions& opts);
 
 /// Applies `opts` to `spec` (seeds and threads — visible to the caller
 /// afterwards, e.g. for per-seed tables), runs the sweep, writes the
 /// BENCH_<spec.name>.json baseline (or opts.out), and prints one summary
-/// line per (config, metric): mean ± ci95 and p50/p95/p99.
+/// line per (config, metric): mean ± ci95 and p50/p95/p99. Throws
+/// std::runtime_error naming the path when the BENCH JSON or a requested
+/// --metrics-out/--trace-out file cannot be written.
 SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
                           const RunFn& fn);
+
+/// Runs `experiment` with the flags in argv[1..] (argv[0] names the
+/// program in messages) and returns the exit status: 0 when the sweep ran
+/// and every gate held, 1 on a gate failure or on any error during the
+/// sweep (a missed spin-up, a fail-fast audit violation, an output that
+/// cannot be written), reported as one line on stderr, and 2 on a usage
+/// error.
+int RunExperiment(const Experiment& experiment, int argc, char* const* argv);
+
+/// `hogbench <experiment> [flags]`, `hogbench --list` (every experiment
+/// name, one per line, with its title) and `hogbench --help`. An unknown
+/// experiment name exits 2.
+int HogbenchMain(int argc, char* const* argv);
 
 }  // namespace hogsim::exp

@@ -1,6 +1,8 @@
 #include "src/exp/paper_runs.h"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/baseline/dedicated_cluster.h"
@@ -46,6 +48,15 @@ HogRun::HogRun(std::uint64_t seed, hog::HogConfig config,
 }
 
 HogRun::~HogRun() = default;
+
+void HogRun::RequireSpinUp(int nodes) {
+  if (SpinUp(nodes)) return;
+  throw std::runtime_error(
+      "spin-up missed its target: " +
+      std::to_string(cluster_.grid().running_nodes()) + " of " +
+      std::to_string(nodes) + " nodes running after " +
+      std::to_string(2 * kSpinUpDeadline / kHour) + " h");
+}
 
 void HogRun::Prepare(std::vector<workload::ScheduledJob> schedule) {
   schedule_ = std::move(schedule);

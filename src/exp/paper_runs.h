@@ -9,7 +9,7 @@
 // between two phase calls on cluster().
 //
 // This lives in src/exp (not bench/) so examples and tests can drive the
-// same runs the benches measure; it replaced bench/bench_util.h.
+// same runs hogbench measures.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ struct HogRunResult {
   // End-of-run storage accounting (always populated): physical replica
   // bytes across believed-alive holders, logical committed bytes, and the
   // WAN bytes the repair machinery moved. stored/logical is the effective
-  // replication factor — the cost axis of bench_repl.
+  // replication factor — the cost axis of hogbench repl.
   Bytes bytes_stored = 0;
   Bytes bytes_logical = 0;
   Bytes repair_bytes = 0;
@@ -126,6 +126,10 @@ class HogRun {
   bool SpinUp(int nodes) {
     return result_.reached_target = cluster_.SpinUp(nodes);
   }
+  /// SpinUp for a run that measures nothing without its deployment: a
+  /// missed target throws std::runtime_error naming the node counts, so
+  /// the run fails instead of reporting zeros.
+  void RequireSpinUp(int nodes);
 
   /// Loads the schedule's inputs (instantly: the paper uploads them
   /// before timing).

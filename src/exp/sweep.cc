@@ -15,6 +15,11 @@
 
 namespace hogsim::exp {
 
+std::string SweepSpec::Label(std::size_t config) const {
+  if (config < config_labels.size()) return config_labels[config];
+  return "config" + std::to_string(config);
+}
+
 double RunRecord::Metric(std::string_view name) const {
   for (const auto& [key, value] : metrics) {
     if (key == name) return value;
@@ -103,11 +108,6 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string ConfigLabel(const SweepSpec& spec, std::size_t c) {
-  if (c < spec.config_labels.size()) return spec.config_labels[c];
-  return "config" + std::to_string(c);
-}
-
 }  // namespace
 
 SweepResult RunSweep(const SweepSpec& spec, const RunFn& fn) {
@@ -175,7 +175,7 @@ std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
     for (const MetricSummary& m : result.summaries[c]) {
       if (!first_summary) os << ",\n";
       first_summary = false;
-      os << "    {\"config\": \"" << JsonEscape(ConfigLabel(spec, c))
+      os << "    {\"config\": \"" << JsonEscape(spec.Label(c))
          << "\", \"metric\": \"" << JsonEscape(m.name)
          << "\", \"count\": " << m.stats.count()
          << ", \"mean\": " << JsonNumber(m.stats.mean())
@@ -193,7 +193,7 @@ std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
   for (std::size_t i = 0; i < result.runs.size(); ++i) {
     const RunRecord& r = result.runs[i];
     if (i) os << ",\n";
-    os << "    {\"config\": \"" << JsonEscape(ConfigLabel(spec, r.config_index))
+    os << "    {\"config\": \"" << JsonEscape(spec.Label(r.config_index))
        << "\", \"seed\": " << r.seed << ", \"metrics\": {";
     for (std::size_t m = 0; m < r.metrics.size(); ++m) {
       if (m) os << ", ";
@@ -215,6 +215,7 @@ bool WriteBenchJson(const std::string& path, const SweepSpec& spec,
     return false;
   }
   out << ToBenchJson(spec, result);
+  out.flush();
   return static_cast<bool>(out);
 }
 

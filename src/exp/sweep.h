@@ -53,6 +53,9 @@ struct SweepSpec {
   /// Pool width; 0 = std::thread::hardware_concurrency(). 1 runs inline
   /// with no threads at all (useful as the determinism reference).
   unsigned threads = 0;
+
+  /// config_labels[config], or "config<N>" when the config has no label.
+  std::string Label(std::size_t config) const;
 };
 
 struct RunRecord {

@@ -1,4 +1,4 @@
-// Seeded random chaos scenarios for the soak harness (bench_chaos_soak).
+// Seeded random chaos scenarios for the soak harness (hogbench soak).
 //
 // RandomScenario draws a timed action sequence from a *survivable*
 // palette: every fault it emits is one the recovery machinery is supposed

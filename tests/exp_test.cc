@@ -3,8 +3,10 @@
 // serialization, the bench flags, and exp::HogRun.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "src/exp/bench_main.h"
+#include "src/exp/experiment.h"
 #include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
 #include "src/fault/scenario.h"
@@ -379,7 +382,7 @@ TEST(SweepResult, UnknownSummaryThrowsNamingMetricAndConfig) {
 
 TEST(BenchMainDeathTest, DuplicateSeedExitsWithUsageError) {
   // A repeated seed would run twice and collide in the per-seed tables
-  // (bench_fig5_fluctuation, bench_table4_area).
+  // (fig5_table4).
   const char* argv[] = {"bench", "--seeds=11,23,11"};
   EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(argv)),
               ::testing::ExitedWithCode(2), "duplicate seed 11");
@@ -422,6 +425,68 @@ TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {
   EXPECT_TRUE(none.topology.empty());
   EXPECT_TRUE(none.detector.empty());
   EXPECT_EQ(none.repl_target, 0.0);
+}
+
+TEST(BenchMain, NoHostMetricsFlag) {
+  const char* argv[] = {"bench", "--no-host-metrics"};
+  EXPECT_FALSE(ParseBenchOptions(2, const_cast<char* const*>(argv))
+                   .host_metrics);
+  const char* plain[] = {"bench"};
+  EXPECT_TRUE(ParseBenchOptions(1, const_cast<char* const*>(plain))
+                  .host_metrics);
+}
+
+// --fast is the only way to trim a run: a stray HOGSIM_FAST=1 export must
+// not silently trim a baseline regeneration.
+TEST(BenchMain, EnvironmentDoesNotSetFast) {
+  ASSERT_EQ(setenv("HOGSIM_FAST", "1", 1), 0);
+  const char* argv[] = {"bench"};
+  const BenchOptions opts = ParseBenchOptions(1, const_cast<char* const*>(argv));
+  unsetenv("HOGSIM_FAST");
+  EXPECT_FALSE(opts.fast);
+}
+
+int RunWithScenario(const Experiment& experiment, const char* scenario) {
+  std::string prog = "hogbench " + std::string(experiment.name);
+  std::string flag = std::string("--scenario=") + scenario;
+  char* argv[] = {prog.data(), flag.data()};
+  return RunExperiment(experiment, 2, argv);
+}
+
+// An experiment whose runs would not inject --scenario refuses it with a
+// usage error instead of silently running without it.
+TEST(BenchMain, ExperimentsThatDoNotInjectTheScenarioRefuseIt) {
+  const std::vector<std::string> refusing = {
+      "table1", "table2", "table3", "soak", "sched", "scale", "repl", "topo",
+      "gray"};
+  for (const Experiment* experiment : Experiments()) {
+    const bool refuses =
+        std::find(refusing.begin(), refusing.end(), experiment->name) !=
+        refusing.end();
+    EXPECT_EQ(experiment->takes_scenario, !refuses) << experiment->name;
+    if (refuses) {
+      EXPECT_EQ(RunWithScenario(*experiment, "scenarios/site_storm.txt"), 2)
+          << experiment->name;
+    }
+  }
+}
+
+TEST(BenchMainDeathTest, RefusedScenarioNamesTheExperiment) {
+  EXPECT_EXIT(std::exit(RunWithScenario(*FindExperiment("gray"),
+                                        "/nonexistent.txt")),
+              ::testing::ExitedWithCode(2),
+              "hogbench gray: --scenario is not injected");
+}
+
+// Every experiment that takes --scenario loads it up front: a missing
+// file fails before any run starts.
+TEST(BenchMainDeathTest, EveryScenarioExperimentLoadsTheScenario) {
+  for (const Experiment* experiment : Experiments()) {
+    if (!experiment->takes_scenario) continue;
+    EXPECT_EXIT(RunWithScenario(*experiment, "/nonexistent.txt"),
+                ::testing::ExitedWithCode(2), "bad --scenario")
+        << experiment->name;
+  }
 }
 
 // One small audited, drained HOG run through HogRun: two site kills at

@@ -1,0 +1,532 @@
+// The hogbench experiment table, its runner, and the gates carried over
+// from the per-bench contract loops: each gate fails on one violating run,
+// fed through RunSweep with a stand-in run function, with a message
+// naming the config, seed and metric, and the same input without the
+// violation passes.
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "gtest/gtest.h"
+#include "src/check/auditor.h"
+#include "src/exp/bench_main.h"
+#include "src/exp/experiment.h"
+#include "src/sim/simulation.h"
+
+namespace hogsim::exp {
+namespace {
+
+int Hogbench(std::vector<std::string> args) {
+  args.insert(args.begin(), "hogbench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return HogbenchMain(static_cast<int>(argv.size()), argv.data());
+}
+
+int RunFake(const Experiment& experiment, std::vector<std::string> args) {
+  args.insert(args.begin(), "hogbench " + std::string(experiment.name));
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return RunExperiment(experiment, static_cast<int>(argv.size()), argv.data());
+}
+
+std::string TempDir() {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "hogbench_test_XXXXXX")
+                        .string();
+  EXPECT_NE(mkdtemp(dir.data()), nullptr);
+  return dir;
+}
+
+TEST(Experiments, NamesAreUniqueAndFindable) {
+  std::set<std::string_view> names;
+  for (const Experiment* experiment : Experiments()) {
+    EXPECT_TRUE(names.insert(experiment->name).second) << experiment->name;
+    EXPECT_EQ(FindExperiment(experiment->name), experiment);
+    EXPECT_FALSE(experiment->title.empty()) << experiment->name;
+    EXPECT_NE(experiment->plan, nullptr) << experiment->name;
+  }
+  EXPECT_EQ(names.size(), 20u);
+  EXPECT_EQ(FindExperiment("bench_fig4_equivalence"), nullptr);
+}
+
+// The runner names the sweep after the experiment: `hogbench X` writes
+// BENCH_X.json whose "name" is X.
+TEST(Hogbench, WritesBenchJsonNamedAfterTheExperiment) {
+  const std::string dir = TempDir();
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  testing::internal::CaptureStdout();
+  const int table1 = Hogbench({"table1", "--seeds=1"});
+  const int table2 = Hogbench({"table2", "--seeds=1"});
+  testing::internal::GetCapturedStdout();
+  std::filesystem::current_path(cwd);
+  EXPECT_EQ(table1, 0);
+  EXPECT_EQ(table2, 0);
+  for (const std::string name : {"table1", "table2"}) {
+    std::ifstream in(dir + "/BENCH_" + name + ".json");
+    ASSERT_TRUE(in) << name;
+    std::stringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("\"name\": \"" + name + "\""),
+              std::string::npos)
+        << json.str();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Hogbench, ListPrintsEveryName) {
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(Hogbench({"--list"}), 0);
+  const std::string listing = testing::internal::GetCapturedStdout();
+  std::istringstream lines(listing);
+  std::vector<std::string> listed;
+  for (std::string line; std::getline(lines, line);) {
+    listed.push_back(line.substr(0, line.find(' ')));
+  }
+  std::vector<std::string> expected;
+  for (const Experiment* experiment : Experiments()) {
+    expected.emplace_back(experiment->name);
+  }
+  EXPECT_EQ(listed, expected);
+}
+
+TEST(Hogbench, UnknownOrMissingExperimentExitsWithUsageError) {
+  EXPECT_EQ(Hogbench({"bench_sched"}), 2);
+  EXPECT_EQ(Hogbench({"nope", "--fast"}), 2);
+  EXPECT_EQ(Hogbench({}), 2);
+}
+
+TEST(HogbenchDeathTest, UnknownFlagExitsWithUsageNamingTheExperiment) {
+  EXPECT_EXIT(Hogbench({"table2", "--no-such-flag"}),
+              ::testing::ExitedWithCode(2),
+              "hogbench table2: unknown argument '--no-such-flag'");
+}
+
+TEST(HogbenchDeathTest, UnwritableBenchJsonExitsNonZeroNamingThePath) {
+  const std::string dir = TempDir();
+  // An existing directory, and a path under a missing one.
+  EXPECT_EXIT(std::exit(Hogbench({"table2", "--seeds=1", "--out=" + dir})),
+              ::testing::ExitedWithCode(1), "cannot write " + dir);
+  EXPECT_EXIT(std::exit(Hogbench({"table2", "--seeds=1",
+                                  "--out=" + dir + "/missing/x.json"})),
+              ::testing::ExitedWithCode(1),
+              "cannot write " + dir + "/missing/x.json");
+  std::filesystem::remove_all(dir);
+}
+
+// A stand-in experiment: one config whose run builds (and so delivers) a
+// Simulation, for the obs-output paths.
+Plan OneSimulationPlan(const Setup&) {
+  Plan plan;
+  plan.configs.push_back({.label = "sim", .run = [](std::uint64_t) {
+                            sim::Simulation sim;
+                            return Metrics{{"v", 0.0}};
+                          }});
+  return plan;
+}
+
+TEST(HogbenchDeathTest, UnwritableObsOutputExitsNonZeroNamingThePath) {
+  const Experiment fake{.name = "fake", .title = "t",
+                        .plan = OneSimulationPlan};
+  const std::string dir = TempDir();
+  const std::string out = "--out=" + dir + "/BENCH_fake.json";
+  EXPECT_EXIT(std::exit(RunFake(fake, {"--seeds=1", out,
+                                   "--metrics-out=" + dir + "/no/m.json"})),
+              ::testing::ExitedWithCode(1), "cannot write " + dir + "/no/m.json");
+  EXPECT_EXIT(std::exit(RunFake(fake, {"--seeds=1", out,
+                                   "--trace-out=" + dir + "/no/t.json"})),
+              ::testing::ExitedWithCode(1), "cannot write " + dir + "/no/t.json");
+  // The writable paths pass.
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(RunFake(fake, {"--seeds=1", out, "--metrics-out=" + dir + "/m.json"}),
+            0);
+  testing::internal::GetCapturedStdout();
+  EXPECT_TRUE(std::filesystem::exists(dir + "/m.json"));
+  std::filesystem::remove_all(dir);
+}
+
+// A deployment that never comes up measured nothing: the run fails with a
+// message naming the experiment, config, seed and node counts, instead of
+// adding a 0 s response to its config mean. Two 10-slot sites cannot
+// supply 95% of 25 nodes.
+Plan MissedSpinUpPlan(const Setup& setup) {
+  Plan plan;
+  plan.configs.push_back(
+      {.label = "twenty_slots", .run = [&setup](std::uint64_t seed) {
+         hog::HogConfig config = QuietGrid();
+         config.sites.resize(2);
+         for (auto& site : config.sites) site.pool_size = 10;
+         HogRun run(seed, config, setup.hog);
+         run.RequireSpinUp(25);
+         return Metrics{{"response_s", 0.0}};
+       }});
+  return plan;
+}
+
+TEST(HogbenchDeathTest, MissedSpinUpFailsTheRunNamingItsTarget) {
+  const Experiment fake{.name = "spinup", .title = "t",
+                        .plan = MissedSpinUpPlan};
+  const std::string dir = TempDir();
+  EXPECT_EXIT(
+      std::exit(RunFake(fake, {"--seeds=101", "--out=" + dir + "/x.json"})),
+      ::testing::ExitedWithCode(1),
+      "hogbench spinup: error: twenty_slots seed 101: spin-up missed its "
+      "target: [0-9]+ of 25 nodes running");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/x.json"));
+  std::filesystem::remove_all(dir);
+}
+
+// A fail-fast audit violation is one error line and exit 1, not
+// std::terminate.
+Plan AuditErrorPlan(const Setup&) {
+  Plan plan;
+  plan.configs.push_back(
+      {.label = "audited", .run = [](std::uint64_t) -> Metrics {
+         throw check::AuditError(
+             {.invariant = "hdfs.holders_bidir", .detail = "block 7"});
+       }});
+  return plan;
+}
+
+TEST(HogbenchDeathTest, AuditErrorExitsNonZeroWithOneLine) {
+  const Experiment fake{.name = "audit", .title = "t",
+                        .plan = AuditErrorPlan};
+  EXPECT_EXIT(std::exit(RunFake(fake, {"--seeds=101", "--threads=1"})),
+              ::testing::ExitedWithCode(1),
+              "hogbench audit: error: audited seed 101: .*hdfs.holders_bidir");
+}
+
+// The verdict of a gated experiment is its exit code.
+Plan GatedPlan(const Setup&) {
+  Plan plan;
+  plan.configs.push_back(
+      {.label = "c",
+       .checks = {Eq("v", 0)},
+       .run = [](std::uint64_t seed) {
+         return Metrics{{"v", seed == 23 ? 1.0 : 0.0}};
+       }});
+  return plan;
+}
+
+TEST(Hogbench, GateFailureExitsOne) {
+  const Experiment fake{.name = "gated", .title = "t", .plan = GatedPlan};
+  const std::string dir = TempDir();
+  const std::string out = "--out=" + dir + "/x.json";
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(RunFake(fake, {"--seeds=11,47", out}), 0);
+  EXPECT_EQ(RunFake(fake, {"--seeds=11,23", out}), 1);
+  const std::string stdout_text = testing::internal::GetCapturedStdout();
+  EXPECT_NE(stdout_text.find("gated PASSED"), std::string::npos);
+  EXPECT_NE(stdout_text.find("GATE FAIL: c seed 23: v = 1, want == 0"),
+            std::string::npos)
+      << stdout_text;
+  EXPECT_NE(stdout_text.find("gated FAILED"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// --- the carried-over contracts --------------------------------------------
+
+using FakeRun = std::function<Metrics(const std::string& label,
+                                      std::uint64_t seed)>;
+
+void Set(Metrics& metrics, const std::string& name, double value) {
+  for (auto& [key, v] : metrics) {
+    if (key == name) {
+      v = value;
+      return;
+    }
+  }
+  metrics.emplace_back(name, value);
+}
+
+/// One experiment's full plan at the default seeds, with its gates
+/// evaluated over stand-in runs.
+class Contract {
+ public:
+  explicit Contract(std::string_view name) {
+    const Experiment* experiment = FindExperiment(name);
+    EXPECT_NE(experiment, nullptr) << name;
+    setup_.hog = HogRunOptionsFrom(setup_.opts);
+    plan_ = experiment->plan(setup_);
+    spec_.name = std::string(name);
+    spec_.seeds = setup_.opts.seeds;
+    spec_.configs = plan_.configs.size();
+    for (const Config& config : plan_.configs) {
+      spec_.config_labels.push_back(config.label);
+    }
+  }
+
+  std::vector<std::string> Gates(const FakeRun& fake) const {
+    const SweepResult result =
+        RunSweep(spec_, [&](std::size_t config, std::uint64_t seed) {
+          return fake(spec_.config_labels[config], seed);
+        });
+    return EvaluateGates(plan_, spec_, result);
+  }
+
+  /// The gates with `fake`'s run of (label, seed) changed by `violate`.
+  std::vector<std::string> GatesWith(
+      const FakeRun& fake, const std::string& label, std::uint64_t seed,
+      const std::function<void(Metrics&)>& violate) const {
+    return Gates([&](const std::string& l, std::uint64_t s) {
+      Metrics metrics = fake(l, s);
+      if (l == label && s == seed) violate(metrics);
+      return metrics;
+    });
+  }
+
+ private:
+  Setup setup_;
+  Plan plan_;
+  SweepSpec spec_;
+};
+
+/// True when one failure message contains every fragment.
+::testing::AssertionResult Names(const std::vector<std::string>& failures,
+                                 const std::vector<std::string>& fragments) {
+  for (const std::string& failure : failures) {
+    bool all = true;
+    for (const std::string& fragment : fragments) {
+      all = all && failure.find(fragment) != std::string::npos;
+    }
+    if (all) return ::testing::AssertionSuccess();
+  }
+  std::string joined;
+  for (const std::string& failure : failures) joined += "\n  " + failure;
+  return ::testing::AssertionFailure()
+         << "no failure names all fragments; failures:" << joined;
+}
+
+TEST(Contracts, SoakEveryRunHealsItself) {
+  const Contract soak("soak");
+  const FakeRun pass = [](const std::string&, std::uint64_t) -> Metrics {
+    return {{"violations", 0}, {"outputs_lost", 0}, {"all_terminated", 1}};
+  };
+  EXPECT_TRUE(soak.Gates(pass).empty());
+  for (const auto& [metric, value] :
+       {std::pair{"violations", 1.0}, {"outputs_lost", 2.0},
+        {"all_terminated", 0.0}}) {
+    const auto failures = soak.GatesWith(
+        pass, "chaos17", 23, [&](Metrics& m) { Set(m, metric, value); });
+    EXPECT_EQ(failures.size(), 1u) << metric;
+    EXPECT_TRUE(Names(failures, {"chaos17 seed 23", metric}));
+  }
+}
+
+TEST(Contracts, SchedEveryPolicyRunCompletesAuditClean) {
+  const Contract sched("sched");
+  const FakeRun pass = [](const std::string&, std::uint64_t) -> Metrics {
+    return {{"reached_target", 1}, {"jobs_failed", 3}, {"all_terminated", 1},
+            {"audit_violations", 0}};
+  };
+  // Failed jobs are compared, not gated.
+  EXPECT_TRUE(sched.Gates(pass).empty());
+  for (const auto& [metric, value] :
+       {std::pair{"reached_target", 0.0}, {"all_terminated", 0.0},
+        {"audit_violations", 1.0}}) {
+    const auto failures = sched.GatesWith(
+        pass, "capacity", 47, [&](Metrics& m) { Set(m, metric, value); });
+    EXPECT_EQ(failures.size(), 1u) << metric;
+    EXPECT_TRUE(Names(failures, {"capacity seed 47", metric}));
+  }
+}
+
+TEST(Contracts, ScaleEveryPointCompletesWithFewCancellations) {
+  const Contract scale("scale");
+  const FakeRun pass = [](const std::string& label,
+                          std::uint64_t) -> Metrics {
+    // Labels end in "-<jobs>j".
+    const std::size_t dash = label.rfind('-');
+    const double jobs = std::stod(label.substr(dash + 1));
+    return {{"reached_target", 1},   {"jobs_succeeded", jobs},
+            {"jobs_failed", 0},      {"executed_events", 1000},
+            {"cancelled_events", 50}, {"audit_violations", 0}};
+  };
+  EXPECT_TRUE(scale.Gates(pass).empty());
+  const std::pair<const char*, double> violations[] = {
+      {"reached_target", 0},
+      {"jobs_failed", 1},
+      {"jobs_succeeded", 119},  // of 120
+      {"audit_violations", 1},
+      {"cancelled_events", 51},  // > 0.05 x 1000
+  };
+  for (const auto& [metric, value] : violations) {
+    const auto failures =
+        scale.GatesWith(pass, "2000n-20s-120j", 11,
+                        [&](Metrics& m) { Set(m, metric, value); });
+    EXPECT_EQ(failures.size(), 1u) << metric;
+    EXPECT_TRUE(Names(failures, {"2000n-20s-120j seed 11", metric}));
+  }
+  EXPECT_TRUE(Names(
+      scale.GatesWith(pass, "500n-5s-30j", 23,
+                      [](Metrics& m) { Set(m, "cancelled_events", 60); }),
+      {"500n-5s-30j seed 23", "cancelled_events = 60",
+       "<= 0.05 x executed_events (50)"}));
+}
+
+TEST(Contracts, ReplDurableRungsKeepOutputsAndAdaptiveStoresLess) {
+  const Contract repl("repl");
+  const FakeRun pass = [](const std::string& label,
+                          std::uint64_t) -> Metrics {
+    const double stored = label == "rf10"  ? 10
+                          : label == "rf3" ? 3
+                          : label == "rf5" ? 5
+                                           : 7;
+    return {{"violations", 0}, {"outputs_lost", 0}, {"all_terminated", 1},
+            {"bytes_stored_gib", stored}};
+  };
+  EXPECT_TRUE(repl.Gates(pass).empty());
+  // The cheap flat rungs may lose outputs; rf10 and the controller may not.
+  for (const char* rung : {"rf3", "rf5"}) {
+    EXPECT_TRUE(repl.GatesWith(pass, rung, 23, [](Metrics& m) {
+                      Set(m, "outputs_lost", 4);
+                    }).empty())
+        << rung;
+  }
+  for (const char* durable : {"rf10", "adaptive999", "adaptive9999"}) {
+    const auto failures = repl.GatesWith(
+        pass, durable, 23, [](Metrics& m) { Set(m, "outputs_lost", 1); });
+    EXPECT_EQ(failures.size(), 1u) << durable;
+    EXPECT_TRUE(
+        Names(failures, {std::string(durable) + " seed 23", "outputs_lost"}));
+  }
+  for (const auto& [metric, value] :
+       {std::pair{"violations", 1.0}, {"all_terminated", 0.0}}) {
+    const auto failures = repl.GatesWith(
+        pass, "rf3", 47, [&](Metrics& m) { Set(m, metric, value); });
+    EXPECT_EQ(failures.size(), 1u) << metric;
+    EXPECT_TRUE(Names(failures, {"rf3 seed 47", metric}));
+  }
+  // Per seed: an adaptive rung storing as much as rf10 fails.
+  const auto failures = repl.GatesWith(
+      pass, "adaptive9999", 11, [](Metrics& m) { Set(m, "bytes_stored_gib", 10); });
+  EXPECT_EQ(failures.size(), 1u);
+  EXPECT_TRUE(Names(failures, {"adaptive9999 seed 11", "bytes_stored_gib",
+                               "rf10"}));
+}
+
+TEST(Contracts, TopoFabricBindsAndEveryRunHeals) {
+  const Contract topo("topo");
+  const FakeRun pass = [](const std::string& label,
+                          std::uint64_t) -> Metrics {
+    const bool shuffle = label.ends_with("-shuffle");
+    const bool tor16 = label.starts_with("tor16-");
+    const bool star = label.starts_with("star-");
+    return {{"violations", 0},
+            {"outputs_lost", 0},
+            {"all_terminated", 1},
+            {"response_s", tor16 ? 150.0 : star ? 100.0 : 120.0},
+            {"fully_replicated", shuffle ? 0.0 : 1.0},
+            {"burst_to_healed_s", shuffle ? -1.0 : tor16 ? 80.0 : 50.0}};
+  };
+  EXPECT_TRUE(topo.Gates(pass).empty());
+  for (const auto& [metric, value] :
+       {std::pair{"violations", 1.0}, {"outputs_lost", 1.0},
+        {"all_terminated", 0.0}}) {
+    const auto failures = topo.GatesWith(
+        pass, "rotor-shuffle", 23, [&](Metrics& m) { Set(m, metric, value); });
+    EXPECT_EQ(failures.size(), 1u) << metric;
+    EXPECT_TRUE(Names(failures, {"rotor-shuffle seed 23", metric}));
+  }
+  // Drain rows must heal; shuffle rows have no drain to heal.
+  const auto unhealed = topo.GatesWith(
+      pass, "fattree-drain", 47, [](Metrics& m) { Set(m, "fully_replicated", 0); });
+  EXPECT_EQ(unhealed.size(), 1u);
+  EXPECT_TRUE(Names(unhealed, {"fattree-drain seed 47", "fully_replicated"}));
+  // Per seed, tor16 strictly slower than star on both workloads.
+  const auto shuffle = topo.GatesWith(
+      pass, "tor16-shuffle", 23, [](Metrics& m) { Set(m, "response_s", 100); });
+  EXPECT_EQ(shuffle.size(), 1u);
+  EXPECT_TRUE(Names(shuffle, {"tor16-shuffle seed 23", "response_s",
+                              "star-shuffle"}));
+  const auto drain = topo.GatesWith(pass, "star-drain", 11, [](Metrics& m) {
+    Set(m, "burst_to_healed_s", 90);
+  });
+  EXPECT_EQ(drain.size(), 1u);
+  EXPECT_TRUE(
+      Names(drain, {"tor16-drain seed 11", "burst_to_healed_s", "star-drain"}));
+}
+
+// Frontier values per row: phi quiet at 120 s; dl240 quiet on all but seed
+// 23 and slower than phi (phi dominates it); dl90 faster than phi but
+// noisy on seed 23; dl30 fast and noisy.
+Metrics GrayPass(const std::string& label, std::uint64_t seed) {
+  Metrics metrics = {{"reached_target", 1}, {"audit_violations", 0}};
+  const auto row = [&](double fp, double detect) {
+    metrics.emplace_back("false_suspects", fp);
+    metrics.emplace_back("detect_all_s", detect);
+  };
+  const double noisy_23 = seed == 23 ? 1 : 0;
+  if (label.ends_with("-phi")) row(0, 120);
+  if (label.ends_with("-dl30")) row(5, 40);
+  if (label.ends_with("-dl90")) row(noisy_23, 100);
+  if (label.ends_with("-dl240")) row(noisy_23, 250);
+  if (label.starts_with("storm-")) {
+    metrics.emplace_back("goodput_per_slot_hour",
+                         label == "storm-bare" ? 10.0 : 16.0);
+  }
+  return metrics;
+}
+
+TEST(Contracts, GrayPhiOnTheFrontierAndQuarantinePays) {
+  const Contract gray("gray");
+  EXPECT_TRUE(gray.Gates(GrayPass).empty());
+  // Every run reaches its node target; storm runs audit clean.
+  EXPECT_TRUE(Names(gray.GatesWith(GrayPass, "j6-dl90", 11,
+                                   [](Metrics& m) {
+                                     Set(m, "reached_target", 0);
+                                   }),
+                    {"j6-dl90 seed 11", "reached_target"}));
+  EXPECT_TRUE(Names(gray.GatesWith(GrayPass, "storm-bare", 47,
+                                   [](Metrics& m) {
+                                     Set(m, "audit_violations", 1);
+                                   }),
+                    {"storm-bare seed 47", "audit_violations"}));
+  // phi raises no false suspicion.
+  EXPECT_TRUE(Names(gray.GatesWith(GrayPass, "j45-phi", 23,
+                                   [](Metrics& m) {
+                                     Set(m, "false_suspects", 1);
+                                   }),
+                    {"j45-phi seed 23", "false_suspects"}));
+  // No deadline point dominates phi: dl90 quiet on every seed does.
+  const auto dominated = gray.GatesWith(GrayPass, "j6-dl90", 23, [](Metrics& m) {
+    Set(m, "false_suspects", 0);
+  });
+  EXPECT_EQ(dominated.size(), 1u);
+  EXPECT_TRUE(Names(dominated, {"j6-dl90 dominates j6-phi", "false_suspects",
+                                "seed 23: 0", "detect_all_s"}));
+  // phi dominates at least one deadline point: a phi slower than dl240 on
+  // average dominates none.
+  const auto dominates_none = gray.GatesWith(
+      GrayPass, "j45-phi", 23, [](Metrics& m) { Set(m, "detect_all_s", 700); });
+  EXPECT_EQ(dominates_none.size(), 1u);
+  EXPECT_TRUE(Names(dominates_none, {"j45-phi dominates no deadline point",
+                                     "detect_all_s", "seed 23: 700"}));
+  // phi must declare the killed site.
+  const auto undetected = gray.Gates([](const std::string& l, std::uint64_t s) {
+    Metrics m = GrayPass(l, s);
+    if (l == "j45-phi") Set(m, "detect_all_s", -1);
+    return m;
+  });
+  EXPECT_TRUE(Names(undetected, {"j45-phi", "never declared", "detect_all_s"}));
+  // Quarantine beats the bare storm on mean goodput.
+  const auto storm = gray.GatesWith(GrayPass, "storm-quarantine", 23,
+                                    [](Metrics& m) {
+                                      Set(m, "goodput_per_slot_hour", -2);
+                                    });
+  EXPECT_EQ(storm.size(), 1u);
+  EXPECT_TRUE(Names(storm, {"storm-quarantine", "goodput_per_slot_hour",
+                            "seed 23: -2", "storm-bare"}));
+}
+
+}  // namespace
+}  // namespace hogsim::exp

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/exp/scale_run.h"
+#include "src/exp/experiments.h"
 #include "src/exp/sweep.h"
 #include "src/hdfs/dfs_client.h"
 #include "src/hdfs/namenode.h"
@@ -92,7 +92,7 @@ TEST(Scale, TenThousandTrackerExpiryLatency) {
 // The scale sweep's deterministic rows must be thread-schedule
 // independent: the same spec run on 1 thread and on 4 must serialize to
 // byte-identical BENCH JSON once host metrics are off (satellite of the
-// bench_scale --no-host-metrics CI gate).
+// hogbench scale --no-host-metrics CI gate).
 TEST(Scale, BenchScaleJsonByteIdenticalAcrossThreads) {
   const auto render = [](unsigned threads) {
     exp::SweepSpec spec;
@@ -107,8 +107,8 @@ TEST(Scale, BenchScaleJsonByteIdenticalAcrossThreads) {
           scale.nodes = 120;
           scale.sites = 2;
           scale.jobs = 6 + static_cast<int>(config) * 6;
-          scale.host_metrics = false;  // host rows are machine-dependent
-          return exp::RunScaleWorkload(scale, seed);
+          // Host rows are machine-dependent.
+          return exp::RunScaleWorkload(scale, seed, /*host_metrics=*/false);
         });
     return exp::ToBenchJson(spec, result);
   };

@@ -1,4 +1,4 @@
-// Seed-determinism pin for the scheduler head-to-head (bench_sched).
+// Seed-determinism pin for the scheduler head-to-head (hogbench sched).
 //
 // BENCH_sched.json carries no host metrics, so the whole file must be
 // byte-identical across machines and --threads values. This pins the
@@ -7,7 +7,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
-#include "src/exp/sched_run.h"
+#include "src/exp/experiments.h"
 #include "src/exp/sweep.h"
 
 namespace hogsim {
@@ -39,7 +39,7 @@ TEST(SchedBench, BenchSchedJsonByteIdenticalAcrossThreads) {
   EXPECT_NE(sequential.find("\"audit_violations\""), std::string::npos);
 }
 
-// The chaos palette must be keyed by chaos_seed alone — every policy
+// The chaos palette must be keyed by its fixed seed alone — every policy
 // faces the identical fault sequence — and a policy run must actually be
 // shaped by its policy: fifo and fair diverge on the multi-user schedule.
 TEST(SchedBench, PoliciesShareFaultsButDiverge) {
