@@ -78,13 +78,15 @@ int main() {
   // stages, letting re-replication catch up between steps.
   for (int target : {90, 65, 40}) {
     hog.RequestNodes(target);
-    hog.RunUntil([&] { return hog.grid().running_nodes() <= target; },
-                 hog.sim().now() + kHour);
+    workload::RunSimUntil(
+        hog.sim(), [&] { return hog.grid().running_nodes() <= target; },
+        hog.sim().now() + kHour);
     // Give the namenode time to notice the departures (heartbeat recheck),
     // then wait for the replication monitor to drain the deficit.
     hog.sim().RunUntil(hog.sim().now() + 2 * hog.config().heartbeat_recheck);
-    hog.RunUntil([&] { return hog.namenode().under_replicated() == 0; },
-                 hog.sim().now() + 2 * kHour);
+    workload::RunSimUntil(
+        hog.sim(), [&] { return hog.namenode().under_replicated() == 0; },
+        hog.sim().now() + 2 * kHour);
     std::printf("  staged shrink to %d: under-replicated drained, missing "
                 "blocks: %zu\n",
                 target, hog.namenode().missing_blocks());

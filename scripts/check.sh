@@ -3,7 +3,8 @@
 # (default and ASan/UBSan) and run the tier1-labelled tests under each —
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
 # fault-scenario smoke leg (hogbench scenario_storm under the committed
-# scenarios, which also proves the examples compiled), every experiment
+# scenarios, the master crash/restart one audited, which also proves the
+# examples compiled), every experiment
 # `hogbench --list` names, fast with fail-fast audits (the six gated ones
 # exit 1 on a broken contract; the replication ablation runs once more on
 # a ToR fabric), the scheduler policy-conformance harness, and the
@@ -82,6 +83,12 @@ run_preset() {
   "$hogbench" scenario_storm --fast --seeds=1 \
     --scenario=scenarios/slow_node_storm.txt \
     --out="$dir/BENCH_scenario_slow.json"
+  # The master-restart path end to end: the committed blackout scenario
+  # crashes and restarts both masters, and the fail-fast auditor checks
+  # each master's re-admission bookkeeping through the outage.
+  "$hogbench" scenario_storm --fast --audit \
+    --scenario=scenarios/namenode_blackout.txt \
+    --out="$dir/BENCH_scenario_blackout.json"
   echo "== [$preset] every experiment (fast, audited) =="
   # Every experiment in hogbench's table, so a new one cannot miss the
   # gate: fast, with the fail-fast auditor armed (any cross-layer

@@ -10,6 +10,7 @@
 #include "src/hdfs/namenode.h"
 #include "src/hdfs/repl_controller.h"
 #include "src/hdfs/topology.h"
+#include "src/health/liveness.h"
 #include "src/mapreduce/jobtracker.h"
 #include "src/util/log.h"
 
@@ -101,7 +102,7 @@ void Auditor::AuditHdfs() {
       // Dead datanodes surrender their blocks in DeclareDead; only
       // believed-alive entries (which includes zombies whose probe has not
       // fired yet) may appear as holders.
-      if (!entry.alive) {
+      if (!nn.DatanodeAlive(dn)) {
         Report("hdfs.holder_alive",
                "block " + std::to_string(id) + " held by dead datanode " +
                    entry.hostname);
@@ -189,10 +190,8 @@ void Auditor::AuditHdfs() {
                " blocks, expected " + std::to_string(expected_needed));
   }
 
-  int live = 0;
   for (std::size_t dn = 0; dn < nn.datanodes_.size(); ++dn) {
     const auto& entry = nn.datanodes_[dn];
-    if (entry.alive) ++live;
     for (hdfs::BlockId b : entry.blocks) {
       const auto* info = nn.FindBlock(b);
       if (info == nullptr ||
@@ -229,11 +228,7 @@ void Auditor::AuditHdfs() {
       }
     }
   }
-  if (live != nn.live_datanodes_) {
-    Report("hdfs.live_count",
-           "live_datanodes=" + std::to_string(nn.live_datanodes_) +
-               " but " + std::to_string(live) + " entries are alive");
-  }
+  AuditLiveness(nn.liveness_);
 }
 
 // ---- Adaptive replication ---------------------------------------------------
@@ -311,10 +306,8 @@ void Auditor::AuditMapReduce() {
     }
   }
 
-  int live = 0;
   for (std::size_t t = 0; t < jt.trackers_.size(); ++t) {
     const auto& entry = jt.trackers_[t];
-    if (entry.alive) ++live;
     int maps = 0;
     int reduces = 0;
     for (mr::AttemptId a : entry.attempts) {
@@ -336,11 +329,7 @@ void Auditor::AuditMapReduce() {
                  std::to_string(maps) + "m/" + std::to_string(reduces) + "r");
     }
   }
-  if (live != jt.live_trackers_) {
-    Report("mr.live_count",
-           "live_trackers=" + std::to_string(jt.live_trackers_) + " but " +
-               std::to_string(live) + " entries are alive");
-  }
+  AuditLiveness(jt.liveness_);
 
   int running = 0;
   int blacklisted = 0;
@@ -353,7 +342,7 @@ void Auditor::AuditMapReduce() {
       // name alive trackers — a dead entry means the mr.blacklist.active
       // gauge is counting a process that no longer exists.
       for (mr::TrackerId t : job.blacklist) {
-        if (!jt.trackers_[t].alive) {
+        if (!jt.TrackerAlive(t)) {
           Report("mr.blacklist_live",
                  "job " + std::to_string(job.id) + " blacklists dead " +
                      "tracker " + jt.trackers_[t].hostname);
@@ -425,6 +414,37 @@ void Auditor::AuditMapReduce() {
            "blacklist_active=" + std::to_string(jt.blacklist_active_) +
                " but running jobs blacklist " + std::to_string(blacklisted) +
                " trackers");
+  }
+}
+
+// ---- Liveness ----------------------------------------------------------------
+
+void Auditor::AuditLiveness(const health::Liveness& liveness) {
+  const std::string master = liveness.names_.live_gauge;
+  std::vector<bool> armed(liveness.daemons_.size(), false);
+  for (const auto& entry : liveness.heap_) armed[entry.id] = true;
+  int alive = 0;
+  for (health::DaemonId id = 0; id < liveness.daemons_.size(); ++id) {
+    if (!liveness.daemons_[id].alive) continue;
+    ++alive;
+    // Only the heap entry gets a silent daemon declared; without one, a
+    // daemon that stops heartbeating stays alive forever.
+    if (!armed[id]) {
+      Report("health.expiry_armed",
+             master + ": alive daemon " + std::to_string(id) +
+                 " has no expiry entry");
+    }
+  }
+  if (alive != liveness.live_) {
+    Report("health.live_count",
+           master + ": live count " + std::to_string(liveness.live_) +
+               " but " + std::to_string(alive) + " daemons are alive");
+  }
+  if (liveness.live_gauge_.value() != liveness.live_) {
+    Report("health.live_gauge",
+           master + " reads " +
+               std::to_string(liveness.live_gauge_.value()) +
+               " but the live count is " + std::to_string(liveness.live_));
   }
 }
 

@@ -35,6 +35,9 @@ namespace hogsim::hdfs {
 class Namenode;
 class ReplController;
 }
+namespace hogsim::health {
+class Liveness;
+}
 namespace hogsim::mr {
 class JobTracker;
 }
@@ -115,6 +118,8 @@ class Auditor {
   void AuditHdfs();
   void AuditReplController();
   void AuditMapReduce();
+  /// One master's heartbeat bookkeeping (run for both masters).
+  void AuditLiveness(const health::Liveness& liveness);
   void AuditGrid();
 
   sim::Simulation& sim_;

@@ -17,6 +17,7 @@
 #include "src/health/quarantine.h"
 #include "src/util/rng.h"
 #include "src/workload/facebook.h"
+#include "src/workload/runner.h"
 
 namespace hogsim::exp {
 
@@ -347,7 +348,8 @@ Metrics RunGrayDetection(const std::string& detector, SimDuration expiry,
     const double hist_sum = latency_hist.sum();
     const SimTime kill_at = cluster.sim().now();
     grid.PreemptSiteFraction(0, 1.0);
-    const bool all_declared = cluster.RunUntil(
+    const bool all_declared = workload::RunSimUntil(
+        cluster.sim(),
         [&jt, declared_before, at_site] {
           return jt.trackers_declared_lost() >=
                  declared_before + static_cast<std::uint64_t>(at_site);

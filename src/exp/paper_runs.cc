@@ -87,8 +87,8 @@ void HogRun::Drain() {
   // at target replication.
   const SimTime drain_start = cluster_.sim().now();
   hdfs::Namenode& nn = cluster_.namenode();
-  result_.fully_replicated = cluster_.RunUntil(
-      [&nn] { return nn.under_replicated() == 0; },
+  result_.fully_replicated = workload::RunSimUntil(
+      cluster_.sim(), [&nn] { return nn.under_replicated() == 0; },
       drain_start + options_.drain_deadline, 5 * kSecond);
   if (result_.fully_replicated) {
     result_.time_to_full_replication_s =

@@ -28,9 +28,8 @@ int Balancer::RunPass() {
   std::vector<Entry> entries;
   double mean = 0.0;
   for (DatanodeId id = 0; id < nn_.datanode_count(); ++id) {
-    const auto& dn = nn_.datanode(id);
-    if (!dn.alive || dn.daemon == nullptr || !dn.daemon->can_serve()) continue;
-    const auto& disk = dn.daemon->disk();
+    if (!nn_.DatanodeServing(id)) continue;
+    const auto& disk = nn_.datanode(id).daemon->disk();
     const double u =
         static_cast<double>(disk.used()) / static_cast<double>(disk.capacity());
     entries.push_back({id, u});

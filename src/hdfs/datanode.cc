@@ -1,8 +1,8 @@
 #include "src/hdfs/datanode.h"
 
 #include "src/hdfs/namenode.h"
+#include "src/health/liveness.h"
 #include "src/util/log.h"
-#include "src/util/rng.h"
 
 namespace hogsim::hdfs {
 
@@ -60,21 +60,12 @@ void Datanode::EnterZombieMode() {
 void Datanode::SendHeartbeat() {
   if (!process_alive_) return;
   // The heartbeat is a small RPC: model only its one-way latency.
-  SimDuration latency = net_.Latency(node_, namenode_.master_node());
-  ++heartbeat_seq_;
-  if (heartbeat_jitter_ > 0) {
-    // Derandomized delay (delay-heartbeats gray fault): a hash of
-    // (node, sequence window) keeps the jitter seed-independent. Windows
-    // of 16 heartbeats share one draw — bursty correlated lateness, the
-    // same model as the tasktracker's.
-    const std::uint64_t h = MixHash(
-        (static_cast<std::uint64_t>(node_) << 32) | (heartbeat_seq_ / 16));
-    latency += static_cast<SimDuration>(
-        h % static_cast<std::uint64_t>(heartbeat_jitter_ + 1));
-  }
+  const SimDuration delay = health::HeartbeatDelay(
+      net_.Latency(node_, namenode_.master_node()), node_, ++heartbeat_seq_,
+      heartbeat_jitter_);
   const DatanodeId id = id_;
   Namenode& nn = namenode_;
-  sim_.ScheduleAfter(latency, [&nn, id] { nn.Heartbeat(id); });
+  sim_.ScheduleAfter(delay, [&nn, id] { nn.Heartbeat(id); });
 }
 
 void Datanode::ProbeWorkingDirectory() {

@@ -54,11 +54,9 @@ class Datanode {
   void set_on_exit(std::function<void()> cb) { on_exit_ = std::move(cb); }
 
   /// Gray fault (src/fault delay-heartbeats): max extra delay added to each
-  /// future heartbeat. The actual delay is a deterministic hash of
-  /// (node, heartbeat sequence) in [0, jitter] — no RNG stream is touched.
-  /// 0 restores the exact nominal cadence.
+  /// future heartbeat (health::HeartbeatDelay). 0 restores the exact
+  /// nominal cadence.
   void set_heartbeat_jitter(SimDuration jitter) { heartbeat_jitter_ = jitter; }
-  SimDuration heartbeat_jitter() const { return heartbeat_jitter_; }
 
  private:
   void TryRegister();

@@ -6,11 +6,14 @@
 #include <string_view>
 
 #include "src/hdfs/datanode.h"
-#include "src/health/detector.h"
 #include "src/health/quarantine.h"
 #include "src/util/log.h"
 
 namespace hogsim::hdfs {
+
+constexpr health::LivenessNames kLivenessNames{
+    "hdfs", "datanodes.live", "datanode.dead", "hdfs.datanodes.live",
+    "hdfs.datanode.declared_dead", "hdfs.deadnode.detection_latency_s"};
 
 Namenode::Namenode(sim::Simulation& sim, net::FlowNetwork& net,
                    net::NodeId master, TopologyScript topology,
@@ -24,17 +27,15 @@ Namenode::Namenode(sim::Simulation& sim, net::FlowNetwork& net,
       rng_(rng),
       config_(config),
       ins_(sim.obs().metrics()),
-      detector_(health::CreateDetector(config_.detector,
-                                       config_.heartbeat_recheck)) {
+      liveness_(sim, config_.detector, config_.heartbeat_recheck,
+                kLivenessNames, [this](DatanodeId id) { DeclareDead(id); }) {
   assert(topology_ && policy_);
 }
 
 Namenode::~Namenode() = default;
 
 void Namenode::Start() {
-  const SimDuration check =
-      std::max<SimDuration>(kSecond, config_.heartbeat_recheck / 6);
-  heartbeat_monitor_.Start(sim_, check, [this] { CheckHeartbeats(); });
+  liveness_.Start();
   replication_monitor_.Start(sim_, config_.replication_scan_interval,
                              [this] { ReplicationScan(); });
 }
@@ -42,7 +43,7 @@ void Namenode::Start() {
 void Namenode::Crash() {
   if (!available_) return;
   available_ = false;
-  heartbeat_monitor_.Stop();
+  liveness_.Stop();
   replication_monitor_.Stop();
   // In-flight namenode-directed transfers die with the daemon.
   std::vector<std::uint64_t> in_flight;
@@ -67,23 +68,12 @@ void Namenode::Restart() {
   // disk, so the holders map is already truthful. Processes that died
   // while the master was down are pruned now.
   for (DatanodeId id = 0; id < datanodes_.size(); ++id) {
-    DatanodeEntry& entry = datanodes_[id];
-    const bool survived =
-        entry.daemon != nullptr && entry.daemon->process_alive();
-    if (survived) {
-      entry.last_heartbeat = sim_.now();
-      // The blackout gap is master downtime, not datanode lateness: reset
-      // the cadence history instead of feeding it a bogus interval.
-      detector_->Forget(id);
-      detector_->OnHeartbeat(id, sim_.now());
-      if (!entry.alive) {
-        entry.alive = true;
-        ++live_datanodes_;
-      }
-    } else if (entry.alive) {
+    const Datanode* daemon = datanodes_[id].daemon;
+    if (daemon != nullptr && daemon->process_alive()) {
+      liveness_.Readmit(id);
+    } else {
       DeclareDead(id);
     }
-    if (survived) ArmExpiry(id);
   }
   // Recompute the needed-replication queue from scratch.
   for (BlockId block = 1; block < blocks_.size(); ++block) {
@@ -91,7 +81,7 @@ void Namenode::Restart() {
   }
   Start();
   HOG_LOG(kWarn, sim_.now(), "namenode")
-      << "restarted; " << live_datanodes_ << " datanodes re-admitted";
+      << "restarted; " << liveness_.live() << " datanodes re-admitted";
 }
 
 // ---- Datanode lifecycle ----------------------------------------------------
@@ -102,98 +92,32 @@ DatanodeId Namenode::RegisterDatanode(Datanode& daemon) {
   entry.hostname = daemon.hostname();
   entry.rack = topology_(daemon.hostname());
   entry.net_node = daemon.net_node();
-  entry.alive = true;
-  entry.last_heartbeat = sim_.now();
   datanodes_.push_back(std::move(entry));
   const auto id = static_cast<DatanodeId>(datanodes_.size() - 1);
-  // Registration counts as the first heartbeat for the detector's
-  // cadence history.
-  detector_->OnHeartbeat(id, sim_.now());
   if (by_net_node_.size() <= daemon.net_node()) {
     by_net_node_.resize(daemon.net_node() + 1, kInvalidDatanode);
   }
   by_net_node_[daemon.net_node()] = id;
-  ++live_datanodes_;
-  ins_.datanodes_live.Set(live_datanodes_);
-  sim_.obs().tracer().EmitCounter("hdfs", "datanodes.live", sim_.now(),
-                                  live_datanodes_);
-  ArmExpiry(id);
+  liveness_.Register(id);
   return id;
 }
 
 void Namenode::Heartbeat(DatanodeId id) {
   if (!available_ || id >= datanodes_.size()) return;
   ins_.heartbeat_received.Add();
-  DatanodeEntry& entry = datanodes_[id];
-  entry.last_heartbeat = sim_.now();
-  detector_->OnHeartbeat(id, sim_.now());
-  if (!entry.alive) {
-    // Late revival after a false-positive timeout: the node re-registers.
-    // Its block report is not replayed; any still-held replicas will be
-    // re-created by the replication monitor, which is conservative but
-    // safe.
-    entry.alive = true;
-    ++live_datanodes_;
-    ins_.datanodes_live.Set(live_datanodes_);
-    sim_.obs().tracer().EmitCounter("hdfs", "datanodes.live", sim_.now(),
-                                    live_datanodes_);
-    // Record the lost-then-revived cycle: flap history is the quarantine's
-    // primary evidence stream (namenode analog of the jobtracker seam).
-    if (health_ != nullptr) health_->OnFlap(entry.net_node);
+  // Late revival after a false-positive timeout: the node re-registers.
+  // Its block report is not replayed; any still-held replicas will be
+  // re-created by the replication monitor, which is conservative but safe.
+  // The lost-then-revived cycle is the quarantine's primary evidence
+  // stream (namenode analog of the jobtracker seam).
+  if (liveness_.Heartbeat(id) && health_ != nullptr) {
+    health_->OnFlap(datanodes_[id].net_node);
   }
-  ArmExpiry(id);
-}
-
-void Namenode::ArmExpiry(DatanodeId id) {
-  DatanodeEntry& entry = datanodes_[id];
-  if (entry.expiry_queued || !entry.alive) return;
-  entry.expiry_queued = true;
-  expiry_heap_.push({detector_->Deadline(id), id});
-}
-
-void Namenode::CheckHeartbeats() {
-  const SimTime now = sim_.now();
-  std::vector<DatanodeId> due;
-  // `deadline < now` preserves the legacy strict `now - last_heartbeat >
-  // recheck` conviction under the deadline detector, so detection happens
-  // on exactly the same tick; adaptive detectors just move the deadline.
-  while (!expiry_heap_.empty() && expiry_heap_.top().deadline < now) {
-    const DatanodeId id = expiry_heap_.top().id;
-    expiry_heap_.pop();
-    DatanodeEntry& entry = datanodes_[id];
-    entry.expiry_queued = false;
-    if (!entry.alive) continue;  // re-armed by the reviving heartbeat
-    if (detector_->Deadline(id) < now) {
-      due.push_back(id);
-    } else {
-      // Heartbeated since this entry was pushed; lazily re-arm at the
-      // true (future) deadline.
-      ArmExpiry(id);
-    }
-  }
-  // Match the legacy full-scan declare order (ascending datanode id).
-  std::sort(due.begin(), due.end());
-  for (DatanodeId id : due) DeclareDead(id);
 }
 
 void Namenode::DeclareDead(DatanodeId id) {
+  if (!liveness_.Declare(id)) return;
   DatanodeEntry& entry = datanodes_[id];
-  if (!entry.alive) return;
-  entry.alive = false;
-  // Deliberately NOT Forget(id): a wrongly-declared (gray, alive) datanode
-  // keeps its valid cadence history, and the reviving heartbeat's long gap
-  // widens an adaptive budget. Dead daemons never heartbeat again and
-  // replacements register under fresh ids, so stale state is inert.
-  --live_datanodes_;
-  ++declared_dead_;
-  ins_.datanode_declared_dead.Add();
-  ins_.datanodes_live.Set(live_datanodes_);
-  // Detection latency: silence from the last heartbeat until the namenode
-  // noticed — the quantity the paper's 30 s recheck modification targets.
-  ins_.detection_latency_s.Observe(ToSeconds(sim_.now() - entry.last_heartbeat));
-  obs::Tracer& tracer = sim_.obs().tracer();
-  tracer.EmitInstant("hdfs", "datanode.dead", sim_.now(), id);
-  tracer.EmitCounter("hdfs", "datanodes.live", sim_.now(), live_datanodes_);
   HOG_LOG(kInfo, sim_.now(), "namenode")
       << entry.hostname << " declared dead; " << entry.blocks.size()
       << " replicas lost";
@@ -218,7 +142,7 @@ DatanodeId Namenode::DatanodeAt(net::NodeId node) const {
   if (node >= by_net_node_.size()) return kInvalidDatanode;
   const DatanodeId id = by_net_node_[node];
   if (id == kInvalidDatanode) return kInvalidDatanode;
-  return datanodes_[id].alive ? id : kInvalidDatanode;
+  return liveness_.alive(id) ? id : kInvalidDatanode;
 }
 
 // ---- File namespace --------------------------------------------------------
@@ -290,7 +214,7 @@ std::vector<BlockLocation> Namenode::GetFileBlocks(FileId file) const {
                                     info->holders.end());
     std::sort(holders.begin(), holders.end());
     for (DatanodeId dn : holders) {
-      if (!datanodes_[dn].alive) continue;
+      if (!liveness_.alive(dn)) continue;
       loc.datanodes.push_back(dn);
       loc.net_nodes.push_back(datanodes_[dn].net_node);
       loc.racks.push_back(datanodes_[dn].rack);
@@ -356,7 +280,7 @@ void Namenode::CommitBlock(BlockId block,
     // on a dead entry that UpdateNeeded counts as live, suppressing
     // re-replication of this block forever. Drop it; if the node ever
     // revives, the replication monitor conservatively re-creates the copy.
-    if (!datanodes_[dn].alive) continue;
+    if (!liveness_.alive(dn)) continue;
     info->holders.insert(dn);
     datanodes_[dn].blocks.insert(block);
     ins_.block_placed.Add();
@@ -433,7 +357,7 @@ std::vector<DatanodeId> Namenode::BlockHolders(BlockId block) const {
   if (info == nullptr) return {};
   std::vector<DatanodeId> out;
   for (DatanodeId dn : info->holders) {
-    if (datanodes_[dn].alive) out.push_back(dn);
+    if (liveness_.alive(dn)) out.push_back(dn);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -450,7 +374,7 @@ std::vector<DatanodeId> Namenode::WritableDatanodes(Bytes size) const {
   std::vector<DatanodeId> out;
   for (DatanodeId id = 0; id < datanodes_.size(); ++id) {
     const DatanodeEntry& e = datanodes_[id];
-    if (e.alive && !e.decommissioning && e.daemon != nullptr &&
+    if (liveness_.alive(id) && !e.decommissioning && e.daemon != nullptr &&
         e.daemon->can_serve() && e.daemon->disk().free() >= size) {
       out.push_back(id);
     }
@@ -478,7 +402,7 @@ bool Namenode::DecommissionReady(DatanodeId dn) const {
     if (info == nullptr) continue;
     int healthy = 0;
     for (DatanodeId holder : info->holders) {
-      // Serving(), not .alive: a zombie heartbeats and so looks alive to
+      // Serving(), not alive: a zombie heartbeats and so looks alive to
       // the namenode, but its disk is gone — shutting this node down on
       // the strength of a zombie copy would lose the block.
       if (Serving(holder) && !datanodes_[holder].decommissioning) ++healthy;
@@ -503,7 +427,7 @@ std::size_t Namenode::missing_blocks() const {
   for (const BlockInfo& info : blocks_) {
     if (!info.live || !info.committed) continue;
     bool any = false;
-    // Serving(), not .alive: a replica on a zombie (process up, disk gone)
+    // Serving(), not alive: a replica on a zombie (process up, disk gone)
     // cannot actually be read back, so it must not mask a missing block.
     for (DatanodeId dn : info.holders) any |= Serving(dn);
     if (!any) ++count;
@@ -514,8 +438,8 @@ std::size_t Namenode::missing_blocks() const {
 // ---- Replication monitor ------------------------------------------------------
 
 bool Namenode::Serving(DatanodeId id) const {
-  const DatanodeEntry& e = datanodes_[id];
-  return e.alive && e.daemon != nullptr && e.daemon->can_serve();
+  const Datanode* daemon = datanodes_[id].daemon;
+  return liveness_.alive(id) && daemon != nullptr && daemon->can_serve();
 }
 
 void Namenode::UpdateNeeded(BlockId block) {
@@ -690,7 +614,7 @@ void Namenode::FinishTransfer(std::uint64_t transfer_id, bool ok) {
     --binfo->pending_replications;
   }
   const bool block_live = binfo != nullptr;
-  const bool dst_ok = datanodes_[t.dst].alive &&
+  const bool dst_ok = liveness_.alive(t.dst) &&
                       datanodes_[t.dst].daemon != nullptr &&
                       datanodes_[t.dst].daemon->can_serve();
   if (ok && block_live && dst_ok) {

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -20,6 +19,7 @@
 #include "src/hdfs/replication_queue.h"
 #include "src/hdfs/topology.h"
 #include "src/hdfs/types.h"
+#include "src/health/liveness.h"
 #include "src/net/flow_network.h"
 #include "src/obs/obs.h"
 #include "src/sim/simulation.h"
@@ -31,7 +31,6 @@ class Auditor;
 }  // namespace hogsim::check
 
 namespace hogsim::health {
-class FailureDetector;
 class Quarantine;
 }  // namespace hogsim::health
 
@@ -76,13 +75,7 @@ class Namenode final : public ClusterView {
     std::string hostname;
     std::string rack;
     net::NodeId net_node = net::kInvalidNode;
-    bool alive = false;  // namenode's belief, driven by heartbeats
     bool decommissioning = false;
-    /// True while an entry for this datanode sits in the expiry heap; each
-    /// alive datanode keeps exactly one (lazily re-armed on pop), so the
-    /// heap is O(datanodes), not O(heartbeats).
-    bool expiry_queued = false;
-    SimTime last_heartbeat = 0;
     std::unordered_set<BlockId> blocks;
     int repl_in = 0;   // active re-replication transfers sinking here
     int repl_out = 0;  // ... sourcing from here
@@ -92,7 +85,9 @@ class Namenode final : public ClusterView {
     return datanodes_[id];
   }
   std::size_t datanode_count() const { return datanodes_.size(); }
-  int live_datanodes() const { return live_datanodes_; }
+  /// The namenode's belief, driven by heartbeats (src/health/liveness.h).
+  bool DatanodeAlive(DatanodeId id) const { return liveness_.alive(id); }
+  int live_datanodes() const { return liveness_.live(); }
 
   /// Locality lookup: the registered, alive datanode at a network endpoint
   /// (kInvalidDatanode if none).
@@ -208,7 +203,9 @@ class Namenode final : public ClusterView {
     return replications_completed_;
   }
   Bytes replication_bytes() const { return replication_bytes_; }
-  std::uint64_t datanodes_declared_dead() const { return declared_dead_; }
+  std::uint64_t datanodes_declared_dead() const {
+    return liveness_.declared();
+  }
 
   /// One past the highest allocated BlockId — the iteration bound for
   /// block-map scans (ids are dense, starting at 1; deleted slots are
@@ -247,9 +244,6 @@ class Namenode final : public ClusterView {
   /// the pre-health behavior.
   void set_health(health::Quarantine* health) { health_ = health; }
   health::Quarantine* health() const { return health_; }
-
-  /// The pluggable liveness detector (HdfsConfig::detector).
-  const health::FailureDetector& detector() const { return *detector_; }
 
  private:
   // The invariant auditor (src/check) reads — never mutates — the block
@@ -290,38 +284,24 @@ class Namenode final : public ClusterView {
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& m)
         : heartbeat_received(m.GetCounter("hdfs.heartbeat.received")),
-          datanode_declared_dead(
-              m.GetCounter("hdfs.datanode.declared_dead")),
           block_placed(m.GetCounter("hdfs.block.placed")),
           replication_completed(
               m.GetCounter("hdfs.replication.completed")),
           replication_failed(m.GetCounter("hdfs.replication.failed")),
-          datanodes_live(m.GetGauge("hdfs.datanodes.live")),
           blocks_under_replicated(
               m.GetGauge("hdfs.blocks.under_replicated")),
           blocks_critical(
-              m.GetGauge("hdfs.blocks.under_replicated_critical")),
-          detection_latency_s(
-              m.GetHistogram("hdfs.deadnode.detection_latency_s")) {}
+              m.GetGauge("hdfs.blocks.under_replicated_critical")) {}
     obs::Counter& heartbeat_received;
-    obs::Counter& datanode_declared_dead;
     obs::Counter& block_placed;
     obs::Counter& replication_completed;
     obs::Counter& replication_failed;
-    obs::Gauge& datanodes_live;
     obs::Gauge& blocks_under_replicated;
     obs::Gauge& blocks_critical;
-    obs::Histogram& detection_latency_s;
   };
 
-  /// Declares dead every alive datanode whose expiry deadline passed.
-  /// Driven by the expiry heap: each tick pops only due entries, so the
-  /// periodic recheck costs O(due + 1), not O(cluster).
-  void CheckHeartbeats();
-  /// Ensures the datanode has an entry in the expiry heap (no-op if it
-  /// already does; heartbeats just bump last_heartbeat and a stale
-  /// deadline is corrected when it surfaces).
-  void ArmExpiry(DatanodeId id);
+  /// Declares the datanode dead (heartbeat expiry or a restart pruning a
+  /// node that died during the outage) and surrenders its replicas.
   void DeclareDead(DatanodeId id);
   /// Flat-arena block lookup; nullptr for never-allocated or deleted ids.
   BlockInfo* FindBlock(BlockId block) {
@@ -348,9 +328,8 @@ class Namenode final : public ClusterView {
   HdfsConfig config_;
   Instruments ins_;
 
-  // The pluggable liveness rule (src/health): ArmExpiry/CheckHeartbeats
-  // ask it for per-datanode conviction deadlines.
-  std::unique_ptr<health::FailureDetector> detector_;
+  // Heartbeat expiry (HdfsConfig::heartbeat_recheck, ::detector).
+  health::Liveness liveness_;
   // Cluster health manager (flaps, quarantine); owned by HogCluster.
   health::Quarantine* health_ = nullptr;
 
@@ -364,37 +343,17 @@ class Namenode final : public ClusterView {
   std::vector<BlockInfo> blocks_;
   BlockId next_block_ = 1;
 
-  // Min-heap of {deadline, datanode} candidates for dead-node expiry.
-  // Entries are not removed on heartbeat; a popped entry whose datanode
-  // heartbeated since is re-armed at its true deadline (lazy invalidation,
-  // same idiom as the sim core's stale heap entries).
-  struct ExpiryEntry {
-    SimTime deadline;
-    DatanodeId id;
-  };
-  struct ExpiryLater {
-    bool operator()(const ExpiryEntry& a, const ExpiryEntry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>, ExpiryLater>
-      expiry_heap_;
-
   ReplicationQueue needed_;  // prioritized under-replicated queue
   std::unordered_map<std::uint64_t, Transfer> transfers_;
   /// In-flight re-replication destinations per block (exclusion lookups).
   std::unordered_multimap<BlockId, DatanodeId> pending_targets_;
   std::uint64_t next_transfer_ = 1;
 
-  sim::PeriodicTimer heartbeat_monitor_;
   sim::PeriodicTimer replication_monitor_;
 
   bool available_ = true;
-  int live_datanodes_ = 0;
   std::uint64_t replications_completed_ = 0;
   Bytes replication_bytes_ = 0;
-  std::uint64_t declared_dead_ = 0;
   std::function<void(BlockId)> on_block_missing_;
   std::function<void(DatanodeId)> on_datanode_dead_;
 };

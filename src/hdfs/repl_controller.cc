@@ -103,8 +103,7 @@ void ReplController::FoldHazards() {
   // instead of latching onto one noisy 30-second sample.
   std::map<std::string, int> live;
   for (DatanodeId id = 0; id < nn_.datanode_count(); ++id) {
-    const auto& entry = nn_.datanode(id);
-    if (entry.alive) ++live[SiteKey(entry.rack)];
+    if (nn_.DatanodeAlive(id)) ++live[SiteKey(nn_.datanode(id).rack)];
   }
   for (const auto& [rack, count] : live) {
     sites_.try_emplace(rack,
@@ -141,8 +140,7 @@ double ReplController::MeanLossProb() const {
   int total = 0;
   std::map<std::string, int> live;
   for (DatanodeId id = 0; id < nn_.datanode_count(); ++id) {
-    const auto& entry = nn_.datanode(id);
-    if (entry.alive) ++live[SiteKey(entry.rack)];
+    if (nn_.DatanodeAlive(id)) ++live[SiteKey(nn_.datanode(id).rack)];
   }
   for (const auto& [rack, count] : live) {
     weighted += count * SiteLossProb(rack);
@@ -155,8 +153,7 @@ double ReplController::MeanLossProb() const {
 int ReplController::AliveSites() const {
   std::map<std::string, int> live;
   for (DatanodeId id = 0; id < nn_.datanode_count(); ++id) {
-    const auto& entry = nn_.datanode(id);
-    if (entry.alive) ++live[SiteKey(entry.rack)];
+    if (nn_.DatanodeAlive(id)) ++live[SiteKey(nn_.datanode(id).rack)];
   }
   return static_cast<int>(live.size());
 }

@@ -22,9 +22,9 @@
 //
 // Selection uses the uniform strict grammar "name[:key=value;...]"
 // (CreateDetector), surfaced as --detector on every bench. Detectors are
-// consulted by the masters' lazy expiry heaps: they own no timers, draw
-// no RNG, and a master declares `id` dead at the first monitor tick with
-// Deadline(id) < now.
+// consulted by health::Liveness, the masters' heartbeat expiry: they own
+// no timers, draw no RNG, and a master declares `id` dead at the first
+// monitor tick with Deadline(id) < now.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,10 @@ class FailureDetector {
   /// first heartbeat. Arrival times are non-decreasing per id.
   virtual void OnHeartbeat(DaemonId id, SimTime now) = 0;
 
-  /// Drops all state for `id` (declared dead, deregistered, or a master
-  /// blackout that invalidates the cadence history). The next OnHeartbeat
-  /// starts a fresh history.
+  /// Drops all state for `id`; the next OnHeartbeat starts a fresh
+  /// history. Called when a master restart re-admits a daemon that
+  /// survived the outage: the blackout gap is not a heartbeat interval.
+  /// A declare deliberately keeps the history (see Liveness::Declare).
   virtual void Forget(DaemonId id) = 0;
 
   /// The conviction deadline: the master declares `id` dead at the first

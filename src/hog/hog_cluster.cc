@@ -2,6 +2,7 @@
 
 #include "src/hdfs/placement.h"
 #include "src/hdfs/topology.h"
+#include "src/workload/runner.h"
 
 namespace hogsim::hog {
 
@@ -172,23 +173,15 @@ void HogCluster::OnNodeZombie(grid::GridNode& node) {
 }
 
 bool HogCluster::WaitForNodes(int count, SimTime deadline) {
-  return RunUntil([this, count] { return grid_->running_nodes() >= count; },
-                  deadline);
+  return workload::RunSimUntil(
+      sim_, [this, count] { return grid_->running_nodes() >= count; },
+      deadline);
 }
 
 bool HogCluster::SpinUp(int nodes) {
   if (grid_->target_nodes() < nodes) RequestNodes(nodes);
   return WaitForNodes(nodes, sim_.now() + kSpinUpWait) ||
          WaitForNodes(nodes * 95 / 100, sim_.now() + kSpinUpWait);
-}
-
-bool HogCluster::RunUntil(const std::function<bool()>& done, SimTime deadline,
-                          SimDuration step) {
-  while (!done()) {
-    if (sim_.now() >= deadline) return false;
-    sim_.RunUntil(std::min<SimTime>(sim_.now() + step, deadline));
-  }
-  return true;
 }
 
 void HogCluster::StartAvailabilityTrace() {

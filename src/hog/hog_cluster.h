@@ -131,11 +131,6 @@ class HogCluster {
   /// false if neither count was reached.
   bool SpinUp(int nodes);
 
-  /// Runs until the predicate holds, checking every `step`. Returns false
-  /// on deadline.
-  bool RunUntil(const std::function<bool()>& done, SimTime deadline,
-                SimDuration step = kSecond);
-
   // --- Availability traces (Fig. 5) ---
 
   /// The jobtracker's view of live workers over time — the quantity the

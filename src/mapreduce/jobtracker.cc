@@ -4,12 +4,15 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/health/detector.h"
 #include "src/health/quarantine.h"
 #include "src/sched/policy.h"
 #include "src/util/log.h"
 
 namespace hogsim::mr {
+
+constexpr health::LivenessNames kLivenessNames{
+    "mr", "trackers.live", "tracker.lost", "mr.trackers.live",
+    "mr.tracker.lost", "mr.tracker.detection_latency_s"};
 
 JobTracker::JobTracker(sim::Simulation& sim, net::FlowNetwork& net,
                        hdfs::Namenode& namenode, net::NodeId master,
@@ -23,8 +26,8 @@ JobTracker::JobTracker(sim::Simulation& sim, net::FlowNetwork& net,
       ins_(sim.obs().metrics()),
       view_(std::make_unique<sched::ClusterView>(*this)),
       policy_(sched::CreatePolicy(config_.scheduler)),
-      detector_(health::CreateDetector(config_.detector,
-                                       config_.tracker_expiry)) {
+      liveness_(sim, config_.detector, config_.tracker_expiry, kLivenessNames,
+                [this](TrackerId id) { DeclareLost(id); }) {
   assert(topology_);
   policy_->Attach(*view_);
 }
@@ -46,11 +49,7 @@ const char* AttemptSpanName(TaskType type, int locality, bool speculative) {
 
 }  // namespace
 
-void JobTracker::Start() {
-  const SimDuration check =
-      std::max<SimDuration>(kSecond, config_.tracker_expiry / 6);
-  tracker_monitor_.Start(sim_, check, [this] { CheckTrackers(); });
-}
+void JobTracker::Start() { liveness_.Start(); }
 
 // ---- Tracker lifecycle --------------------------------------------------------
 
@@ -60,19 +59,9 @@ TrackerId JobTracker::RegisterTracker(TaskTracker& daemon) {
   entry.hostname = daemon.hostname();
   entry.rack = topology_(daemon.hostname());
   entry.net_node = daemon.net_node();
-  entry.alive = true;
-  entry.last_heartbeat = sim_.now();
   trackers_.push_back(std::move(entry));
-  // Registration counts as the first heartbeat for the detector's
-  // cadence history.
-  detector_->OnHeartbeat(static_cast<TrackerId>(trackers_.size() - 1),
-                         sim_.now());
-  ++live_trackers_;
-  ins_.trackers_live.Set(live_trackers_);
-  sim_.obs().tracer().EmitCounter("mr", "trackers.live", sim_.now(),
-                                  live_trackers_);
   const TrackerId id = static_cast<TrackerId>(trackers_.size() - 1);
-  ArmExpiry(id);
+  liveness_.Register(id);
   policy_->OnTrackerRegistered(id);
   return id;
 }
@@ -80,7 +69,7 @@ TrackerId JobTracker::RegisterTracker(TaskTracker& daemon) {
 void JobTracker::Crash() {
   if (!available_) return;
   available_ = false;
-  tracker_monitor_.Stop();
+  liveness_.Stop();
   sim_.obs().tracer().EmitInstant("mr", "jobtracker.crash", sim_.now(), 0);
   HOG_LOG(kInfo, sim_.now(), "jobtracker") << "crashed";
 }
@@ -94,21 +83,10 @@ void JobTracker::Restart() {
   // post-restart heartbeat would do this anyway, so give them liveness
   // credit as of now instead of racing the expiry check. The rest are lost.
   for (TrackerId id = 0; id < trackers_.size(); ++id) {
-    TrackerEntry& entry = trackers_[id];
-    if (entry.daemon != nullptr && entry.daemon->process_alive()) {
-      entry.last_heartbeat = sim_.now();
-      // The blackout gap is master downtime, not tracker lateness: reset
-      // the cadence history instead of feeding it a bogus interval.
-      detector_->Forget(id);
-      detector_->OnHeartbeat(id, sim_.now());
-      if (!entry.alive) {
-        entry.alive = true;
-        ++live_trackers_;
-        ins_.trackers_live.Set(live_trackers_);
-        ForgiveTracker(id);
-      }
-      ArmExpiry(id);
-    } else if (entry.alive) {
+    const TaskTracker* daemon = trackers_[id].daemon;
+    if (daemon != nullptr && daemon->process_alive()) {
+      if (liveness_.Readmit(id)) ForgiveTracker(id);
+    } else {
       DeclareLost(id);
     }
   }
@@ -176,77 +154,22 @@ void JobTracker::ReleaseCompletedMapIndex(JobInfo& job) {
 void JobTracker::Heartbeat(TrackerId id) {
   if (!available_) return;  // blackout: the RPC times out unanswered
   if (id >= trackers_.size()) return;
-  TrackerEntry& entry = trackers_[id];
-  entry.last_heartbeat = sim_.now();
-  detector_->OnHeartbeat(id, sim_.now());
-  if (health_ != nullptr) health_->OnHeartbeat(entry.net_node, sim_.now());
-  if (!entry.alive) {
-    entry.alive = true;
-    ++live_trackers_;
-    ins_.trackers_live.Set(live_trackers_);
-    sim_.obs().tracer().EmitCounter("mr", "trackers.live", sim_.now(),
-                                    live_trackers_);
+  const net::NodeId node = trackers_[id].net_node;
+  if (health_ != nullptr) health_->OnHeartbeat(node, sim_.now());
+  if (liveness_.Heartbeat(id)) {
     // Re-registration after expiry: the glidein reincarnated, so its
     // blacklist entries describe a process that no longer exists.
     ForgiveTracker(id);
     // ...but the lost-then-revived cycle itself is durable evidence: a
     // flapping node keeps its flap history (the quarantine keys off it).
-    if (health_ != nullptr) health_->OnFlap(entry.net_node);
+    if (health_ != nullptr) health_->OnFlap(node);
   }
-  ArmExpiry(id);
   ScheduleOn(id);
 }
 
-void JobTracker::ArmExpiry(TrackerId id) {
-  TrackerEntry& entry = trackers_[id];
-  if (entry.expiry_queued || !entry.alive) return;
-  entry.expiry_queued = true;
-  expiry_heap_.push({detector_->Deadline(id), id});
-}
-
-void JobTracker::CheckTrackers() {
-  const SimTime now = sim_.now();
-  std::vector<TrackerId> due;
-  // `deadline < now` preserves the legacy strict `now - last_heartbeat >
-  // expiry` conviction under the deadline detector, so detection happens
-  // on exactly the same tick; adaptive detectors just move the deadline.
-  while (!expiry_heap_.empty() && expiry_heap_.top().deadline < now) {
-    const TrackerId id = expiry_heap_.top().id;
-    expiry_heap_.pop();
-    TrackerEntry& entry = trackers_[id];
-    entry.expiry_queued = false;
-    if (!entry.alive) continue;  // re-armed by the reviving heartbeat
-    if (detector_->Deadline(id) < now) {
-      due.push_back(id);
-    } else {
-      // Heartbeated since this entry was pushed; the true deadline is in
-      // the future — lazily re-arm there.
-      ArmExpiry(id);
-    }
-  }
-  // Match the legacy full-scan declare order (ascending tracker id).
-  std::sort(due.begin(), due.end());
-  for (TrackerId id : due) DeclareLost(id);
-}
-
 void JobTracker::DeclareLost(TrackerId id) {
+  if (!liveness_.Declare(id)) return;
   TrackerEntry& entry = trackers_[id];
-  if (!entry.alive) return;
-  entry.alive = false;
-  // Deliberately NOT Forget(id): if this declare is wrong (a gray, alive
-  // tracker), its cadence history is still valid evidence and the reviving
-  // heartbeat's long gap widens an adaptive budget instead of restarting
-  // it from scratch. Truly dead trackers never heartbeat again and new
-  // glideins register under fresh ids, so stale state is inert.
-  --live_trackers_;
-  ++trackers_lost_;
-  ins_.tracker_lost.Add();
-  ins_.detection_latency_s.Observe(
-      ToSeconds(sim_.now() - entry.last_heartbeat));
-  ins_.trackers_live.Set(live_trackers_);
-  obs::Tracer& tracer = sim_.obs().tracer();
-  tracer.EmitInstant("mr", "tracker.lost", sim_.now(), id);
-  tracer.EmitCounter("mr", "trackers.live", sim_.now(), live_trackers_);
   HOG_LOG(kInfo, sim_.now(), "jobtracker")
       << entry.hostname << " lost (" << entry.attempts.size()
       << " running attempts)";
@@ -351,7 +274,7 @@ bool JobTracker::TaskNeedsAttempt(const JobInfo& job,
 
 void JobTracker::ScheduleOn(TrackerId id) {
   TrackerEntry& entry = trackers_[id];
-  if (!entry.alive || entry.daemon == nullptr ||
+  if (!liveness_.alive(id) || entry.daemon == nullptr ||
       !entry.daemon->process_alive()) {
     return;
   }
@@ -501,8 +424,9 @@ void JobTracker::NotifyReducesOfMap(JobInfo& job, const TaskInfo& map) {
     for (AttemptId a : reduce.active_attempts) {
       auto it = attempts_.find(a);
       if (it == attempts_.end()) continue;
-      TrackerEntry& entry = trackers_[it->second.tracker];
-      if (!entry.alive || entry.daemon == nullptr) continue;
+      const TrackerId tracker = it->second.tracker;
+      TrackerEntry& entry = trackers_[tracker];
+      if (!liveness_.alive(tracker) || entry.daemon == nullptr) continue;
       const SimDuration latency = net_.Latency(master_, entry.net_node);
       TaskTracker* daemon = entry.daemon;
       const int map_index = map.index;
@@ -711,7 +635,8 @@ void JobTracker::ReportFetchFailure(JobId job_id, int map_index) {
   TaskInfo& map = job.maps[map_index];
   if (!map.complete) return;  // already being re-executed
   const TrackerEntry& entry = trackers_[map.completed_on];
-  const bool output_gone = !entry.alive || entry.daemon == nullptr ||
+  const bool output_gone = !liveness_.alive(map.completed_on) ||
+                           entry.daemon == nullptr ||
                            !entry.daemon->process_alive() ||
                            entry.daemon->zombie();
   if (output_gone) {
@@ -731,8 +656,9 @@ bool JobTracker::MapOutputAvailable(JobId job_id, int map_index,
   const TaskInfo& map = job.maps[map_index];
   if (!map.complete || map.completed_on == kInvalidTracker) return false;
   const TrackerEntry& entry = trackers_[map.completed_on];
-  return entry.net_node == source && entry.alive && entry.daemon != nullptr &&
-         entry.daemon->process_alive() && !entry.daemon->zombie();
+  return entry.net_node == source && liveness_.alive(map.completed_on) &&
+         entry.daemon != nullptr && entry.daemon->process_alive() &&
+         !entry.daemon->zombie();
 }
 
 void JobTracker::RevertCompletedMap(JobInfo& job, int map_index) {

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -28,6 +27,7 @@
 
 #include "src/hdfs/namenode.h"
 #include "src/hdfs/topology.h"
+#include "src/health/liveness.h"
 #include "src/mapreduce/tasktracker.h"
 #include "src/mapreduce/types.h"
 #include "src/net/flow_network.h"
@@ -40,7 +40,6 @@ class Auditor;
 }  // namespace hogsim::check
 
 namespace hogsim::health {
-class FailureDetector;
 class Quarantine;
 }  // namespace hogsim::health
 
@@ -213,13 +212,14 @@ class JobTracker {
   void set_health(health::Quarantine* health) { health_ = health; }
   health::Quarantine* health() const { return health_; }
 
-  /// The pluggable liveness detector (MrConfig::detector).
-  const health::FailureDetector& detector() const { return *detector_; }
-
-  int live_trackers() const { return live_trackers_; }
+  /// The jobtracker's belief, driven by heartbeats (src/health/liveness.h).
+  bool TrackerAlive(TrackerId id) const { return liveness_.alive(id); }
+  int live_trackers() const { return liveness_.live(); }
   /// Blacklist entries across running jobs (the mr.blacklist.active gauge).
   int blacklisted_entries() const { return blacklist_active_; }
-  std::uint64_t trackers_declared_lost() const { return trackers_lost_; }
+  std::uint64_t trackers_declared_lost() const {
+    return liveness_.declared();
+  }
   std::uint64_t maps_reexecuted() const { return maps_reexecuted_; }
   std::uint64_t speculative_attempts() const { return speculative_attempts_; }
   std::uint64_t attempts_launched() const { return attempts_launched_; }
@@ -233,12 +233,6 @@ class JobTracker {
     std::string hostname;
     std::string rack;
     net::NodeId net_node = net::kInvalidNode;
-    bool alive = false;
-    SimTime last_heartbeat = 0;
-    /// True while an entry for this tracker sits in the expiry heap; each
-    /// alive tracker keeps exactly one (lazily re-armed on pop), so the
-    /// heap is O(trackers), not O(heartbeats).
-    bool expiry_queued = false;
     int used_map_slots = 0;
     int used_reduce_slots = 0;
     std::unordered_set<AttemptId> attempts;
@@ -283,16 +277,12 @@ class JobTracker {
           map_rack(m.GetCounter("mr.map.rack")),
           map_remote(m.GetCounter("mr.map.remote")),
           map_reexecuted(m.GetCounter("mr.map.reexecuted")),
-          tracker_lost(m.GetCounter("mr.tracker.lost")),
           job_submitted(m.GetCounter("mr.job.submitted")),
           job_succeeded(m.GetCounter("mr.job.succeeded")),
           job_failed(m.GetCounter("mr.job.failed")),
-          trackers_live(m.GetGauge("mr.trackers.live")),
           jobs_running(m.GetGauge("mr.jobs.running")),
           blacklist_active(m.GetGauge("mr.blacklist.active")),
-          attempt_duration_s(m.GetHistogram("mr.attempt.duration_s")),
-          detection_latency_s(
-              m.GetHistogram("mr.tracker.detection_latency_s")) {}
+          attempt_duration_s(m.GetHistogram("mr.attempt.duration_s")) {}
     obs::Counter& attempt_launched;
     obs::Counter& attempt_succeeded;
     obs::Counter& attempt_failed;
@@ -302,27 +292,17 @@ class JobTracker {
     obs::Counter& map_rack;
     obs::Counter& map_remote;
     obs::Counter& map_reexecuted;
-    obs::Counter& tracker_lost;
     obs::Counter& job_submitted;
     obs::Counter& job_succeeded;
     obs::Counter& job_failed;
-    obs::Gauge& trackers_live;
     obs::Gauge& jobs_running;
     obs::Gauge& blacklist_active;
     obs::Histogram& attempt_duration_s;
-    /// Silence between a lost tracker's last heartbeat and the declare —
-    /// the jobtracker-side twin of hdfs.deadnode.detection_latency_s.
-    obs::Histogram& detection_latency_s;
   };
 
-  /// Declares lost every alive tracker whose expiry deadline passed.
-  /// Driven by the expiry heap: each tick pops only due entries, so the
-  /// periodic check costs O(due + 1), not O(trackers).
-  void CheckTrackers();
-  /// Ensures the tracker has an entry in the expiry heap (no-op if it
-  /// already does — heartbeats just bump last_heartbeat and the stale
-  /// deadline is corrected when it surfaces).
-  void ArmExpiry(TrackerId id);
+  /// Declares the tracker lost (expiry, or a restart pruning a tracker
+  /// that died during the blackout): requeues its attempts, re-executes
+  /// the map outputs it held and forgives it.
   void DeclareLost(TrackerId id);
   /// Drops the tracker's blacklist and failure-count entries from every
   /// running job, keeping mr.blacklist.active in step. Called when the
@@ -383,39 +363,17 @@ class JobTracker {
   std::unique_ptr<sched::ClusterView> view_;
   std::unique_ptr<sched::SchedulerPolicy> policy_;
 
-  // The pluggable liveness rule (src/health): ArmExpiry/CheckTrackers ask
-  // it for per-tracker conviction deadlines. "deadline" reproduces the
-  // fixed tracker_expiry byte-for-byte.
-  std::unique_ptr<health::FailureDetector> detector_;
+  // Tracker expiry (MrConfig::tracker_expiry, ::detector).
+  health::Liveness liveness_;
   // Cluster health manager (flaps, quarantine); owned by HogCluster.
   health::Quarantine* health_ = nullptr;
 
-  // Min-heap of {deadline, tracker} candidates for lost-tracker expiry.
-  // Entries are not removed on heartbeat; a popped entry whose tracker
-  // heartbeated since is re-armed at its true deadline (lazy invalidation,
-  // same idiom as the sim core's stale heap entries).
-  struct ExpiryEntry {
-    SimTime deadline;
-    TrackerId id;
-  };
-  struct ExpiryLater {
-    bool operator()(const ExpiryEntry& a, const ExpiryEntry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.id > b.id;
-    }
-  };
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>, ExpiryLater>
-      expiry_heap_;
-
-  sim::PeriodicTimer tracker_monitor_;
   bool available_ = true;
   // RPCs that arrived during a blackout, replayed in order on Restart().
   std::vector<AttemptReport> queued_reports_;
   std::vector<std::pair<JobId, int>> queued_fetch_failures_;
-  int live_trackers_ = 0;
   int running_jobs_ = 0;
   int blacklist_active_ = 0;  // blacklist entries across running jobs
-  std::uint64_t trackers_lost_ = 0;
   std::uint64_t maps_reexecuted_ = 0;
   std::uint64_t speculative_attempts_ = 0;
   std::uint64_t attempts_launched_ = 0;

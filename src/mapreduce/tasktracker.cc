@@ -5,9 +5,9 @@
 #include <cmath>
 #include <utility>
 
+#include "src/health/liveness.h"
 #include "src/mapreduce/jobtracker.h"
 #include "src/util/log.h"
-#include "src/util/rng.h"
 
 namespace hogsim::mr {
 
@@ -104,24 +104,12 @@ void TaskTracker::EnterZombieMode() {
 
 void TaskTracker::SendHeartbeat() {
   if (!process_alive_) return;
-  SimDuration latency = net_.Latency(node_, jt_.master_node());
-  ++heartbeat_seq_;
-  if (heartbeat_jitter_ > 0) {
-    // Derandomized delay (delay-heartbeats gray fault): a hash of
-    // (node, sequence window) keeps the jitter seed-independent and
-    // RNG-neutral. Windows of 16 consecutive heartbeats share one draw —
-    // a gray node's lateness is bursty (GC and I/O pauses hold several
-    // heartbeats back together), and correlated delays are what open
-    // receiver-side silences; independent per-heartbeat draws would be
-    // masked by the in-flight neighbors filling every gap.
-    const std::uint64_t h = MixHash(
-        (static_cast<std::uint64_t>(node_) << 32) | (heartbeat_seq_ / 16));
-    latency += static_cast<SimDuration>(
-        h % static_cast<std::uint64_t>(heartbeat_jitter_ + 1));
-  }
+  const SimDuration delay = health::HeartbeatDelay(
+      net_.Latency(node_, jt_.master_node()), node_, ++heartbeat_seq_,
+      heartbeat_jitter_);
   const TrackerId id = id_;
   JobTracker& jt = jt_;
-  sim_.ScheduleAfter(latency, [&jt, id] { jt.Heartbeat(id); });
+  sim_.ScheduleAfter(delay, [&jt, id] { jt.Heartbeat(id); });
 }
 
 void TaskTracker::ProbeWorkingDirectory() {

@@ -136,11 +136,9 @@ class TaskTracker {
   void set_compute_scale(double factor) { compute_scale_ = factor; }
   double compute_scale() const { return compute_scale_; }
 
-  /// Max extra delay added to each future heartbeat; the actual delay is a
-  /// deterministic hash of (node, heartbeat sequence) in [0, jitter] — no
-  /// RNG stream is touched. 0 restores the exact nominal cadence.
+  /// Max extra delay added to each future heartbeat
+  /// (health::HeartbeatDelay). 0 restores the exact nominal cadence.
   void set_heartbeat_jitter(SimDuration jitter) { heartbeat_jitter_ = jitter; }
-  SimDuration heartbeat_jitter() const { return heartbeat_jitter_; }
 
  private:
   struct PendingFetch {

@@ -34,19 +34,19 @@ bool ClusterView::Probated(mr::TrackerId id) const {
 
 int ClusterView::total_map_slots() const {
   int slots = 0;
-  for (const auto& entry : jt_.trackers_) {
-    if (entry.alive && entry.daemon != nullptr) {
-      slots += entry.daemon->map_slots();
-    }
+  for (mr::TrackerId id = 0; id < jt_.trackers_.size(); ++id) {
+    const mr::TaskTracker* daemon = jt_.trackers_[id].daemon;
+    if (jt_.TrackerAlive(id) && daemon != nullptr) slots += daemon->map_slots();
   }
   return slots;
 }
 
 int ClusterView::total_reduce_slots() const {
   int slots = 0;
-  for (const auto& entry : jt_.trackers_) {
-    if (entry.alive && entry.daemon != nullptr) {
-      slots += entry.daemon->reduce_slots();
+  for (mr::TrackerId id = 0; id < jt_.trackers_.size(); ++id) {
+    const mr::TaskTracker* daemon = jt_.trackers_[id].daemon;
+    if (jt_.TrackerAlive(id) && daemon != nullptr) {
+      slots += daemon->reduce_slots();
     }
   }
   return slots;

@@ -217,7 +217,8 @@ TEST(Scenario, CommittedScenarioFilesRoundTrip) {
   const std::string root = HOGSIM_SOURCE_DIR "/scenarios/";
   for (const char* name :
        {"site_storm.txt", "rolling_partition.txt", "namenode_blackout.txt",
-        "heartbeat_jitter.txt", "slow_node_storm.txt", "osg_replay.trace"}) {
+        "heartbeat_jitter.txt", "slow_node_storm.txt", "tor_failure.txt",
+        "oversub_shuffle_storm.txt", "osg_replay.trace"}) {
     SCOPED_TRACE(name);
     const Scenario s = LoadScenarioFile(root + name);
     EXPECT_FALSE(s.empty());

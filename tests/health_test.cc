@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "src/grid/grid.h"
 #include "src/health/detector.h"
+#include "src/health/liveness.h"
 #include "src/health/quarantine.h"
 #include "src/hog/hog_cluster.h"
 #include "src/sim/simulation.h"
@@ -177,6 +179,47 @@ TEST(DetectorRegistryTest, RejectsUnknownNamesAndParams) {
   const auto& names = DetectorNames();
   EXPECT_NE(std::find(names.begin(), names.end(), "deadline"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "phi"), names.end());
+}
+
+// ---------------------------------------------------------------------------
+// Heartbeat delay (the delay-heartbeats gray fault)
+
+TEST(HeartbeatDelayTest, ZeroJitterIsExactlyTheLatency) {
+  for (std::uint64_t seq = 0; seq < 64; ++seq) {
+    EXPECT_EQ(HeartbeatDelay(7 * kMillisecond, 3, seq, 0), 7 * kMillisecond);
+  }
+}
+
+TEST(HeartbeatDelayTest, StaysWithinLatencyPlusJitter) {
+  constexpr SimDuration kLatency = 40 * kMillisecond;
+  for (std::uint64_t node = 0; node < 8; ++node) {
+    for (std::uint64_t seq = 1; seq <= 512; ++seq) {
+      const SimDuration d = HeartbeatDelay(kLatency, node, seq, 5 * kSecond);
+      EXPECT_GE(d, kLatency);
+      EXPECT_LE(d, kLatency + 5 * kSecond);
+    }
+  }
+  // Both ends are reachable: a one-tick jitter draws each of them.
+  std::set<SimDuration> ends;
+  for (std::uint64_t window = 0; window < 64; ++window) {
+    ends.insert(HeartbeatDelay(kLatency, 1, 16 * window, 1));
+  }
+  EXPECT_EQ(ends, (std::set<SimDuration>{kLatency, kLatency + 1}));
+}
+
+TEST(HeartbeatDelayTest, EachWindowOf16HeartbeatsSharesOneDraw) {
+  std::set<SimDuration> draws;
+  for (std::uint64_t window = 0; window < 32; ++window) {
+    const SimDuration first = HeartbeatDelay(0, 5, 16 * window, kSecond);
+    for (std::uint64_t seq = 16 * window + 1; seq < 16 * (window + 1);
+         ++seq) {
+      EXPECT_EQ(HeartbeatDelay(0, 5, seq, kSecond), first) << "seq " << seq;
+    }
+    draws.insert(first);
+  }
+  // Windows draw afresh, and so do nodes.
+  EXPECT_GT(draws.size(), 16u);
+  EXPECT_NE(HeartbeatDelay(0, 5, 0, kSecond), HeartbeatDelay(0, 6, 0, kSecond));
 }
 
 // ---------------------------------------------------------------------------

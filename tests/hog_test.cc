@@ -70,8 +70,9 @@ TEST(HogElasticity, GrowAndShrink) {
   ASSERT_TRUE(hog.WaitForNodes(60, kDeadline));
   EXPECT_GE(hog.grid().running_nodes(), 60);
   hog.RequestNodes(10);
-  ASSERT_TRUE(hog.RunUntil(
-      [&] { return hog.grid().running_nodes() <= 10; }, kDeadline));
+  ASSERT_TRUE(workload::RunSimUntil(
+      hog.sim(), [&] { return hog.grid().running_nodes() <= 10; },
+      kDeadline));
 }
 
 TEST(HogElasticity, Listing1SubmitFileWorksEndToEnd) {
@@ -152,8 +153,9 @@ TEST(HogTrace, ReportedNodesLagActualOnPreemption) {
   const double reported_later = hog.reported_nodes().At(t0 + 3 * kMinute);
   EXPECT_LE(reported_later, actual_low + 30 - actual_low + 1);
   // Replacements eventually restore the target.
-  ASSERT_TRUE(hog.RunUntil(
-      [&] { return hog.grid().running_nodes() >= 30; }, kDeadline));
+  ASSERT_TRUE(workload::RunSimUntil(
+      hog.sim(), [&] { return hog.grid().running_nodes() >= 30; },
+      kDeadline));
 }
 
 TEST(HogWorkload, SmallFacebookSliceRunsOnHog) {

@@ -3,6 +3,9 @@
 // re-admitted with their block inventories and no data is lost.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "src/check/auditor.h"
 #include "src/hdfs/datanode.h"
 #include "src/hdfs/dfs_client.h"
 #include "src/hdfs/namenode.h"
@@ -61,6 +64,17 @@ class FailoverHarness {
   std::vector<std::unique_ptr<storage::Disk>> disks_;
   std::vector<std::unique_ptr<Datanode>> daemons_;
 };
+
+// The last sample of a trace counter track (-1 if it has none).
+double LastCounterSample(const obs::Tracer& tracer, std::string_view track) {
+  double last = -1;
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    if (e.kind == obs::TraceEvent::Kind::kCounter && e.name == track) {
+      last = e.value;
+    }
+  }
+  return last;
+}
 
 TEST(NamenodeFailover, NoDataLostAcrossRestart) {
   FailoverHarness h(6);  // stock replication 3
@@ -158,6 +172,31 @@ TEST(NamenodeFailover, LateDatanodeRegistersAfterRestart) {
   h.nn().Restart();
   h.sim().RunUntil(h.sim().now() + kMinute);
   EXPECT_EQ(h.nn().live_datanodes(), 4);
+}
+
+TEST(NamenodeFailover, RestartReadmissionKeepsTheLiveGaugeInStep) {
+  FailoverHarness h(3);
+  h.sim().obs().tracer().set_enabled(true);
+  // A gray datanode: heavy heartbeat jitter opens a silence past the 30 s
+  // recheck and the namenode declares a process that is still running.
+  h.daemon(0).set_heartbeat_jitter(30 * kMinute);
+  ASSERT_TRUE(workload::RunSimUntil(
+      h.sim(), [&] { return h.nn().datanodes_declared_dead() == 1; }, kHour));
+  ASSERT_EQ(h.nn().live_datanodes(), 2);
+  h.daemon(0).set_heartbeat_jitter(0);
+  // The restart sweep re-admits it, and nothing afterwards re-publishes
+  // the count: no register, no declare, only steady heartbeats.
+  h.nn().Crash();
+  h.sim().RunUntil(h.sim().now() + kSecond);
+  h.nn().Restart();
+  h.sim().RunUntil(h.sim().now() + 10 * kMinute);
+  EXPECT_EQ(h.nn().datanodes_declared_dead(), 1u);
+  EXPECT_EQ(h.nn().live_datanodes(), 3);
+  EXPECT_EQ(h.sim().obs().metrics().GetGauge("hdfs.datanodes.live").value(),
+            3.0);
+  EXPECT_EQ(LastCounterSample(h.sim().obs().tracer(), "datanodes.live"), 3.0);
+  check::Auditor auditor(h.sim(), &h.nn(), nullptr, nullptr);
+  EXPECT_EQ(auditor.AuditNow(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/check/auditor.h"
@@ -23,6 +24,7 @@
 #include "src/hog/hog_cluster.h"
 #include "src/mapreduce/jobtracker.h"
 #include "src/mapreduce/tasktracker.h"
+#include "src/workload/runner.h"
 
 namespace hogsim {
 namespace {
@@ -444,6 +446,38 @@ TEST(JobTrackerBlackout, RecoveryIsDeterministic) {
   EXPECT_EQ(a.reexecuted, b.reexecuted);
 }
 
+// The jobtracker twin of the namenode's restart re-admission test
+// (namenode_failover_test.cc): a falsely declared tracker re-admitted by
+// the restart sweep is counted again by the gauge and the trace track.
+TEST(JobTrackerBlackout, RestartReadmissionKeepsTheLiveGaugeInStep) {
+  mr::MrConfig config;
+  config.tracker_expiry = 30 * kSecond;
+  MrHarness h(3, config);
+  h.sim().obs().tracer().set_enabled(true);
+  h.tracker(0).set_heartbeat_jitter(30 * kMinute);
+  ASSERT_TRUE(workload::RunSimUntil(
+      h.sim(), [&] { return h.jt().trackers_declared_lost() == 1; }, kHour));
+  ASSERT_EQ(h.jt().live_trackers(), 2);
+  h.tracker(0).set_heartbeat_jitter(0);
+  h.jt().Crash();
+  h.sim().RunUntil(h.sim().now() + kSecond);
+  h.jt().Restart();
+  h.sim().RunUntil(h.sim().now() + 10 * kMinute);
+  EXPECT_EQ(h.jt().trackers_declared_lost(), 1u);
+  EXPECT_EQ(h.jt().live_trackers(), 3);
+  EXPECT_EQ(h.sim().obs().metrics().GetGauge("mr.trackers.live").value(), 3.0);
+  double last_sample = -1;
+  for (const obs::TraceEvent& e : h.sim().obs().tracer().Events()) {
+    if (e.kind == obs::TraceEvent::Kind::kCounter &&
+        std::string_view(e.name) == "trackers.live") {
+      last_sample = e.value;
+    }
+  }
+  EXPECT_EQ(last_sample, 3.0);
+  check::Auditor auditor(h.sim(), &h.nn(), &h.jt(), nullptr);
+  EXPECT_EQ(auditor.AuditNow(), 0u);
+}
+
 // ---- Invariant auditor ------------------------------------------------------
 
 TEST(Auditor, HealthyRunStaysViolationFree) {
@@ -477,6 +511,27 @@ TEST(Auditor, CatchesSeededDiskInconsistency) {
             "hdfs.disk_accounting");
   EXPECT_GE(
       h.sim().obs().metrics().GetCounter("check.violations").value(), 1u);
+}
+
+TEST(Auditor, CatchesSeededLiveGaugeDrift) {
+  MrHarness h(3);
+  check::Auditor auditor(h.sim(), &h.nn(), &h.jt(), nullptr);
+  h.sim().RunUntil(kMinute);
+  EXPECT_EQ(auditor.AuditNow(), 0u);
+  // One check covers both masters' liveness: let each live gauge drift
+  // from its count, as a re-admission that skipped the gauge would.
+  obs::MetricsRegistry& metrics = h.sim().obs().metrics();
+  metrics.GetGauge("hdfs.datanodes.live").Set(2);
+  metrics.GetGauge("mr.trackers.live").Set(4);
+  EXPECT_EQ(auditor.AuditNow(), 2u);
+  ASSERT_EQ(auditor.records().size(), 2u);
+  for (const check::Violation& v : auditor.records()) {
+    EXPECT_EQ(std::string(v.invariant), "health.live_gauge");
+  }
+  EXPECT_NE(auditor.records()[0].detail.find("hdfs.datanodes.live"),
+            std::string::npos);
+  EXPECT_NE(auditor.records()[1].detail.find("mr.trackers.live"),
+            std::string::npos);
 }
 
 TEST(Auditor, FailFastThrowsAuditError) {
@@ -579,7 +634,8 @@ TEST(SiteStorm, QueueDrainsAndNoBlockLeftBehind) {
 
   // Ride out the storm (last periodic action ends at 40 m), then drain.
   cluster.sim().RunUntil(cluster.sim().now() + 45 * kMinute);
-  ASSERT_TRUE(cluster.RunUntil(
+  ASSERT_TRUE(workload::RunSimUntil(
+      cluster.sim(),
       [&] { return cluster.namenode().under_replicated() == 0; },
       cluster.sim().now() + 2 * kHour, 5 * kSecond))
       << "the priority queue must drain to zero after the storm";

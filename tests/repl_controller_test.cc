@@ -278,7 +278,8 @@ TEST(ReplSoak, ControllerKeepsBlocksAliveUnderChaosForLess) {
 
   // Ride out the 40-minute palette, then let healing drain the queue.
   cluster.sim().RunUntil(cluster.sim().now() + 45 * kMinute);
-  ASSERT_TRUE(cluster.RunUntil(
+  ASSERT_TRUE(workload::RunSimUntil(
+      cluster.sim(),
       [&] { return cluster.namenode().under_replicated() == 0; },
       cluster.sim().now() + 2 * kHour, 5 * kSecond))
       << "the replication queue must drain after the storm";

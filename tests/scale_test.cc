@@ -79,14 +79,14 @@ TEST(Scale, TenThousandTrackerExpiryLatency) {
   for (int k = 0; k < kKilled; ++k) {
     const auto id = static_cast<mr::TrackerId>(
         static_cast<std::size_t>(k) * (kTrackers / kKilled));
-    EXPECT_FALSE(jt.tracker(id).alive) << "tracker " << id;
+    EXPECT_FALSE(jt.TrackerAlive(id)) << "tracker " << id;
   }
 
   // Survivors keep heartbeating and stay alive.
   sim.RunUntil(60 * kSecond);
   EXPECT_EQ(jt.trackers_declared_lost(), static_cast<std::uint64_t>(kKilled));
-  EXPECT_TRUE(jt.tracker(1).alive);
-  EXPECT_TRUE(jt.tracker(kTrackers - 1).alive);
+  EXPECT_TRUE(jt.TrackerAlive(1));
+  EXPECT_TRUE(jt.TrackerAlive(kTrackers - 1));
 }
 
 // The scale sweep's deterministic rows must be thread-schedule

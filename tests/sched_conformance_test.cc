@@ -117,7 +117,7 @@ bool RunnableMapOfferExists(const mr::JobTracker& jt) {
     if (!needy) continue;
     for (mr::TrackerId t = 0; t < jt.tracker_count(); ++t) {
       const auto& entry = jt.tracker(t);
-      if (!entry.alive || entry.daemon == nullptr ||
+      if (!jt.TrackerAlive(t) || entry.daemon == nullptr ||
           !entry.daemon->process_alive()) {
         continue;
       }
@@ -277,7 +277,7 @@ void FuzzPolicy(const PolicyCase& param, std::uint64_t seed) {
       // Kill a random original worker at most once each; keep >=3 alive.
       const auto victim = static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<std::int64_t>(h.worker_count()) - 1));
-      if (h.jt().tracker(static_cast<mr::TrackerId>(victim)).alive &&
+      if (h.jt().TrackerAlive(static_cast<mr::TrackerId>(victim)) &&
           h.tracker(victim).process_alive()) {
         h.KillWorker(victim);
         ++kills;
