@@ -2,14 +2,15 @@
 # Tier-1 gate: check docs links, then configure + build both CMake presets
 # (default and ASan/UBSan) and run the tier1-labelled tests under each —
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
-# fault-scenario smoke leg (hogbench scenario_storm under the committed
-# scenarios, the master crash/restart one audited, which also proves the
-# examples compiled), every experiment
-# `hogbench --list` names, fast with fail-fast audits (the six gated ones
-# exit 1 on a broken contract; the replication ablation runs once more on
-# a ToR fabric), the scheduler policy-conformance harness, and the
-# compare_bench legs: the fast sched, repl, scale and topo outputs of that
-# loop, and a fast unaudited gray run, each diffed against its committed
+# fault-scenario smoke leg (hogbench scenario_storm under every committed
+# scenario, the master crash/restart, partition, oversubscribed-storm and
+# trace-replay ones audited, which also proves the examples compiled),
+# every experiment `hogbench --list` names, fast with fail-fast audits
+# (the six gated ones exit 1 on a broken contract; the replication
+# ablation runs once more on a ToR fabric), the scheduler
+# policy-conformance harness, and the compare_bench legs: the fast sched,
+# repl, scale and topo outputs of that loop, and a fast unaudited gray
+# run, each diffed against its committed
 # BENCH_*.json baseline. A preflight first fails the gate if any of those
 # baselines is not tracked by git, and each preset fails if a tier-1 ctest
 # name embeds raw parameter bytes wider than a scoped enum. This is what a
@@ -89,6 +90,20 @@ run_preset() {
   "$hogbench" scenario_storm --fast --audit \
     --scenario=scenarios/namenode_blackout.txt \
     --out="$dir/BENCH_scenario_blackout.json"
+  # The other committed scenarios, audited, so every file in scenarios/
+  # runs end to end here rather than only parsing in the tier-1 tests:
+  # rolling site partitions, a shuffle storm on an 8:1 oversubscribed
+  # ToR fabric, and the OSG preemption-trace replay.
+  "$hogbench" scenario_storm --fast --audit \
+    --scenario=scenarios/rolling_partition.txt \
+    --out="$dir/BENCH_scenario_partition.json"
+  "$hogbench" scenario_storm --fast --audit --seeds=1 \
+    --topology="tor:racks=4;oversub=8" \
+    --scenario=scenarios/oversub_shuffle_storm.txt \
+    --out="$dir/BENCH_scenario_oversub.json"
+  "$hogbench" scenario_storm --fast --audit \
+    --scenario=scenarios/osg_replay.trace \
+    --out="$dir/BENCH_scenario_replay.json"
   echo "== [$preset] every experiment (fast, audited) =="
   # Every experiment in hogbench's table, so a new one cannot miss the
   # gate: fast, with the fail-fast auditor armed (any cross-layer

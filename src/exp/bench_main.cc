@@ -15,6 +15,7 @@
 #include "src/obs/obs.h"
 #include "src/sched/policy.h"
 #include "src/util/log.h"
+#include "src/util/spec.h"
 #include "src/util/strings.h"
 
 namespace hogsim::exp {
@@ -181,53 +182,37 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
       opts.scenario = std::string(value);
       continue;
     }
-    if (eat("--scheduler=", value)) {
-      if (value.empty()) Usage(prog, 2);
+    // The three plug-in specs are validated by building them once, so a
+    // malformed spec fails here instead of in the middle of a sweep.
+    const auto spec_flag = [&](std::string_view flag, std::string& field,
+                               const auto& build) {
+      if (!eat(flag, value)) return false;
       try {
-        (void)sched::CreatePolicy(std::string(value));
+        (void)build(std::string(value));
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: bad --scheduler value: %s\n", prog,
-                     e.what());
+        std::fprintf(stderr, "%s: bad %.*s value: %s\n", prog,
+                     static_cast<int>(flag.size() - 1), flag.data(), e.what());
         Usage(prog, 2);
       }
-      opts.scheduler = std::string(value);
-      continue;
-    }
-    if (eat("--topology=", value)) {
-      if (value.empty()) Usage(prog, 2);
-      try {
-        (void)net::topo::CreateTopology(std::string(value));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: bad --topology value: %s\n", prog,
-                     e.what());
-        Usage(prog, 2);
-      }
-      opts.topology = std::string(value);
-      continue;
-    }
-    if (eat("--detector=", value)) {
-      if (value.empty()) Usage(prog, 2);
-      try {
-        (void)health::CreateDetector(std::string(value), kMinute);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: bad --detector value: %s\n", prog,
-                     e.what());
-        Usage(prog, 2);
-      }
-      opts.detector = std::string(value);
+      field = std::string(value);
+      return true;
+    };
+    if (spec_flag("--scheduler=", opts.scheduler, sched::CreatePolicy) ||
+        spec_flag("--topology=", opts.topology, net::topo::CreateTopology) ||
+        spec_flag("--detector=", opts.detector, [](const std::string& spec) {
+          return health::CreateDetector(spec, kMinute);
+        })) {
       continue;
     }
     if (eat("--repl-target=", value)) {
-      char* end = nullptr;
-      const std::string text(value);
-      const double target = std::strtod(text.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(target >= 0) || target >= 1) {
+      const std::optional<double> target = ParseNumber(value);
+      if (!target || *target < 0 || *target >= 1) {
         std::fprintf(stderr,
                      "%s: bad --repl-target value '%s' (want 0 <= A < 1)\n",
-                     prog, text.c_str());
+                     prog, std::string(value).c_str());
         Usage(prog, 2);
       }
-      opts.repl_target = target;
+      opts.repl_target = *target;
       continue;
     }
     std::fprintf(stderr, "%s: unknown argument '%s'\n", prog,

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/util/spec.h"
 #include "src/util/strings.h"
 
 namespace hogsim::fault {
@@ -72,15 +73,12 @@ struct Cursor {
 };
 
 double ParseNumber(Cursor& cur, const Token& tok, std::string_view what) {
-  double value = 0;
-  const auto [end, ec] = std::from_chars(
-      tok.text.data(), tok.text.data() + tok.text.size(), value);
-  if (ec != std::errc() || end != tok.text.data() + tok.text.size() ||
-      !std::isfinite(value)) {
+  const std::optional<double> value = hogsim::ParseNumber(tok.text);
+  if (!value) {
     cur.Fail(tok.column, "bad " + std::string(what) + " '" +
                              std::string(tok.text) + "'");
   }
-  return value;
+  return *value;
 }
 
 /// `<number><unit>` with unit us/ms/s/m/h; bare numbers are seconds.
@@ -102,18 +100,14 @@ SimDuration ParseTicks(Cursor& cur, const Token& tok, std::string_view what) {
     unit = kHour;
     text.remove_suffix(1);
   }
-  double value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc() ||
-      end != text.data() + text.size() || !std::isfinite(value) ||
-      value < 0) {
+  const std::optional<double> value = hogsim::ParseNumber(text);
+  if (!value || *value < 0) {
     cur.Fail(tok.column, "bad " + std::string(what) + " '" +
                              std::string(tok.text) + "' (want <number>[" +
                              "us|ms|s|m|h])");
   }
   return static_cast<SimDuration>(
-      std::llround(value * static_cast<double>(unit)));
+      std::llround(*value * static_cast<double>(unit)));
 }
 
 int ParseSite(Cursor& cur, const Token& tok, bool allow_all) {

@@ -1,8 +1,10 @@
 #include "src/grid/condor.h"
 
 #include <cctype>
+#include <climits>
 #include <stdexcept>
 
+#include "src/util/spec.h"
 #include "src/util/strings.h"
 
 namespace hogsim::grid {
@@ -71,11 +73,14 @@ CondorSubmit ParseCondorSubmit(std::string_view text) {
 
   for (const auto& line : lines) {
     if (StartsWith(line, "queue")) {
-      std::string_view rest = Trim(std::string_view(line).substr(5));
-      submit.queue_count = rest.empty() ? 1 : std::stoi(std::string(rest));
-      if (submit.queue_count <= 0) {
-        throw std::invalid_argument("queue count must be positive");
+      const std::string_view rest = Trim(std::string_view(line).substr(5));
+      const std::optional<std::int64_t> count =
+          rest.empty() ? 1 : ParseInteger(rest);
+      if (!count || *count <= 0 || *count > INT_MAX) {
+        throw std::invalid_argument("bad queue count in '" + line +
+                                    "' (want a positive integer)");
       }
+      submit.queue_count = static_cast<int>(*count);
       saw_queue = true;
       continue;
     }

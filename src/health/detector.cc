@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/util/spec.h"
+
 namespace hogsim::health {
 
 namespace {
@@ -14,21 +16,6 @@ constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 /// P(X > z) for a standard normal, via erfc (monotone decreasing in z).
 double NormalUpperTail(double z) {
   return 0.5 * std::erfc(z / std::sqrt(2.0));
-}
-
-double ParseDouble(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size()) {
-    throw std::invalid_argument("detector param " + key + "='" + value +
-                                "' is not a number");
-  }
-  return parsed;
 }
 
 }  // namespace
@@ -58,6 +45,10 @@ void DeadlineDetector::OnHeartbeat(DaemonId id, SimTime now) {
 
 void DeadlineDetector::Forget(DaemonId id) {
   if (id < last_.size()) last_[id] = kNever;
+}
+
+SimTime DeadlineDetector::LastHeartbeat(DaemonId id) const {
+  return id < last_.size() ? last_[id] : kNever;
 }
 
 SimTime DeadlineDetector::Deadline(DaemonId id) const {
@@ -143,6 +134,10 @@ SimDuration PhiDetector::SilenceBudget(const State& s) const {
   return std::clamp(adaptive, std::max<SimDuration>(lo, 1), hi);
 }
 
+SimTime PhiDetector::LastHeartbeat(DaemonId id) const {
+  return id < states_.size() && states_[id].known ? states_[id].last : kNever;
+}
+
 SimTime PhiDetector::Deadline(DaemonId id) const {
   if (id >= states_.size() || !states_[id].known) return kNever;
   const State& s = states_[id];
@@ -173,65 +168,26 @@ double PhiDetector::MeanIntervalSeconds(DaemonId id) const {
 
 // ---- Registry --------------------------------------------------------------
 
-std::map<std::string, std::string> ParseDetectorParams(
-    const std::string& params) {
-  std::map<std::string, std::string> parsed;
-  if (params.empty()) return parsed;
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    std::size_t end = params.find(';', start);
-    if (end == std::string::npos) end = params.size();
-    const std::string segment = params.substr(start, end - start);
-    if (segment.empty()) {
-      throw std::invalid_argument("detector params: empty ';' segment in '" +
-                                  params + "'");
-    }
-    const std::size_t eq = segment.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("detector params: '" + segment +
-                                  "' is not key=value");
-    }
-    parsed[segment.substr(0, eq)] = segment.substr(eq + 1);
-    start = end + 1;
-  }
-  return parsed;
-}
-
 std::unique_ptr<FailureDetector> CreateDetector(
-    const std::string& spec, SimDuration bootstrap_timeout) {
-  const std::size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  const std::string params =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  if (name == "deadline") {
-    if (!params.empty()) {
-      throw std::invalid_argument("deadline detector takes no parameters");
-    }
-    return std::make_unique<DeadlineDetector>(bootstrap_timeout);
-  }
-  if (name == "phi") {
+    const std::string& text, SimDuration bootstrap_timeout) {
+  Spec spec(text);
+  std::unique_ptr<FailureDetector> detector;
+  if (spec.name() == "deadline") {
+    detector = std::make_unique<DeadlineDetector>(bootstrap_timeout);
+  } else if (spec.name() == "phi") {
     PhiDetectorConfig config;
-    for (const auto& [key, value] : ParseDetectorParams(params)) {
-      if (key == "threshold") {
-        config.threshold = ParseDouble(key, value);
-      } else if (key == "window") {
-        config.window = ParseDouble(key, value);
-      } else if (key == "min_samples") {
-        config.min_samples = static_cast<int>(ParseDouble(key, value));
-      } else if (key == "sigma_floor") {
-        config.sigma_floor = ParseDouble(key, value);
-      } else if (key == "floor") {
-        config.floor = ParseDouble(key, value);
-      } else if (key == "cap") {
-        config.cap = ParseDouble(key, value);
-      } else {
-        throw std::invalid_argument("phi: unknown parameter '" + key + "'");
-      }
-    }
-    return std::make_unique<PhiDetector>(bootstrap_timeout, config);
+    config.threshold = spec.Number("threshold", config.threshold);
+    config.window = spec.Number("window", config.window);
+    config.min_samples = spec.Int("min_samples", config.min_samples);
+    config.sigma_floor = spec.Number("sigma_floor", config.sigma_floor);
+    config.floor = spec.Number("floor", config.floor);
+    config.cap = spec.Number("cap", config.cap);
+    detector = std::make_unique<PhiDetector>(bootstrap_timeout, config);
+  } else {
+    spec.FailUnknownName("detector", DetectorNames());
   }
-  throw std::invalid_argument("unknown detector '" + name +
-                              "' (have: deadline, phi)");
+  spec.Finish();
+  return detector;
 }
 
 const std::vector<std::string>& DetectorNames() {

@@ -20,15 +20,14 @@
 //             timeout. A hard cap bounds detection latency regardless of
 //             how noisy the history was.
 //
-// Selection uses the uniform strict grammar "name[:key=value;...]"
-// (CreateDetector), surfaced as --detector on every bench. Detectors are
-// consulted by health::Liveness, the masters' heartbeat expiry: they own
-// no timers, draw no RNG, and a master declares `id` dead at the first
-// monitor tick with Deadline(id) < now.
+// Selection uses the one plug-in spec grammar "name[:key=value;...]"
+// (CreateDetector, src/util/spec.h), surfaced as --detector on every
+// bench. Detectors are consulted by health::Liveness, the masters'
+// heartbeat expiry: they own no timers, draw no RNG, and a master
+// declares `id` dead at the first monitor tick with Deadline(id) < now.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +57,10 @@ class FailureDetector {
   /// A declare deliberately keeps the history (see Liveness::Declare).
   virtual void Forget(DaemonId id) = 0;
 
+  /// Arrival time of `id`'s last heartbeat; the largest SimTime when none
+  /// was recorded since the last Forget.
+  virtual SimTime LastHeartbeat(DaemonId id) const = 0;
+
   /// The conviction deadline: the master declares `id` dead at the first
   /// monitor tick where Deadline(id) < now and no heartbeat arrived in
   /// between. Must be > the id's last recorded heartbeat.
@@ -80,6 +83,7 @@ class DeadlineDetector final : public FailureDetector {
   std::string name() const override { return "deadline"; }
   void OnHeartbeat(DaemonId id, SimTime now) override;
   void Forget(DaemonId id) override;
+  SimTime LastHeartbeat(DaemonId id) const override;
   SimTime Deadline(DaemonId id) const override;
   double Suspicion(DaemonId id, SimTime now) const override;
 
@@ -126,6 +130,7 @@ class PhiDetector final : public FailureDetector {
   std::string name() const override { return "phi"; }
   void OnHeartbeat(DaemonId id, SimTime now) override;
   void Forget(DaemonId id) override;
+  SimTime LastHeartbeat(DaemonId id) const override;
   SimTime Deadline(DaemonId id) const override;
   double Suspicion(DaemonId id, SimTime now) const override;
 
@@ -154,16 +159,12 @@ class PhiDetector final : public FailureDetector {
   std::vector<State> states_;
 };
 
-/// Detector params use the sched/topo key=value grammar:
-/// "threshold=8;window=64". Throws std::invalid_argument on malformed
-/// segments.
-std::map<std::string, std::string> ParseDetectorParams(
-    const std::string& params);
-
-/// "name[:key=value;...]" -> detector instance. `bootstrap_timeout` is the
-/// owning master's fixed expiry (tracker_expiry / heartbeat_recheck):
-/// the `deadline` detector uses it verbatim, `phi` bootstraps and clamps
-/// with it. Throws std::invalid_argument on unknown names or parameters.
+/// "name[:key=value;...]" -> detector instance, in the one plug-in spec
+/// grammar (src/util/spec.h), e.g. "phi:threshold=8;window=64".
+/// `bootstrap_timeout` is the owning master's fixed expiry
+/// (tracker_expiry / heartbeat_recheck): the `deadline` detector uses it
+/// verbatim, `phi` bootstraps and clamps with it. Throws
+/// std::invalid_argument on unknown names or parameters.
 std::unique_ptr<FailureDetector> CreateDetector(const std::string& spec,
                                                 SimDuration bootstrap_timeout);
 

@@ -25,14 +25,13 @@ void Liveness::Start() {
 
 void Liveness::Register(DaemonId id) {
   assert(id == daemons_.size());
-  daemons_.push_back({sim_.now(), false, false});
+  daemons_.push_back({});
   // Registration counts as the first heartbeat of the cadence history.
   Heartbeat(id);
 }
 
 bool Liveness::Heartbeat(DaemonId id) {
   Daemon& daemon = daemons_[id];
-  daemon.last_heartbeat = sim_.now();
   detector_->OnHeartbeat(id, sim_.now());
   const bool revived = !daemon.alive;
   if (revived) {
@@ -61,7 +60,7 @@ bool Liveness::Declare(DaemonId id) {
   ++declared_;
   declared_counter_.Add();
   // The silence the master sat through: what the 30 s recheck targets.
-  latency_.Observe(ToSeconds(sim_.now() - daemon.last_heartbeat));
+  latency_.Observe(ToSeconds(sim_.now() - detector_->LastHeartbeat(id)));
   sim_.obs().tracer().EmitInstant(names_.category, names_.declared_instant,
                                   sim_.now(), id);
   PublishLive();

@@ -3,14 +3,14 @@
 // HOG learns of a dead worker only through heartbeat silence (§III.B): a
 // preempted glidein sends no goodbye, so the namenode's heartbeat recheck
 // and the jobtracker's tracker expiry are one rule, both lowered to 30 s.
-// Liveness is the master's half of it: per daemon the alive flag, the last
-// heartbeat and one entry in a lazy {deadline, id} expiry heap; the
-// FailureDetector that sets each deadline; the monitor tick at
+// Liveness is the master's half of it: per daemon the alive flag and one
+// entry in a lazy {deadline, id} expiry heap; the FailureDetector that
+// keeps each last heartbeat and sets each deadline; the monitor tick at
 // max(1 s, expiry / 6); the live and declared counts and their
 // instruments. Each master owns one and keeps only its own consequences
 // of a declare or a revival.
 //
-// Heartbeats only bump the last-heartbeat time. A popped entry whose
+// A heartbeat updates the detector, never the heap. A popped entry whose
 // daemon heartbeated since is re-armed at its true deadline (the sim
 // core's stale-entry idiom), so a tick costs O(due + 1), not O(daemons),
 // and still declares on the tick a full scan would, in ascending id.
@@ -76,7 +76,6 @@ class Liveness {
   friend class ::hogsim::check::Auditor;
 
   struct Daemon {
-    SimTime last_heartbeat = 0;
     bool alive = false;
     bool armed = false;  // holds its entry in heap_
   };

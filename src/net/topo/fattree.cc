@@ -15,7 +15,6 @@
 #include "src/net/topo/topology.h"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace hogsim::net::topo {
 
@@ -25,16 +24,11 @@ constexpr Rate kNonBlocking = 1e15;
 
 class FatTreeTopology final : public SiteTopology {
  public:
-  explicit FatTreeTopology(const TopologySpec& spec) {
-    ParamReader params("fattree", spec);
-    k_ = params.Int("k", 4, 2, 64);
-    if (k_ % 2 != 0) {
-      throw std::invalid_argument("fattree: k must be even, got " +
-                                  std::to_string(k_));
-    }
-    const double gbps = params.Double("gbps", 1.0, 1e-3, 1e6);
-    nonblocking_ = params.Int("nonblocking", 0, 0, 1) != 0;
-    params.Finish();
+  explicit FatTreeTopology(Spec& spec) {
+    k_ = spec.Int("k", 4, 2, 64);
+    if (k_ % 2 != 0) spec.Fail({"k must be even"});
+    const double gbps = spec.Number("gbps", 1.0, 1e-3, 1e6);
+    nonblocking_ = spec.Int("nonblocking", 0, 0, 1) != 0;
     rate_ = nonblocking_ ? kNonBlocking : Gbps(gbps);
     half_ = static_cast<std::uint32_t>(k_) / 2;
   }
@@ -193,7 +187,7 @@ class FatTreeTopology final : public SiteTopology {
 
 }  // namespace
 
-std::unique_ptr<SiteTopology> MakeFatTreeTopology(const TopologySpec& spec) {
+std::unique_ptr<SiteTopology> MakeFatTreeTopology(Spec& spec) {
   return std::make_unique<FatTreeTopology>(spec);
 }
 

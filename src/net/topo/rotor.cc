@@ -25,12 +25,10 @@ namespace {
 
 class RotorTopology final : public SiteTopology {
  public:
-  explicit RotorTopology(const TopologySpec& spec) {
-    ParamReader params("rotor", spec);
-    racks_ = params.Int("racks", 4, 1, 4096);
-    const double slice_ms = params.Double("slice_ms", 100.0, 1e-3, 1e7);
-    const double gbps = params.Double("gbps", 10.0, 1e-3, 1e6);
-    params.Finish();
+  explicit RotorTopology(Spec& spec) {
+    racks_ = spec.Int("racks", 4, 1, 4096);
+    const double slice_ms = spec.Number("slice_ms", 100.0, 1e-3, 1e7);
+    const double gbps = spec.Number("gbps", 10.0, 1e-3, 1e6);
     slice_ = static_cast<SimDuration>(slice_ms * kMillisecond);
     rate_ = Gbps(gbps);
   }
@@ -137,7 +135,7 @@ class RotorTopology final : public SiteTopology {
 
 }  // namespace
 
-std::unique_ptr<SiteTopology> MakeRotorTopology(const TopologySpec& spec) {
+std::unique_ptr<SiteTopology> MakeRotorTopology(Spec& spec) {
   return std::make_unique<RotorTopology>(spec);
 }
 

@@ -1,90 +1,8 @@
-// Topology spec grammar, the strict param reader, the star (degenerate)
-// topology, and the factory. The non-trivial fabrics live in tor.cc,
-// fattree.cc, and rotor.cc.
+// The star (degenerate) topology and the factory. The non-trivial fabrics
+// live in tor.cc, fattree.cc, and rotor.cc.
 #include "src/net/topo/topology.h"
 
-#include <cstdlib>
-#include <stdexcept>
-
 namespace hogsim::net::topo {
-
-TopologySpec ParseTopologySpec(const std::string& spec) {
-  TopologySpec parsed;
-  const std::size_t colon = spec.find(':');
-  parsed.name = spec.substr(0, colon);
-  if (parsed.name.empty()) {
-    throw std::invalid_argument("topology spec: empty name in '" + spec + "'");
-  }
-  if (colon == std::string::npos) return parsed;
-  const std::string params = spec.substr(colon + 1);
-  if (params.empty()) {
-    throw std::invalid_argument("topology spec: empty params in '" + spec +
-                                "'");
-  }
-  // Same strict grammar as the scheduler registry: ';'-separated
-  // key=value segments, nothing else.
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    std::size_t end = params.find(';', start);
-    if (end == std::string::npos) end = params.size();
-    const std::string segment = params.substr(start, end - start);
-    if (segment.empty()) {
-      throw std::invalid_argument("topology params: empty ';' segment in '" +
-                                  params + "'");
-    }
-    const std::size_t eq = segment.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("topology params: '" + segment +
-                                  "' is not key=value");
-    }
-    const std::string key = segment.substr(0, eq);
-    if (!parsed.params.emplace(key, segment.substr(eq + 1)).second) {
-      throw std::invalid_argument("topology params: duplicate key '" + key +
-                                  "'");
-    }
-    start = end + 1;
-  }
-  return parsed;
-}
-
-ParamReader::ParamReader(std::string_view topology, const TopologySpec& spec)
-    : topology_(topology), remaining_(spec.params) {}
-
-int ParamReader::Int(const std::string& key, int def, int min, int max) {
-  const auto it = remaining_.find(key);
-  if (it == remaining_.end()) return def;
-  const std::string value = it->second;
-  remaining_.erase(it);
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || parsed < min || parsed > max) {
-    throw std::invalid_argument(topology_ + ": bad " + key + "='" + value +
-                                "' (want integer in [" + std::to_string(min) +
-                                ", " + std::to_string(max) + "])");
-  }
-  return static_cast<int>(parsed);
-}
-
-double ParamReader::Double(const std::string& key, double def, double min,
-                           double max) {
-  const auto it = remaining_.find(key);
-  if (it == remaining_.end()) return def;
-  const std::string value = it->second;
-  remaining_.erase(it);
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || parsed < min || parsed > max) {
-    throw std::invalid_argument(topology_ + ": bad " + key + "='" + value +
-                                "'");
-  }
-  return parsed;
-}
-
-void ParamReader::Finish() {
-  if (remaining_.empty()) return;
-  throw std::invalid_argument(topology_ + ": unknown key '" +
-                              remaining_.begin()->first + "'");
-}
 
 std::uint64_t HashFlowId(FlowId flow) {
   // SplitMix64 finalizer (stateless): spreads consecutive flow ids across
@@ -119,21 +37,22 @@ class StarTopology final : public SiteTopology {
 
 }  // namespace
 
-std::unique_ptr<SiteTopology> CreateTopology(const TopologySpec& spec) {
-  if (spec.name == "star") {
-    ParamReader params("star", spec);
-    params.Finish();  // star takes no parameters
-    return std::make_unique<StarTopology>();
+std::unique_ptr<SiteTopology> CreateTopology(const std::string& text) {
+  Spec spec(text);
+  std::unique_ptr<SiteTopology> topology;
+  if (spec.name() == "star") {
+    topology = std::make_unique<StarTopology>();
+  } else if (spec.name() == "tor") {
+    topology = MakeTorTopology(spec);
+  } else if (spec.name() == "fattree") {
+    topology = MakeFatTreeTopology(spec);
+  } else if (spec.name() == "rotor") {
+    topology = MakeRotorTopology(spec);
+  } else {
+    spec.FailUnknownName("topology", TopologyNames());
   }
-  if (spec.name == "tor") return MakeTorTopology(spec);
-  if (spec.name == "fattree") return MakeFatTreeTopology(spec);
-  if (spec.name == "rotor") return MakeRotorTopology(spec);
-  throw std::invalid_argument("unknown topology '" + spec.name +
-                              "' (have: star, tor, fattree, rotor)");
-}
-
-std::unique_ptr<SiteTopology> CreateTopology(const std::string& spec) {
-  return CreateTopology(ParseTopologySpec(spec));
+  spec.Finish();
+  return topology;
 }
 
 std::vector<std::string> TopologyNames() {

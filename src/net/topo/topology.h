@@ -32,26 +32,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/net/types.h"
+#include "src/util/spec.h"
 #include "src/util/units.h"
 
 namespace hogsim::net::topo {
-
-/// Parsed `NAME[:key=value;key=value;...]` topology spec (the same strict
-/// grammar as the scheduler registry's policy params): unknown names and
-/// unknown/malformed keys raise std::invalid_argument.
-struct TopologySpec {
-  std::string name = "star";
-  std::map<std::string, std::string> params;
-};
-
-TopologySpec ParseTopologySpec(const std::string& spec);
 
 /// The surface FlowNetwork hands a topology for minting and resizing its
 /// fabric links. Fabric links live in the same dense link arena as NICs
@@ -135,9 +125,9 @@ class SiteTopology {
   }
 };
 
-/// Factory: `CreateTopology("tor:racks=4;oversub=4")`. Throws
-/// std::invalid_argument on unknown topology names or bad params.
-std::unique_ptr<SiteTopology> CreateTopology(const TopologySpec& spec);
+/// Factory: `CreateTopology("tor:racks=4;oversub=4")`, in the one plug-in
+/// spec grammar (src/util/spec.h). Throws std::invalid_argument on unknown
+/// topology names or bad params.
 std::unique_ptr<SiteTopology> CreateTopology(const std::string& spec);
 
 /// Registered topology names, sorted (error messages, docs, --help).
@@ -145,28 +135,14 @@ std::vector<std::string> TopologyNames();
 
 // ---- implementation helpers --------------------------------------------
 
-/// Strict param consumption: read typed keys, then Finish() rejects
-/// anything left over with std::invalid_argument naming the key.
-class ParamReader {
- public:
-  ParamReader(std::string_view topology, const TopologySpec& spec);
-
-  int Int(const std::string& key, int def, int min, int max);
-  double Double(const std::string& key, double def, double min, double max);
-  void Finish();
-
- private:
-  std::string topology_;
-  std::map<std::string, std::string> remaining_;
-};
-
 /// Stateless SplitMix64 finalizer used for ECMP hashing: deterministic,
 /// RNG-free, and well-mixed even for consecutive flow ids.
 std::uint64_t HashFlowId(FlowId flow);
 
-// Per-implementation factories (star lives in topology.cc).
-std::unique_ptr<SiteTopology> MakeTorTopology(const TopologySpec& spec);
-std::unique_ptr<SiteTopology> MakeFatTreeTopology(const TopologySpec& spec);
-std::unique_ptr<SiteTopology> MakeRotorTopology(const TopologySpec& spec);
+// Per-implementation factories (star lives in topology.cc). Each reads its
+// keys from `spec`; CreateTopology finishes it.
+std::unique_ptr<SiteTopology> MakeTorTopology(Spec& spec);
+std::unique_ptr<SiteTopology> MakeFatTreeTopology(Spec& spec);
+std::unique_ptr<SiteTopology> MakeRotorTopology(Spec& spec);
 
 }  // namespace hogsim::net::topo

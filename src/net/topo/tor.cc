@@ -25,11 +25,9 @@ constexpr Rate kEmptyRack = 1.0;
 
 class TorTopology final : public SiteTopology {
  public:
-  explicit TorTopology(const TopologySpec& spec) {
-    ParamReader params("tor", spec);
-    racks_ = params.Int("racks", 4, 1, 4096);
-    oversub_ = params.Double("oversub", 4.0, 0.0, 1e6);
-    params.Finish();
+  explicit TorTopology(Spec& spec) {
+    racks_ = spec.Int("racks", 4, 1, 4096);
+    oversub_ = spec.Number("oversub", 4.0, 0.0, 1e6);
   }
 
   std::string_view name() const override { return "tor"; }
@@ -132,7 +130,7 @@ class TorTopology final : public SiteTopology {
 
 }  // namespace
 
-std::unique_ptr<SiteTopology> MakeTorTopology(const TopologySpec& spec) {
+std::unique_ptr<SiteTopology> MakeTorTopology(Spec& spec) {
   return std::make_unique<TorTopology>(spec);
 }
 

@@ -1,25 +1,15 @@
 #include "src/sched/atlas.h"
 
-#include <stdexcept>
+#include <utility>
 
 namespace hogsim::sched {
 
-AtlasPolicy::AtlasPolicy(const std::string& params) {
-  const PolicyParams parsed = ParsePolicyParams(params);
-  for (const auto& [key, values] : parsed) {
-    const double v = std::stod(values.at(0));
-    if (key == "alpha") {
-      alpha_ = v;
-    } else if (key == "loss_alpha") {
-      loss_alpha_ = v;
-    } else if (key == "risk_threshold") {
-      risk_threshold_ = v;
-    } else {
-      throw std::invalid_argument("atlas: unknown parameter '" + key + "'");
-    }
-    if (v <= 0 || v > 1) {
-      throw std::invalid_argument("atlas: " + key + " must be in (0, 1]");
-    }
+AtlasPolicy::AtlasPolicy(Spec& spec) {
+  for (const auto& [key, value] :
+       {std::pair{"alpha", &alpha_}, std::pair{"loss_alpha", &loss_alpha_},
+        std::pair{"risk_threshold", &risk_threshold_}}) {
+    *value = spec.Number(key, *value);
+    if (*value <= 0 || *value > 1) spec.Fail({key, " must be in (0, 1]"});
   }
 }
 

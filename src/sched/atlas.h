@@ -34,7 +34,8 @@ namespace hogsim::sched {
 
 class AtlasPolicy : public SchedulerPolicy {
  public:
-  explicit AtlasPolicy(const std::string& params);
+  /// Reads its keys from `spec` (see above); the registry finishes it.
+  explicit AtlasPolicy(Spec& spec);
 
   const char* name() const override { return "atlas"; }
 

@@ -1,40 +1,33 @@
 #include "src/sched/capacity.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "src/util/strings.h"
 
 namespace hogsim::sched {
 
-CapacityPolicy::CapacityPolicy(const std::string& params) {
-  const PolicyParams parsed = ParsePolicyParams(params);
-  for (const auto& [key, values] : parsed) {
-    if (key != "queues") {
-      throw std::invalid_argument("capacity: unknown parameter '" + key + "'");
+CapacityPolicy::CapacityPolicy(Spec& spec) {
+  for (const std::string& entry : spec.List("queues")) {
+    const std::vector<std::string> fields = Split(entry, ':');
+    std::optional<double> capacity;
+    std::optional<double> max;
+    if (fields.size() == 3 && !fields[0].empty()) {
+      capacity = ParseNumber(fields[1]);
+      max = ParseNumber(fields[2]);
     }
-    for (const std::string& entry : values) {
-      const std::size_t c1 = entry.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : entry.find(':', c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos || c1 == 0) {
-        throw std::invalid_argument("capacity: bad queue entry '" + entry +
-                                    "' (want name:capacity:max)");
-      }
-      Queue q;
-      q.name = entry.substr(0, c1);
-      q.capacity = std::stod(entry.substr(c1 + 1, c2 - c1 - 1));
-      q.max = std::stod(entry.substr(c2 + 1));
-      if (q.capacity <= 0) {
-        throw std::invalid_argument("capacity: capacity must be positive in '" +
-                                    entry + "'");
-      }
-      for (const Queue& existing : queues_) {
-        if (existing.name == q.name) {
-          throw std::invalid_argument("capacity: duplicate queue '" + q.name +
-                                      "'");
-        }
-      }
-      queues_.push_back(std::move(q));
+    if (!capacity || !max) {
+      spec.Fail({"queues entry '", entry, "' is not name:capacity:max"});
     }
+    if (*capacity <= 0) {
+      spec.Fail({"queues entry '", entry, "' has capacity <= 0"});
+    }
+    Queue q{fields[0], *capacity, *max, {}};
+    for (const Queue& existing : queues_) {
+      if (existing.name == q.name) {
+        spec.Fail({"queues entry '", entry, "' repeats queue '", q.name, "'"});
+      }
+    }
+    queues_.push_back(std::move(q));
   }
   if (queues_.empty()) queues_.push_back({"default", 1.0, 1.0, {}});
   double sum = 0;

@@ -25,7 +25,8 @@ namespace hogsim::sched {
 
 class CapacityPolicy : public SchedulerPolicy {
  public:
-  explicit CapacityPolicy(const std::string& params);
+  /// Reads its keys from `spec` (see above); the registry finishes it.
+  explicit CapacityPolicy(Spec& spec);
 
   const char* name() const override { return "capacity"; }
 

@@ -1,7 +1,8 @@
 #include "src/sched/fair.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "src/util/strings.h"
 
 namespace hogsim::sched {
 
@@ -14,33 +15,24 @@ const std::string& PoolKey(const mr::JobInfo& job) {
 
 }  // namespace
 
-FairPolicy::FairPolicy(const std::string& params) {
-  const PolicyParams parsed = ParsePolicyParams(params);
-  for (const auto& [key, values] : parsed) {
-    if (key == "weights") {
-      for (const std::string& entry : values) {
-        const std::size_t colon = entry.find(':');
-        if (colon == std::string::npos || colon == 0) {
-          throw std::invalid_argument("fair: bad weight entry '" + entry +
-                                      "' (want user:weight)");
-        }
-        const double w = std::stod(entry.substr(colon + 1));
-        if (w <= 0) {
-          throw std::invalid_argument("fair: weight must be positive in '" +
-                                      entry + "'");
-        }
-        weights_[entry.substr(0, colon)] = w;
-      }
-    } else if (key == "preempt_timeout_s") {
-      preempt_timeout_ =
-          static_cast<SimDuration>(std::stod(values.at(0)) * kSecond);
-    } else if (key == "tick_s") {
-      tick_ = static_cast<SimDuration>(std::stod(values.at(0)) * kSecond);
-      if (tick_ <= 0) throw std::invalid_argument("fair: tick_s must be > 0");
-    } else {
-      throw std::invalid_argument("fair: unknown parameter '" + key + "'");
-    }
+FairPolicy::FairPolicy(Spec& spec) {
+  for (const std::string& entry : spec.List("weights")) {
+    const std::vector<std::string> fields = Split(entry, ':');
+    std::optional<double> w;
+    if (fields.size() == 2 && !fields[0].empty()) w = ParseNumber(fields[1]);
+    if (!w) spec.Fail({"weights entry '", entry, "' is not user:weight"});
+    if (*w <= 0) spec.Fail({"weights entry '", entry, "' is not > 0"});
+    weights_[fields[0]] = *w;
   }
+  const double preempt_s =
+      spec.Number("preempt_timeout_s", ToSeconds(preempt_timeout_));
+  if (preempt_s < 0) {
+    spec.Fail({"preempt_timeout_s must be >= 0 (0 turns preemption off)"});
+  }
+  preempt_timeout_ = static_cast<SimDuration>(preempt_s * kSecond);
+  tick_ = static_cast<SimDuration>(spec.Number("tick_s", ToSeconds(tick_)) *
+                                   kSecond);
+  if (tick_ <= 0) spec.Fail({"tick_s must be > 0"});
 }
 
 void FairPolicy::OnAttach() {

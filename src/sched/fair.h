@@ -29,7 +29,8 @@ namespace hogsim::sched {
 
 class FairPolicy : public SchedulerPolicy {
  public:
-  explicit FairPolicy(const std::string& params);
+  /// Reads its keys from `spec` (see above); the registry finishes it.
+  explicit FairPolicy(Spec& spec);
 
   const char* name() const override { return "fair"; }
 

@@ -27,16 +27,17 @@
 //    the pre-extraction event stream by tests/sched_golden_test.cc.
 //
 // Policies are resolved by name through CreatePolicy ("fifo", "fair",
-// "capacity", "atlas"), with optional parameters after a colon — see
-// each policy's header for its grammar.
+// "capacity", "atlas"), with optional parameters after a colon in the
+// one plug-in spec grammar (src/util/spec.h) — see each policy's header
+// for its keys.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/mapreduce/jobtracker.h"
+#include "src/util/spec.h"
 
 namespace hogsim::sched {
 
@@ -145,14 +146,8 @@ class SchedulerPolicy {
   ClusterView* view_ = nullptr;
 };
 
-/// Parsed "key=value;..." policy parameters. Segments without '=' extend
-/// the previous key's value list, so list-valued parameters reuse ';' as
-/// their element separator: "queues=prod:0.6:1.0;adhoc:0.4:0.8" parses to
-/// {queues: [prod:0.6:1.0, adhoc:0.4:0.8]}.
-using PolicyParams = std::map<std::string, std::vector<std::string>>;
-PolicyParams ParsePolicyParams(const std::string& params);
-
-/// Builds the policy named by `spec` ("name" or "name:params").
+/// Builds the policy named by `spec`, in the one plug-in grammar
+/// (src/util/spec.h): "fair" or "capacity:queues=prod:0.6:1.0;adhoc:0.4:0.8".
 /// Throws std::invalid_argument on an unknown name or malformed params.
 std::unique_ptr<SchedulerPolicy> CreatePolicy(const std::string& spec);
 

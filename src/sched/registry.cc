@@ -1,6 +1,4 @@
 // Policy registry: name[:params] -> SchedulerPolicy instance.
-#include <stdexcept>
-
 #include "src/sched/atlas.h"
 #include "src/sched/capacity.h"
 #include "src/sched/fair.h"
@@ -9,58 +7,22 @@
 
 namespace hogsim::sched {
 
-PolicyParams ParsePolicyParams(const std::string& params) {
-  PolicyParams parsed;
-  if (params.empty()) return parsed;
-  std::string current_key;
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    std::size_t end = params.find(';', start);
-    if (end == std::string::npos) end = params.size();
-    const std::string segment = params.substr(start, end - start);
-    if (segment.empty()) {
-      throw std::invalid_argument("policy params: empty ';' segment in '" +
-                                  params + "'");
-    }
-    const std::size_t eq = segment.find('=');
-    if (eq != std::string::npos) {
-      current_key = segment.substr(0, eq);
-      if (current_key.empty()) {
-        throw std::invalid_argument("policy params: missing key in '" +
-                                    segment + "'");
-      }
-      parsed[current_key].push_back(segment.substr(eq + 1));
-    } else if (!current_key.empty()) {
-      // A segment without '=' extends the previous key's value list
-      // ("queues=a:1:1;b:2:1" -> queues: [a:1:1, b:2:1]).
-      parsed[current_key].push_back(segment);
-    } else {
-      throw std::invalid_argument("policy params: '" + segment +
-                                  "' is not key=value");
-    }
-    start = end + 1;
+std::unique_ptr<SchedulerPolicy> CreatePolicy(const std::string& text) {
+  Spec spec(text);
+  std::unique_ptr<SchedulerPolicy> policy;
+  if (spec.name() == "fifo") {
+    policy = std::make_unique<FifoPolicy>();
+  } else if (spec.name() == "fair") {
+    policy = std::make_unique<FairPolicy>(spec);
+  } else if (spec.name() == "capacity") {
+    policy = std::make_unique<CapacityPolicy>(spec);
+  } else if (spec.name() == "atlas") {
+    policy = std::make_unique<AtlasPolicy>(spec);
+  } else {
+    spec.FailUnknownName("scheduler", PolicyNames());
   }
-  return parsed;
-}
-
-std::unique_ptr<SchedulerPolicy> CreatePolicy(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  const std::string policy_name = spec.substr(0, colon);
-  const std::string params =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  if (policy_name == "fifo") {
-    if (!params.empty()) {
-      throw std::invalid_argument("fifo takes no parameters");
-    }
-    return std::make_unique<FifoPolicy>();
-  }
-  if (policy_name == "fair") return std::make_unique<FairPolicy>(params);
-  if (policy_name == "capacity") {
-    return std::make_unique<CapacityPolicy>(params);
-  }
-  if (policy_name == "atlas") return std::make_unique<AtlasPolicy>(params);
-  throw std::invalid_argument("unknown scheduler '" + policy_name +
-                              "' (have: fifo, fair, capacity, atlas)");
+  spec.Finish();
+  return policy;
 }
 
 const std::vector<std::string>& PolicyNames() {

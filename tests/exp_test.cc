@@ -394,6 +394,9 @@ TEST(BenchMainDeathTest, UnknownSchedulerExitsWithUsageError) {
   const char* argv[] = {"bench", "--scheduler=lottery"};
   EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(argv)),
               ::testing::ExitedWithCode(2), "bad --scheduler value");
+  const char* bad_value[] = {"bench", "--scheduler=fair:tick_s=5abc"};
+  EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(bad_value)),
+              ::testing::ExitedWithCode(2), "bad --scheduler value.*tick_s");
 }
 
 TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {

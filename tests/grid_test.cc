@@ -2,6 +2,8 @@
 // (Listing 1), glidein lifecycle, elastic sizing, preemption, and zombies.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/grid/condor.h"
 #include "src/grid/grid.h"
 
@@ -71,6 +73,14 @@ TEST(Condor, RejectsMissingQueue) {
 TEST(Condor, RejectsMalformedLine) {
   EXPECT_THROW(ParseCondorSubmit("universe vanilla\nqueue 1\n"),
                std::invalid_argument);
+  // The queue count is one whole positive base-10 int.
+  for (const char* queue : {"queue 5abc", "queue 2.9", "queue 99999999999",
+                            "queue 0", "queue -3"}) {
+    EXPECT_THROW(
+        ParseCondorSubmit("universe = vanilla\n" + std::string(queue) + "\n"),
+        std::invalid_argument)
+        << queue;
+  }
 }
 
 TEST(Condor, RejectsRequirementsWithoutResource) {

@@ -176,6 +176,12 @@ TEST(DetectorRegistryTest, RejectsUnknownNamesAndParams) {
                std::invalid_argument);
   EXPECT_THROW(CreateDetector("deadline:threshold=8", kSecond),
                std::invalid_argument);
+  for (const char* spec :
+       {"phi:threshold=8;threshold=9", "phi:min_samples=2.5",
+        "phi:threshold=0x10", "phi:", "deadline:"}) {
+    EXPECT_THROW(CreateDetector(spec, kSecond), std::invalid_argument)
+        << spec;
+  }
   const auto& names = DetectorNames();
   EXPECT_NE(std::find(names.begin(), names.end(), "deadline"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "phi"), names.end());

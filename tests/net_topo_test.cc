@@ -28,6 +28,7 @@
 #include "src/hog/hog_cluster.h"
 #include "src/net/flow_network.h"
 #include "src/net/topo/topology.h"
+#include "src/util/spec.h"
 #include "src/workload/runner.h"
 
 namespace hogsim::net {
@@ -37,27 +38,25 @@ namespace {
 // Spec grammar
 
 TEST(TopoSpec, ParsesNameAndParams) {
-  const auto spec = topo::ParseTopologySpec("tor:racks=4;oversub=8");
-  EXPECT_EQ(spec.name, "tor");
-  ASSERT_EQ(spec.params.size(), 2u);
-  EXPECT_EQ(spec.params.at("racks"), "4");
-  EXPECT_EQ(spec.params.at("oversub"), "8");
+  Spec spec("tor:racks=4;oversub=8");
+  EXPECT_EQ(spec.name(), "tor");
+  EXPECT_EQ(spec.List("racks"), std::vector<std::string>{"4"});
+  EXPECT_EQ(spec.List("oversub"), std::vector<std::string>{"8"});
+  EXPECT_NO_THROW(spec.Finish());  // exactly those two keys
 
-  const auto bare = topo::ParseTopologySpec("star");
-  EXPECT_EQ(bare.name, "star");
-  EXPECT_TRUE(bare.params.empty());
+  Spec bare("star");
+  EXPECT_EQ(bare.name(), "star");
+  EXPECT_NO_THROW(bare.Finish());  // no keys at all
 }
 
 TEST(TopoSpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(topo::ParseTopologySpec(""), std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec(":racks=4"), std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec("tor:"), std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec("tor:racks"), std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec("tor:=4"), std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec("tor:racks=4;;oversub=2"),
-               std::invalid_argument);
-  EXPECT_THROW(topo::ParseTopologySpec("tor:racks=4;racks=8"),
-               std::invalid_argument);
+  EXPECT_THROW(Spec(""), std::invalid_argument);
+  EXPECT_THROW(Spec(":racks=4"), std::invalid_argument);
+  EXPECT_THROW(Spec("tor:"), std::invalid_argument);
+  EXPECT_THROW(Spec("tor:racks"), std::invalid_argument);
+  EXPECT_THROW(Spec("tor:=4"), std::invalid_argument);
+  EXPECT_THROW(Spec("tor:racks=4;;oversub=2"), std::invalid_argument);
+  EXPECT_THROW(Spec("tor:racks=4;racks=8"), std::invalid_argument);
 }
 
 TEST(TopoSpec, FactoryRejectsUnknownNamesKeysAndValues) {
@@ -69,6 +68,12 @@ TEST(TopoSpec, FactoryRejectsUnknownNamesKeysAndValues) {
   EXPECT_THROW(topo::CreateTopology("fattree:k=3"), std::invalid_argument);
   EXPECT_THROW(topo::CreateTopology("rotor:slice_ms=0"),
                std::invalid_argument);
+  // Values are whole decimal tokens, and a scalar key takes one value.
+  for (const char* spec : {"tor:racks=4.5", "tor:racks=+4", "tor:racks=4;8",
+                           "tor:oversub=0x10", "tor:oversub= 4",
+                           "tor:oversub=inf", "fattree:gbps=1e400"}) {
+    EXPECT_THROW(topo::CreateTopology(spec), std::invalid_argument) << spec;
+  }
   // The happy paths construct.
   for (const std::string& name : topo::TopologyNames()) {
     EXPECT_NO_THROW(topo::CreateTopology(name)) << name;

@@ -36,6 +36,7 @@
 
 #include "src/sched/policy.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "tests/sched_harness.h"
 
 namespace hogsim::sched {
@@ -335,17 +336,26 @@ TEST(SchedRegistry, RejectsUnknownAndMalformed) {
                std::invalid_argument);
   EXPECT_THROW(CreatePolicy("capacity:queues=a:0.5:1;queues=a:0.5:1"),
                std::invalid_argument);
+  // Malformed values, lists given to one-value keys, repeated keys and
+  // empty params all fail up front instead of running with a guess.
+  for (const char* spec :
+       {"fair:tick_s=5abc", "fair:tick_s=4;8", "fair:preempt_timeout_s=-5",
+        "fair:weights=a:2;weights=b:3", "atlas:alpha=0.5;alpha=0.9",
+        "capacity:queues=prod:0.7:1junk", "fifo:", "fair:tick_s=",
+        "atlas:alpha=1e400", "capacity:queues=prod:0.7:x"}) {
+    EXPECT_THROW(CreatePolicy(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(SchedRegistry, ParamGrammarExtendsListValues) {
-  const PolicyParams params =
-      ParsePolicyParams("queues=prod:0.6:1.0;adhoc:0.4:0.8;tick_s=30");
-  ASSERT_EQ(params.at("queues").size(), 2u);
-  EXPECT_EQ(params.at("queues")[0], "prod:0.6:1.0");
-  EXPECT_EQ(params.at("queues")[1], "adhoc:0.4:0.8");
-  EXPECT_EQ(params.at("tick_s").at(0), "30");
-  EXPECT_THROW(ParsePolicyParams("orphan"), std::invalid_argument);
-  EXPECT_THROW(ParsePolicyParams("a=1;;b=2"), std::invalid_argument);
+  Spec spec("capacity:queues=prod:0.6:1.0;adhoc:0.4:0.8;tick_s=30");
+  const std::vector<std::string> queues = spec.List("queues");
+  ASSERT_EQ(queues.size(), 2u);
+  EXPECT_EQ(queues[0], "prod:0.6:1.0");
+  EXPECT_EQ(queues[1], "adhoc:0.4:0.8");
+  EXPECT_EQ(spec.List("tick_s").at(0), "30");
+  EXPECT_THROW(Spec("capacity:orphan"), std::invalid_argument);
+  EXPECT_THROW(Spec("capacity:a=1;;b=2"), std::invalid_argument);
 }
 
 // ---- Policy-specific behaviour ----------------------------------------------

@@ -1,14 +1,17 @@
-// Unit tests for src/util: units, rng, stats, strings, table.
+// Unit tests for src/util: units, rng, stats, strings, table, spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/util/log.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
@@ -286,6 +289,42 @@ TEST(Strings, SiteFromHostnameDotEdges) {
   EXPECT_EQ(SiteFromHostname("node.site.edu."), "site.edu");
   EXPECT_EQ(SiteFromHostname("host"), "host");
   EXPECT_EQ(SiteFromHostname("a.b.c.d"), "c.d");
+}
+
+TEST(Spec, ReadsConsumeKeysAndFinishNamesTheRest) {
+  Spec spec("capacity:queues=a:1:1;b:2:1;tick_s=4;8;k=2;left=1");
+  EXPECT_EQ(spec.name(), "capacity");
+  // A segment without '=' extends the previous key's list.
+  EXPECT_EQ(spec.List("queues"), (std::vector<std::string>{"a:1:1", "b:2:1"}));
+  EXPECT_EQ(spec.Int("k", 0, 1, 4), 2);
+  EXPECT_EQ(spec.Number("absent", 1.5), 1.5);
+  // A one-value key given a list is rejected, naming the key.
+  try {
+    spec.Number("tick_s", 0);
+    ADD_FAILURE() << "a list passed as a number";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tick_s"), std::string::npos)
+        << e.what();
+  }
+  // Finish names the one key no read consumed.
+  try {
+    spec.Finish();
+    ADD_FAILURE() << "an unread key passed Finish";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'left'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Spec("fair:tick_s=1;tick_s=2"), std::invalid_argument);
+  // Numbers are whole finite decimal tokens; Int takes base 10 only.
+  EXPECT_EQ(ParseNumber("0.25"), 0.25);
+  for (const char* bad : {"", "5abc", " 4", "+4", "0x10", "inf", "nan",
+                          "1e400"}) {
+    EXPECT_FALSE(ParseNumber(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(ParseInteger("-3"), -3);
+  for (const char* bad : {"2.9", "5abc", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInteger(bad).has_value()) << bad;
+  }
 }
 
 TEST(Table, PrintAligned) {
