@@ -1,19 +1,18 @@
-// compare_bench — diff two BENCH_*.json baselines and flag regressions.
+// compare_bench — check a BENCH_*.json file against its baseline, exactly.
 //
-//   compare_bench BASELINE.json CANDIDATE.json [--tol=REL] [--quiet]
+//   compare_bench BASELINE.json CANDIDATE.json
 //
-// A metric regresses when the candidate mean moves beyond the combined 95%
-// CI of both files (plus --tol relative slack) in the metric's bad
-// direction. Exit 0: clean; exit 1: regression(s); exit 2: usage/parse
-// error. This is the one-command baseline check the BENCH convention
-// promises future perf PRs (see ROADMAP.md).
+// exp::CompareBench matches runs by (config, seed) and requires every
+// deterministic metric equal. Each difference prints as one row; host.*
+// rows print as per-config means and are never compared. Exit 0: same;
+// exit 1: a difference, or no candidate runs; exit 2: usage or parse error.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
-#include <string_view>
 
 #include "src/exp/bench_compare.h"
+#include "src/obs/json_util.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
 
@@ -21,58 +20,23 @@ using namespace hogsim;
 
 namespace {
 
-const char* VerdictName(exp::BenchComparison::Verdict v) {
-  using Verdict = exp::BenchComparison::Verdict;
-  switch (v) {
-    case Verdict::kSame: return "same";
-    case Verdict::kImproved: return "IMPROVED";
-    case Verdict::kRegressed: return "REGRESSED";
-    case Verdict::kBaselineOnly: return "missing in candidate";
-    case Verdict::kCandidateOnly: return "new in candidate";
-  }
-  return "?";
-}
-
-[[noreturn]] void Usage() {
-  std::fprintf(stderr,
-               "usage: compare_bench BASELINE.json CANDIDATE.json "
-               "[--tol=REL] [--quiet]\n"
-               "  --tol=0.05  extra relative tolerance on top of the CIs\n"
-               "  --quiet     print only regressions\n");
-  std::exit(2);
+/// `v` as the BENCH files write it ("%.17g", NaN as null); "-" when absent.
+std::string Show(std::optional<double> v) {
+  return v ? obs::JsonNumber(*v) : "-";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path, candidate_path;
-  double rel_tol = 0.0;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quiet") {
-      quiet = true;
-    } else if (StartsWith(arg, "--tol=")) {
-      const std::string value(arg.substr(6));
-      char* end = nullptr;
-      rel_tol = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || rel_tol < 0) Usage();
-    } else if (StartsWith(arg, "--")) {
-      Usage();
-    } else if (baseline_path.empty()) {
-      baseline_path = arg;
-    } else if (candidate_path.empty()) {
-      candidate_path = arg;
-    } else {
-      Usage();
-    }
+  if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+    std::fprintf(stderr,
+                 "usage: compare_bench BASELINE.json CANDIDATE.json\n");
+    return 2;
   }
-  if (baseline_path.empty() || candidate_path.empty()) Usage();
-
   exp::BenchFile baseline, candidate;
   try {
-    baseline = exp::LoadBenchJson(baseline_path);
-    candidate = exp::LoadBenchJson(candidate_path);
+    baseline = exp::LoadBenchJson(argv[1]);
+    candidate = exp::LoadBenchJson(argv[2]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "compare_bench: %s\n", e.what());
     return 2;
@@ -83,28 +47,33 @@ int main(int argc, char** argv) {
                  baseline.name.c_str(), candidate.name.c_str());
   }
 
-  const auto comparisons = exp::CompareBench(baseline, candidate, rel_tol);
-  TextTable table({"config", "metric", "baseline", "candidate", "delta",
-                   "threshold", "verdict"});
-  std::size_t regressions = 0;
-  for (const auto& c : comparisons) {
-    const bool regressed =
-        c.verdict == exp::BenchComparison::Verdict::kRegressed;
-    if (regressed) ++regressions;
-    if (quiet && !regressed) continue;
-    table.AddRow({c.config, c.metric, FormatDouble(c.baseline_mean, 4),
-                  FormatDouble(c.candidate_mean, 4),
-                  FormatDouble(c.delta, 4), FormatDouble(c.threshold, 4),
-                  VerdictName(c.verdict)});
+  const exp::BenchComparison cmp = exp::CompareBench(baseline, candidate);
+  std::printf("compare_bench: %s vs %s: %zu candidate runs, %zu "
+              "deterministic values, %zu baseline runs not run\n\n",
+              argv[1], argv[2], cmp.candidate_runs, cmp.compared_values,
+              cmp.untaken_runs);
+  TextTable host({"config", "host metric (not compared)", "baseline mean",
+                  "candidate mean"});
+  for (const exp::HostMean& h : cmp.host) {
+    host.AddRow({h.config, h.metric, FormatDouble(h.baseline, 4),
+                 FormatDouble(h.candidate, 4)});
   }
-  std::printf("compare_bench: %s vs %s (%zu metrics, tol %.3g)\n\n",
-              baseline_path.c_str(), candidate_path.c_str(),
-              comparisons.size(), rel_tol);
+  if (host.rows() > 0) host.Print(std::cout);
+  TextTable table(
+      {"config", "seed", "metric", "baseline", "candidate", "delta"});
+  for (const exp::BenchDifference& d : cmp.differences) {
+    std::optional<double> delta;
+    if (d.baseline && d.candidate) delta = *d.candidate - *d.baseline;
+    table.AddRow({d.config, std::to_string(d.seed),
+                  d.metric.empty() ? "(run not in baseline)" : d.metric,
+                  Show(d.baseline), Show(d.candidate), Show(delta)});
+  }
   if (table.rows() > 0) table.Print(std::cout);
-  if (regressions > 0) {
-    std::printf("\n%zu regression(s) beyond the 95%% CI.\n", regressions);
+  if (!cmp.Same()) {
+    std::printf("\nFAIL: %zu difference(s)%s.\n", cmp.differences.size(),
+                cmp.candidate_runs == 0 ? ", and no candidate runs" : "");
     return 1;
   }
-  std::printf("\nNo regressions beyond the 95%% CI.\n");
+  std::printf("\nSame: every candidate run equals its baseline run.\n");
   return 0;
 }

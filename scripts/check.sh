@@ -8,13 +8,14 @@
 # every experiment `hogbench --list` names, fast with fail-fast audits
 # (the six gated ones exit 1 on a broken contract; the replication
 # ablation runs once more on a ToR fabric), the scheduler
-# policy-conformance harness, and the compare_bench legs: the fast sched,
-# repl, scale and topo outputs of that loop, and a fast unaudited gray
-# run, each diffed against its committed
-# BENCH_*.json baseline. A preflight first fails the gate if any of those
-# baselines is not tracked by git, and each preset fails if a tier-1 ctest
-# name embeds raw parameter bytes wider than a scoped enum. This is what a
-# PR must keep green; see ROADMAP.md ("tier-1 tests").
+# policy-conformance harness, and the compare_bench legs, which check
+# every committed BENCH_*.json baseline run by run, exactly: the fast
+# sched, repl, scale, topo and soak outputs of that loop, a fast unaudited
+# gray run, and bench_micro_core's event-queue sweep. A preflight first
+# fails the gate if any of those baselines is not tracked by git, and each
+# preset fails if a tier-1 ctest name embeds raw parameter bytes wider
+# than a scoped enum. This is what a PR must keep green; see ROADMAP.md
+# ("tier-1 tests").
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   default preset only (skip the sanitizer build)
@@ -36,7 +37,8 @@ echo "== tracked baselines =="
 # an untracked or ignored baseline passes locally and is missing from a
 # fresh checkout.
 for baseline in BENCH_sched.json BENCH_repl.json BENCH_scale.json \
-                BENCH_topo.json BENCH_gray.json; do
+                BENCH_topo.json BENCH_soak.json BENCH_gray.json \
+                BENCH_core.json; do
   git ls-files --error-unmatch "$baseline" > /dev/null
 done
 
@@ -109,15 +111,15 @@ run_preset() {
   # gate: fast, with the fail-fast auditor armed (any cross-layer
   # inconsistency aborts the run, and under the sanitize preset any memory
   # error surfaces here too). The six gated experiments (soak, sched,
-  # scale, repl, topo, gray) exit 1 on a broken contract. Host rows are
-  # off, so the compare_bench legs below diff these outputs directly.
+  # scale, repl, topo, gray) exit 1 on a broken contract. The
+  # compare_bench legs below check these outputs against the baselines.
   local experiments
   experiments=$("$hogbench" --list | cut -d' ' -f1)
   [ -n "$experiments" ] || { echo "hogbench --list is empty" >&2; exit 1; }
   mkdir -p "$dir/fast"
   for name in $experiments; do
     echo "-- hogbench $name"
-    "$hogbench" "$name" --fast --audit --no-host-metrics \
+    "$hogbench" "$name" --fast --audit \
       --out="$dir/fast/BENCH_$name.json" \
       || { echo "hogbench $name failed" >&2; exit 1; }
   done
@@ -137,23 +139,23 @@ run_preset() {
   "$dir/tests/hogsim_tests" --gtest_brief=1 \
     --gtest_filter="SchedGolden.*:SchedRegistry.*:SchedFair.*:SchedCapacity.*:SchedAtlas.*:SchedBench.*"
   echo "== [$preset] compare_bench against the committed baselines =="
-  # Every compared row is deterministic; the tolerance only pads rounding
-  # in the JSON serialization. A full baseline's extra rows (sched's
-  # capacity policy, repl's rf3/rf5/adaptive9999 rungs, the full scale
-  # grid and topology zoo, gray's calm palette) and scale's host-only rows
-  # (wall_s, peak_rss_mib, events_per_sec) count as missing-in-candidate,
-  # which is not a regression. The fast loop keeps the full runs' labels,
-  # specs and seeds, so its rows diff one-to-one against the baselines.
-  for name in sched repl scale topo; do
-    "$dir/bench/compare_bench" "BENCH_$name.json" "$dir/fast/BENCH_$name.json" \
-      --tol=0.01
+  # Each candidate run must equal the baseline run with the same (config,
+  # seed) on every deterministic row; host.* rows are only reported. The
+  # fast loop keeps the full runs' labels, specs and seeds, so its runs are
+  # a subset of each baseline's, and the runs it skips are only counted.
+  for name in sched repl scale topo soak; do
+    "$dir/bench/compare_bench" "BENCH_$name.json" "$dir/fast/BENCH_$name.json"
   done
   # The committed gray baseline is unaudited, and the auditor's ticks are
-  # executed events on the detection rows, so gray is diffed from its own
+  # executed events on the detection rows, so gray is checked from its own
   # unaudited fast run (noisy jitter palette plus both storm rows).
   "$hogbench" gray --fast --out="$dir/BENCH_gray_fast.json"
-  "$dir/bench/compare_bench" BENCH_gray.json "$dir/BENCH_gray_fast.json" \
-    --tol=0.01
+  "$dir/bench/compare_bench" BENCH_gray.json "$dir/BENCH_gray_fast.json"
+  # The event-queue sweep alone (no benchmark matches '^$'): it writes
+  # $dir/BENCH_core.json, whose executed/cancelled/compaction counts must
+  # equal the baseline's.
+  (cd "$dir" && bench/bench_micro_core --benchmark_filter='^$')
+  "$dir/bench/compare_bench" BENCH_core.json "$dir/BENCH_core.json"
   echo "== [$preset] examples present =="
   # The example binaries are part of the build graph; a missing one means
   # a source file was dropped without updating the examples.

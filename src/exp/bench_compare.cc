@@ -1,14 +1,19 @@
 #include "src/exp/bench_compare.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "src/util/spec.h"
+#include "src/util/stats.h"
 
 namespace hogsim::exp {
 
@@ -97,10 +102,13 @@ class JsonParser {
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) Fail("short \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(std::string(text_.substr(pos_, 4)).c_str(),
-                             nullptr, 16));
+            unsigned code = 0;
+            const char* hex = text_.data() + pos_;
+            const char* end = text_.data() + std::min(pos_ + 4, text_.size());
+            if (end - hex != 4 ||
+                std::from_chars(hex, end, code, 16).ptr != end) {
+              Fail("\\u escape is not four hex digits");
+            }
             pos_ += 4;
             // Control characters only (that is all the writer escapes).
             out += static_cast<char>(code & 0x7f);
@@ -126,12 +134,12 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) Fail("expected a number");
+    const std::optional<double> number =
+        hogsim::ParseNumber(text_.substr(start, pos_ - start));
+    if (!number) Fail("malformed number");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    char* end = nullptr;
-    const std::string token(text_.substr(start, pos_ - start));
-    v.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') Fail("malformed number");
+    v.number = *number;
     return v;
   }
 
@@ -193,6 +201,14 @@ std::string StringField(const JsonValue& object, std::string_view key) {
   return v->string;
 }
 
+/// The value of `name` in `metrics`; nullopt when absent.
+std::optional<double> Find(const Metrics& metrics, std::string_view name) {
+  for (const auto& [metric, value] : metrics) {
+    if (metric == name) return value;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 JsonValue ParseJson(std::string_view json) { return JsonParser(json).Parse(); }
@@ -204,34 +220,34 @@ BenchFile ParseBenchJson(std::string_view json) {
   }
   BenchFile file;
   file.name = StringField(root, "name");
-  const JsonValue* seeds = root.Find("seeds");
-  if (seeds == nullptr || seeds->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("BENCH json: missing 'seeds' array");
+  const JsonValue* runs = root.Find("runs");
+  if (runs == nullptr || runs->kind != JsonValue::Kind::kArray) {
+    throw std::runtime_error("BENCH json: missing 'runs' array");
   }
-  for (const JsonValue& s : seeds->array) {
-    file.seeds.push_back(static_cast<std::uint64_t>(s.number));
-  }
-  const JsonValue* summaries = root.Find("summaries");
-  if (summaries == nullptr || summaries->kind != JsonValue::Kind::kArray) {
-    throw std::runtime_error("BENCH json: missing 'summaries' array");
-  }
-  for (const JsonValue& row : summaries->array) {
-    if (row.kind != JsonValue::Kind::kObject) {
-      throw std::runtime_error("BENCH json: summary row is not an object");
+  for (const JsonValue& entry : runs->array) {
+    // Runs are keyed by seed, and a double holds integers exactly only up
+    // to kMaxSeed.
+    const double seed = NumberField(entry, "seed");
+    if (!(seed >= 0 && seed <= static_cast<double>(kMaxSeed)) ||
+        seed != std::floor(seed)) {
+      throw std::runtime_error("BENCH json: a seed is not an integer in "
+                               "[0, 2^53]");
     }
-    BenchMetricRow out;
-    out.config = StringField(row, "config");
-    out.metric = StringField(row, "metric");
-    out.count = static_cast<std::size_t>(NumberField(row, "count"));
-    out.mean = NumberField(row, "mean");
-    out.stddev = NumberField(row, "stddev");
-    out.min = NumberField(row, "min");
-    out.max = NumberField(row, "max");
-    out.p50 = NumberField(row, "p50");
-    out.p95 = NumberField(row, "p95");
-    out.p99 = NumberField(row, "p99");
-    out.ci95 = NumberField(row, "ci95");
-    file.summaries.push_back(std::move(out));
+    BenchRun run{StringField(entry, "config"),
+                 static_cast<std::uint64_t>(seed),
+                 {}};
+    const JsonValue* metrics = entry.Find("metrics");
+    if (metrics == nullptr || metrics->kind != JsonValue::Kind::kObject) {
+      throw std::runtime_error("BENCH json: a run has no 'metrics' object");
+    }
+    for (const auto& [name, value] : metrics->object) {
+      if (value.kind != JsonValue::Kind::kNumber) {
+        throw std::runtime_error("BENCH json: metric '" + name +
+                                 "' is not a number");
+      }
+      run.metrics.emplace_back(name, value.number);
+    }
+    file.runs.push_back(std::move(run));
   }
   return file;
 }
@@ -244,77 +260,59 @@ BenchFile LoadBenchJson(const std::string& path) {
   return ParseBenchJson(buf.str());
 }
 
-bool MetricHigherIsBetter(std::string_view metric) {
-  static constexpr std::string_view kHigherBetter[] = {
-      "per_sec",   "throughput", "ops",       "_ok",     "succeeded",
-      "local",     "reached",    "mean_nodes"};
-  for (std::string_view token : kHigherBetter) {
-    if (metric.find(token) != std::string_view::npos) return true;
+BenchComparison CompareBench(const BenchFile& baseline,
+                             const BenchFile& candidate) {
+  BenchComparison out;
+  std::map<std::pair<std::string, std::uint64_t>, const Metrics*> untaken;
+  for (const BenchRun& run : baseline.runs) {
+    untaken.emplace(std::pair(run.config, run.seed), &run.metrics);
   }
-  return false;
-}
-
-std::vector<BenchComparison> CompareBench(const BenchFile& baseline,
-                                          const BenchFile& candidate,
-                                          double rel_tol) {
-  using Verdict = BenchComparison::Verdict;
-  std::vector<BenchComparison> out;
-  std::map<std::pair<std::string, std::string>, const BenchMetricRow*> cand;
-  for (const BenchMetricRow& row : candidate.summaries) {
-    cand[{row.config, row.metric}] = &row;
-  }
-  for (const BenchMetricRow& base : baseline.summaries) {
-    BenchComparison cmp;
-    cmp.config = base.config;
-    cmp.metric = base.metric;
-    cmp.baseline_mean = base.mean;
-    const auto it = cand.find({base.config, base.metric});
-    if (it == cand.end()) {
-      cmp.verdict = Verdict::kBaselineOnly;
-      out.push_back(std::move(cmp));
+  for (const BenchRun& run : candidate.runs) {
+    ++out.candidate_runs;
+    const auto it = untaken.find({run.config, run.seed});
+    if (it == untaken.end()) {
+      out.differences.push_back({run.config, run.seed, "", {}, {}});
       continue;
     }
-    const BenchMetricRow& next = *it->second;
-    cand.erase(it);
-    cmp.candidate_mean = next.mean;
-    const bool base_finite = std::isfinite(base.mean);
-    const bool next_finite = std::isfinite(next.mean);
-    if (!base_finite || !next_finite) {
-      // A metric that *became* unmeasurable regresses; one that became
-      // measurable improves; both-NaN compares equal.
-      cmp.verdict = base_finite == next_finite ? Verdict::kSame
-                    : base_finite              ? Verdict::kRegressed
-                                               : Verdict::kImproved;
-      out.push_back(std::move(cmp));
-      continue;
+    const Metrics& base = *it->second;
+    untaken.erase(it);
+    for (const auto& [metric, value] : base) {
+      if (IsHostMetric(metric)) continue;
+      ++out.compared_values;
+      const std::optional<double> next = Find(run.metrics, metric);
+      const bool same =
+          next && (value == *next || (std::isnan(value) && std::isnan(*next)));
+      if (!same) {
+        out.differences.push_back({run.config, run.seed, metric, value, next});
+      }
     }
-    cmp.delta = next.mean - base.mean;
-    cmp.threshold = base.ci95 + next.ci95 + rel_tol * std::fabs(base.mean);
-    if (std::fabs(cmp.delta) <= cmp.threshold) {
-      cmp.verdict = Verdict::kSame;
-    } else {
-      const bool worse = MetricHigherIsBetter(base.metric) ? cmp.delta < 0
-                                                           : cmp.delta > 0;
-      cmp.verdict = worse ? Verdict::kRegressed : Verdict::kImproved;
+    for (const auto& [metric, value] : run.metrics) {
+      if (!IsHostMetric(metric) && !Find(base, metric)) {
+        out.differences.push_back(
+            {run.config, run.seed, metric, std::nullopt, value});
+      }
     }
-    out.push_back(std::move(cmp));
   }
-  for (const auto& [key, row] : cand) {
-    BenchComparison cmp;
-    cmp.config = key.first;
-    cmp.metric = key.second;
-    cmp.candidate_mean = row->mean;
-    cmp.verdict = Verdict::kCandidateOnly;
-    out.push_back(std::move(cmp));
+  out.untaken_runs = untaken.size();
+  std::map<std::pair<std::string, std::string>, std::array<RunningStats, 2>>
+      host;
+  for (const std::size_t side : {0, 1}) {
+    for (const BenchRun& run : (side == 0 ? baseline : candidate).runs) {
+      for (const auto& [metric, value] : run.metrics) {
+        if (!IsHostMetric(metric)) continue;
+        RunningStats& stats = host[{run.config, metric}][side];
+        if (std::isfinite(value)) stats.Add(value);
+      }
+    }
+  }
+  const auto mean = [](const RunningStats& stats) {
+    return stats.count() > 0 ? stats.mean()
+                             : std::numeric_limits<double>::quiet_NaN();
+  };
+  for (const auto& [key, stats] : host) {
+    out.host.push_back({key.first, key.second, mean(stats[0]), mean(stats[1])});
   }
   return out;
-}
-
-bool HasRegression(const std::vector<BenchComparison>& comparisons) {
-  for (const BenchComparison& c : comparisons) {
-    if (c.verdict == BenchComparison::Verdict::kRegressed) return true;
-  }
-  return false;
 }
 
 }  // namespace hogsim::exp

@@ -1,21 +1,24 @@
 // Baseline comparison for the BENCH_*.json convention.
 //
-// Every sweep-backed bench writes per-config metric summaries with 95%
-// confidence intervals; this module parses two such files and flags metric
-// regressions that exceed the combined CI — giving every perf PR a
-// one-command check against the previous PR's committed baseline:
+// A run is a deterministic function of its (config, seed), apart from its
+// host.* rows (IsHostMetric). CompareBench matches each candidate run to
+// the baseline run with the same (config, seed) and requires every other
+// metric to be in both and equal; the compare_bench tool wraps it:
 //
-//   compare_bench BENCH_core.json build/BENCH_core.json
+//   compare_bench BENCH_sched.json build/fast/BENCH_sched.json
 //
-// Exit status of the tool: 0 = no regression, 1 = regression(s), 2 = bad
-// usage or unparsable input.
+// Exit status of the tool: 0 = same, 1 = a difference or no candidate
+// runs, 2 = bad usage or unparsable input.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "src/exp/sweep.h"
 
 namespace hogsim::exp {
 
@@ -39,69 +42,65 @@ struct JsonValue {
   }
 };
 
-/// Parses `json` (the writer subset above). Throws std::runtime_error on
+/// Parses `json` (the writer subset above). Numbers follow the shared
+/// strict rule (hogsim::ParseNumber). Throws std::runtime_error on
 /// malformed input — including booleans, which our writers never emit.
 /// Shared by compare_bench and the obs trace/metrics round-trip tests.
 JsonValue ParseJson(std::string_view json);
 
-/// One "summaries" row of a BENCH_*.json file.
-struct BenchMetricRow {
+/// One entry of a BENCH file's "runs" array; `null` values parse as NaN.
+struct BenchRun {
   std::string config;
-  std::string metric;
-  std::size_t count = 0;
-  double mean = 0, stddev = 0, min = 0, max = 0;
-  double p50 = 0, p95 = 0, p99 = 0;
-  double ci95 = 0;
+  std::uint64_t seed = 0;
+  Metrics metrics;
 };
 
 struct BenchFile {
   std::string name;
-  std::vector<std::uint64_t> seeds;
-  std::vector<BenchMetricRow> summaries;
+  std::vector<BenchRun> runs;
 };
 
-/// Parses the subset of JSON that ToBenchJson emits (objects, arrays,
-/// strings, numbers, null). Throws std::runtime_error on malformed input.
-/// `null` metric values (non-finite doubles) parse as NaN.
+/// Parses a ToBenchJson document's "name" and "runs" (its summaries derive
+/// from the runs). Throws std::runtime_error on malformed input or a seed
+/// that is not an integer in [0, kMaxSeed].
 BenchFile ParseBenchJson(std::string_view json);
 
 /// Reads and parses `path`. Throws std::runtime_error on I/O or parse
 /// failure.
 BenchFile LoadBenchJson(const std::string& path);
 
-/// Direction heuristic: throughput-style metrics (ops_per_sec, *_ok,
-/// succeeded, local fractions, reached targets) regress downward; every
-/// other metric (wall_s, response_s, failures, missing blocks, traffic)
-/// regresses upward.
-bool MetricHigherIsBetter(std::string_view metric);
-
-struct BenchComparison {
-  enum class Verdict {
-    kSame,           ///< |delta| within combined CI + tolerance
-    kImproved,       ///< significant change in the good direction
-    kRegressed,      ///< significant change in the bad direction
-    kBaselineOnly,   ///< metric disappeared from the candidate
-    kCandidateOnly,  ///< metric is new in the candidate
-  };
+/// A deterministic metric that differs between a candidate run and its
+/// baseline run; an absent side is nullopt. An empty `metric` means the
+/// baseline has no run with this (config, seed).
+struct BenchDifference {
   std::string config;
+  std::uint64_t seed = 0;
   std::string metric;
-  double baseline_mean = 0;
-  double candidate_mean = 0;
-  double delta = 0;      ///< candidate - baseline
-  double threshold = 0;  ///< ci95(base) + ci95(cand) + rel_tol * |base|
-  Verdict verdict = Verdict::kSame;
+  std::optional<double> baseline, candidate;
 };
 
-/// Compares candidate against baseline row by row (keyed on config +
-/// metric). A change is significant when |delta| exceeds the sum of both
-/// 95% CIs plus `rel_tol * |baseline mean|`; significant changes in the
-/// metric's bad direction are regressions. Rows whose means are both
-/// non-finite compare equal; a mean that *became* non-finite regresses.
-std::vector<BenchComparison> CompareBench(const BenchFile& baseline,
-                                          const BenchFile& candidate,
-                                          double rel_tol = 0.0);
+/// A host row's per-config mean of each file's finite values (NaN: none).
+struct HostMean {
+  std::string config, metric;
+  double baseline = 0, candidate = 0;
+};
 
-/// True if any comparison is a regression.
-bool HasRegression(const std::vector<BenchComparison>& comparisons);
+struct BenchComparison {
+  std::size_t candidate_runs = 0;
+  std::size_t compared_values = 0;  ///< deterministic values checked
+  std::size_t untaken_runs = 0;     ///< baseline runs the candidate lacks
+  std::vector<BenchDifference> differences;
+  std::vector<HostMean> host;
+
+  /// At least one candidate run, and no difference.
+  bool Same() const { return candidate_runs > 0 && differences.empty(); }
+};
+
+/// Compares exactly: equal doubles, and `null` equals only `null`. A
+/// metric on one side only and a candidate run the baseline lacks are
+/// differences; baseline runs the candidate skipped (a --fast subset) are
+/// only counted.
+BenchComparison CompareBench(const BenchFile& baseline,
+                             const BenchFile& candidate);
 
 }  // namespace hogsim::exp

@@ -29,7 +29,6 @@ namespace {
       "          [--metrics-out=PATH] [--trace-out=PATH] [--scenario=PATH]\n"
       "          [--audit] [--scheduler=NAME[:PARAMS]] [--repl-target=A]\n"
       "          [--topology=NAME[:PARAMS]] [--detector=NAME[:PARAMS]]\n"
-      "          [--no-host-metrics]\n"
       "  --seeds=11,23,47  explicit seed list\n"
       "  --seeds=5         first 5 seeds of the default progression\n"
       "  --threads=N       sweep pool width (0 = hardware concurrency)\n"
@@ -60,22 +59,19 @@ namespace {
       "                      optional :key=value;... params, e.g.\n"
       "                      phi:threshold=8;window=64) for both masters'\n"
       "                      expiry checks in experiments that run a HOG\n"
-      "                      cluster (gray's frontier rows set their own)\n"
-      "  --no-host-metrics   drop host-measured rows (wall clock, RSS) so\n"
-      "                      the JSON is byte-comparable across machines\n",
+      "                      cluster (gray's frontier rows set their own)\n",
       prog);
   std::exit(status);
 }
 
-bool ParseUint(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+/// `text` as an integer in [0, max], or nullopt.
+std::optional<std::uint64_t> ParseUpTo(std::string_view text,
+                                       std::uint64_t max) {
+  const std::optional<std::int64_t> value = ParseInteger(text);
+  if (!value || *value < 0 || static_cast<std::uint64_t>(*value) > max) {
+    return std::nullopt;
   }
-  out = value;
-  return true;
+  return static_cast<std::uint64_t>(*value);
 }
 
 }  // namespace
@@ -105,10 +101,6 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
       opts.audit = true;
       continue;
     }
-    if (arg == "--no-host-metrics") {
-      opts.host_metrics = false;
-      continue;
-    }
     const auto eat = [&](std::string_view flag,
                          std::string_view& value) -> bool {
       if (!StartsWith(arg, flag)) return false;
@@ -119,13 +111,16 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
     if (eat("--seeds=", value)) {
       std::vector<std::uint64_t> seeds;
       for (const std::string& field : Split(value, ',')) {
-        std::uint64_t seed = 0;
-        if (!ParseUint(Trim(field), seed)) {
-          std::fprintf(stderr, "%s: bad --seeds value '%s'\n", prog,
-                       std::string(value).c_str());
+        const std::optional<std::uint64_t> seed =
+            ParseUpTo(Trim(field), kMaxSeed);
+        if (!seed) {
+          std::fprintf(stderr,
+                       "%s: bad --seeds value '%s' (each seed an integer in "
+                       "[0, 2^53])\n",
+                       prog, std::string(value).c_str());
           Usage(prog, 2);
         }
-        seeds.push_back(seed);
+        seeds.push_back(*seed);
       }
       if (seeds.empty()) Usage(prog, 2);
       // A single bare number is a count, not a seed: "--seeds=5" runs the
@@ -138,6 +133,13 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
       }
       if (opts.seeds.empty()) {
         std::fprintf(stderr, "%s: --seeds needs at least one seed\n", prog);
+        Usage(prog, 2);
+      }
+      // The default progression passes kMaxSeed after 50 seeds.
+      if (*std::max_element(opts.seeds.begin(), opts.seeds.end()) > kMaxSeed) {
+        std::fprintf(stderr, "%s: bad --seeds value '%s' (the default "
+                     "progression passes 2^53 after 50 seeds)\n",
+                     prog, std::string(value).c_str());
         Usage(prog, 2);
       }
       // A sweep keys its runs by seed: a repeated seed would run twice
@@ -153,13 +155,13 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv,
       continue;
     }
     if (eat("--threads=", value)) {
-      std::uint64_t threads = 0;
-      if (!ParseUint(value, threads) || threads > 1024) {
-        std::fprintf(stderr, "%s: bad --threads value '%s'\n", prog,
-                     std::string(value).c_str());
+      const std::optional<std::uint64_t> threads = ParseUpTo(value, 1024);
+      if (!threads) {
+        std::fprintf(stderr, "%s: bad --threads value '%s' (want 0..1024)\n",
+                     prog, std::string(value).c_str());
         Usage(prog, 2);
       }
-      opts.threads = static_cast<unsigned>(threads);
+      opts.threads = static_cast<unsigned>(*threads);
       continue;
     }
     if (eat("--out=", value)) {

@@ -22,8 +22,9 @@
 //   --scheduler/--topology/--detector/--repl-target
 //                      HOG-cluster knobs; HogRunOptionsFrom carries them
 //                      and --audit into every HOG run of an experiment.
-//   --no-host-metrics  drop the wall-clock/RSS rows (scale, topo), so the
-//                      JSON is byte-comparable across machines.
+//
+// Every row is deterministic per (config, seed) except the host-measured
+// "host.*" rows (IsHostMetric) of scale and topo.
 //
 // The obs flags produce one file per (config, seed) run: with a single run
 // the path is used verbatim; with several, ".<config>.s<seed>" is inserted
@@ -51,7 +52,8 @@ struct HogRunOptions;  // src/exp/paper_runs.h
 
 struct BenchOptions {
   /// Seeds for the sweep. Default: the paper's "3 runs at each sampling
-  /// point" (11/23/47). Distinct: a repeated seed fails the parse.
+  /// point" (11/23/47). Distinct, each at most kMaxSeed: a repeated or
+  /// larger seed fails the parse.
   std::vector<std::uint64_t> seeds = {11, 23, 47};
   unsigned threads = 0;  ///< Pool width; 0 = hardware concurrency.
   std::string out;       ///< Output path; "" = "BENCH_<name>.json" in cwd.
@@ -96,10 +98,6 @@ struct BenchOptions {
   /// Validated at parse time. The gray experiment's frontier rows set
   /// their own detector per config; its storm rows honour the flag.
   std::string detector;
-  /// Emit host-measured rows (wall clock, peak RSS) where an experiment
-  /// has them; --no-host-metrics clears it, which makes scale and topo
-  /// JSON byte-comparable across machines and --threads values.
-  bool host_metrics = true;
 };
 
 /// The per-run output path for --metrics-out/--trace-out: `base` verbatim

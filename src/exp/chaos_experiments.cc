@@ -338,8 +338,7 @@ constexpr const char* kDrainScenario =
 constexpr double kBurstOffsetS = 78 * 60.0;
 
 Metrics RunTopo(const TopoConfig& cfg, std::uint64_t seed,
-                const fault::Scenario& drain_scenario, HogRunOptions ropts,
-                bool host_metrics) {
+                const fault::Scenario& drain_scenario, HogRunOptions ropts) {
   ropts.topology = cfg.topology;
   const fault::Scenario* scenario = nullptr;
   if (cfg.mode != TopoMode::kShuffle) {
@@ -353,7 +352,7 @@ Metrics RunTopo(const TopoConfig& cfg, std::uint64_t seed,
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  Metrics metrics = {
+  return {
       {"violations", static_cast<double>(result.audit_violations)},
       {"outputs_lost", static_cast<double>(result.outputs_lost)},
       {"all_terminated", result.workload.completed ? 1.0 : 0.0},
@@ -369,9 +368,8 @@ Metrics RunTopo(const TopoConfig& cfg, std::uint64_t seed,
       {"repair_gib", static_cast<double>(result.repair_bytes) / kGiBDouble},
       {"jobs_survived", static_cast<double>(result.workload.succeeded)},
       {"maps_reexecuted", static_cast<double>(result.maps_reexecuted)},
-      {"targets_raised", static_cast<double>(result.repl_targets_raised)}};
-  if (host_metrics) metrics.push_back({"wall_s", wall});
-  return metrics;
+      {"targets_raised", static_cast<double>(result.repl_targets_raised)},
+      {"host.wall_s", wall}};
 }
 
 /// Per seed: config `slow` must report a strictly larger `metric` than
@@ -423,15 +421,14 @@ Plan TopoPlan(const Setup& setup) {
   base.audit = true;
   const auto drain = std::make_shared<const fault::Scenario>(
       fault::ParseScenario(kDrainScenario, "<topo drain>"));
-  const bool host_metrics = setup.opts.host_metrics;
   Plan plan;
   const auto add = [&](const TopoConfig& cfg, bool fast) {
     Config config{.label = cfg.label,
                   .fast = fast,
                   .checks = {Eq("violations", 0), Eq("all_terminated", 1),
                              Eq("outputs_lost", 0)},
-                  .run = [cfg, drain, base, host_metrics](std::uint64_t seed) {
-                    return RunTopo(cfg, seed, *drain, base, host_metrics);
+                  .run = [cfg, drain, base](std::uint64_t seed) {
+                    return RunTopo(cfg, seed, *drain, base);
                   }};
     if (cfg.mode != TopoMode::kShuffle) {
       config.checks.push_back(Eq("fully_replicated", 1));

@@ -50,10 +50,10 @@ struct ScaleConfig {
 /// `nodes` glideins and runs a synthesized `jobs`-job schedule to
 /// completion, with the fail-fast auditor armed on a 10 min tick.
 /// Deterministic rows come first and are identical for a given (config,
-/// seed) on any machine; `host_metrics` appends wall_s, peak_rss_mib and
-/// events_per_sec.
+/// seed) on any machine; the host rows host.wall_s, host.peak_rss_mib and
+/// host.events_per_sec follow.
 Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed,
-                         bool host_metrics, HogRunOptions options = {});
+                         HogRunOptions options = {});
 
 /// One run of the scheduler head-to-head.
 struct SchedRunConfig {

@@ -130,11 +130,9 @@ Plan SchedPlan(const Setup& setup) {
 //
 // Metric split: deterministic rows (executed_events, jobs_succeeded,
 // audit_violations, ...) are byte-stable across machines and thread
-// counts; host rows (wall_s, peak_rss_mib, events_per_sec) describe the
-// machine the baseline was generated on. --no-host-metrics drops the host
-// rows, which makes the output byte-comparable across machines and
-// --threads values; compare_bench treats the baseline's host rows as
-// "missing in candidate", not regressions.
+// counts; host rows (host.wall_s, host.peak_rss_mib, host.events_per_sec)
+// describe the machine that ran them, so compare_bench reports them and
+// checks only the deterministic rows.
 
 /// Gate: cancelled_events <= kMaxCancelShare x executed_events per run.
 constexpr double kMaxCancelShare = 0.05;
@@ -212,7 +210,6 @@ Plan ScalePlan(const Setup& setup) {
       {"10000n-100s-60j", {10000, 100, 60}},
   };
   constexpr std::size_t kFastConfigs = 3;
-  const bool host_metrics = setup.opts.host_metrics;
   Plan plan;
   for (std::size_t i = 0; i < std::size(grid); ++i) {
     const ScaleConfig point = grid[i].config;
@@ -224,15 +221,14 @@ Plan ScalePlan(const Setup& setup) {
                     Eq("audit_violations", 0),
                     AtMost("cancelled_events", kMaxCancelShare,
                            "executed_events")},
-         .run = [&setup, point, host_metrics](std::uint64_t seed) {
-           return RunScaleWorkload(point, seed, host_metrics, setup.hog);
+         .run = [&setup, point](std::uint64_t seed) {
+           return RunScaleWorkload(point, seed, setup.hog);
          }});
   }
-  plan.header = [host_metrics](const SweepSpec& spec) {
+  plan.header = [](const SweepSpec& spec) {
     std::printf("Scale grid: %zu config(s) x %zu seed(s), auditor armed "
-                "(fail-fast)%s\n\n",
-                spec.configs, spec.seeds.size(),
-                host_metrics ? "" : ", host metrics off");
+                "(fail-fast)\n\n",
+                spec.configs, spec.seeds.size());
   };
   return plan;
 }
@@ -647,7 +643,7 @@ Plan GrayPlan(const Setup& setup) {
 }  // namespace
 
 Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed,
-                         bool host_metrics, HogRunOptions options) {
+                         HogRunOptions options) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   hog::HogConfig hog;
@@ -687,18 +683,16 @@ Metrics RunScaleWorkload(const ScaleConfig& config, std::uint64_t seed,
   metrics.emplace_back("audit_violations",
                        static_cast<double>(result.audit_violations));
 
-  if (host_metrics) {
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    metrics.emplace_back("wall_s", wall_s);
-    metrics.emplace_back("peak_rss_mib", PeakRssMib());
-    metrics.emplace_back(
-        "events_per_sec",
-        wall_s > 0 ? static_cast<double>(sim.executed()) / wall_s
-                   : std::numeric_limits<double>::quiet_NaN());
-  }
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  metrics.emplace_back("host.wall_s", wall_s);
+  metrics.emplace_back("host.peak_rss_mib", PeakRssMib());
+  metrics.emplace_back(
+      "host.events_per_sec",
+      wall_s > 0 ? static_cast<double>(sim.executed()) / wall_s
+                 : std::numeric_limits<double>::quiet_NaN());
   return metrics;
 }
 

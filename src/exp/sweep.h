@@ -37,11 +37,24 @@ namespace hogsim::exp {
 /// must emit the same names in the same order for every seed of a config.
 using Metrics = std::vector<std::pair<std::string, double>>;
 
+/// True for a host-measured row (wall clock, RSS, rates over wall time):
+/// its name starts with "host.". Every other row must be a deterministic
+/// function of (config, seed), which compare_bench checks exactly; host
+/// rows are only reported.
+inline bool IsHostMetric(std::string_view name) {
+  return name.starts_with("host.");
+}
+
 /// Builds and runs one full simulation for (config_index, seed), returning
 /// its metrics. Called concurrently from pool threads: it must not share
 /// mutable state between calls (each call owns its Simulation).
 using RunFn = std::function<Metrics(std::size_t config_index,
                                     std::uint64_t seed)>;
+
+/// The largest seed --seeds accepts. Runs are keyed by seed, and the BENCH
+/// JSON reader holds numbers as doubles, which are exact integers only up
+/// to 2^53.
+inline constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
 
 struct SweepSpec {
   std::string name = "sweep";          ///< Experiment name (JSON "name").

@@ -74,8 +74,9 @@ class FailureDetector {
 };
 
 /// The degenerate fixed-deadline detector: Deadline = last + timeout.
-/// Byte-pinned against the pre-seam masters (tests/health_test.cc and the
-/// check.sh compare_bench legs over BENCH_sched.json / BENCH_scale.json).
+/// Byte-pinned against the pre-seam masters (tests/health_test.cc, and the
+/// check.sh compare_bench legs, which hold every deterministic row of
+/// BENCH_sched.json and BENCH_scale.json exact).
 class DeadlineDetector final : public FailureDetector {
  public:
   explicit DeadlineDetector(SimDuration timeout) : timeout_(timeout) {}

@@ -388,6 +388,22 @@ TEST(BenchMainDeathTest, DuplicateSeedExitsWithUsageError) {
               ::testing::ExitedWithCode(2), "duplicate seed 11");
 }
 
+TEST(BenchMainDeathTest, OutOfRangeSeedsAndThreadsExitWithUsageError) {
+  // Values past 2^64 used to wrap (seed 18446744073709551627 ran as 11);
+  // a seed past 2^53, given or from the count progression, would not read
+  // back exactly from the BENCH JSON.
+  for (const std::string arg :
+       {"--seeds=18446744073709551627,5", "--seeds=9007199254740993,5",
+        "--seeds=-1,5", "--seeds=51", "--threads=18446744073709551617",
+        "--threads=1025"}) {
+    const char* argv[] = {"bench", arg.c_str()};
+    EXPECT_EXIT(ParseBenchOptions(2, const_cast<char* const*>(argv)),
+                ::testing::ExitedWithCode(2),
+                "bad " + arg.substr(0, arg.find('=')) + " value")
+        << arg;
+  }
+}
+
 TEST(BenchMainDeathTest, UnknownSchedulerExitsWithUsageError) {
   // Every HOG run builds the policy, so a bad spec must fail the parse,
   // not abort the sweep mid-run.
@@ -428,15 +444,6 @@ TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {
   EXPECT_TRUE(none.topology.empty());
   EXPECT_TRUE(none.detector.empty());
   EXPECT_EQ(none.repl_target, 0.0);
-}
-
-TEST(BenchMain, NoHostMetricsFlag) {
-  const char* argv[] = {"bench", "--no-host-metrics"};
-  EXPECT_FALSE(ParseBenchOptions(2, const_cast<char* const*>(argv))
-                   .host_metrics);
-  const char* plain[] = {"bench"};
-  EXPECT_TRUE(ParseBenchOptions(1, const_cast<char* const*>(plain))
-                  .host_metrics);
 }
 
 // --fast is the only way to trim a run: a stray HOGSIM_FAST=1 export must

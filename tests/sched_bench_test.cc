@@ -1,9 +1,10 @@
 // Seed-determinism pin for the scheduler head-to-head (hogbench sched).
 //
-// BENCH_sched.json carries no host metrics, so the whole file must be
+// BENCH_sched.json carries no host.* rows, so the whole file must be
 // byte-identical across machines and --threads values. This pins the
-// sweep JSON across thread counts for a trimmed two-policy sweep — the
-// contract the compare_bench gate in scripts/check.sh relies on.
+// sweep JSON across thread counts for a trimmed two-policy sweep; the
+// compare_bench leg in scripts/check.sh checks the same rows run by run
+// against the committed baseline.
 #include <string>
 
 #include "gtest/gtest.h"
