@@ -4,7 +4,9 @@
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
 # fault-scenario smoke leg (hogbench scenario_storm under every committed
 # scenario, the master crash/restart, partition, oversubscribed-storm and
-# trace-replay ones audited, which also proves the examples compiled),
+# trace-replay ones audited, which also proves the examples compiled;
+# each leg exits 1 if any fault its scenario schedules reaches no target,
+# since scenario_storm gates faults_skipped at 0),
 # every experiment `hogbench --list` names, fast with fail-fast audits
 # (the six gated ones exit 1 on a broken contract; the replication
 # ablation runs once more on a ToR fabric), the scheduler
@@ -67,7 +69,8 @@ run_preset() {
   local hogbench="$dir/bench/hogbench"
   echo "== [$preset] scenario smoke =="
   # One fast chaos run through a committed scenario: the parser, the
-  # injector, and every layer hook execute end to end.
+  # injector, and every layer hook execute end to end, and every scheduled
+  # fault must land (faults_skipped = 0).
   "$hogbench" scenario_storm --fast \
     --scenario=scenarios/site_storm.txt --out="$dir/BENCH_scenario_storm.json"
   # The rack-fault grammar end to end: the same fast chaos run through the

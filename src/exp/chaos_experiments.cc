@@ -32,8 +32,12 @@ Plan StormPlan(const Setup& setup) {
   Plan plan;
   // --audit arms the fail-fast invariant auditor: the storm then proves not
   // just that jobs survive, but that every layer stays consistent.
+  // Every scheduled fault must land: a committed scenario whose actions
+  // stop reaching their targets fails the gate.
   plan.configs.push_back(
-      {.label = "hog55", .run = [&setup](std::uint64_t seed) -> Metrics {
+      {.label = "hog55",
+       .checks = {Eq("faults_skipped", 0)},
+       .run = [&setup](std::uint64_t seed) -> Metrics {
          const auto result =
              RunHogWorkload(55, seed, {}, &setup.scenario, setup.hog);
          return {{"response_s", result.workload.response_time_s},
@@ -42,7 +46,9 @@ Plan StormPlan(const Setup& setup) {
                  {"maps_reexecuted",
                   static_cast<double>(result.maps_reexecuted)},
                  {"faults_injected",
-                  static_cast<double>(result.faults_injected)}};
+                  static_cast<double>(result.faults_injected)},
+                 {"faults_skipped",
+                  static_cast<double>(result.faults_skipped)}};
        }});
   plan.header = [&setup](const SweepSpec& spec) {
     std::printf("Scenario storm: 55-node HOG under injected faults "
@@ -62,7 +68,8 @@ Plan StormPlan(const Setup& setup) {
         {"failed jobs", "failed_jobs"},
         {"preemptions", "preemptions"},
         {"maps re-executed", "maps_reexecuted"},
-        {"faults injected", "faults_injected"}};
+        {"faults injected", "faults_injected"},
+        {"faults skipped", "faults_skipped"}};
     for (const auto& [label, metric] : rows) {
       const MetricSummary& summary = sweep.Summary(0, metric);
       table.AddRow({label, FormatDouble(summary.stats.mean(), 1),
@@ -72,7 +79,8 @@ Plan StormPlan(const Setup& setup) {
     std::printf(
         "\nReading the table: `faults injected` counts scenario actions that "
         "actually landed (see the fault.* counters in --metrics-out for the "
-        "per-kind split); preemptions and re-executed maps show what the "
+        "per-kind split) and `faults skipped` those that reached no target "
+        "(gated at 0); preemptions and re-executed maps show what the "
         "storm cost, response what the recovery machinery bought back.\n");
   };
   return plan;
@@ -86,8 +94,9 @@ Plan StormPlan(const Setup& setup) {
 // faults — slow nodes, delayed heartbeats, disk stalls); each run replays
 // the Facebook workload on a 55-node HOG deployment under that scenario,
 // then keeps the cluster alive until the under-replication queue drains.
-// Every run must be violation-free, loss-free, and fully terminated.
-// --fast runs the first 3 of the 25 scenarios on one seed.
+// Every run must be violation-free, loss-free and fully terminated, and
+// every fault its scenario schedules must land. --fast runs the first 3 of
+// the 25 scenarios on one seed.
 
 constexpr std::size_t kSoakScenarios = 25;
 constexpr std::size_t kSoakFastScenarios = 3;
@@ -110,7 +119,7 @@ Plan SoakPlan(const Setup& setup) {
         {.label = "chaos" + std::to_string(k),
          .fast = k < kSoakFastScenarios,
          .checks = {Eq("violations", 0), Eq("outputs_lost", 0),
-                    Eq("all_terminated", 1)},
+                    Eq("all_terminated", 1), Eq("faults_skipped", 0)},
          .run = [scenario = fault::RandomScenario(1000 + k, chaos),
                  ropts](std::uint64_t seed) -> Metrics {
            const auto result = RunHogWorkload(55, seed, {}, &scenario, ropts);
@@ -127,7 +136,9 @@ Plan SoakPlan(const Setup& setup) {
                {"fully_replicated", result.fully_replicated ? 1.0 : 0.0},
                {"response_s", result.workload.response_time_s},
                {"faults_injected",
-                static_cast<double>(result.faults_injected)}};
+                static_cast<double>(result.faults_injected)},
+               {"faults_skipped",
+                static_cast<double>(result.faults_skipped)}};
          }});
   }
   plan.header = [&setup](const SweepSpec& spec) {

@@ -311,8 +311,8 @@ Metrics RunGrayDetection(const std::string& detector, SimDuration expiry,
     // back by a hash-derived delay in [0, jitter].
     grid::Grid& grid = cluster.grid();
     if (jitter > 0) {
-      for (std::size_t s = 0; s < grid.site_count(); ++s) {
-        (void)grid.DelayHeartbeats(s, jitter);
+      for (const grid::GridNodeId id : grid.RunningNodeIds()) {
+        (void)grid.SetNodeHeartbeatJitter(id, jitter);
       }
     }
 

@@ -76,7 +76,10 @@ const workload::WorkloadResult& HogRun::Run(SimDuration limit) {
       result_.window_start + FromSeconds(result_.workload.response_time_s);
   result_.preemptions = cluster_.grid().preemptions() - preemptions_before_;
   result_.maps_reexecuted = cluster_.jobtracker().maps_reexecuted();
-  if (injector_ != nullptr) result_.faults_injected = injector_->injected();
+  if (injector_ != nullptr) {
+    result_.faults_injected = injector_->injected();
+    result_.faults_skipped = injector_->skipped();
+  }
   return result_.workload;
 }
 

@@ -40,6 +40,7 @@ struct HogRunResult {
   std::uint64_t preemptions = 0;
   std::uint64_t maps_reexecuted = 0;
   std::uint64_t faults_injected = 0;  // scenario actions applied (if any)
+  std::uint64_t faults_skipped = 0;   // scenario actions that hit no target
   StepSeries reported_nodes;  // Fig. 5 trace over the workload window
   SimTime window_start = 0;
   SimTime window_end = 0;
@@ -142,7 +143,7 @@ class HogRun {
 
   /// Runs until every job terminates or `limit` of sim time passes, then
   /// records the workload window, preemptions, re-executed maps and
-  /// injected faults.
+  /// injected and skipped faults.
   const workload::WorkloadResult& Run(SimDuration limit = kRunDeadline);
 
   /// Optional drain (options.drain_deadline > 0) with the lost-output

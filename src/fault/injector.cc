@@ -1,7 +1,9 @@
 #include "src/fault/injector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "src/grid/grid.h"
 #include "src/hdfs/namenode.h"
@@ -13,42 +15,62 @@ namespace hogsim::fault {
 
 namespace {
 
-// Per-directive counter names, indexed by ActionKind. Static strings:
-// instrument handles and trace records keep the pointers.
-constexpr const char* kCounterNames[] = {
-    "fault.preempt_nodes.injected",
-    "fault.preempt_site.injected",
-    "fault.zombify.injected",
-    "fault.freeze_acquisition.injected",
-    "fault.throttle_acquisition.injected",
-    "fault.degrade_uplink.injected",
-    "fault.partition.injected",
-    "fault.shrink_disks.injected",
-    "fault.fill_disks.injected",
-    "fault.namenode_blackout.injected",
-    "fault.jobtracker_blackout.injected",
-    "fault.fail_tor.injected",
-    "fault.partition_rack.injected",
-    "fault.degrade_fabric.injected",
-    "fault.slow_node.injected",
-    "fault.slow_site.injected",
-    "fault.delay_heartbeats.injected",
-    "fault.stall_disk.injected",
-};
-constexpr std::size_t kKindCount =
-    sizeof(kCounterNames) / sizeof(kCounterNames[0]);
+/// `fault.<directive, '-' as '_'>.injected`.
+std::string CounterName(ActionKind kind) {
+  std::string name = "fault." + std::string(ActionName(kind)) + ".injected";
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+/// True when `site` names a grid site (not kAllSites).
+bool HasSite(const grid::Grid& grid, int site) {
+  return site >= 0 && static_cast<std::size_t>(site) < grid.site_count();
+}
 
 /// Resolves a site selector against the grid; false = out of range.
 template <typename Fn>
 bool ForEachSite(const grid::Grid& grid, int site, Fn&& fn) {
-  const auto count = grid.site_count();
   if (site == kAllSites) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    for (std::size_t i = 0; i < grid.site_count(); ++i) fn(i);
     return true;
   }
-  if (site < 0 || static_cast<std::size_t>(site) >= count) return false;
+  if (!HasSite(grid, site)) return false;
   fn(static_cast<std::size_t>(site));
   return true;
+}
+
+/// The site's leases whose processes are alive (running or zombie), in id
+/// order.
+std::vector<grid::GridNode*> LiveNodes(grid::Grid& grid, std::size_t site) {
+  std::vector<grid::GridNode*> out;
+  for (grid::GridNodeId id = 0; id < grid.total_leases(); ++id) {
+    grid::GridNode* node = grid.node(id);
+    if (node->site_index() == site && node->processes_alive()) {
+      out.push_back(node);
+    }
+  }
+  return out;
+}
+
+// What a skipped action lacked, for the log line.
+constexpr const char* kNoGrid = "no grid layer";
+constexpr const char* kNoNet = "no network layer";
+constexpr const char* kNoDaemons = "no daemon layer on the grid";
+
+std::string OutOfRange(int site) {
+  return "site " + std::to_string(site) + " out of range";
+}
+
+/// " at site N", or " at any site" for kAllSites.
+std::string AtSite(int site) {
+  return site == kAllSites ? " at any site"
+                           : " at site " + std::to_string(site);
+}
+
+/// `bytes` scaled by `factor`, rounded to the nearest byte.
+Bytes Scaled(Bytes bytes, double factor) {
+  return static_cast<Bytes>(
+      std::llround(static_cast<double>(bytes) * factor));
 }
 
 }  // namespace
@@ -60,12 +82,10 @@ FaultInjector::FaultInjector(sim::Simulation& sim, InjectorTargets targets,
       scenario_(std::move(scenario)),
       total_counter_(
           sim.obs().metrics().GetCounter("fault.actions.injected")) {
-  static_assert(kKindCount ==
-                    static_cast<std::size_t>(ActionKind::kStallDisk) + 1,
-                "counter table out of sync with ActionKind");
-  kind_counters_.reserve(kKindCount);
-  for (const char* name : kCounterNames) {
-    kind_counters_.push_back(&sim.obs().metrics().GetCounter(name));
+  kind_counters_.reserve(kActionKinds);
+  for (std::size_t kind = 0; kind < kActionKinds; ++kind) {
+    kind_counters_.push_back(&sim.obs().metrics().GetCounter(
+        CounterName(static_cast<ActionKind>(kind))));
   }
 }
 
@@ -104,43 +124,226 @@ void FaultInjector::Fire(std::size_t index, SimTime rel) {
   }
 }
 
+void FaultInjector::Restore(SimDuration after, const char* instant,
+                            std::uint64_t arg, sim::Simulation::Callback undo) {
+  if (after <= 0) return;  // a permanent fault
+  restore_events_.push_back(sim_.ScheduleAfter(
+      after, [this, instant, arg, undo = std::move(undo)] {
+        undo();
+        if (instant != nullptr) {
+          sim_.obs().tracer().EmitInstant("fault", instant, sim_.now(), arg);
+        }
+      }));
+}
+
 void FaultInjector::Apply(const Action& action) {
-  bool ok = false;
+  grid::Grid* const g = targets_.grid;
+  net::FlowNetwork* const net = targets_.net;
+  // Targets are resolved here, at fire time. Each case leaves `missing`
+  // empty when the action landed, or names the target it could not reach.
+  std::string missing;
+
+  // Runs `fn` on every grid site the action names.
+  const auto sites = [&](auto&& fn) -> std::string {
+    if (g == nullptr) return kNoGrid;
+    if (!ForEachSite(*g, action.site, fn)) return OutOfRange(action.site);
+    return {};
+  };
+  const auto net_sites = [&](auto&& fn) -> std::string {
+    return net == nullptr ? kNoNet : sites(fn);
+  };
+  // kFailTor / kPartitionRack: `set` the rack at every named site that
+  // has it. Only multi-rack net topologies have racks.
+  const auto racks = [&](auto set, const char* heal) -> std::string {
+    const auto rack = static_cast<std::uint32_t>(action.rack);
+    bool hit = false;
+    std::string lacked = net_sites([&](std::size_t s) {
+      const net::SiteId ns = g->net_site(s);
+      if (!(net->*set)(ns, rack, true)) return;
+      hit = true;
+      Restore(action.duration, heal, ns, [this, set, ns, rack] {
+        (void)(targets_.net->*set)(ns, rack, false);
+      });
+    });
+    if (lacked.empty() && !hit) {
+      lacked = "no rack " + std::to_string(action.rack) + AtSite(action.site);
+    }
+    return lacked;
+  };
+  // kSlowSite / kDelayHeartbeats: `set` every running lease at the named
+  // sites to `on`, in id order. The restore resets exactly the leases hit,
+  // even after churn has replaced the sites' membership.
+  const auto site_leases = [&](auto set, auto on, auto off,
+                               const char* restored) -> std::string {
+    std::vector<grid::GridNodeId> running;
+    std::string lacked = sites([&](std::size_t s) {
+      for (const grid::GridNode* node : LiveNodes(*g, s)) {
+        if (node->running()) running.push_back(node->id());
+      }
+    });
+    if (!lacked.empty()) return lacked;
+    if (running.empty()) return "no running lease" + AtSite(action.site);
+    std::vector<grid::GridNodeId> hit;
+    for (const grid::GridNodeId id : running) {
+      if ((g->*set)(id, on)) hit.push_back(id);
+    }
+    if (hit.empty()) return kNoDaemons;
+    Restore(action.duration, restored, hit.size(), [this, set, off, hit] {
+      for (const grid::GridNodeId id : hit) {
+        (void)(targets_.grid->*set)(id, off);
+      }
+    });
+    return {};
+  };
+  // kSlowNode / kStallDisk: the NODE-th running lease in id order, modulo
+  // the running count. Deterministic, and draws no RNG.
+  grid::GridNodeId lease = grid::kInvalidGridNode;
+  const auto nth_lease = [&]() -> std::string {
+    if (g == nullptr) return kNoGrid;
+    const std::vector<grid::GridNodeId> running = g->RunningNodeIds();
+    if (running.empty()) return "no running lease";
+    lease = running[static_cast<std::size_t>(action.node) % running.size()];
+    return {};
+  };
+
+  const auto count = static_cast<int>(action.value);
   switch (action.kind) {
     case ActionKind::kPreemptNodes:
+      missing = sites([&](std::size_t s) { g->PreemptNodes(s, count); });
+      break;
     case ActionKind::kPreemptSite:
+      missing = sites(
+          [&](std::size_t s) { g->PreemptSiteFraction(s, action.value); });
+      break;
     case ActionKind::kZombify:
+      missing = sites([&](std::size_t s) {
+        g->PreemptNodes(s, count, grid::ZombieMode::kAlways);
+      });
+      break;
     case ActionKind::kFreezeAcquisition:
+      missing = sites(
+          [&](std::size_t s) { g->FreezeAcquisition(s, action.duration); });
+      break;
     case ActionKind::kThrottleAcquisition:
-      ok = ApplyGrid(action);
+      missing = sites([&](std::size_t s) {
+        g->SetAcquisitionDelayFactor(s, action.value);
+      });
       break;
     case ActionKind::kDegradeUplink:
-    case ActionKind::kPartition:
-    case ActionKind::kFailTor:
-    case ActionKind::kPartitionRack:
-    case ActionKind::kDegradeFabric:
-      ok = ApplyNet(action);
+      // Relative to the site's configured uplink, so repeats do not
+      // compound and the restore returns to the nominal rate.
+      missing = net_sites([&](std::size_t s) {
+        const net::SiteId ns = g->net_site(s);
+        const Rate nominal = g->site_config(s).uplink;
+        net->SetSiteUplink(ns, nominal * action.value);
+        Restore(action.duration, "uplink.restore", ns, [this, ns, nominal] {
+          targets_.net->SetSiteUplink(ns, nominal);
+        });
+      });
       break;
+    case ActionKind::kPartition: {
+      missing = net_sites([](std::size_t) {});
+      for (const int site : {action.site, action.site_b}) {
+        if (missing.empty() && !HasSite(*g, site)) missing = OutOfRange(site);
+      }
+      if (!missing.empty()) break;
+      const net::SiteId a = g->net_site(static_cast<std::size_t>(action.site));
+      const net::SiteId b =
+          g->net_site(static_cast<std::size_t>(action.site_b));
+      net->SetSitePartition(a, b, true);
+      Restore(action.duration, "partition.heal", a,
+              [this, a, b] { targets_.net->SetSitePartition(a, b, false); });
+      break;
+    }
     case ActionKind::kShrinkDisks:
+      missing = sites([&](std::size_t s) {
+        for (grid::GridNode* node : LiveNodes(*g, s)) {
+          storage::Disk& disk = node->disk();
+          disk.SetCapacity(Scaled(disk.capacity(), action.value));
+        }
+      });
+      break;
     case ActionKind::kFillDisks:
-      ok = ApplyDisks(action);
+      // Up to `value` of each disk's capacity, as if the host's own
+      // workload ate the scratch space.
+      missing = sites([&](std::size_t s) {
+        for (grid::GridNode* node : LiveNodes(*g, s)) {
+          storage::Disk& disk = node->disk();
+          const Bytes want = Scaled(disk.capacity(), action.value);
+          if (want > disk.used()) (void)disk.Reserve(want - disk.used());
+        }
+      });
       break;
     case ActionKind::kNamenodeBlackout:
-    case ActionKind::kJobtrackerBlackout:
-      ok = ApplyDaemons(action);
+      if (targets_.namenode == nullptr) {
+        missing = "no namenode";
+        break;
+      }
+      targets_.namenode->Crash();
+      Restore(action.duration, nullptr, 0,
+              [this] { targets_.namenode->Restart(); });
       break;
+    case ActionKind::kJobtrackerBlackout:
+      if (targets_.jobtracker == nullptr) {
+        missing = "no jobtracker";
+        break;
+      }
+      targets_.jobtracker->Crash();
+      Restore(action.duration, nullptr, 0,
+              [this] { targets_.jobtracker->Restart(); });
+      break;
+    case ActionKind::kFailTor:
+      missing = racks(&net::FlowNetwork::SetRackFailed, "tor.heal");
+      break;
+    case ActionKind::kPartitionRack:
+      missing = racks(&net::FlowNetwork::SetRackIsolated, "rack.heal");
+      break;
+    case ActionKind::kDegradeFabric: {
+      // Against the topology's nominal link rates, so repeats do not
+      // compound and factor 1 fully restores.
+      bool hit = false;
+      missing = net_sites([&](std::size_t s) {
+        const net::SiteId ns = g->net_site(s);
+        if (!net->SetFabricDegrade(ns, action.value)) return;
+        hit = true;
+        Restore(action.duration, "fabric.restore", ns, [this, ns] {
+          (void)targets_.net->SetFabricDegrade(ns, 1.0);
+        });
+      });
+      if (missing.empty() && !hit) missing = "no fabric" + AtSite(action.site);
+      break;
+    }
     case ActionKind::kSlowNode:
+      missing = nth_lease();
+      if (!missing.empty()) break;
+      if (!g->SetNodeComputeScale(lease, action.value)) {
+        missing = kNoDaemons;
+        break;
+      }
+      Restore(action.duration, "slow_node.restore", lease, [this, lease] {
+        (void)targets_.grid->SetNodeComputeScale(lease, 1.0);
+      });
+      break;
     case ActionKind::kSlowSite:
+      missing = site_leases(&grid::Grid::SetNodeComputeScale, action.value,
+                            1.0, "slow_site.restore");
+      break;
     case ActionKind::kDelayHeartbeats:
+      missing = site_leases(&grid::Grid::SetNodeHeartbeatJitter,
+                            action.jitter, SimDuration{0},
+                            "delay_heartbeats.restore");
+      break;
     case ActionKind::kStallDisk:
-      ok = ApplyGray(action);
+      // A running lease's disk always stalls, and thaws by itself once the
+      // stall elapses: no restore.
+      missing = nth_lease();
+      if (missing.empty()) (void)g->StallNodeDisk(lease, action.duration);
       break;
   }
-  if (!ok) {
+  if (!missing.empty()) {
     ++skipped_;
     HOG_LOG(kWarn, sim_.now(), "fault")
-        << "skipped " << ActionName(action.kind)
-        << " (missing target layer or bad site " << action.site << ")";
+        << "skipped " << ActionName(action.kind) << " (" << missing << ")";
     return;
   }
   ++injected_;
@@ -151,213 +354,6 @@ void FaultInjector::Apply(const Action& action) {
       action.site >= 0 ? static_cast<std::uint64_t>(action.site) : 0);
   HOG_LOG(kInfo, sim_.now(), "fault") << "injected "
                                       << ActionName(action.kind);
-}
-
-bool FaultInjector::ApplyGrid(const Action& action) {
-  grid::Grid* g = targets_.grid;
-  if (g == nullptr) return false;
-  return ForEachSite(*g, action.site, [&](std::size_t site) {
-    switch (action.kind) {
-      case ActionKind::kPreemptNodes:
-        g->PreemptNodes(site, static_cast<int>(action.value));
-        break;
-      case ActionKind::kZombify:
-        g->PreemptNodes(site, static_cast<int>(action.value),
-                        grid::ZombieMode::kAlways);
-        break;
-      case ActionKind::kPreemptSite:
-        g->PreemptSiteFraction(site, action.value);
-        break;
-      case ActionKind::kFreezeAcquisition:
-        g->FreezeAcquisition(site, action.duration);
-        break;
-      case ActionKind::kThrottleAcquisition:
-        g->SetAcquisitionDelayFactor(site, action.value);
-        break;
-      default:
-        break;
-    }
-  });
-}
-
-bool FaultInjector::ApplyNet(const Action& action) {
-  if (targets_.net == nullptr || targets_.grid == nullptr) return false;
-  grid::Grid& g = *targets_.grid;
-  net::FlowNetwork& net = *targets_.net;
-  const auto count = g.site_count();
-
-  if (action.kind == ActionKind::kPartition) {
-    if (action.site < 0 || static_cast<std::size_t>(action.site) >= count ||
-        action.site_b < 0 ||
-        static_cast<std::size_t>(action.site_b) >= count) {
-      return false;
-    }
-    const net::SiteId a = g.net_site(static_cast<std::size_t>(action.site));
-    const net::SiteId b = g.net_site(static_cast<std::size_t>(action.site_b));
-    net.SetSitePartition(a, b, true);
-    restore_events_.push_back(
-        sim_.ScheduleAfter(action.duration, [this, a, b] {
-          targets_.net->SetSitePartition(a, b, false);
-          sim_.obs().tracer().EmitInstant("fault", "partition.heal",
-                                          sim_.now(), a);
-        }));
-    return true;
-  }
-
-  if (action.kind == ActionKind::kFailTor ||
-      action.kind == ActionKind::kPartitionRack) {
-    // Rack faults only exist under a multi-rack net topology; sites with
-    // fewer racks than the operand simply have no such switch to fail.
-    const bool isolate = action.kind == ActionKind::kPartitionRack;
-    const auto rack = static_cast<std::uint32_t>(action.rack);
-    return ForEachSite(g, action.site, [&](std::size_t site) {
-      const net::SiteId ns = g.net_site(site);
-      if (rack >= net.RackCount(ns)) return;
-      if (isolate) {
-        net.SetRackIsolated(ns, rack, true);
-      } else {
-        net.SetRackFailed(ns, rack, true);
-      }
-      restore_events_.push_back(
-          sim_.ScheduleAfter(action.duration, [this, ns, rack, isolate] {
-            if (isolate) {
-              targets_.net->SetRackIsolated(ns, rack, false);
-            } else {
-              targets_.net->SetRackFailed(ns, rack, false);
-            }
-            sim_.obs().tracer().EmitInstant(
-                "fault", isolate ? "rack.heal" : "tor.heal", sim_.now(), ns);
-          }));
-    });
-  }
-
-  if (action.kind == ActionKind::kDegradeFabric) {
-    // ScaleFabric rescales against the topology's *nominal* link rates, so
-    // repeated degradations do not compound and factor 1 fully restores.
-    return ForEachSite(g, action.site, [&](std::size_t site) {
-      const net::SiteId ns = g.net_site(site);
-      net.SetFabricDegrade(ns, action.value);
-      if (action.duration > 0) {
-        restore_events_.push_back(
-            sim_.ScheduleAfter(action.duration, [this, ns] {
-              targets_.net->SetFabricDegrade(ns, 1.0);
-              sim_.obs().tracer().EmitInstant("fault", "fabric.restore",
-                                              sim_.now(), ns);
-            }));
-      }
-    });
-  }
-
-  // degrade-uplink: scale relative to the site's *configured* uplink, so
-  // repeated degradations do not compound and the optional restore returns
-  // to the nominal rate.
-  return ForEachSite(g, action.site, [&](std::size_t site) {
-    const net::SiteId ns = g.net_site(site);
-    const Rate nominal = g.site_config(site).uplink;
-    net.SetSiteUplink(ns, nominal * action.value);
-    if (action.duration > 0) {
-      restore_events_.push_back(
-          sim_.ScheduleAfter(action.duration, [this, ns, nominal] {
-            targets_.net->SetSiteUplink(ns, nominal);
-            sim_.obs().tracer().EmitInstant("fault", "uplink.restore",
-                                            sim_.now(), ns);
-          }));
-    }
-  });
-}
-
-bool FaultInjector::ApplyDisks(const Action& action) {
-  grid::Grid* g = targets_.grid;
-  if (g == nullptr) return false;
-  return ForEachSite(*g, action.site, [&](std::size_t site) {
-    for (grid::GridNodeId id = 0; id < g->total_leases(); ++id) {
-      grid::GridNode* node = g->node(id);
-      if (node == nullptr || node->site_index() != site ||
-          !node->processes_alive()) {
-        continue;
-      }
-      storage::Disk& disk = node->disk();
-      if (action.kind == ActionKind::kShrinkDisks) {
-        disk.SetCapacity(static_cast<Bytes>(
-            std::llround(static_cast<double>(disk.capacity()) *
-                         action.value)));
-      } else {
-        // fill-disks: bring the disk up to `value` of its capacity full,
-        // as if the host's own workload ate the scratch space.
-        const auto want = static_cast<Bytes>(std::llround(
-            static_cast<double>(disk.capacity()) * action.value));
-        if (want > disk.used()) (void)disk.Reserve(want - disk.used());
-      }
-    }
-  });
-}
-
-bool FaultInjector::ApplyDaemons(const Action& action) {
-  if (action.kind == ActionKind::kNamenodeBlackout) {
-    if (targets_.namenode == nullptr) return false;
-    targets_.namenode->Crash();
-    restore_events_.push_back(sim_.ScheduleAfter(
-        action.duration, [this] { targets_.namenode->Restart(); }));
-  } else {
-    if (targets_.jobtracker == nullptr) return false;
-    targets_.jobtracker->Crash();
-    restore_events_.push_back(sim_.ScheduleAfter(
-        action.duration, [this] { targets_.jobtracker->Restart(); }));
-  }
-  return true;
-}
-
-bool FaultInjector::ApplyGray(const Action& action) {
-  grid::Grid* g = targets_.grid;
-  if (g == nullptr) return false;
-
-  if (action.kind == ActionKind::kSlowNode) {
-    const auto id = static_cast<grid::GridNodeId>(action.node);
-    if (!g->SetNodeComputeScale(id, action.value)) return false;
-    if (action.duration > 0) {
-      restore_events_.push_back(
-          sim_.ScheduleAfter(action.duration, [this, id] {
-            (void)targets_.grid->SetNodeComputeScale(id, 1.0);
-            sim_.obs().tracer().EmitInstant("fault", "slow_node.restore",
-                                            sim_.now(), id);
-          }));
-    }
-    return true;
-  }
-
-  if (action.kind == ActionKind::kStallDisk) {
-    // The disk thaws by itself once the stall elapses: no restore event.
-    return g->StallNodeDisk(static_cast<grid::GridNodeId>(action.node),
-                            action.duration);
-  }
-
-  // slow-site / delay-heartbeats: capture the exact set of leases touched so
-  // the restore heals them even after churn replaces the site's membership.
-  std::vector<grid::GridNodeId> affected;
-  const bool site_ok = ForEachSite(*g, action.site, [&](std::size_t site) {
-    const auto hit = action.kind == ActionKind::kSlowSite
-                         ? g->SlowSite(site, action.value)
-                         : g->DelayHeartbeats(site, action.jitter);
-    affected.insert(affected.end(), hit.begin(), hit.end());
-  });
-  if (!site_ok || affected.empty()) return false;
-  if (action.duration > 0) {
-    const bool slow = action.kind == ActionKind::kSlowSite;
-    restore_events_.push_back(sim_.ScheduleAfter(
-        action.duration, [this, affected = std::move(affected), slow] {
-          for (const grid::GridNodeId id : affected) {
-            if (slow) {
-              (void)targets_.grid->SetNodeComputeScale(id, 1.0);
-            } else {
-              (void)targets_.grid->SetNodeHeartbeatJitter(id, 0);
-            }
-          }
-          sim_.obs().tracer().EmitInstant(
-              "fault", slow ? "slow_site.restore" : "delay_heartbeats.restore",
-              sim_.now(), affected.size());
-        }));
-  }
-  return true;
 }
 
 }  // namespace hogsim::fault

@@ -17,11 +17,19 @@
 // comparison (or an empty-set check) to the organic paths, and a run that
 // never constructs an injector executes exactly the pre-fault code.
 //
+// Targets are resolved when an action fires, not when it is parsed: a
+// site selector against the grid's sites, a rack or fabric against the
+// net topology, and a slow-node / stall-disk NODE operand against the
+// leases running at that moment (the NODE-th in id order, modulo their
+// count). An action that reaches no target is counted as skipped, with a
+// warning naming what was missing; every other action is injected.
+//
 // Observability: every injected action bumps the per-directive counter
-// `fault.<directive>.injected` plus the `fault.actions.injected` total,
-// and emits a "fault"-category tracer instant named after the directive —
-// injected faults are distinguishable from organic ones in any Chrome
-// trace or metrics snapshot.
+// `fault.<directive, '-' as '_'>.injected` plus the
+// `fault.actions.injected` total, and emits a "fault"-category tracer
+// instant named after the directive — injected faults are
+// distinguishable from organic ones in any Chrome trace or metrics
+// snapshot.
 #pragma once
 
 #include <cstdint>
@@ -78,21 +86,19 @@ class FaultInjector {
 
   /// Actions actually applied so far (== fault.actions.injected).
   std::uint64_t injected() const { return injected_; }
-  /// Actions skipped because their target layer was absent or the site
-  /// index was out of range.
+  /// Actions that reached no target: an absent layer, an out-of-range
+  /// site, a rack or fabric no named site has, or no running lease.
   std::uint64_t skipped() const { return skipped_; }
 
  private:
   void Schedule(std::size_t index, SimTime rel);
   void Fire(std::size_t index, SimTime rel);
+  /// Resolves the action's targets and injects it, or counts it skipped.
   void Apply(const Action& action);
-
-  // Per-layer appliers; return false when the action had to be skipped.
-  bool ApplyGrid(const Action& action);
-  bool ApplyNet(const Action& action);
-  bool ApplyDisks(const Action& action);
-  bool ApplyDaemons(const Action& action);
-  bool ApplyGray(const Action& action);
+  /// Schedules `undo` `after` from now, then the tracer instant `instant`
+  /// (none when null) with `arg`. No-op for after <= 0: a permanent fault.
+  void Restore(SimDuration after, const char* instant, std::uint64_t arg,
+               sim::Simulation::Callback undo);
 
   sim::Simulation& sim_;
   InjectorTargets targets_;

@@ -19,6 +19,10 @@ double Fraction(Rng& rng, int lo_pct, int hi_pct) {
   return static_cast<double>(rng.UniformInt(lo_pct, hi_pct)) / 100.0;
 }
 
+constexpr int kActions = 8;
+constexpr int kSites = 5;
+constexpr SimDuration kHorizon = 40 * kMinute;
+
 }  // namespace
 
 Scenario RandomScenario(std::uint64_t seed, RandomScenarioOptions options) {
@@ -26,13 +30,13 @@ Scenario RandomScenario(std::uint64_t seed, RandomScenarioOptions options) {
   Scenario out;
   out.name = "random-" + std::to_string(seed);
 
-  int blackouts_left = options.allow_blackouts ? 2 : 0;
-  for (int i = 0; i < options.actions; ++i) {
+  int blackouts_left = 2;
+  for (int i = 0; i < kActions; ++i) {
     TimedAction timed;
-    timed.at = Seconds(rng, 30, static_cast<int>(options.horizon / kSecond));
+    timed.at = Seconds(rng, 30, static_cast<int>(kHorizon / kSecond));
     timed.line = i + 1;
     Action& a = timed.action;
-    a.site = static_cast<int>(rng.UniformInt(0, options.sites - 1));
+    a.site = static_cast<int>(rng.UniformInt(0, kSites - 1));
 
     // Gray palette first (opt-in): a separate roll keeps the classic
     // draw sequence — and thus every pre-existing seed's scenario —
@@ -69,10 +73,8 @@ Scenario RandomScenario(std::uint64_t seed, RandomScenarioOptions options) {
     }
 
     int roll = static_cast<int>(rng.UniformInt(0, 99));
-    // A partition needs a second site; master blackouts are rationed to
-    // one of each per scenario. Redirect exhausted rolls to preemptions,
-    // the bread-and-butter fault of the paper.
-    if (roll >= 85 && roll < 93 && options.sites < 2) roll = 0;
+    // Master blackouts are rationed to two per scenario: an exhausted
+    // roll becomes a preemption, the paper's bread-and-butter fault.
     if (roll >= 93 && blackouts_left <= 0) roll = 20;
 
     if (roll < 20) {
@@ -96,7 +98,7 @@ Scenario RandomScenario(std::uint64_t seed, RandomScenarioOptions options) {
       a.duration = Seconds(rng, 60, 480);
     } else if (roll < 93) {
       a.kind = ActionKind::kPartition;
-      a.site_b = static_cast<int>(rng.UniformInt(0, options.sites - 2));
+      a.site_b = static_cast<int>(rng.UniformInt(0, kSites - 2));
       if (a.site_b >= a.site) ++a.site_b;
       a.duration = Seconds(rng, 60, 300);
     } else {

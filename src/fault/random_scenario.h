@@ -20,13 +20,9 @@
 
 namespace hogsim::fault {
 
+/// Every scenario draws 8 actions at whole seconds in [30 s, 40 min],
+/// aimed at grid sites 0-4, with at most two master blackouts.
 struct RandomScenarioOptions {
-  int actions = 8;                     ///< timed actions to draw
-  int sites = 5;                       ///< grid sites addressable by faults
-  SimDuration horizon = 40 * kMinute;  ///< actions land in [30 s, horizon]
-  /// Permit (at most one each) namenode/jobtracker blackout. Off for
-  /// workloads that cannot tolerate master outages at all.
-  bool allow_blackouts = true;
   /// Mix in the gray-fault palette (slow-node / slow-site /
   /// delay-heartbeats / stall-disk): bounded, self-restoring degradations
   /// the detectors and quarantine are supposed to ride out. Off by

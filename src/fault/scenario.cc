@@ -1,5 +1,7 @@
 #include "src/fault/scenario.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -110,12 +112,15 @@ SimDuration ParseTicks(Cursor& cur, const Token& tok, std::string_view what) {
       std::llround(*value * static_cast<double>(unit)));
 }
 
-int ParseSite(Cursor& cur, const Token& tok, bool allow_all) {
+/// A non-negative integer index of at most `max`: a site (or `all` =
+/// kAllSites where `allow_all`), a rack or a lease.
+int ParseIndex(Cursor& cur, const Token& tok, std::string_view what,
+               double max, bool allow_all = false) {
   if (allow_all && tok.text == "all") return kAllSites;
-  double value = ParseNumber(cur, tok, "site index");
-  if (value < 0 || value != std::floor(value) || value > 1e6) {
+  const double value = ParseNumber(cur, tok, what);
+  if (value < 0 || value != std::floor(value) || value > max) {
     cur.Fail(tok.column,
-             "bad site index '" + std::string(tok.text) + "'" +
+             "bad " + std::string(what) + " '" + std::string(tok.text) + "'" +
                  (allow_all ? " (want a non-negative integer or 'all')"
                             : " (want a non-negative integer)"));
   }
@@ -149,24 +154,6 @@ double ParseFactor(Cursor& cur, const Token& tok) {
   return value;
 }
 
-int ParseRack(Cursor& cur, const Token& tok) {
-  const double value = ParseNumber(cur, tok, "rack index");
-  if (value < 0 || value != std::floor(value) || value > 1e6) {
-    cur.Fail(tok.column, "bad rack index '" + std::string(tok.text) +
-                             "' (want a non-negative integer)");
-  }
-  return static_cast<int>(value);
-}
-
-int ParseNode(Cursor& cur, const Token& tok) {
-  const double value = ParseNumber(cur, tok, "node index");
-  if (value < 0 || value != std::floor(value) || value > 1e9) {
-    cur.Fail(tok.column, "bad node index '" + std::string(tok.text) +
-                             "' (want a non-negative integer)");
-  }
-  return static_cast<int>(value);
-}
-
 SimDuration ParsePositiveTicks(Cursor& cur, const Token& tok,
                                std::string_view what) {
   const SimDuration d = ParseTicks(cur, tok, what);
@@ -178,115 +165,146 @@ SimDuration ParsePositiveTicks(Cursor& cur, const Token& tok,
   return d;
 }
 
+/// How one operand token reads, and the Action field it fills.
+enum class Operand {
+  kEnd,               ///< past the row's last operand
+  kSite,              ///< site index or `all` -> site
+  kSiteOnly,          ///< site index -> site
+  kPeerSite,          ///< site index other than `site` -> site_b
+  kCount,             ///< integer >= 1 -> value
+  kFraction,          ///< in [0, 1] -> value
+  kPositiveFraction,  ///< in (0, 1] -> value
+  kFactor,            ///< > 0 -> value
+  kRack,              ///< rack index -> rack
+  kNode,              ///< running-lease index -> node
+  kDuration,          ///< > 0 -> duration
+  kOptionalDuration,  ///< trailing, > 0 when present -> duration
+  kJitter,            ///< > 0 -> jitter
+};
+using enum Operand;
+
+using Operands = std::array<Operand, 3>;
+
+/// One action kind's grammar: its directive name and operand list.
+struct Grammar {
+  ActionKind kind;
+  std::string_view name;  // a literal: tracers keep ActionName(kind).data()
+  Operands operands;
+};
+
+/// Every kind's grammar, in ActionKind order: the parser, the formatter,
+/// ActionName and (through ActionName) the injector's counter names all
+/// read this table, so a directive is written here and nowhere else.
+constexpr Grammar kGrammar[] = {
+    {ActionKind::kPreemptNodes, "preempt-nodes", {kSite, kCount}},
+    {ActionKind::kPreemptSite, "preempt-site", {kSite, kFraction}},
+    {ActionKind::kZombify, "zombify", {kSite, kCount}},
+    {ActionKind::kFreezeAcquisition, "freeze-acquisition", {kSite, kDuration}},
+    {ActionKind::kThrottleAcquisition, "throttle-acquisition",
+     {kSite, kFactor}},
+    {ActionKind::kDegradeUplink, "degrade-uplink",
+     {kSite, kFactor, kOptionalDuration}},
+    {ActionKind::kPartition, "partition", {kSiteOnly, kPeerSite, kDuration}},
+    {ActionKind::kShrinkDisks, "shrink-disks", {kSite, kFactor}},
+    {ActionKind::kFillDisks, "fill-disks", {kSite, kPositiveFraction}},
+    {ActionKind::kNamenodeBlackout, "namenode-blackout", {kDuration}},
+    {ActionKind::kJobtrackerBlackout, "jobtracker-blackout", {kDuration}},
+    {ActionKind::kFailTor, "fail-tor", {kSite, kRack, kDuration}},
+    {ActionKind::kPartitionRack, "partition-rack", {kSite, kRack, kDuration}},
+    {ActionKind::kDegradeFabric, "degrade-fabric",
+     {kSite, kFactor, kOptionalDuration}},
+    {ActionKind::kSlowNode, "slow-node", {kNode, kFactor, kOptionalDuration}},
+    {ActionKind::kSlowSite, "slow-site", {kSite, kFactor, kOptionalDuration}},
+    {ActionKind::kDelayHeartbeats, "delay-heartbeats",
+     {kSite, kJitter, kOptionalDuration}},
+    {ActionKind::kStallDisk, "stall-disk", {kNode, kDuration}},
+};
+
+constexpr bool RowsFollowKindOrder() {
+  for (std::size_t i = 0; i < std::size(kGrammar); ++i) {
+    if (kGrammar[i].kind != static_cast<ActionKind>(i)) return false;
+  }
+  return std::size(kGrammar) == kActionKinds;
+}
+static_assert(RowsFollowKindOrder(), "one kGrammar row per ActionKind");
+
+/// A preemption-trace record after its timestamp: a kPreemptNodes action
+/// at one site.
+constexpr Operands kTraceRecord = {kSiteOnly, kCount};
+
+/// Reads `operands` in order into `action` (whose kind is set), then
+/// requires the line to end.
+void ParseOperands(Cursor& cur, const Operands& operands, Action& action) {
+  for (const Operand operand : operands) {
+    switch (operand) {
+      case kEnd:
+        break;
+      case kSite:
+      case kSiteOnly:
+        action.site = ParseIndex(cur, cur.Take("site"), "site index", 1e6,
+                                 /*allow_all=*/operand == kSite);
+        break;
+      case kPeerSite: {
+        const Token& tok = cur.Take("peer site");
+        action.site_b = ParseIndex(cur, tok, "site index", 1e6);
+        if (action.site_b == action.site) {
+          cur.Fail(tok.column, std::string(ActionName(action.kind)) +
+                                   " needs two distinct sites");
+        }
+        break;
+      }
+      case kCount:
+        action.value = ParseCount(cur, cur.Take("node count"));
+        break;
+      case kFraction:
+        action.value = ParseFraction(cur, cur.Take("fraction"));
+        break;
+      case kPositiveFraction: {
+        const Token& tok = cur.Take("fraction");
+        action.value = ParseFraction(cur, tok);
+        if (action.value <= 0) {
+          cur.Fail(tok.column, std::string(ActionName(action.kind)) +
+                                   " fraction must be > 0");
+        }
+        break;
+      }
+      case kFactor:
+        action.value = ParseFactor(cur, cur.Take("factor"));
+        break;
+      case kRack:
+        action.rack = ParseIndex(cur, cur.Take("rack"), "rack index", 1e6);
+        break;
+      case kNode:
+        action.node = ParseIndex(cur, cur.Take("node"), "node index", 1e9);
+        break;
+      case kOptionalDuration:
+        if (cur.Done()) break;
+        [[fallthrough]];
+      case kDuration:
+        action.duration =
+            ParsePositiveTicks(cur, cur.Take("duration"), "duration");
+        break;
+      case kJitter:
+        action.jitter = ParsePositiveTicks(cur, cur.Take("jitter"), "jitter");
+        break;
+    }
+  }
+  cur.ExpectDone();
+}
+
 /// Parses `<action> <args...>` — everything after the schedule prefix.
 Action ParseAction(Cursor& cur) {
   const Token& name = cur.Take("action");
-  Action action;
-  if (name.text == "preempt-nodes" || name.text == "zombify") {
-    action.kind = name.text == "zombify" ? ActionKind::kZombify
-                                         : ActionKind::kPreemptNodes;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseCount(cur, cur.Take("node count"));
-  } else if (name.text == "preempt-site") {
-    action.kind = ActionKind::kPreemptSite;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFraction(cur, cur.Take("fraction"));
-  } else if (name.text == "freeze-acquisition") {
-    action.kind = ActionKind::kFreezeAcquisition;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                         "duration");
-  } else if (name.text == "throttle-acquisition") {
-    action.kind = ActionKind::kThrottleAcquisition;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFactor(cur, cur.Take("factor"));
-  } else if (name.text == "degrade-uplink") {
-    action.kind = ActionKind::kDegradeUplink;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFactor(cur, cur.Take("factor"));
-    if (!cur.Done()) {
-      action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                           "duration");
-    }
-  } else if (name.text == "partition") {
-    action.kind = ActionKind::kPartition;
-    const Token& a = cur.Take("site");
-    action.site = ParseSite(cur, a, /*allow_all=*/false);
-    const Token& b = cur.Take("peer site");
-    action.site_b = ParseSite(cur, b, /*allow_all=*/false);
-    if (action.site_b == action.site) {
-      cur.Fail(b.column, "partition needs two distinct sites");
-    }
-    action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                         "duration");
-  } else if (name.text == "shrink-disks") {
-    action.kind = ActionKind::kShrinkDisks;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFactor(cur, cur.Take("factor"));
-  } else if (name.text == "fill-disks") {
-    action.kind = ActionKind::kFillDisks;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    const Token& frac = cur.Take("fraction");
-    action.value = ParseFraction(cur, frac);
-    if (action.value <= 0) {
-      cur.Fail(frac.column, "fill-disks fraction must be > 0");
-    }
-  } else if (name.text == "fail-tor" || name.text == "partition-rack") {
-    action.kind = name.text == "fail-tor" ? ActionKind::kFailTor
-                                          : ActionKind::kPartitionRack;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.rack = ParseRack(cur, cur.Take("rack"));
-    action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                         "duration");
-  } else if (name.text == "degrade-fabric") {
-    action.kind = ActionKind::kDegradeFabric;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFactor(cur, cur.Take("factor"));
-    if (!cur.Done()) {
-      action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                           "duration");
-    }
-  } else if (name.text == "slow-node") {
-    action.kind = ActionKind::kSlowNode;
-    action.node = ParseNode(cur, cur.Take("node"));
-    action.value = ParseFactor(cur, cur.Take("factor"));
-    if (!cur.Done()) {
-      action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                           "duration");
-    }
-  } else if (name.text == "slow-site") {
-    action.kind = ActionKind::kSlowSite;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.value = ParseFactor(cur, cur.Take("factor"));
-    if (!cur.Done()) {
-      action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                           "duration");
-    }
-  } else if (name.text == "delay-heartbeats") {
-    action.kind = ActionKind::kDelayHeartbeats;
-    action.site = ParseSite(cur, cur.Take("site"), /*allow_all=*/true);
-    action.jitter = ParsePositiveTicks(cur, cur.Take("jitter"), "jitter");
-    if (!cur.Done()) {
-      action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                           "duration");
-    }
-  } else if (name.text == "stall-disk") {
-    action.kind = ActionKind::kStallDisk;
-    action.node = ParseNode(cur, cur.Take("node"));
-    action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                         "duration");
-  } else if (name.text == "namenode-blackout" ||
-             name.text == "jobtracker-blackout") {
-    action.kind = name.text == "namenode-blackout"
-                      ? ActionKind::kNamenodeBlackout
-                      : ActionKind::kJobtrackerBlackout;
-    action.duration = ParsePositiveTicks(cur, cur.Take("duration"),
-                                         "duration");
-  } else {
+  const Grammar* row = std::find_if(
+      std::begin(kGrammar), std::end(kGrammar),
+      [&](const Grammar& g) { return g.name == name.text; });
+  if (row == std::end(kGrammar)) {
     cur.Fail(name.column,
              "unknown action '" + std::string(name.text) + "'");
   }
-  cur.ExpectDone();
+  Action action;
+  action.kind = row->kind;
+  ParseOperands(cur, row->operands, action);
   return action;
 }
 
@@ -316,30 +334,52 @@ std::string FormatSite(int site) {
   return site == kAllSites ? "all" : std::to_string(site);
 }
 
+/// Writes `operands` of `a`, each after a space, as ParseOperands reads them.
+void FormatOperands(std::ostream& out, const Operands& operands,
+                    const Action& a) {
+  for (const Operand operand : operands) {
+    switch (operand) {
+      case kEnd:
+        break;
+      case kSite:
+      case kSiteOnly:
+        out << ' ' << FormatSite(a.site);
+        break;
+      case kPeerSite:
+        out << ' ' << a.site_b;
+        break;
+      case kCount:
+        out << ' ' << static_cast<long long>(a.value);
+        break;
+      case kFraction:
+      case kPositiveFraction:
+      case kFactor:
+        out << ' ' << FormatValue(a.value);
+        break;
+      case kRack:
+        out << ' ' << a.rack;
+        break;
+      case kNode:
+        out << ' ' << a.node;
+        break;
+      case kOptionalDuration:
+        if (a.duration <= 0) break;
+        [[fallthrough]];
+      case kDuration:
+        out << ' ' << FormatTicks(a.duration);
+        break;
+      case kJitter:
+        out << ' ' << FormatTicks(a.jitter);
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 std::string_view ActionName(ActionKind kind) {
-  switch (kind) {
-    case ActionKind::kPreemptNodes: return "preempt-nodes";
-    case ActionKind::kPreemptSite: return "preempt-site";
-    case ActionKind::kZombify: return "zombify";
-    case ActionKind::kFreezeAcquisition: return "freeze-acquisition";
-    case ActionKind::kThrottleAcquisition: return "throttle-acquisition";
-    case ActionKind::kDegradeUplink: return "degrade-uplink";
-    case ActionKind::kPartition: return "partition";
-    case ActionKind::kShrinkDisks: return "shrink-disks";
-    case ActionKind::kFillDisks: return "fill-disks";
-    case ActionKind::kNamenodeBlackout: return "namenode-blackout";
-    case ActionKind::kJobtrackerBlackout: return "jobtracker-blackout";
-    case ActionKind::kFailTor: return "fail-tor";
-    case ActionKind::kPartitionRack: return "partition-rack";
-    case ActionKind::kDegradeFabric: return "degrade-fabric";
-    case ActionKind::kSlowNode: return "slow-node";
-    case ActionKind::kSlowSite: return "slow-site";
-    case ActionKind::kDelayHeartbeats: return "delay-heartbeats";
-    case ActionKind::kStallDisk: return "stall-disk";
-  }
-  return "?";
+  const auto row = static_cast<std::size_t>(kind);
+  return row < std::size(kGrammar) ? kGrammar[row].name : "?";
 }
 
 ScenarioError::ScenarioError(std::string_view source, int line, int column,
@@ -396,52 +436,8 @@ std::string FormatScenario(const Scenario& scenario) {
     }
     const Action& a = timed.action;
     out << ' ' << ActionName(a.kind);
-    switch (a.kind) {
-      case ActionKind::kPreemptNodes:
-      case ActionKind::kZombify:
-        out << ' ' << FormatSite(a.site) << ' '
-            << static_cast<long long>(a.value);
-        break;
-      case ActionKind::kPreemptSite:
-      case ActionKind::kThrottleAcquisition:
-      case ActionKind::kShrinkDisks:
-      case ActionKind::kFillDisks:
-        out << ' ' << FormatSite(a.site) << ' ' << FormatValue(a.value);
-        break;
-      case ActionKind::kFreezeAcquisition:
-        out << ' ' << FormatSite(a.site) << ' ' << FormatTicks(a.duration);
-        break;
-      case ActionKind::kDegradeUplink:
-      case ActionKind::kDegradeFabric:
-      case ActionKind::kSlowSite:
-        out << ' ' << FormatSite(a.site) << ' ' << FormatValue(a.value);
-        if (a.duration > 0) out << ' ' << FormatTicks(a.duration);
-        break;
-      case ActionKind::kSlowNode:
-        out << ' ' << a.node << ' ' << FormatValue(a.value);
-        if (a.duration > 0) out << ' ' << FormatTicks(a.duration);
-        break;
-      case ActionKind::kDelayHeartbeats:
-        out << ' ' << FormatSite(a.site) << ' ' << FormatTicks(a.jitter);
-        if (a.duration > 0) out << ' ' << FormatTicks(a.duration);
-        break;
-      case ActionKind::kStallDisk:
-        out << ' ' << a.node << ' ' << FormatTicks(a.duration);
-        break;
-      case ActionKind::kFailTor:
-      case ActionKind::kPartitionRack:
-        out << ' ' << FormatSite(a.site) << ' ' << a.rack << ' '
-            << FormatTicks(a.duration);
-        break;
-      case ActionKind::kPartition:
-        out << ' ' << a.site << ' ' << a.site_b << ' '
-            << FormatTicks(a.duration);
-        break;
-      case ActionKind::kNamenodeBlackout:
-      case ActionKind::kJobtrackerBlackout:
-        out << ' ' << FormatTicks(a.duration);
-        break;
-    }
+    FormatOperands(out, kGrammar[static_cast<std::size_t>(a.kind)].operands,
+                   a);
     out << '\n';
   }
   return out.str();
@@ -462,10 +458,7 @@ Scenario ParsePreemptionTrace(std::string_view text,
     timed.line = line_no;
     timed.at = ParseTicks(cur, cur.Take("timestamp"), "timestamp");
     timed.action.kind = ActionKind::kPreemptNodes;
-    timed.action.site =
-        ParseSite(cur, cur.Take("site"), /*allow_all=*/false);
-    timed.action.value = ParseCount(cur, cur.Take("node count"));
-    cur.ExpectDone();
+    ParseOperands(cur, kTraceRecord, timed.action);
     scenario.actions.push_back(timed);
   }
   return scenario;

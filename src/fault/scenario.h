@@ -28,6 +28,7 @@
 // tests/fault_test.cc rely on this).
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -37,29 +38,34 @@
 
 namespace hogsim::fault {
 
-/// Every failure the injector knows how to inject. One-to-one with the
-/// scenario-file directive names (ActionName below).
+/// Every failure the injector knows how to inject. Each kind's directive
+/// name and operand list are written once, in scenario.cc's grammar table
+/// (documented in EXPERIMENTS.md).
 enum class ActionKind {
-  kPreemptNodes,        ///< preempt-nodes SITE COUNT — clean site preempt
-  kPreemptSite,         ///< preempt-site SITE FRACTION — correlated burst
-  kZombify,             ///< zombify SITE COUNT — forced §IV.D.1 zombies
-  kFreezeAcquisition,   ///< freeze-acquisition SITE DURATION
-  kThrottleAcquisition, ///< throttle-acquisition SITE FACTOR
-  kDegradeUplink,       ///< degrade-uplink SITE FACTOR [DURATION]
-  kPartition,           ///< partition SITE_A SITE_B DURATION
-  kShrinkDisks,         ///< shrink-disks SITE FACTOR
-  kFillDisks,           ///< fill-disks SITE FRACTION
-  kNamenodeBlackout,    ///< namenode-blackout DURATION
-  kJobtrackerBlackout,  ///< jobtracker-blackout DURATION
-  kFailTor,             ///< fail-tor SITE RACK DURATION — ToR switch dies
-  kPartitionRack,       ///< partition-rack SITE RACK DURATION
-  kDegradeFabric,       ///< degrade-fabric SITE FACTOR [DURATION]
+  kPreemptNodes,        ///< clean preemption of running leases
+  kPreemptSite,         ///< correlated burst: a fraction of a site
+  kZombify,             ///< forced §IV.D.1 zombies
+  kFreezeAcquisition,   ///< no new glideins start for a while
+  kThrottleAcquisition, ///< slower batch queue for new glideins
+  kDegradeUplink,       ///< scaled site WAN uplink
+  kPartition,           ///< two sites cut off from each other
+  kShrinkDisks,         ///< scaled disk capacity
+  kFillDisks,           ///< disks filled up to a fraction
+  kNamenodeBlackout,    ///< namenode crash, restart after a while
+  kJobtrackerBlackout,  ///< jobtracker crash, restart after a while
+  kFailTor,             ///< a rack's ToR switch dies
+  kPartitionRack,       ///< a rack cut off from its site's fabric
+  kDegradeFabric,       ///< scaled intra-site fabric links
   // Gray faults: the node stays up and heartbeating but misbehaves.
-  kSlowNode,            ///< slow-node NODE FACTOR [DURATION] — compute slowdown
-  kSlowSite,            ///< slow-site SITE FACTOR [DURATION]
-  kDelayHeartbeats,     ///< delay-heartbeats SITE JITTER [DURATION]
-  kStallDisk,           ///< stall-disk NODE DURATION — intermittent IO freeze
+  kSlowNode,            ///< compute slowdown on one lease
+  kSlowSite,            ///< compute slowdown on a site's leases
+  kDelayHeartbeats,     ///< heartbeat jitter on a site's leases
+  kStallDisk,           ///< intermittent IO freeze on one lease
 };
+
+/// Number of ActionKinds (kinds are 0 .. kActionKinds - 1).
+constexpr std::size_t kActionKinds =
+    static_cast<std::size_t>(ActionKind::kStallDisk) + 1;
 
 /// The scenario-file directive name for a kind ("preempt-site", ...).
 std::string_view ActionName(ActionKind kind);
@@ -78,10 +84,12 @@ struct Action {
   int site_b = kAllSites;
   /// fail-tor / partition-rack only: rack index within the site (>= 0).
   /// Racks exist only under multi-rack net topologies (src/net/topo); the
-  /// injector skips racks the target site does not have.
+  /// injector passes over sites without the rack and counts the action
+  /// skipped when no named site has it.
   int rack = 0;
-  /// slow-node / stall-disk only: grid lease index (grid::GridNodeId,
-  /// >= 0). The injector skips leases that are not currently running.
+  /// slow-node / stall-disk only (>= 0): an index into the leases running
+  /// when the action fires — the node-th in lease-id order, modulo their
+  /// count. Skipped only when no lease is running.
   int node = 0;
   /// delay-heartbeats only: max extra per-heartbeat delay (> 0); each
   /// heartbeat is held back by a deterministic hash-derived amount in

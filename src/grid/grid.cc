@@ -353,37 +353,11 @@ bool Grid::SetNodeComputeScale(GridNodeId id, double factor) {
   return true;
 }
 
-std::vector<GridNodeId> Grid::SlowSite(std::size_t site_index,
-                                       double factor) {
-  std::vector<GridNodeId> out;
-  if (!on_node_slow_) return out;
-  for (const auto& n : nodes_) {
-    if (n->running() && n->site_index() == site_index) {
-      on_node_slow_(*n, factor);
-      out.push_back(n->id());
-    }
-  }
-  return out;
-}
-
 bool Grid::SetNodeHeartbeatJitter(GridNodeId id, SimDuration jitter) {
   GridNode* n = node(id);
   if (n == nullptr || !n->running() || !on_node_jitter_) return false;
   on_node_jitter_(*n, jitter);
   return true;
-}
-
-std::vector<GridNodeId> Grid::DelayHeartbeats(std::size_t site_index,
-                                              SimDuration jitter) {
-  std::vector<GridNodeId> out;
-  if (!on_node_jitter_) return out;
-  for (const auto& n : nodes_) {
-    if (n->running() && n->site_index() == site_index) {
-      on_node_jitter_(*n, jitter);
-      out.push_back(n->id());
-    }
-  }
-  return out;
 }
 
 bool Grid::StallNodeDisk(GridNodeId id, SimDuration duration) {

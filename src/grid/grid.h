@@ -223,25 +223,20 @@ class Grid {
   /// Scales compute on one running node's daemons (factor 1 restores).
   /// False when the lease is not running or no slow callback is attached.
   bool SetNodeComputeScale(GridNodeId id, double factor);
-  /// Every running node at the site; returns the ids actually degraded
-  /// (capture them to restore exactly the affected set later).
-  std::vector<GridNodeId> SlowSite(std::size_t site_index, double factor);
 
   /// Sets the max extra per-heartbeat delay on one running node's daemons
   /// (0 restores). False when not running or no jitter callback attached.
   bool SetNodeHeartbeatJitter(GridNodeId id, SimDuration jitter);
-  std::vector<GridNodeId> DelayHeartbeats(std::size_t site_index,
-                                          SimDuration jitter);
 
   /// Freezes the node's disk IO for `duration` (intermittent stall); the
   /// disk thaws by itself. False when the lease has no live processes.
   bool StallNodeDisk(GridNodeId id, SimDuration duration);
 
-  /// Fired by SetNodeComputeScale/SlowSite with the new factor.
+  /// Fired by SetNodeComputeScale with the new factor.
   void set_on_node_slow(std::function<void(GridNode&, double)> cb) {
     on_node_slow_ = std::move(cb);
   }
-  /// Fired by SetNodeHeartbeatJitter/DelayHeartbeats with the new jitter.
+  /// Fired by SetNodeHeartbeatJitter with the new jitter.
   void set_on_node_jitter(std::function<void(GridNode&, SimDuration)> cb) {
     on_node_jitter_ = std::move(cb);
   }

@@ -319,24 +319,24 @@ void FlowNetwork::SetSitePartition(SiteId a, SiteId b, bool severed) {
               sites_[b].wan_rx});
 }
 
-void FlowNetwork::SetRackFailed(SiteId site, std::uint32_t rack,
+bool FlowNetwork::SetRackFailed(SiteId site, std::uint32_t rack,
                                 bool failed) {
-  if (topo_trivial_ || rack >= topo_->RackCount(site)) return;
+  if (topo_trivial_ || rack >= topo_->RackCount(site)) return false;
   const std::uint64_t key = RackKey(site, rack);
   const bool changed =
       failed ? dead_racks_.insert(key).second : dead_racks_.erase(key) > 0;
-  if (!changed) return;
-  ReallocateRack(site, rack, /*count_stalled=*/failed);
+  if (changed) ReallocateRack(site, rack, /*count_stalled=*/failed);
+  return true;
 }
 
-void FlowNetwork::SetRackIsolated(SiteId site, std::uint32_t rack,
+bool FlowNetwork::SetRackIsolated(SiteId site, std::uint32_t rack,
                                   bool isolated) {
-  if (topo_trivial_ || rack >= topo_->RackCount(site)) return;
+  if (topo_trivial_ || rack >= topo_->RackCount(site)) return false;
   const std::uint64_t key = RackKey(site, rack);
   const bool changed = isolated ? isolated_racks_.insert(key).second
                                 : isolated_racks_.erase(key) > 0;
-  if (!changed) return;
-  ReallocateRack(site, rack, /*count_stalled=*/isolated);
+  if (changed) ReallocateRack(site, rack, /*count_stalled=*/isolated);
+  return true;
 }
 
 void FlowNetwork::ReallocateRack(SiteId site, std::uint32_t rack,
@@ -364,12 +364,13 @@ void FlowNetwork::ReallocateRack(SiteId site, std::uint32_t rack,
   Reallocate(touched);
 }
 
-void FlowNetwork::SetFabricDegrade(SiteId site, double factor) {
-  if (topo_trivial_) return;  // star has no fabric
+bool FlowNetwork::SetFabricDegrade(SiteId site, double factor) {
+  if (topo_trivial_) return false;  // star has no fabric
   assert(factor > 0);
   std::vector<LinkId> touched;
   topo_->ScaleFabric(site, factor, *this, &touched);
   if (!touched.empty()) Reallocate(touched);
+  return true;
 }
 
 void FlowNetwork::ArmSliceTimer() {

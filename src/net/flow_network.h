@@ -156,18 +156,20 @@ class FlowNetwork : private topo::Fabric {
 
   /// fail-tor: kills (or heals) a rack's fabric — every flow with an
   /// endpoint in the rack stalls at rate zero, including intra-rack flows
-  /// (the dead ToR takes the rack's whole data path). No-op under star
-  /// and for out-of-range rack indices.
-  void SetRackFailed(SiteId site, std::uint32_t rack, bool failed);
+  /// (the dead ToR takes the rack's whole data path). Returns whether the
+  /// rack exists (a repeat on an already-failed rack still does); a no-op
+  /// returning false under star and for out-of-range rack indices.
+  bool SetRackFailed(SiteId site, std::uint32_t rack, bool failed);
 
   /// partition-rack: isolates a rack from the rest of the fabric — flows
   /// crossing the rack boundary stall, intra-rack flows keep running.
-  void SetRackIsolated(SiteId site, std::uint32_t rack, bool isolated);
+  /// Returns whether the rack exists, as SetRackFailed does.
+  bool SetRackIsolated(SiteId site, std::uint32_t rack, bool isolated);
 
   /// degrade-fabric: scales every fabric link of the site to factor x its
-  /// nominal capacity (factor 1 restores; repeats never compound). No-op
-  /// under star, which has no fabric.
-  void SetFabricDegrade(SiteId site, double factor);
+  /// nominal capacity (factor 1 restores; repeats never compound). Returns
+  /// whether the site has a fabric: a no-op returning false under star.
+  bool SetFabricDegrade(SiteId site, double factor);
 
   const FlowNetworkConfig& config() const { return config_; }
 

@@ -233,6 +233,25 @@ TEST(Hogbench, GateFailureExitsOne) {
   std::filesystem::remove_all(dir);
 }
 
+// A scheduled fault that reaches no target fails scenario_storm's gate.
+TEST(Hogbench, SkippedFaultFailsTheStormGate) {
+  const std::string dir = TempDir();
+  const std::string scenario = dir + "/skip.txt";
+  std::ofstream(scenario) << "at 1s preempt-nodes 9 1\n";  // 5 grid sites
+  testing::internal::CaptureStdout();
+  const int code =
+      RunFake(*FindExperiment("scenario_storm"),
+              {"--fast", "--seeds=1", "--scenario=" + scenario,
+               "--out=" + dir + "/x.json"});
+  const std::string stdout_text = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(stdout_text.find(
+                "GATE FAIL: hog55 seed 11: faults_skipped = 1, want == 0"),
+            std::string::npos)
+      << stdout_text;
+  std::filesystem::remove_all(dir);
+}
+
 // --- the carried-over contracts --------------------------------------------
 
 using FakeRun = std::function<Metrics(const std::string& label,
@@ -309,12 +328,15 @@ class Contract {
 TEST(Contracts, SoakEveryRunHealsItself) {
   const Contract soak("soak");
   const FakeRun pass = [](const std::string&, std::uint64_t) -> Metrics {
-    return {{"violations", 0}, {"outputs_lost", 0}, {"all_terminated", 1}};
+    return {{"violations", 0},
+            {"outputs_lost", 0},
+            {"all_terminated", 1},
+            {"faults_skipped", 0}};
   };
   EXPECT_TRUE(soak.Gates(pass).empty());
   for (const auto& [metric, value] :
        {std::pair{"violations", 1.0}, {"outputs_lost", 2.0},
-        {"all_terminated", 0.0}}) {
+        {"all_terminated", 0.0}, {"faults_skipped", 1.0}}) {
     const auto failures = soak.GatesWith(
         pass, "chaos17", 23, [&](Metrics& m) { Set(m, metric, value); });
     EXPECT_EQ(failures.size(), 1u) << metric;

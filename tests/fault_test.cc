@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/fault/injector.h"
 #include "src/fault/scenario.h"
@@ -369,6 +371,53 @@ TEST_F(InjectorTest, ActionsAgainstAbsentLayersAreSkipped) {
                                  "at 1s namenode-blackout 30s\n"
                                  "at 1s jobtracker-blackout 30s\n"
                                  "at 1s preempt-nodes 7 1\n");
+  sim_.RunUntil(sim_.now() + kMinute);
+  EXPECT_EQ(injector->injected(), 0u);
+  EXPECT_EQ(injector->skipped(), 3u);
+}
+
+// slow-node / stall-disk resolve NODE against the leases running when the
+// action fires: after the oldest lease is preempted, index 0 names the
+// next running lease instead of the dead one, and indices wrap.
+TEST_F(InjectorTest, NodeFaultsLandOnTheNthRunningLease) {
+  grid::Grid grid = MakeGrid();
+  grid.AddSite(QuietSite("A", "a.edu"));
+  std::vector<std::pair<grid::GridNodeId, double>> slowed;
+  grid.set_on_node_slow([&](grid::GridNode& node, double factor) {
+    slowed.emplace_back(node.id(), factor);
+  });
+  SpinUp(grid, 4);
+  const auto injector = Armed(grid,
+                                 "at 1s preempt-nodes 0 1\n"
+                                 "at 2s slow-node 0 4 30s\n"
+                                 "at 2s stall-disk 14 1m\n");
+  sim_.RunUntil(sim_.now() + 10 * kSecond);
+  EXPECT_FALSE(grid.node(0)->running());
+  EXPECT_EQ(injector->injected(), 3u);
+  EXPECT_EQ(injector->skipped(), 0u);
+  // Leases 1-3 run (a replacement, if one started, has the highest id):
+  // index 0 is lease 1, and index 14 wraps to lease 3 out of three or
+  // four running leases.
+  ASSERT_EQ(slowed.size(), 1u);
+  EXPECT_EQ(slowed[0], std::make_pair(grid::GridNodeId{1}, 4.0));
+  EXPECT_GT(grid.node(3)->disk().stalled_until(), sim_.now());
+  EXPECT_EQ(grid.node(1)->disk().stalled_until(), 0);
+  // The restore goes to the lease the action resolved.
+  sim_.RunUntil(sim_.now() + kMinute);
+  ASSERT_EQ(slowed.size(), 2u);
+  EXPECT_EQ(slowed[1], std::make_pair(grid::GridNodeId{1}, 1.0));
+}
+
+// The harness's star fabric has no racks and no fabric links: the rack
+// and fabric kinds reach no target there, so they count as skipped.
+TEST_F(InjectorTest, RackAndFabricFaultsWithoutAFabricAreSkipped) {
+  grid::Grid grid = MakeGrid();
+  grid.AddSite(QuietSite("A", "a.edu"));
+  SpinUp(grid, 2);
+  const auto injector = Armed(grid,
+                                 "at 1s fail-tor 0 0 30s\n"
+                                 "at 1s partition-rack all 0 30s\n"
+                                 "at 1s degrade-fabric all 0.5 30s\n");
   sim_.RunUntil(sim_.now() + kMinute);
   EXPECT_EQ(injector->injected(), 0u);
   EXPECT_EQ(injector->skipped(), 3u);

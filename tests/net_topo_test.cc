@@ -246,7 +246,11 @@ TEST_F(TopoFaultTest, FailTorStallsEveryFlowTouchingTheRack) {
                                         [&](bool ok) { spared_ok = ok; });
   sim_.RunUntil(kSecond);  // all active
 
-  net_->SetRackFailed(site_, 0, true);
+  EXPECT_TRUE(net_->SetRackFailed(site_, 0, true));
+  // The setter reports whether the rack exists: a repeat still does, an
+  // out-of-range index does not.
+  EXPECT_TRUE(net_->SetRackFailed(site_, 0, true));
+  EXPECT_FALSE(net_->SetRackFailed(site_, 2, true));
   sim_.RunUntil(2 * kSecond);
   // The dead ToR takes the whole rack's data path, intra-rack included;
   // rack 1's internal flow keeps its bandwidth.
@@ -274,7 +278,7 @@ TEST_F(TopoFaultTest, PartitionRackSparesIntraRackTraffic) {
                   [&](bool ok) { cross_ok = ok; });
   sim_.RunUntil(kSecond);
 
-  net_->SetRackIsolated(site_, 0, true);
+  EXPECT_TRUE(net_->SetRackIsolated(site_, 0, true));
   sim_.RunUntil(2 * kSecond);
   // Isolation severs the rack boundary only: the intra-rack flow keeps
   // running (and finishes under isolation), the cross-rack one stalls —
@@ -301,7 +305,7 @@ TEST_F(TopoFaultTest, DegradeFabricScalesAgainstNominalIdempotently) {
   EXPECT_EQ(net_->FlowRate(flow), Mbps(40));
 
   // Halving the fabric makes the rack uplink the bottleneck at 20 Mbps.
-  net_->SetFabricDegrade(site_, 0.5);
+  EXPECT_TRUE(net_->SetFabricDegrade(site_, 0.5));
   EXPECT_EQ(net_->FlowRate(flow), Mbps(20));
   // Repeats rescale against nominal — they never compound.
   net_->SetFabricDegrade(site_, 0.5);
@@ -314,9 +318,9 @@ TEST_F(TopoFaultTest, RackFaultsAreNoOpsUnderStar) {
   Build("star");
   bool ok = false;
   net_->StartFlow(nodes_[0], nodes_[1], 20 * kMiB, [&](bool v) { ok = v; });
-  net_->SetRackFailed(site_, 0, true);
-  net_->SetRackIsolated(site_, 0, true);
-  net_->SetFabricDegrade(site_, 0.1);
+  EXPECT_FALSE(net_->SetRackFailed(site_, 0, true));
+  EXPECT_FALSE(net_->SetRackIsolated(site_, 0, true));
+  EXPECT_FALSE(net_->SetFabricDegrade(site_, 0.1));
   sim_.RunAll();
   EXPECT_TRUE(ok);  // star has no fabric to fail
 }
