@@ -1,25 +1,23 @@
 // Runs the paper's Facebook-derived workload (Tables I & II, §IV.A) on
 // either the dedicated Table III cluster or a HOG deployment of a chosen
-// size, and prints the workload response time plus per-bin latencies.
+// size, through the same runs `hogbench fig4` measures, and prints the
+// workload response time plus per-bin latencies. `hog N S` prints the
+// response of fig4's N-node run at seed S, and exits 1 when the deployment
+// never reached its target.
 //
 // Usage: example_facebook_workload [cluster|hog] [nodes] [seed]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
-#include "src/baseline/dedicated_cluster.h"
-#include "src/hog/hog_cluster.h"
+#include "src/exp/paper_runs.h"
+#include "src/util/strings.h"
 #include "src/util/table.h"
-#include "src/workload/facebook.h"
-#include "src/workload/runner.h"
 
 using namespace hogsim;
 
 namespace {
-
-constexpr SimTime kDeadline = 12 * kHour;
 
 void PrintResult(const std::string& label,
                  const workload::WorkloadResult& result) {
@@ -44,43 +42,27 @@ int main(int argc, char** argv) {
   const int nodes = argc > 2 ? std::atoi(argv[2]) : 100;
   const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
 
-  Rng rng(seed);
-  const workload::WorkloadConfig wl_config;
-  const auto schedule = workload::GenerateFacebookSchedule(rng, wl_config);
+  const auto schedule = exp::FacebookSchedule(seed);
   std::printf("Facebook workload: %zu jobs over %s (mean gap 14 s)\n",
               schedule.size(),
               FormatDuration(schedule.back().submit_time).c_str());
 
   if (mode == "cluster") {
-    baseline::DedicatedCluster cluster(seed);
-    workload::WorkloadRunner runner(cluster.sim(), cluster.jobtracker(),
-                                    cluster.namenode(), wl_config);
-    runner.PrepareInputs(schedule);
-    runner.SubmitAll(schedule);
     PrintResult("Dedicated cluster (Table III, 100 cores)",
-                runner.Run(kDeadline));
+                exp::RunClusterWorkload(seed));
   } else if (mode == "hog") {
-    hog::HogCluster hog(seed);
-    hog.RequestNodes(nodes);
-    // The paper waits until the available nodes reach the configured
-    // maximum; under heavy churn the full count may never hold at one
-    // instant, so fall back to 95% before giving up.
-    if (!hog.WaitForNodes(nodes, kHour) &&
-        !hog.WaitForNodes(nodes * 95 / 100, hog.sim().now() + kHour)) {
+    // HogCluster::SpinUp's rule: the configured maximum, else 95% of it.
+    const exp::HogRunResult result = exp::RunHogWorkload(nodes, seed);
+    if (!result.reached_target) {
       std::fprintf(stderr, "failed to reach %d nodes\n", nodes);
       return 1;
     }
-    std::printf("HOG reached %d nodes at t=%s\n", hog.grid().running_nodes(),
-                FormatDuration(hog.sim().now()).c_str());
-    workload::WorkloadRunner runner(hog.sim(), hog.jobtracker(),
-                                    hog.namenode(), wl_config);
-    runner.PrepareInputs(schedule);
-    hog.StartAvailabilityTrace();
-    runner.SubmitAll(schedule);
+    std::printf("HOG spun up; the workload started at t=%s\n",
+                FormatDuration(result.window_start).c_str());
     PrintResult("HOG with " + std::to_string(nodes) + " nodes",
-                runner.Run(hog.sim().now() + kDeadline));
+                result.workload);
     std::printf("  preemptions during run: %llu\n",
-                static_cast<unsigned long long>(hog.grid().preemptions()));
+                static_cast<unsigned long long>(result.preemptions));
   } else {
     std::fprintf(stderr, "usage: %s [cluster|hog] [nodes] [seed]\n", argv[0]);
     return 2;

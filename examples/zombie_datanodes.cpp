@@ -2,7 +2,7 @@
 // preemptions let double-forked daemons escape the kill, first without the
 // working-directory probe (first-iteration HOG: zombies accumulate, tasks
 // fail on them, clients waste read timeouts) and then with the 3-minute
-// probe fix (zombies shut themselves down).
+// probe fix (zombies shut themselves down). Exits 1 when the verdict is NO.
 #include <cstdio>
 
 #include "src/hog/hog_cluster.h"
@@ -64,7 +64,8 @@ int main() {
               fixed.ok ? "succeeded" : "FAILED", fixed.response_s,
               static_cast<unsigned long long>(fixed.zombie_events),
               fixed.zombies_left);
+  const bool drained = buggy.zombies_left > fixed.zombies_left;
   std::printf("\nZombies accumulate without the fix, drain with it: %s\n",
-              (buggy.zombies_left > fixed.zombies_left) ? "YES" : "NO");
-  return 0;
+              drained ? "YES" : "NO");
+  return drained ? 0 : 1;
 }

@@ -4,16 +4,17 @@
 # which includes the obs tests (tests/obs_test.cc) in both builds — plus a
 # fault-scenario smoke leg (hogbench scenario_storm under every committed
 # scenario, the master crash/restart, partition, oversubscribed-storm and
-# trace-replay ones audited, which also proves the examples compiled;
-# each leg exits 1 if any fault its scenario schedules reaches no target,
-# since scenario_storm gates faults_skipped at 0),
+# trace-replay ones audited; each leg exits 1 if any fault its scenario
+# schedules reaches no target, since scenario_storm gates faults_skipped
+# at 0),
 # every experiment `hogbench --list` names, fast with fail-fast audits
 # (the six gated ones exit 1 on a broken contract; the replication
 # ablation runs once more on a ToR fabric), the scheduler
 # policy-conformance harness, and the compare_bench legs, which check
 # every committed BENCH_*.json baseline run by run, exactly: the fast
 # sched, repl, scale, topo and soak outputs of that loop, a fast unaudited
-# gray run, and bench_micro_core's event-queue sweep. A preflight first
+# gray run, and bench_micro_core's event-queue sweep; and every example
+# program, run from the repo root, each exit code checked. A preflight first
 # fails the gate if any of those baselines is not tracked by git, and each
 # preset fails if a tier-1 ctest name embeds raw parameter bytes wider
 # than a scoped enum. This is what a PR must keep green; see ROADMAP.md
@@ -159,13 +160,20 @@ run_preset() {
   # equal the baseline's.
   (cd "$dir" && bench/bench_micro_core --benchmark_filter='^$')
   "$dir/bench/compare_bench" BENCH_core.json "$dir/BENCH_core.json"
-  echo "== [$preset] examples present =="
-  # The example binaries are part of the build graph; a missing one means
-  # a source file was dropped without updating the examples.
-  for example in quickstart facebook_workload elastic_scaling chaos_drill \
+  echo "== [$preset] examples =="
+  # Every example runs, from the repo root (chaos_drill reads
+  # scenarios/site_storm.txt), and must exit 0: the Facebook workload on
+  # the dedicated cluster and on a 100-node HOG deployment (the runs
+  # hogbench fig4 measures), elastic scaling with the HDFS balancer, and
+  # the zombie-datanode drill, which exits 1 when its verdict is NO.
+  local example
+  for example in quickstart "facebook_workload cluster" \
+                 "facebook_workload hog" elastic_scaling chaos_drill \
                  zombie_datanodes; do
-    test -x "$dir/examples/example_$example" \
-      || { echo "missing example_$example" >&2; exit 1; }
+    echo "-- example_$example"
+    # Unquoted on purpose: "facebook_workload hog" is binary + argument.
+    "$dir/examples/example_"$example \
+      || { echo "example_$example failed" >&2; exit 1; }
   done
 }
 

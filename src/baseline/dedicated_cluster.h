@@ -49,10 +49,8 @@ class DedicatedCluster {
   DedicatedCluster& operator=(const DedicatedCluster&) = delete;
 
   sim::Simulation& sim() { return sim_; }
-  net::FlowNetwork& network() { return net_; }
   hdfs::Namenode& namenode() { return *namenode_; }
   mr::JobTracker& jobtracker() { return *jobtracker_; }
-  hdfs::DfsClient& dfs() { return *dfs_; }
 
   int slave_count() const { return static_cast<int>(slaves_.size()); }
   int total_map_slots() const { return total_map_slots_; }

@@ -46,8 +46,6 @@ void Auditor::Start() {
   timer_.Start(sim_, options_.period, [this] { AuditNow(); });
 }
 
-void Auditor::Stop() { timer_.Stop(); }
-
 std::size_t Auditor::AuditNow() {
   pass_violations_ = 0;
   ++audits_run_;
@@ -133,31 +131,27 @@ void Auditor::AuditHdfs() {
     // The under-replication queue must contain exactly the committed
     // blocks short of their target, at the level their live-replica count
     // dictates (the membership predicate of Namenode::UpdateNeeded).
-    int counted = 0;
-    std::vector<std::string_view> counted_racks;
-    std::vector<std::string_view> counted_sites;
+    const int replicas = static_cast<int>(info.holders.size());
+    std::vector<std::string_view> racks;
+    std::vector<std::string_view> sites;
     for (hdfs::DatanodeId dn : info.holders) {
-      if (nn.datanodes_[dn].decommissioning) continue;
-      ++counted;
       const std::string_view rack = nn.datanodes_[dn].rack;
-      if (std::find(counted_racks.begin(), counted_racks.end(), rack) ==
-          counted_racks.end()) {
-        counted_racks.push_back(rack);
+      if (std::find(racks.begin(), racks.end(), rack) == racks.end()) {
+        racks.push_back(rack);
       }
       const std::string_view site = hdfs::SiteOfRack(rack);
-      if (std::find(counted_sites.begin(), counted_sites.end(), site) ==
-          counted_sites.end()) {
-        counted_sites.push_back(site);
+      if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
+        sites.push_back(site);
       }
     }
     const bool should_need =
-        counted + info.pending_replications < info.replication &&
+        replicas + info.pending_replications < info.replication &&
         !info.holders.empty();
     if (should_need) ++expected_needed;
     if (nn.needed_.contains(id) != should_need) {
       Report("hdfs.needed_membership",
              "block " + std::to_string(id) + " (live=" +
-                 std::to_string(counted) + " pending=" +
+                 std::to_string(replicas) + " pending=" +
                  std::to_string(info.pending_replications) + " target=" +
                  std::to_string(info.replication) + ") " +
                  (should_need ? "missing from" : "stale in") +
@@ -166,8 +160,8 @@ void Auditor::AuditHdfs() {
       // Distinct-site AND distinct-rack escalation, in lockstep with
       // Namenode::UpdateNeeded (racks refine sites; equal under star).
       const int want = hdfs::ReplicationQueue::LevelFor(
-          counted, info.replication, static_cast<int>(counted_sites.size()),
-          static_cast<int>(counted_racks.size()));
+          replicas, info.replication, static_cast<int>(sites.size()),
+          static_cast<int>(racks.size()));
       if (nn.needed_.level_of(id) != want) {
         Report("hdfs.needed_level",
                "block " + std::to_string(id) + " queued at level " +
@@ -176,11 +170,11 @@ void Auditor::AuditHdfs() {
       }
       // The within-level order is keyed by deficit; a stale deficit means
       // a block that lost another replica kept its old queue position.
-      if (nn.needed_.deficit_of(id) != info.replication - counted) {
+      if (nn.needed_.deficit_of(id) != info.replication - replicas) {
         Report("hdfs.needed_deficit",
                "block " + std::to_string(id) + " queued with deficit " +
                    std::to_string(nn.needed_.deficit_of(id)) +
-                   ", expected " + std::to_string(info.replication - counted));
+                   ", expected " + std::to_string(info.replication - replicas));
       }
     }
   }

@@ -87,7 +87,6 @@ class Auditor {
 
   /// Arms the periodic tick (no-op when options.period == 0).
   void Start();
-  void Stop();
 
   /// Runs every invariant check once; returns the number of violations
   /// found by this pass. With fail_fast, throws on the first one instead.

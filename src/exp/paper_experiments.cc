@@ -99,13 +99,12 @@ Plan Table2Plan(const Setup&) {
   plan.configs.push_back(
       {.label = "schedule_totals", .run = [](std::uint64_t seed) -> Metrics {
          Rng rng(seed);
-         workload::WorkloadConfig config;
-         const auto schedule = workload::GenerateFacebookSchedule(rng, config);
+         const auto schedule = workload::GenerateFacebookSchedule(rng);
          long long maps = 0, reduces = 0, input = 0;
          for (const auto& job : schedule) {
            maps += job.maps;
            reduces += job.reduces;
-           input += static_cast<long long>(job.maps) * config.block_size;
+           input += static_cast<long long>(job.maps) * hdfs::kBlockSize;
          }
          return {{"map_tasks", static_cast<double>(maps)},
                  {"reduce_tasks", static_cast<double>(reduces)},

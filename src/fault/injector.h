@@ -82,7 +82,6 @@ class FaultInjector {
 
   bool armed() const { return armed_; }
   SimTime origin() const { return origin_; }
-  const Scenario& scenario() const { return scenario_; }
 
   /// Actions actually applied so far (== fault.actions.injected).
   std::uint64_t injected() const { return injected_; }

@@ -116,7 +116,7 @@ void Grid::SubmitGlidein() {
                                               site.config.node_disk_bw);
   nodes_.push_back(std::make_unique<GridNode>(
       id, std::move(hostname), static_cast<std::uint32_t>(site_index),
-      net_node, std::move(disk), site.config.node_cores));
+      net_node, std::move(disk)));
   GridNode& node = *nodes_.back();
 
   ++site.active;

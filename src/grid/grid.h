@@ -63,7 +63,6 @@ struct SiteConfig {
   // share spindles with the host's own workload.
   Bytes node_disk = 100 * kGiB;
   Rate node_disk_bw = MiBps(30.0);
-  int node_cores = 1;  // glideins are single-core allocations (§IV.A)
 };
 
 /// Grid-wide knobs.
@@ -87,14 +86,12 @@ enum class ZombieMode { kSiteDefault, kNever, kAlways };
 class GridNode {
  public:
   GridNode(GridNodeId id, std::string hostname, std::uint32_t site_index,
-           net::NodeId net_node, std::unique_ptr<storage::Disk> disk,
-           int cores)
+           net::NodeId net_node, std::unique_ptr<storage::Disk> disk)
       : id_(id),
         hostname_(std::move(hostname)),
         site_index_(site_index),
         net_node_(net_node),
-        disk_(std::move(disk)),
-        cores_(cores) {}
+        disk_(std::move(disk)) {}
 
   GridNodeId id() const { return id_; }
   const std::string& hostname() const { return hostname_; }
@@ -102,7 +99,6 @@ class GridNode {
   net::NodeId net_node() const { return net_node_; }
   storage::Disk& disk() { return *disk_; }
   const storage::Disk& disk() const { return *disk_; }
-  int cores() const { return cores_; }
 
   NodeState state() const { return state_; }
   bool running() const { return state_ == NodeState::kRunning; }
@@ -118,7 +114,6 @@ class GridNode {
   std::uint32_t site_index_;
   net::NodeId net_node_;
   std::unique_ptr<storage::Disk> disk_;
-  int cores_;
   NodeState state_ = NodeState::kQueued;
   SimTime submitted_at_ = 0;  // lease submission time; start of acquire span
   sim::EventHandle lifetime_event_;

@@ -36,7 +36,6 @@ class Balancer {
 
   std::uint64_t moves_completed() const { return moves_completed_; }
   Bytes bytes_moved() const { return bytes_moved_; }
-  bool running() const { return timer_.running(); }
 
  private:
   void StartMove(BlockId block, DatanodeId src, DatanodeId dst);

@@ -45,7 +45,6 @@ class Datanode {
   bool can_serve() const { return process_alive_ && disk_.writable(); }
   bool zombie() const { return process_alive_ && !disk_.writable(); }
 
-  DatanodeId id() const { return id_; }
   const std::string& hostname() const { return hostname_; }
   net::NodeId net_node() const { return node_; }
   storage::Disk& disk() { return disk_; }

@@ -170,59 +170,6 @@ DfsOp DfsClient::WriteBlock(net::NodeId writer, FileId file, Bytes size,
   return op;
 }
 
-DfsOp DfsClient::UploadFile(net::NodeId writer, std::string name, Bytes size,
-                            int replication,
-                            std::function<void(bool, FileId)> done) {
-  DfsOp op;
-  op.state_ = std::make_shared<DfsOp::State>();
-  const FileId file = nn_.CreateFile(std::move(name), replication);
-  const Bytes block_size = nn_.config().block_size;
-
-  // Stream blocks one at a time; the recursive continuation owns the op
-  // state so a Cancel() aborts the in-flight pipeline and stops the chain.
-  // The closure must reference itself weakly: a strong self-capture is a
-  // shared_ptr cycle that keeps the continuation (and the op state) alive
-  // forever. Strong references live only in the in-flight completion
-  // callbacks, so the chain frees itself once it finishes or is cancelled.
-  auto next = std::make_shared<std::function<void(Bytes)>>();
-  *next = [this, state = op.state_, writer, file, block_size, done,
-           weak_next = std::weak_ptr<std::function<void(Bytes)>>(next)](
-              Bytes remaining) {
-    auto next = weak_next.lock();
-    if (!next || state->cancelled) return;
-    if (remaining <= 0) {
-      state->finished = true;
-      state->abort = nullptr;
-      done(true, file);
-      return;
-    }
-    const Bytes chunk = std::min(remaining, block_size);
-    // Delegate to the pipeline machinery through a nested op whose abort
-    // is forwarded from ours.
-    auto inner = std::make_shared<DfsOp::State>();
-    RunPipeline(inner, writer, file, chunk, 0,
-                [this, state, done, next, remaining, chunk, file](bool ok) {
-                  if (state->cancelled) return;
-                  if (!ok) {
-                    state->finished = true;
-                    state->abort = nullptr;
-                    done(false, file);
-                    return;
-                  }
-                  (*next)(remaining - chunk);
-                });
-    state->abort = [inner] {
-      inner->cancelled = true;
-      if (inner->abort) {
-        auto abort = std::move(inner->abort);
-        abort();
-      }
-    };
-  };
-  (*next)(size);
-  return op;
-}
-
 void DfsClient::RunPipeline(std::shared_ptr<DfsOp::State> state,
                             net::NodeId writer, FileId file, Bytes size,
                             int attempt, Callback done) {
@@ -349,7 +296,7 @@ void DfsClient::RunPipeline(std::shared_ptr<DfsOp::State> state,
   // replacement and relaunches after a capped exponential backoff. The
   // two reference each other weakly: strong references live only in
   // in-flight flow callbacks and scheduled retry events, so the pair frees
-  // itself once the pipeline settles (cf. UploadFile's continuation).
+  // itself once the pipeline settles.
   auto launch = std::make_shared<std::function<void(std::size_t)>>();
   auto recover = std::make_shared<std::function<void(std::size_t)>>();
 

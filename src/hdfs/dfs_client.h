@@ -4,7 +4,7 @@
 #pragma once
 
 #include <functional>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "src/hdfs/namenode.h"
@@ -21,7 +21,6 @@ class DfsOp {
  public:
   DfsOp() = default;
   void Cancel();
-  bool active() const { return state_ != nullptr && !state_->finished; }
 
  private:
   friend class DfsClient;
@@ -62,20 +61,9 @@ class DfsClient {
   DfsOp WriteBlock(net::NodeId writer, FileId file, Bytes size,
                    Callback done);
 
-  /// Timed upload of a whole dataset: creates `name` and streams it block
-  /// by block from `writer` through replication pipelines (the
-  /// SRM/GridFTP-style stage-in an OSG user performs before running).
-  /// Blocks upload sequentially, as one client stream would. `done(ok)`
-  /// fires with the resulting file id (kInvalidFile on failure).
-  DfsOp UploadFile(net::NodeId writer, std::string name, Bytes size,
-                   int replication,
-                   std::function<void(bool ok, FileId file)> done);
-
   /// Total bytes read via remote (non-local) replicas; locality metric.
   Bytes remote_read_bytes() const { return remote_read_bytes_; }
   Bytes local_read_bytes() const { return local_read_bytes_; }
-
-  Namenode& namenode() { return nn_; }
 
  private:
   struct ReadAttempt;

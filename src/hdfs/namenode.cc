@@ -161,7 +161,7 @@ FileId Namenode::ImportFile(std::string name, Bytes size, int replication) {
   const int rep = files_[file].replication;
   Bytes remaining = size;
   while (remaining > 0) {
-    const Bytes block_size = std::min(remaining, config_.block_size);
+    const Bytes block_size = std::min(remaining, kBlockSize);
     remaining -= block_size;
     const BlockId block = AllocateBlock(file, block_size);
     const std::vector<DatanodeId> targets =
@@ -179,25 +179,6 @@ FileId Namenode::ImportFile(std::string name, Bytes size, int replication) {
     CommitBlock(block, targets);
   }
   return file;
-}
-
-void Namenode::DeleteFile(FileId file) {
-  assert(file < files_.size());
-  FileInfo& info = files_[file];
-  if (info.deleted) return;
-  info.deleted = true;
-  for (BlockId b : info.blocks) {
-    BlockInfo* block = FindBlock(b);
-    if (block == nullptr) continue;
-    for (DatanodeId dn : block->holders) {
-      DatanodeEntry& entry = datanodes_[dn];
-      entry.blocks.erase(b);
-      if (entry.daemon != nullptr) entry.daemon->disk().Release(block->size);
-    }
-    needed_.Erase(b);
-    blocks_[b] = BlockInfo{};  // tombstone the arena slot
-  }
-  info.blocks.clear();
 }
 
 std::vector<BlockLocation> Namenode::GetFileBlocks(FileId file) const {
@@ -244,14 +225,12 @@ const std::string& Namenode::FileName(FileId file) const {
   return files_[file].name;
 }
 
-bool Namenode::FileExists(FileId file) const {
-  return file < files_.size() && !files_[file].deleted;
-}
+bool Namenode::FileExists(FileId file) const { return file < files_.size(); }
 
 // ---- Block-level operations -------------------------------------------------
 
 BlockId Namenode::AllocateBlock(FileId file, Bytes size) {
-  assert(file < files_.size() && !files_[file].deleted);
+  assert(file < files_.size());
   const BlockId id = next_block_++;
   if (blocks_.size() <= id) blocks_.resize(id + 1);
   BlockInfo& info = blocks_[id];
@@ -272,7 +251,7 @@ std::vector<DatanodeId> Namenode::ChooseTargets(
 void Namenode::CommitBlock(BlockId block,
                            const std::vector<DatanodeId>& holders) {
   BlockInfo* info = FindBlock(block);
-  if (info == nullptr) return;  // file deleted mid-write
+  if (info == nullptr) return;  // block abandoned mid-write
   info->committed = true;
   for (DatanodeId dn : holders) {
     // A pipeline member can die between its successful write and the
@@ -374,42 +353,12 @@ std::vector<DatanodeId> Namenode::WritableDatanodes(Bytes size) const {
   std::vector<DatanodeId> out;
   for (DatanodeId id = 0; id < datanodes_.size(); ++id) {
     const DatanodeEntry& e = datanodes_[id];
-    if (liveness_.alive(id) && !e.decommissioning && e.daemon != nullptr &&
-        e.daemon->can_serve() && e.daemon->disk().free() >= size) {
+    if (liveness_.alive(id) && e.daemon != nullptr && e.daemon->can_serve() &&
+        e.daemon->disk().free() >= size) {
       out.push_back(id);
     }
   }
   return out;
-}
-
-void Namenode::StartDecommission(DatanodeId dn) {
-  DatanodeEntry& entry = datanodes_[dn];
-  if (entry.decommissioning) return;
-  entry.decommissioning = true;
-  // Every block it holds no longer counts toward its replication target;
-  // the monitor copies them to healthy nodes while this one still serves.
-  for (BlockId b : entry.blocks) UpdateNeeded(b);
-  HOG_LOG(kInfo, sim_.now(), "namenode")
-      << entry.hostname << " decommissioning (" << entry.blocks.size()
-      << " replicas to evacuate)";
-}
-
-bool Namenode::DecommissionReady(DatanodeId dn) const {
-  const DatanodeEntry& entry = datanodes_[dn];
-  if (!entry.decommissioning) return false;
-  for (BlockId b : entry.blocks) {
-    const BlockInfo* info = FindBlock(b);
-    if (info == nullptr) continue;
-    int healthy = 0;
-    for (DatanodeId holder : info->holders) {
-      // Serving(), not alive: a zombie heartbeats and so looks alive to
-      // the namenode, but its disk is gone — shutting this node down on
-      // the strength of a zombie copy would lose the block.
-      if (Serving(holder) && !datanodes_[holder].decommissioning) ++healthy;
-    }
-    if (healthy < info->replication) return false;
-  }
-  return true;
 }
 
 const std::string& Namenode::RackOf(DatanodeId id) const {
@@ -450,13 +399,10 @@ void Namenode::UpdateNeeded(BlockId block) {
   }
   const BlockInfo& info = *found;
   if (!info.committed) return;
-  // Replicas on decommissioning nodes do not count toward the target.
-  int counted = 0;
+  const int replicas = static_cast<int>(info.holders.size());
   std::vector<std::string_view> racks;
   std::vector<std::string_view> sites;
   for (DatanodeId dn : info.holders) {
-    if (datanodes_[dn].decommissioning) continue;
-    ++counted;
     const std::string_view rack = datanodes_[dn].rack;
     if (std::find(racks.begin(), racks.end(), rack) == racks.end()) {
       racks.push_back(rack);
@@ -466,7 +412,7 @@ void Namenode::UpdateNeeded(BlockId block) {
       sites.push_back(site);
     }
   }
-  const int effective = counted + info.pending_replications;
+  const int effective = replicas + info.pending_replications;
   if (effective < info.replication && !info.holders.empty()) {
     // Priority is keyed by surviving replicas alone: a block at one live
     // copy stays critical even while a repair is already in flight. The
@@ -480,10 +426,10 @@ void Namenode::UpdateNeeded(BlockId block) {
     // that kills it. Under star, racks == sites and this reduces to the
     // site-only escalation bit-for-bit.
     needed_.Insert(block,
-                   ReplicationQueue::LevelFor(counted, info.replication,
+                   ReplicationQueue::LevelFor(replicas, info.replication,
                                               static_cast<int>(sites.size()),
                                               static_cast<int>(racks.size())),
-                   info.replication - counted);
+                   info.replication - replicas);
   } else {
     needed_.Erase(block);
   }
@@ -508,11 +454,8 @@ bool Namenode::TryScheduleReplication(BlockId block) {
   BlockInfo* found = FindBlock(block);
   if (found == nullptr) return false;
   BlockInfo& info = *found;
-  int counted = 0;
-  for (DatanodeId dn : info.holders) {
-    if (!datanodes_[dn].decommissioning) ++counted;
-  }
-  const int deficit = info.replication - counted - info.pending_replications;
+  const int replicas = static_cast<int>(info.holders.size());
+  const int deficit = info.replication - replicas - info.pending_replications;
   if (deficit <= 0 || info.holders.empty()) return false;
 
   // Endangered blocks may exceed the soft stream throttle up to the hard
@@ -520,7 +463,7 @@ bool Namenode::TryScheduleReplication(BlockId block) {
   // holder is saturated sourcing routine repairs; a single cap starves
   // exactly the blocks closest to loss while their sources die under them.
   const int stream_cap =
-      ReplicationQueue::LevelFor(counted, info.replication) <=
+      ReplicationQueue::LevelFor(replicas, info.replication) <=
               ReplicationQueue::kBadly
           ? config_.max_replication_streams_hard
           : config_.max_replication_streams;

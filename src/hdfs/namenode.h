@@ -75,7 +75,6 @@ class Namenode final : public ClusterView {
     std::string hostname;
     std::string rack;
     net::NodeId net_node = net::kInvalidNode;
-    bool decommissioning = false;
     std::unordered_set<BlockId> blocks;
     int repl_in = 0;   // active re-replication transfers sinking here
     int repl_out = 0;  // ... sourcing from here
@@ -104,9 +103,6 @@ class Namenode final : public ClusterView {
   /// placed at all.
   FileId ImportFile(std::string name, Bytes size, int replication = -1);
 
-  /// Deletes a file, releasing replica space on live datanodes.
-  void DeleteFile(FileId file);
-
   std::vector<BlockLocation> GetFileBlocks(FileId file) const;
   Bytes FileSize(FileId file) const;
   int FileReplication(FileId file) const;
@@ -133,16 +129,6 @@ class Namenode final : public ClusterView {
 
   /// Adds a replica (completed re-replication or balancer move).
   void AddReplica(BlockId block, DatanodeId dn);
-
-  // ---- Decommissioning (graceful shrink, cf. §VI) -----------------------
-
-  /// Excludes the node from new placements and schedules its replicas to
-  /// be copied elsewhere. The node keeps serving reads meanwhile.
-  void StartDecommission(DatanodeId dn);
-
-  /// True once every block on a decommissioning node has enough replicas
-  /// on non-decommissioning nodes — safe to shut it down.
-  bool DecommissionReady(DatanodeId dn) const;
 
   /// Removes a replica (balancer move source side, or the replication
   /// controller trimming excess); space is released.
@@ -208,7 +194,7 @@ class Namenode final : public ClusterView {
   }
 
   /// One past the highest allocated BlockId — the iteration bound for
-  /// block-map scans (ids are dense, starting at 1; deleted slots are
+  /// block-map scans (ids are dense, starting at 1; abandoned slots are
   /// tombstoned and must be re-checked via BlockExists).
   BlockId block_count() const { return next_block_; }
 
@@ -224,7 +210,6 @@ class Namenode final : public ClusterView {
   const BlockPlacementPolicy& policy() const { return *policy_; }
   sim::Simulation& simulation() { return sim_; }
   net::FlowNetwork& network() { return net_; }
-  Rng& rng() { return rng_; }
 
   /// Fired whenever a block transitions to zero live replicas.
   void set_on_block_missing(std::function<void(BlockId)> cb) {
@@ -243,7 +228,6 @@ class Namenode final : public ClusterView {
   /// Optional; null means no flap accounting and no probation, exactly
   /// the pre-health behavior.
   void set_health(health::Quarantine* health) { health_ = health; }
-  health::Quarantine* health() const { return health_; }
 
  private:
   // The invariant auditor (src/check) reads — never mutates — the block
@@ -259,7 +243,7 @@ class Namenode final : public ClusterView {
     int pending_replications = 0;
     bool committed = false;
     /// Arena slot state: block ids are dense and monotonically assigned,
-    /// so the block map is a flat vector indexed by id; deleting a block
+    /// so the block map is a flat vector indexed by id; abandoning a block
     /// resets its slot to this default (live == false) tombstone.
     bool live = false;
   };
@@ -268,7 +252,6 @@ class Namenode final : public ClusterView {
     std::string name;
     int replication = 3;
     std::vector<BlockId> blocks;
-    bool deleted = false;
   };
 
   struct Transfer {
@@ -303,7 +286,7 @@ class Namenode final : public ClusterView {
   /// Declares the datanode dead (heartbeat expiry or a restart pruning a
   /// node that died during the outage) and surrenders its replicas.
   void DeclareDead(DatanodeId id);
-  /// Flat-arena block lookup; nullptr for never-allocated or deleted ids.
+  /// Flat-arena block lookup; nullptr for never-allocated or abandoned ids.
   BlockInfo* FindBlock(BlockId block) {
     return block < blocks_.size() && blocks_[block].live ? &blocks_[block]
                                                          : nullptr;

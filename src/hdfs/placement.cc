@@ -23,8 +23,6 @@ class Pool {
     }
   }
 
-  bool empty() const { return nodes_.empty(); }
-
   /// Removes and returns a uniformly random candidate satisfying `pred`;
   /// kInvalidDatanode when none qualifies.
   template <typename Pred>
@@ -41,10 +39,6 @@ class Pool {
     nodes_[pick] = nodes_.back();
     nodes_.pop_back();
     return id;
-  }
-
-  DatanodeId TakeRandom(Rng& rng) {
-    return TakeRandom(rng, [](DatanodeId) { return true; });
   }
 
   /// TakeRandom with health deprioritization: candidates in quarantine

@@ -47,8 +47,6 @@ void ReplController::Start() {
   timer_.Start(nn_.simulation(), config_.tick, [this] { Tick(); });
 }
 
-void ReplController::Stop() { timer_.Stop(); }
-
 int ReplController::TargetRf(std::vector<double> holder_q, double spare_q,
                              double target, int min_rf, int max_rf) {
   if (max_rf < min_rf) max_rf = min_rf;
@@ -195,21 +193,14 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
   // are outside the controller's contract; leave them alone.
   if (cur < config_.min_replication) return;
 
-  // Believed-alive holders, with per-replica loss probabilities.
-  // Decommissioning holders do not count toward the target (they are on
-  // their way out); a non-serving holder (zombie) poisons trim safety.
-  const std::vector<DatanodeId> holders = nn_.BlockHolders(block);
+  // Believed-alive holders, with per-replica loss probabilities; a
+  // non-serving holder (zombie) poisons trim safety.
+  std::vector<DatanodeId> holders = nn_.BlockHolders(block);
   std::vector<double> holder_q;
-  std::vector<DatanodeId> counted;
   bool all_serving = true;
-  bool any_decommissioning = false;
   std::map<std::string, int> per_site;
   for (DatanodeId dn : holders) {
     const auto& entry = nn_.datanode(dn);
-    if (entry.decommissioning) {
-      any_decommissioning = true;
-      continue;
-    }
     if (!nn_.DatanodeServing(dn)) all_serving = false;
     // Common-shock pricing for co-located copies: the first replica at a
     // site enters the product at the site's loss probability q; each
@@ -231,9 +222,8 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
                            ? q
                            : config_.site_correlation +
                                  (1.0 - config_.site_correlation) * q);
-    counted.push_back(dn);
   }
-  const int live = static_cast<int>(counted.size());
+  const int live = static_cast<int>(holders.size());
   const int sites_held = static_cast<int>(per_site.size());
   // Copy count from the independent per-node product. Raise threshold:
   // the smallest RF meeting the target. Lower threshold: the smallest RF
@@ -279,11 +269,10 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
   //  - comfortably above the target (hysteresis band of trim_slack),
   //  - not queued for repair and no repair in flight,
   //  - every holder actually serving (a zombie-held copy may be gone),
-  //  - no holder mid-decommission (the evacuation owns those blocks),
   // and at most max_trims_per_tick replicas at a time.
   if (!may_lower) return;
   if (live <= desired + config_.trim_slack) return;
-  if (any_decommissioning || !all_serving) return;
+  if (!all_serving) return;
   if (nn_.replication_queue().contains(block)) return;
   if (nn_.BlockPendingReplications(block) > 0) return;
 
@@ -298,7 +287,7 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
     DatanodeId victim = kInvalidDatanode;
     int victim_copies = 0;
     double victim_hazard = -1;
-    for (DatanodeId dn : counted) {
+    for (DatanodeId dn : holders) {
       const std::string rack = SiteKey(nn_.datanode(dn).rack);
       const int copies = per_site[rack];
       if (copies == 1 && sites_now <= spread_floor) continue;
@@ -324,7 +313,7 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
     }
     const std::string victim_rack = SiteKey(nn_.datanode(victim).rack);
     if (--per_site[victim_rack] == 0) --sites_now;
-    std::erase(counted, victim);
+    std::erase(holders, victim);
     const Bytes size = nn_.BlockSize(block);
     nn_.RemoveReplica(block, victim);
     ++excess_removed_;

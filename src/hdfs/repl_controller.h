@@ -161,10 +161,6 @@ class ReplController {
 
   /// Arms the periodic tick and hooks the namenode's declared-dead seam.
   void Start();
-  void Stop();
-
-  /// One controller pass right now (tests drive this directly).
-  void TickNow() { Tick(); }
 
   /// The smallest rf in [min_rf, max_rf] whose unavailability meets
   /// 1 - target, taking the existing replicas' loss probabilities

@@ -2,8 +2,7 @@
 // UnderReplicatedBlocks: blocks are bucketed by how close they are to data
 // loss, and the replication monitor spends its per-scan budget on the most
 // endangered bucket first. A block one failure away from loss (a single
-// surviving replica, or replicas surviving only on decommissioning nodes)
-// re-replicates before a block at 9 of 10.
+// surviving replica) re-replicates before a block at 9 of 10.
 //
 // Within a level, blocks are ordered by worst deficit first: a block that
 // loses another replica while already queued moves ahead of stale
@@ -29,8 +28,8 @@ namespace hogsim::hdfs {
 class ReplicationQueue {
  public:
   /// Priority levels, most endangered first.
-  ///   kCritical — at most one replica survives on a live,
-  ///               non-decommissioning node (next failure loses the block);
+  ///   kCritical — at most one replica survives on a live node (next
+  ///               failure loses the block);
   ///   kBadly    — half or more of the target redundancy is gone. With
   ///               replication 10 spread over ~5 sites, five lost replicas
   ///               usually means whole failure domains' worth of copies

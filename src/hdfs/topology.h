@@ -24,12 +24,6 @@ inline TopologyScript FlatTopology() {
   return [](std::string_view) { return std::string("/default-rack"); };
 }
 
-/// A fixed assignment by explicit rack name (used by the dedicated-cluster
-/// baseline when modeling multiple physical racks).
-inline TopologyScript StaticTopology(std::string rack) {
-  return [rack = std::move(rack)](std::string_view) { return rack; };
-}
-
 /// HOG's site-awareness script: rack = "/" + last-two-DNS-labels.
 inline TopologyScript SiteAwarenessScript() {
   return [](std::string_view hostname) {

@@ -19,6 +19,11 @@ constexpr BlockId kInvalidBlock = 0;
 constexpr FileId kInvalidFile = std::numeric_limits<FileId>::max();
 constexpr DatanodeId kInvalidDatanode = std::numeric_limits<DatanodeId>::max();
 
+/// The HDFS block size. Files split into blocks of this size (the tail
+/// block may be shorter) and each job runs one map per input block
+/// (§II.A), so the workload sizes a `maps`-map input as maps * kBlockSize.
+constexpr Bytes kBlockSize = 64 * kMiB;
+
 /// Where one block of a file lives; handed to the MapReduce scheduler for
 /// locality decisions.
 struct BlockLocation {
@@ -36,7 +41,6 @@ struct BlockLocation {
 ///   heartbeat_recheck     10.5 min              30 s
 ///   site-aware placement  off (rack aware)      on
 struct HdfsConfig {
-  Bytes block_size = 64 * kMiB;
   int default_replication = 3;
 
   SimDuration heartbeat_interval = 3 * kSecond;

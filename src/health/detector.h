@@ -88,8 +88,6 @@ class DeadlineDetector final : public FailureDetector {
   SimTime Deadline(DaemonId id) const override;
   double Suspicion(DaemonId id, SimTime now) const override;
 
-  SimDuration timeout() const { return timeout_; }
-
  private:
   SimDuration timeout_;
   std::vector<SimTime> last_;  // dense by id; kNever when unknown

@@ -18,8 +18,6 @@ void Quarantine::Start() {
   timer_.Start(sim_, config_.tick, [this] { Tick(); });
 }
 
-void Quarantine::Stop() { timer_.Stop(); }
-
 Quarantine::NodeState& Quarantine::StateOf(std::uint32_t node) {
   if (nodes_.size() <= node) nodes_.resize(node + 1);
   return nodes_[node];

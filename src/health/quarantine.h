@@ -103,7 +103,6 @@ class Quarantine {
 
   /// Arms the release tick (no-op when disabled).
   void Start();
-  void Stop();
 
   // -- Evidence feeds ----------------------------------------------------
 
@@ -123,7 +122,6 @@ class Quarantine {
 
   // -- Queries -----------------------------------------------------------
 
-  bool enabled() const { return config_.enabled; }
   bool Probated(std::uint32_t node) const;
   int FlapCount(std::uint32_t node) const;
 
@@ -134,8 +132,6 @@ class Quarantine {
 
   /// Release evaluation right now (tests drive this directly).
   void TickNow() { Tick(); }
-
-  const QuarantineConfig& config() const { return config_; }
 
  private:
   friend class ::hogsim::check::Auditor;

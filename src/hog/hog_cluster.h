@@ -103,7 +103,6 @@ class HogCluster {
   grid::Grid& grid() { return *grid_; }
   hdfs::Namenode& namenode() { return *namenode_; }
   mr::JobTracker& jobtracker() { return *jobtracker_; }
-  hdfs::DfsClient& dfs() { return *dfs_; }
   /// The adaptive replication controller, or nullptr when
   /// config.repl.availability_target <= 0 (flat-RF mode).
   hdfs::ReplController* repl_controller() { return repl_controller_.get(); }

@@ -708,7 +708,6 @@ void JobTracker::MaybeCompleteJob(JobInfo& job) {
       << "job " << job.id << " (" << job.spec.name << ") finished in "
       << FormatDuration(job.ResponseTime());
   policy_->OnJobTerminal(job.id);
-  if (on_job_complete_) on_job_complete_(job);
 }
 
 void JobTracker::FailJob(JobInfo& job) {
@@ -744,7 +743,6 @@ void JobTracker::FailJob(JobInfo& job) {
   HOG_LOG(kWarn, sim_.now(), "jobtracker")
       << "job " << job.id << " (" << job.spec.name << ") FAILED";
   policy_->OnJobTerminal(job.id);
-  if (on_job_complete_) on_job_complete_(job);
 }
 
 // ---- Preemption ------------------------------------------------------------------

@@ -168,14 +168,10 @@ class JobTracker {
 
   const JobInfo& job(JobId id) const { return jobs_[id]; }
   std::size_t job_count() const { return jobs_.size(); }
-  int running_jobs() const { return running_jobs_; }
   bool AllJobsDone() const { return running_jobs_ == 0; }
 
-  void set_on_job_complete(std::function<void(const JobInfo&)> cb) {
-    on_job_complete_ = std::move(cb);
-  }
-
-  /// Attempt-lifecycle observer (JobHistory adapts this into its log).
+  /// Attempt-lifecycle observer: launches, successes and failures, as the
+  /// scheduler sees them (the policy conformance tests observe through it).
   struct AttemptEvent {
     enum class Kind { kLaunched, kSucceeded, kFailed };
     SimTime time = 0;
@@ -210,7 +206,6 @@ class JobTracker {
   /// Optional: a null health pointer means no quarantine and no flap
   /// accounting, exactly the pre-health behavior.
   void set_health(health::Quarantine* health) { health_ = health; }
-  health::Quarantine* health() const { return health_; }
 
   /// The jobtracker's belief, driven by heartbeats (src/health/liveness.h).
   bool TrackerAlive(TrackerId id) const { return liveness_.alive(id); }
@@ -378,7 +373,6 @@ class JobTracker {
   std::uint64_t speculative_attempts_ = 0;
   std::uint64_t attempts_launched_ = 0;
   std::uint64_t attempts_preempted_ = 0;
-  std::function<void(const JobInfo&)> on_job_complete_;
   std::function<void(const AttemptEvent&)> on_attempt_event_;
 };
 

@@ -139,7 +139,6 @@ void TaskTracker::ArmTimeout(AttemptId id) {
 
 void TaskTracker::StartMapAttempt(const MapAttemptSpec& spec) {
   if (!process_alive_) return;
-  ++attempts_started_;
   Attempt attempt;
   attempt.type = TaskType::kMap;
   attempt.map = spec;
@@ -231,7 +230,6 @@ void TaskTracker::CompleteMap(AttemptId id) {
 
 void TaskTracker::StartReduceAttempt(const ReduceAttemptSpec& spec) {
   if (!process_alive_) return;
-  ++attempts_started_;
   Attempt attempt;
   attempt.type = TaskType::kReduce;
   attempt.reduce = spec;
@@ -374,8 +372,7 @@ void TaskTracker::ReduceWriteOutput(AttemptId id) {
     CompleteReduce(id);
     return;
   }
-  const Bytes block_size = dfs_.namenode().config().block_size;
-  const Bytes chunk = std::min(a.output_remaining, block_size);
+  const Bytes chunk = std::min(a.output_remaining, hdfs::kBlockSize);
   a.dfs_op = dfs_.WriteBlock(node_, a.reduce.output_file, chunk,
                              [this, id, chunk](bool ok) {
                                if (!attempts_.contains(id)) return;

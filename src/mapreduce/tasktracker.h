@@ -95,10 +95,8 @@ class TaskTracker {
   bool process_alive() const { return process_alive_; }
   bool zombie() const { return process_alive_ && !disk_.writable(); }
 
-  TrackerId id() const { return id_; }
   const std::string& hostname() const { return hostname_; }
   net::NodeId net_node() const { return node_; }
-  storage::Disk& disk() { return disk_; }
   int map_slots() const { return map_slots_; }
   int reduce_slots() const { return reduce_slots_; }
 
@@ -121,9 +119,7 @@ class TaskTracker {
 
   // ---- Introspection -----------------------------------------------------
 
-  std::size_t running_attempts() const { return attempts_.size(); }
   Bytes intermediate_bytes() const;
-  std::uint64_t attempts_started() const { return attempts_started_; }
 
   /// Fired when the daemon exits for any reason.
   void set_on_exit(std::function<void()> cb) { on_exit_ = std::move(cb); }
@@ -134,7 +130,6 @@ class TaskTracker {
   /// tasks take twice as long; 1 restores). In-flight stages keep their
   /// original schedule.
   void set_compute_scale(double factor) { compute_scale_ = factor; }
-  double compute_scale() const { return compute_scale_; }
 
   /// Max extra delay added to each future heartbeat
   /// (health::HeartbeatDelay). 0 restores the exact nominal cadence.
@@ -214,7 +209,6 @@ class TaskTracker {
   sim::PeriodicTimer disk_check_;
   std::unordered_map<AttemptId, Attempt> attempts_;
   std::unordered_map<JobId, Bytes> job_intermediate_;
-  std::uint64_t attempts_started_ = 0;
   double compute_scale_ = 1.0;
   SimDuration heartbeat_jitter_ = 0;
   std::uint64_t heartbeat_seq_ = 0;

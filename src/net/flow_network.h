@@ -86,8 +86,6 @@ class FlowNetwork : private topo::Fabric {
   NodeId AddNode(SiteId site, Rate nic);
 
   SiteId site_of(NodeId node) const { return nodes_[node].site; }
-  std::size_t node_count() const { return nodes_.size(); }
-  std::size_t site_count() const { return sites_.size(); }
 
   // ---- Topology / rack surface (src/net/topo) ----------------------------
 
@@ -97,7 +95,6 @@ class FlowNetwork : private topo::Fabric {
   /// True when sites can have more than one rack (gates HDFS rack-string
   /// suffixes so single-rack topologies keep pre-topology strings).
   bool MultiRack() const { return !topo_trivial_ && topo_->multi_rack(); }
-  const topo::SiteTopology& topology() const { return *topo_; }
 
   /// One-way message latency between two nodes (LAN within a site, WAN
   /// across sites, zero to self). Control messages (heartbeats, RPCs) are

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "src/obs/json_util.h"
-#include "src/util/log.h"
 
 namespace hogsim::obs {
 
@@ -139,16 +137,6 @@ std::string MetricsRegistry::SnapshotJson() const {
   }
   os << "\n  ]\n}\n";
   return os.str();
-}
-
-bool MetricsRegistry::WriteSnapshot(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    HOG_LOG(kWarn, 0, "obs") << "cannot open " << path;
-    return false;
-  }
-  out << SnapshotJson();
-  return static_cast<bool>(out);
 }
 
 }  // namespace hogsim::obs

@@ -125,10 +125,6 @@ class MetricsRegistry {
   /// BENCH_*.json convention (see --metrics-out in src/exp/bench_main.h).
   std::string SnapshotJson() const;
 
-  /// Writes SnapshotJson to `path`; false (with a log warning) on I/O
-  /// failure.
-  bool WriteSnapshot(const std::string& path) const;
-
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size() +
            probes_.size();

@@ -62,7 +62,6 @@ class RunCapture {
   /// The innermost live capture on this thread, or nullptr.
   static RunCapture* Current();
 
-  bool want_metrics() const { return want_metrics_; }
   bool want_trace() const { return want_trace_; }
 
   /// Called by ~Simulation (or explicitly by a run function). Only the

@@ -1,12 +1,10 @@
 #include "src/obs/trace.h"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string_view>
 
 #include "src/obs/json_util.h"
-#include "src/util/log.h"
 
 namespace hogsim::obs {
 
@@ -81,16 +79,6 @@ std::string Tracer::ExportChromeJson() const {
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
   return os.str();
-}
-
-bool Tracer::WriteChromeJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    HOG_LOG(kWarn, 0, "obs") << "cannot open " << path;
-    return false;
-  }
-  out << ExportChromeJson();
-  return static_cast<bool>(out);
 }
 
 }  // namespace hogsim::obs

@@ -103,10 +103,6 @@ class Tracer {
   /// boolean literals so exp::ParseJson round-trips the output.
   std::string ExportChromeJson() const;
 
-  /// Writes ExportChromeJson to `path`; false (with a log warning) on I/O
-  /// failure.
-  bool WriteChromeJson(const std::string& path) const;
-
  private:
   void Push(const TraceEvent& ev) {
     if (ring_.empty()) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/health/quarantine.h"
 #include "src/sched/policy.h"
 
 namespace hogsim::sched {
@@ -14,22 +13,11 @@ sim::Simulation& ClusterView::sim() { return jt_.sim_; }
 
 SimTime ClusterView::now() const { return jt_.sim_.now(); }
 
-const mr::MrConfig& ClusterView::config() const { return jt_.config_; }
-
-std::size_t ClusterView::job_count() const { return jt_.jobs_.size(); }
-
 mr::JobInfo& ClusterView::job(mr::JobId id) { return jt_.jobs_[id]; }
-
-std::size_t ClusterView::tracker_count() const { return jt_.trackers_.size(); }
 
 const mr::JobTracker::TrackerEntry& ClusterView::tracker(
     mr::TrackerId id) const {
   return jt_.trackers_[id];
-}
-
-bool ClusterView::Probated(mr::TrackerId id) const {
-  return jt_.health_ != nullptr &&
-         jt_.health_->Probated(jt_.trackers_[id].net_node);
 }
 
 int ClusterView::total_map_slots() const {
@@ -201,11 +189,6 @@ int ClusterView::PickReduceTask(mr::JobInfo& job, mr::TrackerId tracker,
 mr::TrackerId ClusterView::AttemptTracker(mr::AttemptId attempt) const {
   const auto it = jt_.attempts_.find(attempt);
   return it == jt_.attempts_.end() ? mr::kInvalidTracker : it->second.tracker;
-}
-
-SimTime ClusterView::AttemptStarted(mr::AttemptId attempt) const {
-  const auto it = jt_.attempts_.find(attempt);
-  return it == jt_.attempts_.end() ? -1 : it->second.started;
 }
 
 void ClusterView::PreemptAttempt(mr::AttemptId attempt) {

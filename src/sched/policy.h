@@ -63,17 +63,9 @@ class ClusterView {
 
   sim::Simulation& sim();
   SimTime now() const;
-  const mr::MrConfig& config() const;
 
-  std::size_t job_count() const;
   mr::JobInfo& job(mr::JobId id);
-  std::size_t tracker_count() const;
   const mr::JobTracker::TrackerEntry& tracker(mr::TrackerId id) const;
-  /// True while `id`'s node sits in health quarantine (src/health). The
-  /// jobtracker already refuses to launch on probated trackers; policies
-  /// may additionally consult this to steer picks toward healthy slots.
-  /// Constant-false unless a quarantine manager is attached.
-  bool Probated(mr::TrackerId id) const;
   /// Map/reduce slots across alive trackers (fair/capacity share bases).
   int total_map_slots() const;
   int total_reduce_slots() const;
@@ -102,8 +94,6 @@ class ClusterView {
 
   /// Tracker currently running `attempt`, or kInvalidTracker.
   mr::TrackerId AttemptTracker(mr::AttemptId attempt) const;
-  /// Launch time of `attempt`, or -1 if unknown.
-  SimTime AttemptStarted(mr::AttemptId attempt) const;
   /// Kills a running attempt and requeues its task WITHOUT charging a
   /// task failure or blacklist strike (fair-share preemption is the
   /// scheduler's fault, not the task's).

@@ -52,7 +52,6 @@ class FairQueue {
   SimTime frozen_until() const { return frozen_until_; }
 
   std::size_t active() const { return ops_.size(); }
-  Rate rate() const { return rate_; }
 
  private:
   struct Op {

@@ -95,21 +95,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mean + stddev * z;
-}
-
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(Normal(mu, sigma));
-}
-
 bool Rng::Chance(double probability) {
   return NextDouble() < probability;
 }

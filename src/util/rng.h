@@ -45,13 +45,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Standard normal via Box-Muller (single value, second discarded to keep
-  /// the state trajectory simple).
-  double Normal(double mean, double stddev);
-
-  /// Log-normal parameterised by the mean/stddev of the underlying normal.
-  double LogNormal(double mu, double sigma);
-
   /// Bernoulli trial.
   bool Chance(double probability);
 

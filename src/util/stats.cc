@@ -28,11 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double Percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  return PercentileSorted(samples, q);
-}
-
 double PercentileSorted(std::span<const double> sorted, double q) {
   if (sorted.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -97,34 +92,6 @@ std::vector<std::pair<SimTime, double>> StepSeries::Sample(
   for (SimTime t = from; t < to; t += step) out.emplace_back(t, At(t));
   out.emplace_back(to, At(to));
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::size_t>((x - lo_) / width);
-    idx = std::min(idx, counts_.size() - 1);
-    ++counts_[idx];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket + 1);
 }
 
 }  // namespace hogsim

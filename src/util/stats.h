@@ -31,13 +31,9 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Exact percentile over a stored sample (linear interpolation between
-/// order statistics). `q` in [0, 1].
-double Percentile(std::vector<double> samples, double q);
-
-/// Same, but over an already-sorted sample: no copy, no re-sort. Sort once
-/// and use this for repeated p50/p95/p99 queries (the sweep aggregator's
-/// hot pattern).
+/// Exact percentile over an already-sorted sample (linear interpolation
+/// between order statistics). `q` in [0, 1]. Sort once and use this for
+/// repeated p50/p95/p99 queries (the sweep aggregator's hot pattern).
 double PercentileSorted(std::span<const double> sorted, double q);
 
 /// A right-continuous step function of simulated time, e.g. "number of live
@@ -68,37 +64,12 @@ class StepSeries {
   std::vector<std::pair<SimTime, double>> Sample(SimTime from, SimTime to,
                                                  SimDuration step) const;
 
-  bool empty() const { return points_.empty(); }
   const std::vector<std::pair<SimTime, double>>& points() const {
     return points_;
   }
 
  private:
   std::vector<std::pair<SimTime, double>> points_;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace hogsim

@@ -34,16 +34,4 @@ void TextTable::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TextTable::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace hogsim

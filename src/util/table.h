@@ -1,6 +1,5 @@
-// Plain-text table and CSV rendering for bench output. Benches print the
-// paper's tables/figures as aligned text (for the terminal) and can also
-// emit CSV for plotting.
+// Plain-text table rendering for bench output: benches print the paper's
+// tables/figures as aligned text for the terminal.
 #pragma once
 
 #include <ostream>
@@ -18,9 +17,6 @@ class TextTable {
 
   /// Renders with column alignment and a separator under the header.
   void Print(std::ostream& os) const;
-
-  /// Renders as CSV (no quoting of separators; callers keep cells simple).
-  void PrintCsv(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -43,7 +43,6 @@ constexpr Bytes kTiB = 1024 * kGiB;
 using Rate = double;
 
 constexpr Rate MiBps(double v) { return v * static_cast<double>(kMiB); }
-constexpr Rate GiBps(double v) { return v * static_cast<double>(kGiB); }
 
 /// Network rates are conventionally quoted in bits per second.
 constexpr Rate Gbps(double v) { return v * 1e9 / 8.0; }

@@ -98,10 +98,10 @@ mr::JobSpec MakeJobSpec(const ScheduledJob& job, hdfs::FileId input,
 }
 
 std::vector<std::pair<int, Bytes>> InputSizeClasses(
-    const std::vector<ScheduledJob>& schedule, const WorkloadConfig& config) {
+    const std::vector<ScheduledJob>& schedule) {
   std::map<int, Bytes> classes;
   for (const ScheduledJob& job : schedule) {
-    classes[job.maps] = static_cast<Bytes>(job.maps) * config.block_size;
+    classes[job.maps] = static_cast<Bytes>(job.maps) * hdfs::kBlockSize;
   }
   return {classes.begin(), classes.end()};
 }

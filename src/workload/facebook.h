@@ -53,8 +53,6 @@ struct ScheduledJob {
 struct WorkloadConfig {
   /// Mean inter-arrival time (exponential), 14 s in the paper.
   double interarrival_mean_s = 14.0;
-  /// Input block size; one map task per block (§II.A).
-  Bytes block_size = 64 * kMiB;
   /// Shuffle / compute shape of every loadgen job.
   double map_selectivity = 1.0;
   double reduce_selectivity = 0.4;
@@ -81,7 +79,7 @@ std::vector<ScheduledJob> CycleSchedule(const std::vector<ScheduledJob>& shapes,
                                         const WorkloadConfig& config = {});
 
 /// Builds the JobSpec for a scheduled job (input file must be created by
-/// the harness: maps * block_size bytes).
+/// the harness: maps * hdfs::kBlockSize bytes).
 mr::JobSpec MakeJobSpec(const ScheduledJob& job, hdfs::FileId input,
                         const WorkloadConfig& config);
 
@@ -89,6 +87,6 @@ mr::JobSpec MakeJobSpec(const ScheduledJob& job, hdfs::FileId input,
 /// harness can pre-load one input file per class and share it between jobs
 /// of the same size (as loadgen runs against pre-generated datasets).
 std::vector<std::pair<int, Bytes>> InputSizeClasses(
-    const std::vector<ScheduledJob>& schedule, const WorkloadConfig& config);
+    const std::vector<ScheduledJob>& schedule);
 
 }  // namespace hogsim::workload

@@ -18,7 +18,7 @@ WorkloadRunner::WorkloadRunner(sim::Simulation& sim, mr::JobTracker& jobtracker,
     : sim_(sim), jt_(jobtracker), nn_(namenode), config_(config) {}
 
 void WorkloadRunner::PrepareInputs(const std::vector<ScheduledJob>& schedule) {
-  for (const auto& [maps, bytes] : InputSizeClasses(schedule, config_)) {
+  for (const auto& [maps, bytes] : InputSizeClasses(schedule)) {
     inputs_by_maps_[maps] =
         nn_.ImportFile("fb-input-" + std::to_string(maps) + "maps", bytes);
   }

@@ -1,16 +1,14 @@
-// Tests for the extension features: delay scheduling, job counters, job
-// history, timed uploads, decommissioning, and the §VI security model.
+// Tests for the extension features: delay scheduling, job counters, and the
+// §VI security model.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "src/hdfs/datanode.h"
 #include "src/hdfs/dfs_client.h"
 #include "src/hdfs/namenode.h"
 #include "src/hdfs/placement.h"
 #include "src/hdfs/topology.h"
-#include "src/mapreduce/history.h"
 #include "src/mapreduce/jobtracker.h"
 #include "src/mapreduce/tasktracker.h"
 #include "src/workload/runner.h"
@@ -27,12 +25,12 @@ class RackedHarness {
                 net::FlowNetworkConfig net_config = {})
       : net_(sim_, net_config) {
     const net::SiteId central = net_.AddSite(Gbps(10));
-    master_ = net_.AddNode(central, Gbps(1));
+    const net::NodeId master = net_.AddNode(central, Gbps(1));
     nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master_, hdfs::SiteAwarenessScript(),
+        sim_, net_, master, hdfs::SiteAwarenessScript(),
         hdfs::MakeSiteAwarePlacement(), Rng(17), hdfs_config);
     nn_->Start();
-    jt_ = std::make_unique<mr::JobTracker>(sim_, net_, *nn_, master_,
+    jt_ = std::make_unique<mr::JobTracker>(sim_, net_, *nn_, master,
                                            hdfs::SiteAwarenessScript(),
                                            mr_config);
     jt_->Start();
@@ -71,18 +69,12 @@ class RackedHarness {
         sim_, [&] { return jt_->AllJobsDone(); }, deadline);
   }
 
-  sim::Simulation& sim() { return sim_; }
-  net::FlowNetwork& net() { return net_; }
   hdfs::Namenode& nn() { return *nn_; }
   mr::JobTracker& jt() { return *jt_; }
-  hdfs::DfsClient& dfs() { return *dfs_; }
-  hdfs::Datanode& datanode(std::size_t i) { return *datanodes_[i]; }
-  net::NodeId master() const { return master_; }
 
  private:
   sim::Simulation sim_;
   net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
   std::unique_ptr<hdfs::Namenode> nn_;
   std::unique_ptr<mr::JobTracker> jt_;
   std::unique_ptr<hdfs::DfsClient> dfs_;
@@ -160,174 +152,6 @@ TEST(Counters, LocalityCountersMatchSchedulerView) {
   // Maps launched node-local read locally (modulo re-resolution).
   if (info.remote_maps == 0 && info.rack_local_maps == 0) {
     EXPECT_EQ(info.counters.remote_input_bytes, 0);
-  }
-}
-
-TEST(History, RecordsFullAttemptLifecycle) {
-  RackedHarness h(2, 3, {}, {});
-  mr::JobHistory history;
-  history.Attach(h.jt());
-  const auto job = h.Submit(4 * 64 * kMiB, 2);
-  ASSERT_TRUE(h.RunToCompletion());
-  history.RecordJob(h.jt().job(job));
-
-  EXPECT_EQ(history.Count(mr::HistoryEventKind::kAttemptLaunched),
-            history.Count(mr::HistoryEventKind::kAttemptSucceeded));
-  EXPECT_EQ(history.Count(mr::HistoryEventKind::kAttemptSucceeded), 6u);
-  EXPECT_EQ(history.Count(mr::HistoryEventKind::kJobSucceeded), 1u);
-
-  const auto events = history.ForJob(job);
-  ASSERT_FALSE(events.empty());
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].time, events[i].time);
-  }
-  std::ostringstream csv;
-  history.WriteCsv(csv);
-  EXPECT_NE(csv.str().find("attempt-succeeded"), std::string::npos);
-  EXPECT_NE(csv.str().find("job-succeeded"), std::string::npos);
-}
-
-TEST(History, RecordsFailures) {
-  mr::MrConfig mr_config;
-  mr_config.max_attempts = 2;
-  mr_config.zombie_fail_delay = 100 * kMillisecond;
-  RackedHarness h(1, 2, mr_config, {});
-  mr::JobHistory history;
-  history.Attach(h.jt());
-  const auto job = h.Submit(2 * 64 * kMiB, 1);
-  // Zombify everything: attempts fail, the job fails.
-  for (int i = 0; i < 2; ++i) {
-    h.datanode(static_cast<std::size_t>(i)).EnterZombieMode();
-  }
-  // Tracker zombie mode needs the tracker handles; reuse datanode disks:
-  // the shared Disk is already unwritable, so tracker writes fail.
-  ASSERT_TRUE(h.RunToCompletion(kHour));
-  history.RecordJob(h.jt().job(job));
-  EXPECT_EQ(h.jt().job(job).state, mr::JobState::kFailed);
-  EXPECT_GT(history.Count(mr::HistoryEventKind::kAttemptFailed), 0u);
-  EXPECT_EQ(history.Count(mr::HistoryEventKind::kJobFailed), 1u);
-}
-
-TEST(Upload, TimedUploadCreatesReplicatedFile) {
-  RackedHarness h(2, 3, {}, {});
-  bool done = false;
-  hdfs::FileId uploaded = hdfs::kInvalidFile;
-  const SimTime start = h.sim().now();
-  h.dfs().UploadFile(h.master(), "staged-in", 5 * 64 * kMiB, 3,
-                     [&](bool ok, hdfs::FileId file) {
-                       EXPECT_TRUE(ok);
-                       done = true;
-                       uploaded = file;
-                     });
-  h.sim().RunAll(kHour);
-  ASSERT_TRUE(done);
-  EXPECT_GT(h.sim().now() - start, 0) << "upload must take simulated time";
-  EXPECT_EQ(h.nn().FileSize(uploaded), 5 * 64 * kMiB);
-  const auto blocks = h.nn().GetFileBlocks(uploaded);
-  EXPECT_EQ(blocks.size(), 5u);
-  for (const auto& loc : blocks) EXPECT_EQ(loc.datanodes.size(), 3u);
-}
-
-TEST(Upload, PartialTailBlock) {
-  RackedHarness h(2, 3, {}, {});
-  bool done = false;
-  hdfs::FileId uploaded = hdfs::kInvalidFile;
-  h.dfs().UploadFile(h.master(), "odd-size", 64 * kMiB + 10 * kMiB, 2,
-                     [&](bool ok, hdfs::FileId file) {
-                       done = ok;
-                       uploaded = file;
-                     });
-  h.sim().RunAll(kHour);
-  ASSERT_TRUE(done);
-  const auto blocks = h.nn().GetFileBlocks(uploaded);
-  ASSERT_EQ(blocks.size(), 2u);
-  EXPECT_EQ(blocks[1].size, 10 * kMiB);
-}
-
-TEST(Upload, CancelStopsTheStream) {
-  RackedHarness h(2, 3, {}, {});
-  bool fired = false;
-  hdfs::DfsOp op = h.dfs().UploadFile(
-      h.master(), "cancelled", 50 * 64 * kMiB, 2,
-      [&](bool, hdfs::FileId) { fired = true; });
-  h.sim().RunUntil(2 * kSecond);
-  op.Cancel();
-  h.sim().RunAll(kHour);
-  EXPECT_FALSE(fired);
-}
-
-// Regression test for the upload continuation's self-capture: the chained
-// closure must reference itself weakly, or the shared_ptr cycle keeps the
-// chain — and everything the completion callback captured — alive forever.
-// The weak_ptr observer on the callback's payload proves the chain freed
-// itself the moment the upload finished.
-TEST(Upload, ChainReleasesItselfAfterCompletion) {
-  RackedHarness h(2, 3, {}, {});
-  auto payload = std::make_shared<int>(7);
-  std::weak_ptr<int> observer = payload;
-  bool done = false;
-  h.dfs().UploadFile(h.master(), "freed", 3 * 64 * kMiB, 2,
-                     [&done, payload = std::move(payload)](
-                         bool ok, hdfs::FileId) {
-                       EXPECT_TRUE(ok);
-                       done = true;
-                     });
-  h.sim().RunAll(kHour);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(observer.expired())
-      << "the upload chain must free itself (and the done callback) once "
-         "the last block commits";
-}
-
-// Same property on the cancel path. A self-cycled chain is unowned heap
-// garbage that not even simulation teardown can reclaim, so the observer
-// is checked after the harness is gone.
-TEST(Upload, CancelReleasesTheChain) {
-  auto payload = std::make_shared<int>(7);
-  std::weak_ptr<int> observer = payload;
-  {
-    RackedHarness h(2, 3, {}, {});
-    hdfs::DfsOp op = h.dfs().UploadFile(
-        h.master(), "cancelled-free", 50 * 64 * kMiB, 2,
-        [payload = std::move(payload)](bool, hdfs::FileId) {});
-    h.sim().RunUntil(2 * kSecond);
-    op.Cancel();
-    h.sim().RunAll(kHour);
-  }
-  EXPECT_TRUE(observer.expired())
-      << "a cancelled upload must release its continuation chain";
-}
-
-TEST(Decommission, EvacuatesAndSignalsReady) {
-  hdfs::HdfsConfig config;
-  config.default_replication = 3;
-  RackedHarness h(3, 3, {}, config);
-  h.nn().ImportFile("data", 10 * 64 * kMiB);
-  // Decommission the first node; it must be excluded from new placements,
-  // evacuated, and eventually flagged ready.
-  h.nn().StartDecommission(0);
-  EXPECT_FALSE(h.nn().DecommissionReady(0) &&
-               !h.nn().datanode(0).blocks.empty());
-  ASSERT_TRUE(workload::RunSimUntil(
-      h.sim(), [&] { return h.nn().DecommissionReady(0); }, kHour));
-  // Every block it holds is now fully replicated elsewhere: shutting the
-  // node down must not create under-replication.
-  h.datanode(0).Shutdown();
-  h.sim().RunUntil(h.sim().now() + 2 * kMinute);
-  h.sim().RunUntil(h.sim().now() + 15 * kMinute);  // stock recheck is slow
-  EXPECT_EQ(h.nn().missing_blocks(), 0u);
-}
-
-TEST(Decommission, ExcludedFromNewPlacements) {
-  hdfs::HdfsConfig config;
-  config.default_replication = 2;
-  RackedHarness h(2, 3, {}, config);
-  h.nn().StartDecommission(0);
-  for (int i = 0; i < 10; ++i) {
-    const auto file = h.nn().ImportFile("f" + std::to_string(i), 64 * kMiB);
-    for (const auto& loc : h.nn().GetFileBlocks(file)) {
-      for (auto dn : loc.datanodes) EXPECT_NE(dn, 0u);
-    }
   }
 }
 

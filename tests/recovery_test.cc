@@ -1,5 +1,5 @@
 // Tests for the self-healing stack: the prioritized re-replication queue,
-// zombie-aware missing/decommission accounting, DfsClient write-pipeline
+// zombie-aware missing-block accounting, DfsClient write-pipeline
 // recovery, blacklist forgiveness on tracker reincarnation, deterministic
 // jobtracker blackout recovery, the cross-layer invariant auditor, and the
 // seeded random chaos scenarios.
@@ -150,7 +150,7 @@ class HdfsHarness {
   std::vector<std::unique_ptr<hdfs::Datanode>> daemons_;
 };
 
-// ---- Zombie-aware missing/decommission accounting --------------------------
+// ---- Zombie-aware missing-block accounting ---------------------------------
 
 TEST(ZombieAccounting, ZombifiedSoleHolderCountsAsMissing) {
   hdfs::HdfsConfig config;
@@ -168,33 +168,6 @@ TEST(ZombieAccounting, ZombifiedSoleHolderCountsAsMissing) {
       << "a zombie copy must not mask a missing block";
   // The belief itself is intact — the holder set still lists the zombie.
   EXPECT_EQ(h.nn().BlockHolders(loc.block).size(), 1u);
-}
-
-TEST(ZombieAccounting, DecommissionNotReadyOnZombieCopy) {
-  hdfs::HdfsConfig config;
-  config.default_replication = 1;
-  config.disk_check_interval = 0;
-  HdfsHarness h(1, 2, config);
-  const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
-  const auto loc = h.nn().GetFileBlocks(file)[0];
-  ASSERT_EQ(loc.datanodes.size(), 1u);
-  const hdfs::DatanodeId holder = loc.datanodes[0];
-  const hdfs::DatanodeId other = holder == 0 ? 1 : 0;
-
-  h.nn().StartDecommission(holder);
-  // The monitor evacuates the replica to the other node.
-  SimTime deadline = h.sim().now() + 10 * kMinute;
-  while (h.nn().BlockHolders(loc.block).size() < 2 &&
-         h.sim().now() < deadline) {
-    h.sim().RunUntil(h.sim().now() + kSecond);
-  }
-  ASSERT_EQ(h.nn().BlockHolders(loc.block).size(), 2u);
-  EXPECT_TRUE(h.nn().DecommissionReady(holder));
-  // The evacuated copy's disk dies (process still heartbeats): shutting
-  // the decommissioning node down now would lose the block.
-  h.daemon(other).EnterZombieMode();
-  EXPECT_FALSE(h.nn().DecommissionReady(holder))
-      << "a zombie copy must not satisfy decommission safety";
 }
 
 // ---- Write-pipeline recovery -----------------------------------------------

@@ -116,12 +116,11 @@ TEST(Facebook, ShuffleIsDeterministicPerSeed) {
 
 TEST(Facebook, InputSizeClassesCoverEveryJobSize) {
   Rng rng(2);
-  WorkloadConfig config;
-  const auto schedule = GenerateFacebookSchedule(rng, config);
-  const auto classes = InputSizeClasses(schedule, config);
+  const auto schedule = GenerateFacebookSchedule(rng);
+  const auto classes = InputSizeClasses(schedule);
   ASSERT_EQ(classes.size(), 6u);
   for (const auto& [maps, bytes] : classes) {
-    EXPECT_EQ(bytes, static_cast<Bytes>(maps) * config.block_size);
+    EXPECT_EQ(bytes, static_cast<Bytes>(maps) * hdfs::kBlockSize);
   }
 }
 
