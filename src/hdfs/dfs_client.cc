@@ -183,13 +183,19 @@ void DfsClient::RunPipeline(std::shared_ptr<DfsOp::State> state,
     state->abort = [&sim = sim_, handle]() mutable { sim.Cancel(handle); };
     return;
   }
-  if (!nn_.FileExists(file)) return;
   auto finish = [state, done](bool ok) {
     if (state->cancelled) return;
     state->finished = true;
     state->abort = nullptr;
     done(ok);
   };
+  if (!nn_.FileExists(file)) {
+    // Fail the write from its own event, so WriteBlock never calls back
+    // before it has returned the op.
+    auto handle = sim_.ScheduleAfter(0, [finish] { finish(false); });
+    state->abort = [&sim = sim_, handle]() mutable { sim.Cancel(handle); };
+    return;
+  }
 
   const int replication = nn_.FileReplication(file);
   const DatanodeId writer_dn = nn_.DatanodeAt(writer);

@@ -27,20 +27,28 @@ FlowNetwork::FlowNetwork(sim::Simulation& sim, FlowNetworkConfig config)
 
 LinkId FlowNetwork::AddLink(Rate capacity) {
   assert(capacity > 0);
-  links_.push_back(Link{capacity, {}});
+  links_.push_back(Link{capacity, capacity, {}});
   return static_cast<LinkId>(links_.size() - 1);
 }
 
-void FlowNetwork::AddToLink(LinkId link, FlowId id) {
-  std::vector<FlowId>& on = links_[link].flows;
-  on.insert(std::upper_bound(on.begin(), on.end(), id), id);
+void FlowNetwork::RefreshShare(Link& link) {
+  link.share = link.capacity /
+               static_cast<double>(std::max<std::size_t>(link.flows.size(), 1));
+}
+
+void FlowNetwork::AddToLink(LinkId link, FlowId id, Flow& flow) {
+  std::vector<Member>& on = links_[link].flows;
+  on.insert(std::ranges::upper_bound(on, id, {}, &Member::id),
+            Member{id, &flow});
+  RefreshShare(links_[link]);
 }
 
 void FlowNetwork::RemoveFromLink(LinkId link, FlowId id) {
-  std::vector<FlowId>& on = links_[link].flows;
-  const auto it = std::lower_bound(on.begin(), on.end(), id);
-  assert(it != on.end() && *it == id);
+  std::vector<Member>& on = links_[link].flows;
+  const auto it = std::ranges::lower_bound(on, id, {}, &Member::id);
+  assert(it != on.end() && it->id == id);
   on.erase(it);
+  RefreshShare(links_[link]);
 }
 
 LinkId FlowNetwork::NewFabricLink(Rate capacity) {
@@ -53,6 +61,7 @@ void FlowNetwork::SetFabricLinkCapacity(LinkId link, Rate capacity) {
   assert(link < links_.size());
   assert(capacity > 0);
   links_[link].capacity = capacity;
+  RefreshShare(links_[link]);
 }
 
 SiteId FlowNetwork::AddSite(Rate uplink) {
@@ -89,20 +98,19 @@ FlowId FlowNetwork::StartFlow(NodeId src, NodeId dst, Bytes bytes,
                               FlowCallback done) {
   assert(src < nodes_.size() && dst < nodes_.size());
   const FlowId id = next_flow_++;
-  Flow flow;
+  // Built in place: its links and the calendar will hold its address.
+  Flow& flow = flows_.try_emplace(id).first->second;
   flow.src = src;
   flow.dst = dst;
   flow.total = static_cast<double>(std::max<Bytes>(bytes, 0)) *
                (1.0 + std::max(0.0, config_.crypto_byte_overhead));
   flow.remaining = flow.total;
   flow.done = std::move(done);
-  flows_.emplace(id, std::move(flow));
   flows_by_node_[src].insert(id);
   if (dst != src) flows_by_node_[dst].insert(id);
 
   const SimDuration latency = Latency(src, dst);
-  auto& stored = flows_.at(id);
-  stored.activation =
+  flow.activation =
       sim_.ScheduleAfter(latency, [this, id] { Activate(id); });
   return id;
 }
@@ -141,7 +149,7 @@ void FlowNetwork::Activate(FlowId id) {
       ArmSliceTimer();
     }
   }
-  for (LinkId l : flow.path) AddToLink(l, id);
+  for (LinkId l : flow.path) AddToLink(l, id, flow);
   if (ins_) {
     ins_->ecmp_imbalance.Set(topo_->EcmpImbalance(
         [this](LinkId l) { return links_[l].flows.size(); }));
@@ -179,29 +187,30 @@ bool FlowNetwork::FlowBlocked(const Flow& flow) const {
   return false;
 }
 
-Rate FlowNetwork::EvenShareRate(const Flow& flow) const {
+template <typename ShareFn>
+Rate FlowNetwork::MinShareRate(const Flow& flow, ShareFn share) const {
   if (FlowBlocked(flow)) return 0.0;
   Rate rate = kLoopbackRate;
-  for (LinkId l : flow.path) {
-    const auto n = links_[l].flows.size();
-    assert(n > 0);
-    rate = std::min(rate, links_[l].capacity / static_cast<double>(n));
-  }
+  for (LinkId l : flow.path) rate = std::min(rate, share(links_[l]));
   if (flow.cross_site && config_.wan_flow_cap > 0.0) {
     rate = std::min(rate, config_.wan_flow_cap);
   }
   return rate;
 }
 
-void FlowNetwork::RescheduleCompletion(FlowId id, const Flow& flow) {
+Rate FlowNetwork::EvenShareRate(const Flow& flow) const {
+  return MinShareRate(flow, [](const Link& link) { return link.share; });
+}
+
+void FlowNetwork::RescheduleCompletion(FlowId id, Flow& flow) {
   if (flow.rate <= 0.0) {  // starved; rescheduled on next change
-    completions_.Erase(id);
+    completions_.Erase(flow.due);
     return;
   }
   const auto remaining =
       static_cast<Bytes>(std::ceil(flow.remaining));
   const SimDuration eta = TransferTime(remaining, flow.rate);
-  completions_.Set(id, sim_.now() + eta);
+  completions_.Set(flow.due, id, sim_.now() + eta);
 }
 
 void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
@@ -209,17 +218,17 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
   // is id-sorted, so merging them yields the affected flows in ascending
   // id: re-rates reserve same-tick order, and so fire same-tick
   // completions, in id order.
-  std::vector<FlowId> affected;
-  std::vector<FlowId> merged;
+  std::vector<Member> affected;
+  std::vector<Member> merged;
   for (LinkId l : touched) {
-    const std::vector<FlowId>& on = links_[l].flows;
+    const std::vector<Member>& on = links_[l].flows;
     merged.clear();
-    std::set_union(affected.begin(), affected.end(), on.begin(), on.end(),
-                   std::back_inserter(merged));
+    std::ranges::set_union(affected, on, std::back_inserter(merged), {},
+                           &Member::id, &Member::id);
     affected.swap(merged);
   }
-  for (FlowId f : affected) {
-    Flow& flow = flows_.at(f);
+  for (const Member& m : affected) {
+    Flow& flow = *m.flow;
     const Rate rate = EvenShareRate(flow);
     // WAN-capped (or otherwise unmoved) flows keep their trajectory: the
     // linear extrapolation from last_update stays valid, so skipping the
@@ -229,15 +238,21 @@ void FlowNetwork::Reallocate(const std::vector<LinkId>& touched) {
     if (rate == flow.rate) continue;
     AdvanceFlow(flow);
     flow.rate = rate;
-    RescheduleCompletion(f, flow);
+    RescheduleCompletion(m.id, flow);
   }
   completions_.Arm();
 }
 
 std::vector<std::pair<FlowId, Rate>> FlowNetwork::EvenShareOracle() const {
+  // Recounts every share rather than reading the cached one, so a setter
+  // that forgets RefreshShare shows up as a mismatch.
+  const auto share = [](const Link& link) {
+    assert(!link.flows.empty());
+    return link.capacity / static_cast<double>(link.flows.size());
+  };
   std::vector<std::pair<FlowId, Rate>> out;
   for (const auto& [id, flow] : flows_) {
-    if (!flow.path.empty()) out.emplace_back(id, EvenShareRate(flow));
+    if (!flow.path.empty()) out.emplace_back(id, MinShareRate(flow, share));
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -252,7 +267,7 @@ void FlowNetwork::FinishFlow(FlowId id, bool ok) {
   if (it == flows_.end()) return;
   Flow& flow = it->second;
   sim_.Cancel(flow.activation);
-  completions_.Erase(id);
+  completions_.Erase(flow.due);
   AdvanceFlow(flow);
   // A successful completion delivers the whole payload: the scheduled
   // completion time already covers any sub-tick rounding remainder.
@@ -273,7 +288,7 @@ void FlowNetwork::CancelFlow(FlowId id) {
   if (it == flows_.end()) return;
   Flow& flow = it->second;
   sim_.Cancel(flow.activation);
-  completions_.Erase(id);
+  completions_.Erase(flow.due);
   const std::vector<LinkId> path = flow.path;
   RemoveFromLinks(flow, id);
   flows_by_node_[flow.src].erase(id);
@@ -294,8 +309,10 @@ void FlowNetwork::FailFlowsAtNode(NodeId node) {
 void FlowNetwork::SetSiteUplink(SiteId site, Rate uplink) {
   assert(site < sites_.size());
   assert(uplink > 0);
-  links_[sites_[site].wan_tx].capacity = uplink;
-  links_[sites_[site].wan_rx].capacity = uplink;
+  for (LinkId l : {sites_[site].wan_tx, sites_[site].wan_rx}) {
+    links_[l].capacity = uplink;
+    RefreshShare(links_[l]);
+  }
   // The WAN links are the only capacities that moved, so only the flows
   // crossing them are re-rated; everything else keeps its completion
   // deadline.
@@ -402,7 +419,7 @@ void FlowNetwork::OnSliceBoundary() {
     }
     flow.path = std::move(fresh);
     for (LinkId l : flow.path) {
-      AddToLink(l, id);
+      AddToLink(l, id, flow);
       touched.push_back(l);
     }
     ++repaths;
@@ -423,7 +440,9 @@ Rate FlowNetwork::FlowRate(FlowId id) const {
 
 std::optional<sim::Deadline> FlowNetwork::ScheduledCompletion(
     FlowId id) const {
-  const sim::Deadline* due = completions_.Find(id);
+  auto it = flows_.find(id);
+  if (it == flows_.end()) return std::nullopt;
+  const sim::Deadline* due = completions_.Find(it->second.due);
   if (due == nullptr) return std::nullopt;
   return *due;
 }

@@ -25,13 +25,15 @@
 // rates are bitwise equal to a from-scratch recomputation
 // (EvenShareOracle(); the solver fuzz cross-checks every churn and fault
 // op against it on star and on the multi-level tor/fattree/rotor graphs).
-// Every flow's completion deadline sits in one sim::Calendar, so a
-// re-rate moves deadlines without touching the event queue unless the
-// network's earliest completion changes. A re-rate that leaves a flow's
-// rate unchanged keeps its deadline, so traffic on untouched links is
-// never disturbed. Re-rates walk flows in ascending id and node failures
-// sort their flow ids, so same-tick completions and failure callbacks run
-// in id order, independent of hash-table layout.
+// Every flow's completion deadline sits in one sim::Calendar, under a slot
+// the flow carries, so a re-rate moves deadlines in place without touching
+// the event queue unless the network's earliest completion changes. A
+// re-rate that leaves a flow's rate unchanged keeps its deadline, so
+// traffic on untouched links is never disturbed. Each link carries its
+// members (id and flow pointer) and its current even share, so a re-rate
+// does no hash lookup and no division. Re-rates walk flows in ascending id
+// and node failures sort their flow ids, so same-tick completions and
+// failure callbacks run in id order, independent of hash-table layout.
 #pragma once
 
 #include <cstdint>
@@ -170,7 +172,8 @@ class FlowNetwork : private topo::Fabric {
 
   const FlowNetworkConfig& config() const { return config_; }
 
-  /// Every flow's even-share rate recomputed from scratch, returned as
+  /// Every flow's even-share rate recomputed from scratch (each link's
+  /// capacity / member count, not its cached share), returned as
   /// (flow, rate) pairs sorted by flow id. Covers flows that are active on
   /// links; latent and loopback flows have no bandwidth allocation and are
   /// omitted. The differential tests compare this bitwise against the
@@ -178,9 +181,17 @@ class FlowNetwork : private topo::Fabric {
   std::vector<std::pair<FlowId, Rate>> EvenShareOracle() const;
 
  private:
+  struct Flow;
+
+  struct Member {
+    FlowId id;
+    Flow* flow;  // stable: flows_ is node-based
+  };
+
   struct Link {
     Rate capacity;
-    std::vector<FlowId> flows;  // ascending id
+    Rate share;                 // capacity / flows.size(); see RefreshShare
+    std::vector<Member> flows;  // ascending id
   };
 
   struct Node {
@@ -206,6 +217,7 @@ class FlowNetwork : private topo::Fabric {
     bool active = false;  // false during the latency phase
     FlowCallback done;
     sim::EventHandle activation;  // pending during the latency phase
+    sim::Calendar::Slot due;      // the completion deadline, once rated
   };
 
   // Observability handles for the non-trivial topologies, registered only
@@ -251,8 +263,11 @@ class FlowNetwork : private topo::Fabric {
   void SetFabricLinkCapacity(LinkId link, Rate capacity) override;
 
   LinkId AddLink(Rate capacity);
-  void AddToLink(LinkId link, FlowId id);
+  void AddToLink(LinkId link, FlowId id, Flow& flow);
   void RemoveFromLink(LinkId link, FlowId id);
+  /// Re-derives the link's even share after its capacity or membership
+  /// changed (an empty link's share is its whole capacity).
+  static void RefreshShare(Link& link);
   void Activate(FlowId id);
   void FinishFlow(FlowId id, bool ok);
   void RemoveFromLinks(Flow& flow, FlowId id);
@@ -270,9 +285,14 @@ class FlowNetwork : private topo::Fabric {
   /// heal) by touching the union of those flows' paths.
   void ReallocateRack(SiteId site, std::uint32_t rack, bool count_stalled);
 
+  /// The minimum of `share(link)` along the flow's path, capped for WAN
+  /// flows; 0 while the flow is blocked.
+  template <typename ShareFn>
+  Rate MinShareRate(const Flow& flow, ShareFn share) const;
+  /// MinShareRate over the links' cached shares.
   Rate EvenShareRate(const Flow& flow) const;
 
-  void RescheduleCompletion(FlowId id, const Flow& flow);
+  void RescheduleCompletion(FlowId id, Flow& flow);
 
   // Rotor slice machinery: the boundary timer is armed lazily, only while
   // slice-dependent flows exist, and re-routes exactly those flows.
@@ -288,7 +308,7 @@ class FlowNetwork : private topo::Fabric {
   std::vector<Link> links_;
   std::vector<Node> nodes_;
   std::vector<Site> sites_;
-  std::unordered_map<FlowId, Flow> flows_;
+  std::unordered_map<FlowId, Flow> flows_;  // node-based: Member pointers
   sim::Calendar completions_;  // one deadline per flow moving bytes
   // NodeId-indexed (node ids are dense, assigned by AddNode): flat arena
   // lookup on the hot StartFlow/FailFlowsAtNode paths.

@@ -1,6 +1,5 @@
 #include "src/sim/calendar.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -16,52 +15,75 @@ Calendar::~Calendar() {
   sim_.Cancel(armed_);
 }
 
-void Calendar::Set(Key key, SimTime t) {
+void Calendar::Set(Slot& slot, Key key, SimTime t) {
   if (t < sim_.now()) t = sim_.now();
-  const Deadline d{t, sim_.TakeSeq()};
-  // Record the key's new deadline before anything can compact: compaction
-  // keeps exactly the entries that match due_.
-  due_.insert_or_assign(key, d);
-  heap_.push_back(Entry{d.time, d.seq, key});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
-  MaybeCompact();
+  const Entry e{Deadline{t, sim_.TakeSeq()}, key, &slot};
+  if (slot.pos_ == Slot::kNone) {
+    heap_.push_back(e);
+    SiftUp(heap_.size() - 1, e);
+    return;
+  }
+  // The fresh seq is the largest in the heap, so the entry moves toward
+  // the root only when its time moved earlier.
+  const std::size_t pos = slot.pos_;
+  if (t < heap_[pos].due.time) {
+    SiftUp(pos, e);
+  } else {
+    SiftDown(pos, e);
+  }
 }
 
-void Calendar::Erase(Key key) {
-  if (due_.erase(key) > 0) MaybeCompact();
+void Calendar::Erase(Slot& slot) {
+  if (slot.pos_ != Slot::kNone) RemoveAt(slot.pos_);
 }
 
 void Calendar::Clear() {
-  due_.clear();
+  for (const Entry& e : heap_) e.slot->pos_ = Slot::kNone;
   heap_.clear();
   sim_.Cancel(armed_);
 }
 
-void Calendar::DropStaleTop() {
-  while (!heap_.empty() && !Live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    heap_.pop_back();
+void Calendar::SiftUp(std::size_t pos, const Entry& e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!Earlier(e.due, heap_[parent].due)) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
   }
+  Place(pos, e);
 }
 
-void Calendar::MaybeCompact() {
-  // heap_.size() - due_.size() is the stale-entry count: every key with a
-  // deadline has exactly one live entry.
-  if (heap_.size() < kCompactMinEntries ||
-      heap_.size() - due_.size() <= heap_.size() / 2) {
-    return;
+void Calendar::SiftDown(std::size_t pos, const Entry& e) {
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && Earlier(heap_[child + 1].due, heap_[child].due)) {
+      ++child;
+    }
+    if (!Earlier(heap_[child].due, e.due)) break;
+    Place(pos, heap_[child]);
+    pos = child;
   }
-  std::erase_if(heap_, [this](const Entry& e) { return !Live(e); });
-  std::make_heap(heap_.begin(), heap_.end(), Later);
+  Place(pos, e);
+}
+
+void Calendar::RemoveAt(std::size_t pos) {
+  heap_[pos].slot->pos_ = Slot::kNone;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // it was the last entry
+  if (pos > 0 && Earlier(last.due, heap_[(pos - 1) / 2].due)) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 void Calendar::Arm() {
-  DropStaleTop();
   if (heap_.empty()) {
     sim_.Cancel(armed_);
     return;
   }
-  const Deadline top{heap_.front().time, heap_.front().seq};
+  const Deadline top = heap_.front().due;
   if (armed_.pending() && armed_at_ == top) return;
   sim_.Cancel(armed_);
   armed_at_ = top;
@@ -69,17 +91,13 @@ void Calendar::Arm() {
 }
 
 void Calendar::Fire() {
-  DropStaleTop();
-  if (heap_.empty() ||
-      Deadline{heap_.front().time, heap_.front().seq} != armed_at_) {
+  if (heap_.empty() || heap_.front().due != armed_at_) {
     // An owner mutated without re-arming: fire nothing early, re-arm.
     Arm();
     return;
   }
   const Key key = heap_.front().key;
-  std::pop_heap(heap_.begin(), heap_.end(), Later);
-  heap_.pop_back();
-  due_.erase(key);
+  RemoveAt(0);
   bool destroyed = false;
   destroyed_ = &destroyed;
   fire_(key);

@@ -16,11 +16,10 @@ FairQueue::FairQueue(sim::Simulation& sim, Rate rate)
 FairQueue::OpId FairQueue::Submit(Bytes bytes, std::function<void()> done) {
   AdvanceAll();
   const OpId id = next_op_++;
-  Op op;
+  Op& op = ops_.try_emplace(id).first->second;
   op.remaining = static_cast<double>(std::max<Bytes>(bytes, 0));
   op.last_update = sim_.now();
   op.done = std::move(done);
-  ops_.emplace(id, std::move(op));
   RescheduleAll();
   return id;
 }
@@ -29,14 +28,14 @@ void FairQueue::Cancel(OpId id) {
   auto it = ops_.find(id);
   if (it == ops_.end()) return;
   AdvanceAll();
-  completions_.Erase(id);
+  completions_.Erase(it->second.due);
   ops_.erase(it);
   RescheduleAll();
 }
 
 void FairQueue::CancelAll() {
+  completions_.Clear();  // first: it unschedules the ops' slots
   ops_.clear();
-  completions_.Clear();
 }
 
 void FairQueue::Freeze(SimDuration duration) {
@@ -69,10 +68,10 @@ void FairQueue::RescheduleAll() {
   if (!ops_.empty()) {
     const Rate share = rate_ / static_cast<double>(ops_.size());
     const SimTime start = std::max(sim_.now(), frozen_until_);
-    for (const auto& [id, op] : ops_) {
+    for (auto& [id, op] : ops_) {
       const auto remaining = static_cast<Bytes>(std::ceil(op.remaining));
       const SimDuration eta = TransferTime(remaining, share);
-      completions_.Set(id, start + eta);
+      completions_.Set(op.due, id, start + eta);
     }
   }
   completions_.Arm();

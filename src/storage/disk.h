@@ -23,9 +23,9 @@
 namespace hogsim::storage {
 
 /// A capacity-`rate` resource whose concurrent operations progress at
-/// rate / n. Every op's completion deadline sits in one sim::Calendar, and
-/// re-rates walk ops in ascending id, so same-tick completions fire in id
-/// order.
+/// rate / n. Every op's completion deadline sits in one sim::Calendar,
+/// under a slot the op carries, and re-rates walk ops in ascending id, so
+/// same-tick completions fire in id order.
 class FairQueue {
  public:
   using OpId = std::uint64_t;
@@ -58,6 +58,7 @@ class FairQueue {
     double remaining;
     SimTime last_update;
     std::function<void()> done;
+    sim::Calendar::Slot due;  // the completion deadline
   };
 
   void AdvanceAll();
@@ -67,7 +68,8 @@ class FairQueue {
 
   sim::Simulation& sim_;
   Rate rate_;
-  std::map<OpId, Op> ops_;  // ascending id: the re-rate order
+  // Ascending id, the re-rate order; node-based, so slots stay put.
+  std::map<OpId, Op> ops_;
   sim::Calendar completions_;
   OpId next_op_ = 1;
   SimTime frozen_until_ = 0;

@@ -396,6 +396,22 @@ TEST(Hdfs, WriteFailsCleanlyWithNoTargets) {
   EXPECT_EQ(h.nn().FileSize(file), 0);
 }
 
+TEST(Hdfs, WriteToUnknownFileFails) {
+  HdfsHarness h(1, 2, HogConfig());
+  const FileId file = h.nn().CreateFile("out");
+  bool done = false, ok = true;
+  h.client().WriteBlock(h.nn().datanode(0).net_node, file + 1, 64 * kMiB,
+                        [&](bool r) {
+                          done = true;
+                          ok = r;
+                        });
+  EXPECT_FALSE(done) << "the failure arrives from an event, not inline";
+  h.sim().RunAll(kHour);
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(h.nn().FileSize(file), 0);
+}
+
 TEST(Hdfs, CancelledReadNeverCallsBack) {
   HdfsHarness h(2, 3, HogConfig());
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);

@@ -340,14 +340,20 @@ TEST(PeriodicTimer, RestartFromTickCallback) {
 // Runs one script of plain events and keyed deadlines either through a
 // Calendar or with one event per deadline (cancel + reschedule on every
 // re-key: the pattern a Calendar replaces), and logs what fires when.
-// Deadline `key` logs as 1000 + key, plain event `label` as itself.
+// Deadline `key` logs as 1000 + key, plain event `label` as itself. In
+// calendar mode it also keeps a reference of every key's pending deadline
+// and checks each key's Find() against it after every Set, Erase and fire.
 class DeadlineHarness {
  public:
   using Key = Calendar::Key;
 
+  // After the seq the constructor takes, every seq is drawn by Plain or
+  // Due (a Calendar's ScheduleAtSeq reuses Set's), so the harness knows
+  // the seq each Set reserves.
   explicit DeadlineHarness(bool calendar)
       : use_calendar_(calendar),
-        calendar_(sim_, [this](Key key) { Fired(key); }) {}
+        calendar_(sim_, [this](Key key) { Fired(key); }),
+        next_seq_(sim_.TakeSeq() + 1) {}
 
   Simulation& sim() { return sim_; }
   Calendar& calendar() { return calendar_; }
@@ -357,6 +363,7 @@ class DeadlineHarness {
   std::function<void(Key)> on_fire;
 
   void Plain(SimTime t, int label, std::function<void()> then = {}) {
+    ++next_seq_;
     sim_.ScheduleAt(t, [this, label, then] {
       log_.emplace_back(sim_.now(), label);
       if (then) then();
@@ -365,7 +372,9 @@ class DeadlineHarness {
   }
   void Due(Key key, SimTime t) {
     if (use_calendar_) {
-      calendar_.Set(key, t);
+      expected_[key] = Deadline{std::max(t, sim_.now()), next_seq_++};
+      calendar_.Set(slots_[key], key, t);
+      CheckFind();
       return;
     }
     sim_.Cancel(events_[key]);
@@ -376,7 +385,9 @@ class DeadlineHarness {
   }
   void Drop(Key key) {
     if (use_calendar_) {
-      calendar_.Erase(key);
+      expected_.erase(key);
+      calendar_.Erase(slots_[key]);
+      CheckFind();
       return;
     }
     auto it = events_.find(key);
@@ -392,13 +403,36 @@ class DeadlineHarness {
  private:
   void Fired(Key key) {
     log_.emplace_back(sim_.now(), 1000 + static_cast<int>(key));
+    if (use_calendar_) {
+      expected_.erase(key);
+      CheckFind();
+    }
     if (on_fire) on_fire(key);
     Commit();
+  }
+
+  // Every key that ever had a deadline: Find() agrees with the reference.
+  void CheckFind() {
+    for (const auto& [key, slot] : slots_) {
+      const Deadline* due = calendar_.Find(slot);
+      const auto want = expected_.find(key);
+      if (want == expected_.end()) {
+        EXPECT_EQ(due, nullptr) << "key " << key;
+        continue;
+      }
+      ASSERT_NE(due, nullptr) << "key " << key;
+      EXPECT_EQ(due->time, want->second.time) << "key " << key;
+      EXPECT_EQ(due->seq, want->second.seq) << "key " << key;
+    }
+    EXPECT_EQ(calendar_.size(), expected_.size());
   }
 
   bool use_calendar_;
   Simulation sim_;
   Calendar calendar_;
+  std::map<Key, Calendar::Slot> slots_;  // node-based: slots stay put
+  std::map<Key, Deadline> expected_;
+  std::uint64_t next_seq_;
   std::map<Key, EventHandle> events_;
   std::vector<std::pair<SimTime, int>> log_;
 };
@@ -451,22 +485,23 @@ TEST(Calendar, RekeyEarlierAndLaterMovesTheArmedEvent) {
   Simulation sim;
   std::vector<std::pair<SimTime, Calendar::Key>> fired;
   Calendar cal(sim, [&](Calendar::Key key) { fired.emplace_back(sim.now(), key); });
-  cal.Set(1, 100);
-  cal.Set(2, 200);
+  Calendar::Slot one, two;
+  cal.Set(one, 1, 100);
+  cal.Set(two, 2, 200);
   cal.Arm();
   EXPECT_EQ(sim.pending(), 1u);  // one event, however many deadlines
 
-  cal.Set(2, 200);  // same time, fresh seq: not the earliest, no re-arm
+  cal.Set(two, 2, 200);  // same time, fresh seq: not the earliest, no re-arm
   cal.Arm();
   EXPECT_EQ(sim.cancelled(), 0u);
 
-  cal.Set(1, 300);  // the armed minimum moves later: re-arm at key 2
+  cal.Set(one, 1, 300);  // the armed minimum moves later: re-arm at key 2
   cal.Arm();
   EXPECT_EQ(sim.cancelled(), 1u);
-  ASSERT_NE(cal.Find(1), nullptr);
-  EXPECT_EQ(cal.Find(1)->time, 300);
+  ASSERT_NE(cal.Find(one), nullptr);
+  EXPECT_EQ(cal.Find(one)->time, 300);
 
-  cal.Set(1, 50);  // ... and earlier than everything again
+  cal.Set(one, 1, 50);  // ... and earlier than everything again
   cal.Arm();
   EXPECT_EQ(sim.cancelled(), 2u);
   EXPECT_EQ(sim.pending(), 1u);
@@ -475,18 +510,19 @@ TEST(Calendar, RekeyEarlierAndLaterMovesTheArmedEvent) {
   EXPECT_EQ(fired, (std::vector<std::pair<SimTime, Calendar::Key>>{
                        {50, 1}, {200, 2}}));
   EXPECT_EQ(sim.executed(), 2u);
-  EXPECT_EQ(cal.Find(1), nullptr);
+  EXPECT_EQ(cal.Find(one), nullptr);
 }
 
 TEST(Calendar, ErasingTheArmedMinimumFiresTheNext) {
   Simulation sim;
   std::vector<Calendar::Key> fired;
   Calendar cal(sim, [&](Calendar::Key key) { fired.push_back(key); });
-  cal.Set(1, 100);
-  cal.Set(2, 200);
+  Calendar::Slot one, two, idle;
+  cal.Set(one, 1, 100);
+  cal.Set(two, 2, 200);
   cal.Arm();
-  cal.Erase(1);
-  cal.Erase(9);  // unknown key: no-op
+  cal.Erase(one);
+  cal.Erase(idle);  // never scheduled: no-op
   cal.Arm();
   EXPECT_EQ(sim.cancelled(), 1u);
   sim.RunAll();
@@ -502,18 +538,19 @@ TEST(Calendar, ClearAndEmptyScheduleNothing) {
   cal.Arm();  // empty: nothing to arm
   EXPECT_EQ(sim.pending(), 0u);
 
-  cal.Set(1, 10);
-  cal.Erase(1);
+  Calendar::Slot slots[5];
+  cal.Set(slots[1], 1, 10);
+  cal.Erase(slots[1]);
   cal.Arm();  // emptied before arming: still nothing
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.cancelled(), 0u);
 
-  for (Calendar::Key k = 0; k < 5; ++k) cal.Set(k, 10 + k);
+  for (Calendar::Key k = 0; k < 5; ++k) cal.Set(slots[k], k, 10 + k);
   cal.Arm();
   EXPECT_EQ(sim.pending(), 1u);
   cal.Clear();
   EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal.entries(), 0u);
+  for (const Calendar::Slot& slot : slots) EXPECT_EQ(cal.Find(slot), nullptr);
   EXPECT_EQ(sim.pending(), 0u);
   sim.RunAll();
   EXPECT_EQ(fired, 0);
@@ -536,12 +573,13 @@ TEST(Calendar, FireMayDestroyTheOwner) {
   EXPECT_EQ(sim.pending(), 0u);
 
   // The bare calendar, destroyed by its owner from inside a fire.
+  Calendar::Slot one, two;
   std::unique_ptr<Calendar> owner;
   owner = std::make_unique<Calendar>(sim, [&](Calendar::Key) {
     owner.reset();
   });
-  owner->Set(1, sim.now() + 5);
-  owner->Set(2, sim.now() + 6);
+  owner->Set(one, 1, sim.now() + 5);
+  owner->Set(two, 2, sim.now() + 6);
   owner->Arm();
   sim.RunAll();
   EXPECT_EQ(owner, nullptr);
@@ -598,9 +636,9 @@ TEST(Calendar, SameTickDiskOpsFireInIdOrder) {
 }
 
 void RunChurnScript(DeadlineHarness& h) {
-  // 200 keys, re-keyed and erased at random from inside plain events, so
-  // stale entries pile up far past the 64-entry compaction floor while
-  // live deadlines keep being stored and fired.
+  // 200 keys, re-keyed and erased at random from inside plain events,
+  // while other deadlines keep coming due and firing: every sift moves
+  // entries that other keys' slots must follow.
   Rng rng(42);
   for (DeadlineHarness::Key k = 0; k < 200; ++k) {
     h.Due(k, rng.UniformInt(1000, 2000));
@@ -617,14 +655,12 @@ void RunChurnScript(DeadlineHarness& h) {
           h.Due(k, h.sim().now() + r.UniformInt(0, 2000));
         }
       }
-      // Bounded by compaction: live keys plus at most as many stale ones.
-      EXPECT_LE(h.calendar().entries(), 2 * h.calendar().size() + 64);
     });
   }
   h.sim().RunAll();
 }
 
-TEST(Calendar, CompactionUnderChurnKeepsEveryLiveDeadline) {
+TEST(Calendar, ChurnKeepsEveryLiveDeadline) {
   DeadlineHarness per_event(false);
   DeadlineHarness calendar(true);
   RunChurnScript(per_event);

@@ -91,6 +91,46 @@ TEST_F(DiskTest, CancelAllDropsEverything) {
   EXPECT_EQ(disk.active_ops(), 0u);
 }
 
+TEST_F(DiskTest, CancelAllLeavesTheQueueReusable) {
+  Disk disk(sim_, kGiB, MiBps(100));
+  int fired = 0;
+  disk.Read(10 * kMiB, [&] { ++fired; });
+  disk.Write(10 * kMiB, [&] { ++fired; });
+  disk.CancelAll();
+  SimTime done_at = -1;
+  disk.Read(50 * kMiB, [&] { done_at = sim_.now(); });
+  sim_.RunAll();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(done_at, FromSeconds(0.5));  // alone at the full 100 MiB/s
+}
+
+// A stall freezes progress; a later, overlapping stall can only push the
+// thaw out. One 100 MiB read at 100 MiB/s needs 1 s of unfrozen time.
+SimTime StalledReadDoneAt(SimDuration second_stall) {
+  sim::Simulation sim;
+  Disk disk(sim, kGiB, MiBps(100));
+  SimTime done_at = -1;
+  disk.Read(100 * kMiB, [&] { done_at = sim.now(); });
+  sim.ScheduleAt(FromSeconds(0.5), [&] { disk.Stall(kSecond); });
+  if (second_stall > 0) {
+    sim.ScheduleAt(FromSeconds(1.0), [&] { disk.Stall(second_stall); });
+  }
+  sim.RunAll();
+  return done_at;
+}
+
+TEST(DiskStall, FreezesProgressForItsDuration) {
+  // 0.5 s of progress, frozen until 1.5 s, then the other 0.5 s.
+  EXPECT_EQ(StalledReadDoneAt(0), FromSeconds(2.0));
+}
+
+TEST(DiskStall, OverlappingStallExtendsButNeverShortens) {
+  // Thaw at 1.2 s is inside the first freeze: nothing moves.
+  EXPECT_EQ(StalledReadDoneAt(FromSeconds(0.2)), FromSeconds(2.0));
+  // Thaw at 2.0 s outlasts it: the read finishes 0.5 s after.
+  EXPECT_EQ(StalledReadDoneAt(kSecond), FromSeconds(2.5));
+}
+
 TEST_F(DiskTest, UnwritableDiskRejectsWritesButServesReads) {
   Disk disk(sim_, kGiB, MiBps(100));
   disk.set_writable(false);
