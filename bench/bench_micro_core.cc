@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <vector>
 
 #include "src/exp/sweep.h"
@@ -265,7 +266,12 @@ bool WriteCoreBaseline() {
   spec.configs = 3;
   spec.config_labels = {"schedule_fire", "cancel_heavy", "cancel_rearm"};
   const exp::SweepResult result = exp::RunSweep(spec, CoreSweepRun);
-  if (!exp::WriteBenchJson("BENCH_core.json", spec, result)) return false;
+  std::ofstream out("BENCH_core.json", std::ios::trunc);
+  out << exp::ToBenchJson(spec, result);
+  if (!out.flush()) {
+    std::fprintf(stderr, "bench_micro_core: cannot write BENCH_core.json\n");
+    return false;
+  }
   std::printf("\nBENCH_core.json: %zu runs (%zu configs x %zu seeds)\n",
               result.runs.size(), spec.configs, spec.seeds.size());
   for (std::size_t c = 0; c < result.summaries.size(); ++c) {

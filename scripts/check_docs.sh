@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Docs leg of the tier-1 gate: every relative markdown link in README.md
-# and docs/*.md must target a file that exists, and every `file#anchor`
-# must name a real heading (GitHub slug rules) in the target file.
+# Docs leg of the tier-1 gate: every relative markdown link in README.md,
+# EXPERIMENTS.md and docs/*.md must target a file that exists, and every
+# `file#anchor` must name a real heading (GitHub slug rules) in the target
+# file.
 # External (http/https/mailto) links are not checked.
 #
 # Also keeps the module maps honest: every src/<module> directory must
@@ -17,7 +18,7 @@ cd "$(dirname "$0")/.."
 python3 - <<'EOF'
 import glob, os, re, sys
 
-files = sorted(["README.md"] + glob.glob("docs/*.md"))
+files = sorted(["README.md", "EXPERIMENTS.md"] + glob.glob("docs/*.md"))
 link_re = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 heading_re = re.compile(r"^#{1,6}\s+(.*)$")
 

@@ -1,10 +1,8 @@
 // The design choices the paper asserts (§III.B, §VI) as hogbench
 // ablations: each sweeps one knob across seeds on a HOG deployment.
 #include <cstdio>
-#include <iostream>
 
 #include "src/exp/experiments.h"
-#include "src/util/table.h"
 
 namespace hogsim::exp {
 
@@ -63,25 +61,18 @@ Metrics RunDelay(const DelayCase& c, std::uint64_t seed, const Setup& setup) {
 Plan DelayPlan(const Setup& setup) {
   Plan plan;
   for (const DelayCase& c : kDelayCases) {
-    plan.configs.push_back(
-        {.label = c.label, .run = [&setup, &c](std::uint64_t seed) {
-           return RunDelay(c, seed, setup);
-         }});
+    plan.configs.push_back({.label = c.label, .name = c.name,
+                            .run = [&setup, &c](std::uint64_t seed) {
+                              return RunDelay(c, seed, setup);
+                            }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: delay scheduling vs replication as locality "
-                "levers (60-node HOG; %zu seed(s))\n\n", spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"scheduler", "response (s)", "node-local maps",
-                     "remote input (GiB)"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({kDelayCases[c].name,
-                    FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "local_frac") * 100, 1) + "%",
-                    FormatDouble(sweep.Mean(c, "remote_input_gib"), 1)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "node-local maps", .metric = "local_frac", .decimals = 1,
+       .scale = 100, .unit = "%"},
+      {.header = "remote input (GiB)", .metric = "remote_input_gib",
+       .decimals = 1}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nMeasured shape: delay scheduling does raise the node-local "
         "fraction at either replication factor — but on an opportunistic "
@@ -92,16 +83,17 @@ Plan DelayPlan(const Setup& setup) {
         "locality' (§IV.D.2) — raises locality without idling slots, which "
         "is why the scheduler-side trick that shines on stable clusters is "
         "the wrong tool on a churning grid.\n");
-    const auto local = [&](std::size_t c) {
-      return sweep.Mean(c, "local_frac");
+    const auto local = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "local_frac");
     };
-    const auto response = [&](std::size_t c) {
-      return sweep.Mean(c, "response_s");
+    const auto response = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "response_s");
     };
     std::printf("Delay scheduling lifts locality: %s; but costs response "
                 "under churn: %s\n",
-                (local(1) > local(0) && local(3) > local(2)) ? "YES" : "NO",
-                response(1) > response(0) ? "YES" : "NO");
+                YesNo(local("rep3_delay10") > local("rep3_fifo") &&
+                      local("rep10_delay10") > local("rep10_fifo")),
+                YesNo(response("rep3_delay10") > response("rep3_fifo")));
   };
   return plan;
 }
@@ -142,41 +134,28 @@ Metrics RunHeartbeat(const HeartbeatCase& c, std::uint64_t seed,
 Plan HeartbeatPlan(const Setup& setup) {
   Plan plan;
   for (const HeartbeatCase& c : kHeartbeatCases) {
-    plan.configs.push_back(
-        {.label = c.label, .run = [&setup, &c](std::uint64_t seed) {
-           return RunHeartbeat(c, seed, setup);
-         }});
+    plan.configs.push_back({.label = c.label, .name = c.name,
+                            .run = [&setup, &c](std::uint64_t seed) {
+                              return RunHeartbeat(c, seed, setup);
+                            }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: failure-detection timeout under grid churn "
-                "(§III.B; paper lowers ~15 min -> 30 s; %zu seed(s))\n\n",
-                spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"recheck", "response (s)", "ci95", "failed jobs",
-                     "maps re-executed"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow(
-          {kHeartbeatCases[c].name,
-           FormatDouble(sweep.Mean(c, "response_s"), 0),
-           "+-" + FormatDouble(sweep.Summary(c, "response_s").ci95_halfwidth,
-                               0),
-           FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
-           FormatDouble(sweep.Mean(c, "maps_reexecuted"), 0)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "ci95", .metric = "response_s", .stat = Stat::kCi95},
+      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "maps re-executed", .metric = "maps_reexecuted"}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nExpected shape: with 15-minute detection, every preemption parks "
         "task attempts and replicas on a dead node for up to 15 minutes "
         "before recovery starts, stretching (or wedging) the workload; 30 s "
         "detection recovers almost immediately.\n");
-    const auto response = [&](std::size_t c) {
-      return sweep.Mean(c, "response_s");
+    const auto response = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "response_s");
     };
     std::printf("30 s detection fastest: %s\n",
-                (response(0) <= response(1) && response(0) <= response(2))
-                    ? "YES"
-                    : "NO");
+                YesNo(response("recheck_30s") <= response("recheck_2min") &&
+                      response("recheck_30s") <= response("recheck_15min")));
   };
   return plan;
 }
@@ -232,23 +211,12 @@ Plan MulticopyPlan(const Setup& setup) {
            return RunMulticopy(copies, seed, setup);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: multi-copy task execution on a volatile grid "
-                "(§VI extension; N copies, fastest wins; %zu seed(s))\n",
-                spec.seeds.size());
-    std::printf("(240 nodes: ample spare slots for the extra copies)\n\n");
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"copies", "response (s)", "mean job latency (s)",
-                     "attempts launched", "failed jobs"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({std::to_string(c + 1),
-                    FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "mean_job_latency_s"), 0),
-                    FormatDouble(sweep.Mean(c, "attempts"), 0),
-                    FormatDouble(sweep.Mean(c, "failed_jobs"), 1)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "mean job latency (s)", .metric = "mean_job_latency_s"},
+      {.header = "attempts launched", .metric = "attempts"},
+      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nThe paper hypothesizes (§VI) that redundant copies let HOG finish "
         "faster when nodes go missing. The measured trade-off: copies mask "
@@ -256,14 +224,14 @@ Plan MulticopyPlan(const Setup& setup) {
         "shuffle, and WAN demand — so the benefit only materializes while "
         "the extra copies stay effectively free. Attempts grow ~linearly "
         "with N either way.\n");
-    const auto response = [&](std::size_t c) {
-      return sweep.Mean(c, "response_s");
+    const auto response = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "response_s");
     };
-    const bool second_copy_helps = response(1) < response(0);
+    const double one = response("copies1"), two = response("copies2");
     std::printf("Measured: second copy %s response (%.0f -> %.0f s); third "
                 "copy adds %.0f s.\n",
-                second_copy_helps ? "improves" : "does not improve",
-                response(0), response(1), response(2) - response(1));
+                two < one ? "improves" : "does not improve", one, two,
+                response("copies3") - two);
   };
   return plan;
 }
@@ -273,8 +241,6 @@ Plan MulticopyPlan(const Setup& setup) {
 // raises HDFS replication from 3 to 10 because simultaneous preemptions
 // routinely outrun re-replication. This sweeps the replication factor under
 // bursty preemption and reports data availability and workload response.
-
-constexpr int kFactors[] = {2, 3, 10};
 
 Metrics RunReplication(int replication, std::uint64_t seed,
                        const Setup& setup) {
@@ -303,30 +269,21 @@ Metrics RunReplication(int replication, std::uint64_t seed,
 
 Plan ReplicationPlan(const Setup& setup) {
   Plan plan;
-  for (const int factor : kFactors) {
+  for (const int factor : {2, 3, 10}) {
     plan.configs.push_back(
         {.label = "rep" + std::to_string(factor),
          .run = [&setup, factor](std::uint64_t seed) {
            return RunReplication(factor, seed, setup);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: HDFS replication factor under bursty preemption "
-                "(§III.B.1; paper picks 10; %zu seed(s))\n\n",
-                spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"replication", "response (s)", "failed jobs",
-                     "missing blocks", "re-replications", "re-repl (GiB)"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({std::to_string(kFactors[c]),
-                    FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
-                    FormatDouble(sweep.Mean(c, "missing_blocks"), 1),
-                    FormatDouble(sweep.Mean(c, "replications"), 0),
-                    FormatDouble(sweep.Mean(c, "replication_gib"), 1)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "missing blocks", .metric = "missing_blocks", .decimals = 1},
+      {.header = "re-replications", .metric = "replications"},
+      {.header = "re-repl (GiB)", .metric = "replication_gib",
+       .decimals = 1}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nExpected shape: low replication risks missing blocks / failed or "
         "stalled jobs when bursts outrun the replication monitor; "
@@ -334,11 +291,11 @@ Plan ReplicationPlan(const Setup& setup) {
         "re-replication traffic (the paper's trade-off: 'too many replicas "
         "would impose extra overhead ... too few would cause frequent data "
         "failures').\n");
-    const auto missing = [&](std::size_t c) {
-      return sweep.Mean(c, "missing_blocks");
+    const auto missing = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "missing_blocks");
     };
     std::printf("Replication 10 loses no more data than 2: %s\n",
-                missing(2) <= missing(0) ? "YES" : "NO");
+                YesNo(missing("rep10") <= missing("rep2")));
   };
   return plan;
 }
@@ -348,7 +305,7 @@ Plan ReplicationPlan(const Setup& setup) {
 // HTTP communication. The paper plans to encrypt RPC to prevent
 // man-in-the-middle attacks on the open grid; this measures what that
 // protection would cost on the evaluation workload. The slowdown column
-// compares summary means against the plain-HTTP config.
+// divides each mean by the plain-HTTP config's.
 
 struct SecurityCase {
   const char* label;
@@ -380,25 +337,17 @@ Metrics RunSecurity(const SecurityCase& c, std::uint64_t seed,
 Plan SecurityPlan(const Setup& setup) {
   Plan plan;
   for (const SecurityCase& c : kSecurityCases) {
-    plan.configs.push_back(
-        {.label = c.label, .run = [&setup, &c](std::uint64_t seed) {
-           return RunSecurity(c, seed, setup);
-         }});
+    plan.configs.push_back({.label = c.label, .name = c.name,
+                            .run = [&setup, &c](std::uint64_t seed) {
+                              return RunSecurity(c, seed, setup);
+                            }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: §VI security — PKI-encrypted HTTP communication "
-                "(60-node HOG; %zu seed(s))\n\n", spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    const double baseline = sweep.Mean(0, "response_s");
-    TextTable table({"configuration", "response (s)", "ci95", "slowdown"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      const MetricSummary& m = sweep.Summary(c, "response_s");
-      table.AddRow({kSecurityCases[c].name, FormatDouble(m.stats.mean(), 0),
-                    "+-" + FormatDouble(m.ci95_halfwidth, 0),
-                    FormatDouble(m.stats.mean() / baseline, 2) + "x"});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "ci95", .metric = "response_s", .stat = Stat::kCi95},
+      {.header = "slowdown", .metric = "response_s", .stat = Stat::kRatio,
+       .of = "plain", .decimals = 2, .unit = "x"}};
+  plan.notes = [](const SweepSpec&, const SweepResult&) {
     std::printf(
         "\nExpected shape: moderate PKI costs add single-digit percent to "
         "the workload response (the WAN round trips and cipher overhead sit "
@@ -413,15 +362,14 @@ Plan SecurityPlan(const Setup& setup) {
 // §III.B.1 — site awareness. HOG extends rack awareness to sites so that
 // replicas spread across administrative failure domains. This kills an
 // entire site mid-workload and compares site-aware placement against flat
-// (topology-blind) placement at equal replication.
-
-constexpr int kSiteReplication = 4;
+// (topology-blind) placement at equal replication: 4, enough replicas for
+// placement quality to matter.
 
 Metrics RunSiteAwareness(bool site_aware, std::uint64_t seed,
                          const Setup& setup) {
   hog::HogConfig config;
   config.site_awareness = site_aware;
-  config.replication = kSiteReplication;
+  config.replication = 4;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) {
     site.node_mtbf_s = 1e9;  // isolate the site-outage effect
@@ -463,34 +411,24 @@ Plan SiteAwarenessPlan(const Setup& setup) {
            return RunSiteAwareness(site_aware, seed, setup);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Ablation: site awareness under a whole-site outage "
-                "(§III.B.1; %zu seed(s))\n", spec.seeds.size());
-    std::printf("(replication %d to make placement quality matter; site 0 "
-                "dies at t+5 min)\n\n", kSiteReplication);
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    const char* names[] = {"hog-site-aware", "flat (topology-blind)"};
-    TextTable table({"placement", "response (s)", "failed jobs",
-                     "missing blocks", "node-local maps", "remote maps"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({names[c], FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
-                    FormatDouble(sweep.Mean(c, "missing_blocks"), 1),
-                    FormatDouble(sweep.Mean(c, "data_local_maps"), 0),
-                    FormatDouble(sweep.Mean(c, "remote_maps"), 0)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "missing blocks", .metric = "missing_blocks", .decimals = 1},
+      {.header = "node-local maps", .metric = "data_local_maps"},
+      {.header = "remote maps", .metric = "remote_maps"}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nExpected shape: site-aware placement guarantees replicas outside "
         "the failed site, so no blocks go missing; blind placement can lose "
         "all copies of a block to one site (paper: sites are the natural "
         "failure domain of the grid).\n");
-    const auto missing = [&](std::size_t c) {
-      return sweep.Mean(c, "missing_blocks");
+    const auto missing = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "missing_blocks");
     };
     std::printf("Site awareness avoids data loss at least as well as flat: "
-                "%s\n", missing(0) <= missing(1) ? "YES" : "NO");
+                "%s\n",
+                YesNo(missing("site_aware") <= missing("flat")));
   };
   return plan;
 }

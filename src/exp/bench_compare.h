@@ -24,7 +24,7 @@ namespace hogsim::exp {
 
 /// Parsed JSON value (the subset our writers emit: objects, arrays,
 /// strings, numbers, null — no booleans). `null` parses as a NaN number,
-/// matching how WriteBenchJson serializes non-finite metric values.
+/// matching how ToBenchJson serializes non-finite metric values.
 struct JsonValue {
   enum class Kind { kNull, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;

@@ -5,11 +5,13 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <iostream>
 #include <stdexcept>
 #include <string_view>
 
 #include "src/exp/experiment.h"
 #include "src/exp/paper_runs.h"
+#include "src/fault/scenario.h"
 #include "src/health/detector.h"
 #include "src/net/topo/topology.h"
 #include "src/obs/obs.h"
@@ -86,9 +88,8 @@ std::vector<std::uint64_t> DefaultSeeds(std::size_t count) {
   return seeds;
 }
 
-BenchOptions ParseBenchOptions(int argc, char* const* argv,
-                               BenchOptions defaults) {
-  BenchOptions opts = std::move(defaults);
+BenchOptions ParseBenchOptions(int argc, char* const* argv) {
+  BenchOptions opts;
   const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -233,16 +234,6 @@ HogRunOptions HogRunOptionsFrom(const BenchOptions& opts) {
           .scheduler = opts.scheduler};
 }
 
-fault::Scenario LoadBenchScenario(const BenchOptions& opts) {
-  if (opts.scenario.empty()) return {};
-  try {
-    return fault::LoadScenarioFile(opts.scenario);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bad --scenario: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
 std::string PerRunOutPath(const std::string& base, std::string_view config,
                           std::uint64_t seed, bool single_run) {
   if (single_run) return base;
@@ -265,12 +256,13 @@ void WriteTextFile(const std::string& path, const std::string& content) {
   if (!out) throw std::runtime_error("cannot write " + path);
 }
 
-}  // namespace
-
-SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
+/// Runs the sweep, writes the BENCH_<spec.name>.json baseline (or
+/// opts.out), and prints one summary line per (config, metric): mean ±
+/// ci95 and p50/p95/p99. Throws std::runtime_error naming the path when
+/// the BENCH JSON or a requested --metrics-out/--trace-out file cannot be
+/// written.
+SweepResult RunBenchSweep(const BenchOptions& opts, const SweepSpec& spec,
                           const RunFn& fn) {
-  spec.seeds = opts.seeds;
-  spec.threads = opts.threads;
   // Per-run observability capture: wrap the run function in an
   // obs::RunCapture scope so the Simulation each run constructs delivers
   // its metrics snapshot / trace export, then write them out under the
@@ -308,9 +300,7 @@ SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
   const SweepResult result = RunSweep(spec, run);
   const std::string path =
       opts.out.empty() ? "BENCH_" + spec.name + ".json" : opts.out;
-  if (!WriteBenchJson(path, spec, result)) {
-    throw std::runtime_error("cannot write " + path);
-  }
+  WriteTextFile(path, ToBenchJson(spec, result));
   std::printf("\n%s: %zu runs (%zu configs x %zu seeds)\n", path.c_str(),
               result.runs.size(), spec.configs, spec.seeds.size());
   for (std::size_t c = 0; c < result.summaries.size(); ++c) {
@@ -325,7 +315,19 @@ SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
   return result;
 }
 
-namespace {
+/// Loads opts.scenario; an empty path yields an empty Scenario. Unreadable
+/// files and parse errors print the "<path>:<line>:<col>: ..." diagnostic
+/// and exit with status 2 — a broken scenario file should fail the
+/// experiment up front, not mid-sweep.
+fault::Scenario LoadBenchScenario(const BenchOptions& opts) {
+  if (opts.scenario.empty()) return {};
+  try {
+    return fault::LoadScenarioFile(opts.scenario);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad --scenario: %s\n", e.what());
+    std::exit(2);
+  }
+}
 
 void TrimSeeds(std::vector<std::uint64_t>& seeds, FastSeeds keep) {
   if (keep == FastSeeds::kFirst) {
@@ -358,11 +360,17 @@ int RunExperiment(const Experiment& experiment, int argc,
     SweepSpec spec;
     spec.name = std::string(experiment.name);
     spec.seeds = opts.seeds;
+    spec.threads = opts.threads;
     spec.configs = plan.configs.size();
     for (const Config& config : plan.configs) {
       spec.config_labels.push_back(config.label);
     }
-    if (plan.header) plan.header(spec);
+    std::printf("%s\n", std::string(experiment.title).c_str());
+    if (!setup.scenario.empty()) {
+      std::printf("(scenario \"%s\": %zu action(s))\n",
+                  setup.scenario.name.c_str(), setup.scenario.actions.size());
+    }
+    if (!plan.preface.empty()) std::printf("\n%s", plan.preface.c_str());
     const SweepResult result = RunBenchSweep(
         opts, spec, [&plan](std::size_t config, std::uint64_t seed) {
           try {
@@ -372,7 +380,11 @@ int RunExperiment(const Experiment& experiment, int argc,
                                      std::to_string(seed) + ": " + e.what());
           }
         });
-    if (plan.table) plan.table(spec, result);
+    if (!plan.columns.empty()) {
+      std::printf("\n");
+      RenderTable(plan, spec, result).Print(std::cout);
+    }
+    if (plan.notes) plan.notes(spec, result);
     if (!plan.gated()) return 0;
     const std::vector<std::string> failures =
         EvaluateGates(plan, spec, result);

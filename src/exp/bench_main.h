@@ -32,10 +32,9 @@
 // docs/OBSERVABILITY.md for the analysis workflow.
 //
 // RunExperiment is the runner: parse, trim for --fast, load --scenario,
-// print the header, RunBenchSweep, print the table, evaluate the gates and
-// set the exit code. RunBenchSweep applies the options to a SweepSpec,
-// runs the sweep, writes the BENCH_*.json baseline, and prints the
-// per-config summaries.
+// print the title and the plan's preface, run the sweep, write the
+// BENCH_*.json baseline and print the per-config summaries, print the
+// plan's table and notes, evaluate the gates and set the exit code.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +42,6 @@
 #include <vector>
 
 #include "src/exp/sweep.h"
-#include "src/fault/scenario.h"
 
 namespace hogsim::exp {
 
@@ -64,9 +62,9 @@ struct BenchOptions {
   /// Per-run Chrome trace path ("" = disabled); same suffix rule. Enables
   /// the sim-time tracer for every Simulation built inside the run.
   std::string trace_out;
-  /// Fault-scenario path ("" = no injection). Loaded once per process by
-  /// LoadBenchScenario; runs arm it on their own Simulation, so sweeps
-  /// stay deterministic and thread-count independent.
+  /// Fault-scenario path ("" = no injection). RunExperiment loads it once
+  /// per process; runs arm it on their own Simulation, so sweeps stay
+  /// deterministic and thread-count independent.
   std::string scenario;
   /// Arm the cross-layer invariant auditor (src/check) in every run, in
   /// fail-fast mode: the first violated invariant aborts the experiment
@@ -114,29 +112,13 @@ std::vector<std::uint64_t> DefaultSeeds(std::size_t count);
 /// Parses the uniform bench flags; argv[0] names the program in messages.
 /// Unknown arguments print usage and exit with status 2; --help prints
 /// usage and exits 0.
-BenchOptions ParseBenchOptions(int argc, char* const* argv,
-                               BenchOptions defaults = {});
+BenchOptions ParseBenchOptions(int argc, char* const* argv);
 
 /// The one mapping from the bench flags onto a HOG run: --audit (armed
 /// fail-fast), --scheduler, --topology, --detector and --repl-target.
 /// Every experiment that runs a HOG cluster starts from it; one that
 /// sweeps one of these knobs overrides that field per config.
 HogRunOptions HogRunOptionsFrom(const BenchOptions& opts);
-
-/// Loads opts.scenario; an empty path yields an empty Scenario. Unreadable
-/// files and parse errors print the "<path>:<line>:<col>: ..." diagnostic
-/// and exit with status 2 — a broken scenario file should fail the
-/// experiment up front, not mid-sweep.
-fault::Scenario LoadBenchScenario(const BenchOptions& opts);
-
-/// Applies `opts` to `spec` (seeds and threads — visible to the caller
-/// afterwards, e.g. for per-seed tables), runs the sweep, writes the
-/// BENCH_<spec.name>.json baseline (or opts.out), and prints one summary
-/// line per (config, metric): mean ± ci95 and p50/p95/p99. Throws
-/// std::runtime_error naming the path when the BENCH JSON or a requested
-/// --metrics-out/--trace-out file cannot be written.
-SweepResult RunBenchSweep(const BenchOptions& opts, SweepSpec& spec,
-                          const RunFn& fn);
 
 /// Runs `experiment` with the flags in argv[1..] (argv[0] names the
 /// program in messages) and returns the exit status: 0 when the sweep ran

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -11,7 +10,6 @@
 
 #include "src/exp/experiments.h"
 #include "src/fault/random_scenario.h"
-#include "src/util/table.h"
 
 namespace hogsim::exp {
 
@@ -50,32 +48,14 @@ Plan StormPlan(const Setup& setup) {
                  {"faults_skipped",
                   static_cast<double>(result.faults_skipped)}};
        }});
-  plan.header = [&setup](const SweepSpec& spec) {
-    std::printf("Scenario storm: 55-node HOG under injected faults "
-                "(%zu seed(s))\n", spec.seeds.size());
-    if (setup.scenario.empty()) {
-      std::printf("(no --scenario given: clean control run — try "
-                  "--scenario=scenarios/site_storm.txt)\n\n");
-    } else {
-      std::printf("(scenario \"%s\": %zu action(s))\n\n",
-                  setup.scenario.name.c_str(), setup.scenario.actions.size());
-    }
-  };
-  plan.table = [](const SweepSpec&, const SweepResult& sweep) {
-    TextTable table({"metric", "mean", "ci95"});
-    const std::pair<const char*, const char*> rows[] = {
-        {"response (s)", "response_s"},
-        {"failed jobs", "failed_jobs"},
-        {"preemptions", "preemptions"},
-        {"maps re-executed", "maps_reexecuted"},
-        {"faults injected", "faults_injected"},
-        {"faults skipped", "faults_skipped"}};
-    for (const auto& [label, metric] : rows) {
-      const MetricSummary& summary = sweep.Summary(0, metric);
-      table.AddRow({label, FormatDouble(summary.stats.mean(), 1),
-                    "+-" + FormatDouble(summary.ci95_halfwidth, 1)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "failed jobs", .metric = "failed_jobs"},
+      {.header = "preemptions", .metric = "preemptions"},
+      {.header = "maps re-executed", .metric = "maps_reexecuted"},
+      {.header = "faults injected", .metric = "faults_injected"},
+      {.header = "faults skipped", .metric = "faults_skipped"}};
+  plan.notes = [](const SweepSpec&, const SweepResult&) {
     std::printf(
         "\nReading the table: `faults injected` counts scenario actions that "
         "actually landed (see the fault.* counters in --metrics-out for the "
@@ -141,12 +121,6 @@ Plan SoakPlan(const Setup& setup) {
                 static_cast<double>(result.faults_skipped)}};
          }});
   }
-  plan.header = [&setup](const SweepSpec& spec) {
-    std::printf("Chaos soak: %zu random scenario(s) x %zu seed(s), auditor "
-                "armed%s\n\n",
-                spec.configs, spec.seeds.size(),
-                setup.opts.audit ? " (fail-fast)" : "");
-  };
   return plan;
 }
 
@@ -240,27 +214,20 @@ Plan ReplPlan(const Setup& setup) {
     plan.configs.push_back(std::move(config));
     if (cfg.target > 0) adaptive.push_back(cfg.label);
   }
-  plan.header = [&setup](const SweepSpec& spec) {
-    std::printf("Replication ladder: %zu config(s) x %zu seed(s) under the "
-                "soak palette, auditor armed%s\n\n",
-                spec.configs, spec.seeds.size(),
-                setup.opts.audit ? " (fail-fast)" : "");
-  };
-  // The cheap flat rungs exist to lose data: report it, do not gate it.
-  plan.table = [ladder](const SweepSpec& spec, const SweepResult& sweep) {
-    for (const RunRecord& run : sweep.runs) {
-      const std::string& label = spec.config_labels[run.config_index];
-      const auto cfg = std::find_if(
-          ladder.begin(), ladder.end(),
-          [&label](const ReplConfig& c) { return c.label == label; });
-      const double outputs_lost = run.Metric("outputs_lost");
-      if (cfg->durability_gated() || outputs_lost == 0) continue;
-      std::printf("repl note: %s seed %llu lost %g committed output "
-                  "block(s) (ungated rung)\n",
-                  label.c_str(), static_cast<unsigned long long>(run.seed),
-                  outputs_lost);
-    }
-  };
+  // The cheap flat rungs exist to lose data: the table reports each seed's
+  // losses, and the gates leave them be.
+  plan.columns = {
+      {.header = "outputs lost", .metric = "outputs_lost",
+       .stat = Stat::kSeeds},
+      {.header = "stored (GiB)", .metric = "bytes_stored_gib"},
+      {.header = "stored vs rf10", .metric = "bytes_stored_gib",
+       .stat = Stat::kRatio, .of = "rf10", .decimals = 2, .unit = "x"},
+      {.header = "repair (GiB)", .metric = "repair_gib"},
+      {.header = "to full repl (s)", .metric = "time_to_full_repl_s"},
+      {.header = "vs rf10", .metric = "time_to_full_repl_s",
+       .stat = Stat::kRatio, .of = "rf10", .decimals = 2, .unit = "x"},
+      {.header = "jobs failed", .metric = "jobs_failed", .decimals = 1},
+      {.header = "response (s)", .metric = "response_s"}};
   // The storage claim, per seed: every adaptive config must store fewer
   // bytes than flat RF=10 under the identical chaos schedule.
   plan.relations.push_back([adaptive](const SweepSpec& spec,
@@ -450,12 +417,14 @@ Plan TopoPlan(const Setup& setup) {
   if (!setup.opts.topology.empty()) {
     add({"custom-shuffle", setup.opts.topology, TopoMode::kShuffle}, true);
   }
-  plan.header = [&setup](const SweepSpec& spec) {
-    std::printf("Topology zoo: %zu config(s) x %zu seed(s) on %d nodes, "
-                "auditor armed%s\n\n",
-                spec.configs, spec.seeds.size(), kTopoNodes,
-                setup.opts.audit ? " (fail-fast)" : "");
-  };
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "vs star", .metric = "response_s", .stat = Stat::kRatio,
+       .of = "star-shuffle", .decimals = 2, .unit = "x"},
+      {.header = "burst to healed (s)", .metric = "burst_to_healed_s"},
+      {.header = "repair (GiB)", .metric = "repair_gib", .decimals = 1},
+      {.header = "jobs survived", .metric = "jobs_survived", .decimals = 1},
+      {.header = "maps re-executed", .metric = "maps_reexecuted"}};
   plan.relations = {
       SlowerPerSeed("tor16-shuffle", "star-shuffle", "response_s"),
       SlowerPerSeed("tor16-drain", "star-drain", "burst_to_healed_s"),

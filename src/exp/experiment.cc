@@ -1,9 +1,12 @@
 #include "src/exp/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "src/exp/experiments.h"
+#include "src/util/strings.h"
 
 namespace hogsim::exp {
 
@@ -33,6 +36,50 @@ const Experiment* const kExperiments[] = {
     &kTopo,
     &kGray,
 };
+
+/// The summary of `metric` in `config`, or nullptr when the sweep has
+/// neither.
+const MetricSummary* FindSummary(const SweepResult& sweep, std::size_t config,
+                                 std::string_view metric) {
+  if (config >= sweep.summaries.size()) return nullptr;
+  for (const MetricSummary& summary : sweep.summaries[config]) {
+    if (summary.name == metric) return &summary;
+  }
+  return nullptr;
+}
+
+std::string Format(const Column& column, double value) {
+  if (!std::isfinite(value)) return "-";
+  return FormatDouble(value * column.scale, column.decimals) + column.unit;
+}
+
+std::string ConfigCell(const Column& column, const SweepSpec& spec,
+                       const SweepResult& sweep, std::size_t config) {
+  const MetricSummary* summary = FindSummary(sweep, config, column.metric);
+  if (summary == nullptr || summary->stats.count() == 0) return "-";
+  switch (column.stat) {
+    case Stat::kMean:
+      return Format(column, summary->stats.mean());
+    case Stat::kCi95:
+      return "+-" + Format(column, summary->ci95_halfwidth);
+    case Stat::kSeeds: {
+      std::string cell;
+      for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
+        if (s) cell += " / ";
+        cell += Format(column, sweep.run(config, s, spec.seeds.size())
+                                   .Metric(column.metric));
+      }
+      return cell;
+    }
+    case Stat::kRatio: {
+      const MetricSummary* base =
+          FindSummary(sweep, ConfigIndex(spec, column.of), column.metric);
+      if (base == nullptr || base->stats.count() == 0) return "-";
+      return Format(column, summary->stats.mean() / base->stats.mean());
+    }
+  }
+  return "-";
+}
 
 }  // namespace
 
@@ -77,6 +124,56 @@ const RunRecord* FindRun(const SweepSpec& spec, const SweepResult& result,
   if (config == spec.configs || s == spec.seeds.end()) return nullptr;
   return &result.run(config, static_cast<std::size_t>(s - spec.seeds.begin()),
                      spec.seeds.size());
+}
+
+double ConfigMean(const SweepSpec& spec, const SweepResult& sweep,
+                  std::string_view label, std::string_view metric) {
+  const std::size_t config = ConfigIndex(spec, label);
+  if (config == spec.configs) {
+    throw std::out_of_range("no config \"" + std::string(label) +
+                            "\" in the sweep");
+  }
+  return sweep.Mean(config, metric);
+}
+
+TextTable RenderTable(const Plan& plan, const SweepSpec& spec,
+                      const SweepResult& sweep) {
+  const bool per_seed = spec.configs == 1;
+  std::vector<std::string> header = {per_seed ? "seed" : "config"};
+  for (const Column& column : plan.columns) {
+    bool reported = false;
+    for (std::size_t c = 0; c < spec.configs; ++c) {
+      reported = reported || FindSummary(sweep, c, column.metric) != nullptr;
+    }
+    if (!reported) {
+      throw std::out_of_range("column \"" + column.header +
+                              "\": no config reports \"" + column.metric +
+                              "\"");
+    }
+    header.push_back(column.header);
+  }
+  TextTable table(std::move(header));
+  if (per_seed) {
+    for (const RunRecord& run : sweep.runs) {
+      std::vector<std::string> row = {std::to_string(run.seed)};
+      for (const Column& column : plan.columns) {
+        const bool value =
+            column.stat == Stat::kMean || column.stat == Stat::kSeeds;
+        row.push_back(value ? Format(column, run.Metric(column.metric)) : "-");
+      }
+      table.AddRow(std::move(row));
+    }
+    return table;
+  }
+  for (std::size_t c = 0; c < spec.configs; ++c) {
+    const std::string& name = plan.configs[c].name;
+    std::vector<std::string> row = {name.empty() ? spec.Label(c) : name};
+    for (const Column& column : plan.columns) {
+      row.push_back(ConfigCell(column, spec, sweep, c));
+    }
+    table.AddRow(std::move(row));
+  }
+  return table;
 }
 
 std::vector<std::string> EvaluateGates(const Plan& plan,

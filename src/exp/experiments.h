@@ -1,8 +1,10 @@
-// The experiments the hogbench table lists (src/exp/experiment.cc), and the
-// run functions of two of them that tests drive at sizes of their own.
+// The experiments the hogbench table lists (src/exp/experiment.cc), the
+// run functions of two of them that tests drive at sizes of their own, and
+// Fig. 4's derived crossover.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "src/exp/experiment.h"
 
@@ -16,6 +18,13 @@ extern const Experiment kFig4;
 extern const Experiment kFig5Table4;
 extern const Experiment kExpZombieDatanodes;
 extern const Experiment kExpDiskOverflow;
+
+/// Fig. 4's equivalence point in HOG nodes: where the "hog<nodes>" configs'
+/// mean response first falls to "cluster100"'s, interpolated linearly
+/// between the sampling points on either side; nullopt when it never does.
+/// Points the sweep lacks (--fast) or never measured are passed over.
+std::optional<double> Fig4Crossover(const SweepSpec& spec,
+                                    const SweepResult& sweep);
 
 // The design choices the paper asserts: src/exp/ablation_experiments.cc.
 extern const Experiment kAblationDelayScheduling;

@@ -105,13 +105,17 @@ Plan SchedPlan(const Setup& setup) {
            return RunSchedWorkload({}, seed, ropts);
          }});
   }
-  plan.header = [&setup](const SweepSpec& spec) {
-    std::printf("Scheduler head-to-head: %zu polic%s x %zu seed(s), chaos "
-                "palette armed%s\n\n",
-                spec.configs, spec.configs == 1 ? "y" : "ies",
-                spec.seeds.size(),
-                setup.opts.audit ? ", auditor fail-fast" : "");
-  };
+  plan.columns = {
+      {.header = "goodput (tasks/slot-h)", .metric = "goodput_per_slot_hour",
+       .decimals = 2},
+      {.header = "vs fifo", .metric = "goodput_per_slot_hour",
+       .stat = Stat::kRatio, .of = "fifo", .decimals = 2, .unit = "x"},
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "jobs failed", .metric = "jobs_failed", .decimals = 1},
+      {.header = "speculative attempts", .metric = "speculative_attempts",
+       .decimals = 1},
+      {.header = "maps re-executed", .metric = "maps_reexecuted",
+       .decimals = 1}};
   return plan;
 }
 
@@ -225,11 +229,15 @@ Plan ScalePlan(const Setup& setup) {
            return RunScaleWorkload(point, seed, setup.hog);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Scale grid: %zu config(s) x %zu seed(s), auditor armed "
-                "(fail-fast)\n\n",
-                spec.configs, spec.seeds.size());
-  };
+  plan.columns = {
+      {.header = "sim hours", .metric = "sim_hours", .decimals = 2},
+      {.header = "executed events", .metric = "executed_events",
+       .decimals = 2, .scale = 1e-6, .unit = "M"},
+      {.header = "cancelled events", .metric = "cancelled_events"},
+      {.header = "wall (s)", .metric = "host.wall_s", .decimals = 1},
+      {.header = "events/s", .metric = "host.events_per_sec", .scale = 1e-3,
+       .unit = "k"},
+      {.header = "peak RSS (MiB)", .metric = "host.peak_rss_mib"}};
   return plan;
 }
 
@@ -462,7 +470,6 @@ Metrics RunGrayStorm(bool quarantine, std::uint64_t seed,
 
 /// One jitter palette of the frontier: its phi row and deadline rows.
 struct Palette {
-  SimDuration jitter = 0;
   std::string phi = {};
   std::vector<std::string> deadlines = {};
 };
@@ -549,7 +556,7 @@ Plan GrayPlan(const Setup& setup) {
   Plan plan;
   std::vector<Palette> palettes;
   for (const Jitter& j : jitters) {
-    Palette palette{.jitter = j.jitter};
+    Palette palette;
     for (const Detector& det : detectors) {
       const std::string label = std::string(j.tag) + "-" + det.name;
       Config config{.label = label,
@@ -580,41 +587,12 @@ Plan GrayPlan(const Setup& setup) {
            return RunGrayStorm(quarantine, seed, setup.hog);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Gray-failure bench: %zu rows x %zu seed(s) (detector "
-                "frontier + slow-node storm)\n\n",
-                spec.configs, spec.seeds.size());
-  };
-  // Means per row over seeds: the frontier per palette, quietest jitter
-  // first, then the storm.
-  std::sort(palettes.begin(), palettes.end(),
-            [](const Palette& a, const Palette& b) {
-              return a.jitter < b.jitter;
-            });
-  plan.table = [palettes](const SweepSpec& spec, const SweepResult& sweep) {
-    for (const Palette& palette : palettes) {
-      const std::size_t phi = ConfigIndex(spec, palette.phi);
-      if (phi == spec.configs) continue;
-      std::printf("palette %llds: phi fp=%g detect=%gs\n",
-                  static_cast<long long>(palette.jitter / kSecond),
-                  sweep.Mean(phi, "false_suspects"),
-                  sweep.Mean(phi, "detect_all_s"));
-      for (const std::string& label : palette.deadlines) {
-        const std::size_t dl = ConfigIndex(spec, label);
-        std::printf("  %-10s fp=%g detect=%gs\n", label.c_str(),
-                    sweep.Mean(dl, "false_suspects"),
-                    sweep.Mean(dl, "detect_all_s"));
-      }
-    }
-    const std::size_t bare = ConfigIndex(spec, "storm-bare");
-    const std::size_t quarantined = ConfigIndex(spec, "storm-quarantine");
-    std::printf(
-        "storm: goodput bare=%g quarantine=%g (violations %g / %g)\n",
-        sweep.Mean(bare, "goodput_per_slot_hour"),
-        sweep.Mean(quarantined, "goodput_per_slot_hour"),
-        sweep.Summary(bare, "audit_violations").stats.sum(),
-        sweep.Summary(quarantined, "audit_violations").stats.sum());
-  };
+  plan.columns = {
+      {.header = "false suspects", .metric = "false_suspects", .decimals = 1},
+      {.header = "detect all (s)", .metric = "detect_all_s", .decimals = 1},
+      {.header = "goodput (tasks/slot-h)", .metric = "goodput_per_slot_hour",
+       .decimals = 1},
+      {.header = "audit violations", .metric = "audit_violations"}};
   for (const Palette& palette : palettes) {
     plan.relations.push_back(
         [palette](const SweepSpec& spec, const SweepResult& sweep,

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,18 @@
 namespace hogsim::exp {
 
 namespace {
+
+/// A paper table printed verbatim before the sweep, under its title.
+std::string PaperTable(const char* title, const TextTable& table) {
+  std::ostringstream os;
+  os << title << "\n\n";
+  table.Print(os);
+  return os.str();
+}
+
+// The paper's x-axis sampling points for Fig. 4.
+constexpr int kFig4Nodes[] = {40, 50,  55,  60,  99,  100,
+                              132, 160, 171, 180, 974, 1101};
 
 // ---------------------------------------------------------------------------
 // Table I — "Facebook production workload": the nine job-size bins with
@@ -43,47 +56,38 @@ Plan Table1Plan(const Setup&) {
                               ToSeconds(schedule.back().submit_time));
          return metrics;
        }});
-  plan.header = [](const SweepSpec&) {
-    std::printf("Table I: Facebook production workload (paper, verbatim)\n\n");
-    TextTable table({"Bin", "#Maps at Facebook", "%Jobs at Facebook",
-                     "#Maps in Benchmark", "# of jobs in Benchmark"});
-    for (const auto& bin : workload::FacebookTable1()) {
-      table.AddRow({std::to_string(bin.bin), bin.maps_label,
-                    FormatDouble(bin.fraction * 100, 0) + "%",
-                    std::to_string(bin.maps), std::to_string(bin.jobs)});
-    }
-    table.Print(std::cout);
-  };
+  TextTable paper({"Bin", "#Maps at Facebook", "%Jobs at Facebook",
+                   "#Maps in Benchmark", "# of jobs in Benchmark"});
+  for (const auto& bin : workload::FacebookTable1()) {
+    paper.AddRow({std::to_string(bin.bin), bin.maps_label,
+                  FormatDouble(bin.fraction * 100, 0) + "%",
+                  std::to_string(bin.maps), std::to_string(bin.jobs)});
+  }
+  plan.preface = PaperTable(
+      "Table I: Facebook production workload (paper, verbatim)", paper);
+  plan.columns = {{.header = "jobs", .metric = "jobs"}};
+  for (int b = 1; b <= 6; ++b) {
+    plan.columns.push_back({.header = "bin " + std::to_string(b),
+                            .metric = "bin" + std::to_string(b)});
+  }
+  plan.columns.push_back(
+      {.header = "schedule (s)", .metric = "schedule_len_s"});
   // The benchmark uses bins 1-6 (~89% of Facebook's jobs): every seed must
   // realize exactly that mix.
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    std::printf("\nGenerated schedule check (bins 1-6, 88 jobs):\n\n");
-    TextTable check({"seed", "jobs", "bin counts (1..6)", "schedule length"});
-    for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
-      const RunRecord& run = sweep.run(0, s, spec.seeds.size());
-      std::string counts;
-      for (int b = 1; b <= 6; ++b) {
-        if (b > 1) counts += "/";
-        counts += FormatDouble(run.Metric("bin" + std::to_string(b)), 0);
-      }
-      check.AddRow({std::to_string(run.seed),
-                    FormatDouble(run.Metric("jobs"), 0), counts,
-                    FormatDuration(FromSeconds(run.Metric("schedule_len_s")))});
-    }
-    check.Print(std::cout);
-
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     double covered = 0;
     for (const auto& bin : workload::FacebookTable1()) {
       if (bin.bin <= 6) covered += bin.fraction;
     }
-    const auto& jobs = sweep.Summary(0, "jobs").stats;
+    const bool exact = std::all_of(
+        sweep.runs.begin(), sweep.runs.end(),
+        [](const RunRecord& run) { return run.Metric("jobs") == 88; });
     std::printf(
         "\nBins 1-6 cover %.0f%% of Facebook's jobs (paper: ~89%%); mean "
         "inter-arrival 14 s (exponential) => ~21 min schedule.\n",
         covered * 100);
     std::printf("Mix exact for all %zu seeds: %s (88 jobs each)\n",
-                spec.seeds.size(),
-                (jobs.min() == 88 && jobs.max() == 88) ? "YES" : "NO");
+                spec.seeds.size(), YesNo(exact));
   };
   return plan;
 }
@@ -110,23 +114,26 @@ Plan Table2Plan(const Setup&) {
                  {"reduce_tasks", static_cast<double>(reduces)},
                  {"input_gib", static_cast<double>(input) / kGiB}};
        }});
-  plan.header = [](const SweepSpec&) {
-    std::printf("Table II: truncated workload (paper, verbatim)\n\n");
-    TextTable table({"Bin", "Map Tasks", "Reduce Tasks"});
-    for (const auto& bin : workload::FacebookTable2()) {
-      table.AddRow({std::to_string(bin.bin), std::to_string(bin.map_tasks),
-                    std::to_string(bin.reduce_tasks)});
-    }
-    table.Print(std::cout);
-  };
-  plan.table = [](const SweepSpec&, const SweepResult& sweep) {
-    const RunningStats& maps = sweep.Summary(0, "map_tasks").stats;
-    const RunningStats& reduces = sweep.Summary(0, "reduce_tasks").stats;
-    std::printf("\nSchedule totals (every seed): %.0f map tasks, %.0f reduce "
-                "tasks, %.1f GiB of input data (64 MiB per map, §II.A)\n",
-                maps.mean(), reduces.mean(), sweep.Mean(0, "input_gib"));
-    std::printf("Totals seed-invariant (stddev 0): %s\n",
-                (maps.stddev() == 0 && reduces.stddev() == 0) ? "YES" : "NO");
+  TextTable paper({"Bin", "Map Tasks", "Reduce Tasks"});
+  for (const auto& bin : workload::FacebookTable2()) {
+    paper.AddRow({std::to_string(bin.bin), std::to_string(bin.map_tasks),
+                  std::to_string(bin.reduce_tasks)});
+  }
+  plan.preface =
+      PaperTable("Table II: truncated workload (paper, verbatim)", paper);
+  plan.columns = {{.header = "map tasks", .metric = "map_tasks"},
+                  {.header = "reduce tasks", .metric = "reduce_tasks"},
+                  {.header = "input (GiB)", .metric = "input_gib",
+                   .decimals = 1}};
+  plan.notes = [](const SweepSpec&, const SweepResult& sweep) {
+    const RunRecord& first = sweep.runs.front();
+    const bool invariant = std::all_of(
+        sweep.runs.begin(), sweep.runs.end(), [&](const RunRecord& run) {
+          return run.Metric("map_tasks") == first.Metric("map_tasks") &&
+                 run.Metric("reduce_tasks") == first.Metric("reduce_tasks");
+        });
+    std::printf("\nTotals seed-invariant (64 MiB of input per map): %s\n",
+                YesNo(invariant));
   };
   return plan;
 }
@@ -146,39 +153,23 @@ Metrics RunCluster(std::uint64_t seed) {
 Plan Table3Plan(const Setup&) {
   Plan plan;
   plan.configs.push_back({.label = "cluster100", .run = RunCluster});
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Table III: dedicated MapReduce cluster configuration\n\n");
-    TextTable table({"Nodes", "Quantity", "Configuration"});
-    table.AddRow({"Master node", "1", "2x 2.2GHz CPUs, 1 Gbps Ethernet"});
-    table.AddRow({"Slave nodes-I", "20",
-                  "2x dual-core 2.2GHz, 1 Gbps, 4 map + 1 reduce slots"});
-    table.AddRow({"Slave nodes-II", "10",
-                  "2x single-core 2.2GHz, 1 Gbps, 2 map + 1 reduce slots"});
-    table.Print(std::cout);
-
-    baseline::DedicatedCluster probe(1);
-    std::printf("\nInstantiated cluster: %d slaves, %d map slots, %d reduce "
-                "slots (paper: 100 cores)\n",
-                probe.slave_count(), probe.total_map_slots(),
-                probe.total_reduce_slots());
-    std::printf("\nBaseline measurement (Facebook workload, %zu run(s)):\n\n",
-                spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable runs({"seed", "response time (s)", "jobs ok", "jobs failed"});
-    for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
-      const RunRecord& run = sweep.run(0, s, spec.seeds.size());
-      runs.AddRow({std::to_string(run.seed),
-                   FormatDouble(run.Metric("response_s"), 0),
-                   FormatDouble(run.Metric("jobs_ok"), 0),
-                   FormatDouble(run.Metric("jobs_failed"), 0)});
-    }
-    runs.Print(std::cout);
-    const MetricSummary& response = sweep.Summary(0, "response_s");
-    std::printf("\nCluster baseline: mean %.0f s +-%.0f (95%% CI; the Fig. 4 "
-                "dashed line)\n",
-                response.stats.mean(), response.ci95_halfwidth);
-  };
+  TextTable paper({"Nodes", "Quantity", "Configuration"});
+  paper.AddRow({"Master node", "1", "2x 2.2GHz CPUs, 1 Gbps Ethernet"});
+  paper.AddRow({"Slave nodes-I", "20",
+                "2x dual-core 2.2GHz, 1 Gbps, 4 map + 1 reduce slots"});
+  paper.AddRow({"Slave nodes-II", "10",
+                "2x single-core 2.2GHz, 1 Gbps, 2 map + 1 reduce slots"});
+  baseline::DedicatedCluster probe(1);
+  plan.preface =
+      PaperTable("Table III: dedicated MapReduce cluster configuration",
+                 paper) +
+      "\nInstantiated cluster: " + std::to_string(probe.slave_count()) +
+      " slaves, " + std::to_string(probe.total_map_slots()) +
+      " map slots, " + std::to_string(probe.total_reduce_slots()) +
+      " reduce slots (paper: 100 cores)\n";
+  plan.columns = {{.header = "response (s)", .metric = "response_s"},
+                  {.header = "jobs ok", .metric = "jobs_ok"},
+                  {.header = "jobs failed", .metric = "jobs_failed"}};
   return plan;
 }
 
@@ -187,8 +178,8 @@ Plan Table3Plan(const Setup&) {
 // workload's response time on HOG deployments of the paper's sampled sizes
 // (40..1101 nodes, 3 runs each) against the dedicated 100-core cluster's
 // constant baseline. The paper's headline: HOG needs [99,100] nodes for
-// equivalent performance. Config 0 is the dedicated cluster, the rest the
-// HOG sampling points, labelled "hog<nodes>"; --fast keeps 55, 100 and 180.
+// equivalent performance. The dedicated cluster is config "cluster100",
+// the HOG sampling points "hog<nodes>"; --fast keeps 55, 100 and 180.
 
 Plan Fig4Plan(const Setup& setup) {
   Plan plan;
@@ -198,9 +189,7 @@ Plan Fig4Plan(const Setup& setup) {
                                            {"preemptions", 0.0},
                                            {"reached", 1.0}};
                           }});
-  // The paper's x-axis sampling points.
-  for (const int nodes :
-       {40, 50, 55, 60, 99, 100, 132, 160, 171, 180, 974, 1101}) {
+  for (const int nodes : kFig4Nodes) {
     plan.configs.push_back(
         {.label = "hog" + std::to_string(nodes),
          .fast = nodes == 55 || nodes == 100 || nodes == 180,
@@ -218,56 +207,17 @@ Plan Fig4Plan(const Setup& setup) {
                    {"reached", result.reached_target ? 1.0 : 0.0}};
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Fig. 4: HOG vs. cluster equivalent performance\n");
-    std::printf("(Facebook workload; %zu run(s) per point)\n\n",
-                spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    const std::size_t n_seeds = spec.seeds.size();
-    const double cluster_mean = sweep.Mean(0, "response_s");
-    std::printf("\nDedicated cluster (100 cores): %.0f s\n\n", cluster_mean);
-
-    TextTable table({"max nodes", "runs (s)", "mean (s)", "ci95",
-                     "vs cluster", "preempt/run"});
-    double prev_mean = -1;
-    int crossover = -1;
-    int prev_point = -1;
-    for (std::size_t c = 1; c < spec.configs; ++c) {
-      const int nodes = std::stoi(spec.config_labels[c].substr(3));
-      std::string per_seed;
-      for (std::size_t s = 0; s < n_seeds; ++s) {
-        const RunRecord& run = sweep.run(c, s, n_seeds);
-        if (s) per_seed += " / ";
-        const double seconds = run.Metric("response_s");
-        per_seed += std::isfinite(seconds) ? FormatDouble(seconds, 0)
-                                           : "unreached";
-      }
-      const MetricSummary& response = sweep.Summary(c, "response_s");
-      const MetricSummary& preempts = sweep.Summary(c, "preemptions");
-      table.AddRow({std::to_string(nodes), per_seed,
-                    FormatDouble(response.stats.mean(), 0),
-                    "+-" + FormatDouble(response.ci95_halfwidth, 0),
-                    FormatDouble(response.stats.mean() / cluster_mean, 2) +
-                        "x",
-                    FormatDouble(preempts.stats.mean(), 0)});
-      if (crossover < 0 && prev_mean > cluster_mean &&
-          response.stats.mean() <= cluster_mean &&
-          response.stats.count() > 0) {
-        // Linear interpolation between the two sampling points.
-        crossover = prev_point +
-                    static_cast<int>((prev_mean - cluster_mean) /
-                                     (prev_mean - response.stats.mean()) *
-                                     (nodes - prev_point));
-      }
-      prev_mean = response.stats.mean();
-      prev_point = nodes;
-    }
-    table.Print(std::cout);
-
-    if (crossover > 0) {
-      std::printf("\nEquivalent performance at ~%d HOG nodes "
-                  "(paper: [99,100]).\n", crossover);
+  plan.columns = {
+      {.header = "runs (s)", .metric = "response_s", .stat = Stat::kSeeds},
+      {.header = "mean (s)", .metric = "response_s"},
+      {.header = "ci95", .metric = "response_s", .stat = Stat::kCi95},
+      {.header = "vs cluster", .metric = "response_s", .stat = Stat::kRatio,
+       .of = "cluster100", .decimals = 2, .unit = "x"},
+      {.header = "preempt/run", .metric = "preemptions"}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
+    if (const std::optional<double> nodes = Fig4Crossover(spec, sweep)) {
+      std::printf("\nEquivalent performance at ~%.0f HOG nodes "
+                  "(paper: [99,100]).\n", *nodes);
     } else {
       std::printf("\nNo crossover detected in the sampled range.\n");
     }
@@ -286,9 +236,6 @@ Plan Fig4Plan(const Setup& setup) {
 // (c), and the integral of each curve over its execution window next to
 // its response time. The paper's observation: more node fluctuation goes
 // with longer response.
-//
-//   paper:  5a: 4396 s / 181020      5b: 3896 s / 172360
-//           5c: 6235 s / 252455   (c is the unstable run)
 //
 // One config ("hog55"); each seed is one of the paper's executions, and
 // the LAST seed runs on the unstable grid. --fast keeps one stable run and
@@ -326,56 +273,41 @@ Plan Fig5Table4Plan(const Setup& setup) {
                  {"area_node_s", run.area_beneath_curve},
                  {"mean_nodes", run.mean_reported_nodes}};
        }});
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("Fig. 5 and Table IV: HOG node fluctuation and the area "
-                "beneath it (%zu 55-node executions)\n",
-                spec.seeds.size());
-  };
-  plan.table = [traces](const SweepSpec&, const SweepResult& sweep) {
-    // One config, so the runs are in seed order.
+  TextTable paper({"Figure No.", "Response Time (s)", "Area (node-s)"});
+  paper.AddRow({"5a", "4396", "181020"});
+  paper.AddRow({"5b", "3896", "172360"});
+  paper.AddRow({"5c", "6235", "252455"});
+  plan.preface = PaperTable(
+      "Table IV (paper, verbatim): area beneath the Fig. 5 curves", paper);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "area (node-s)", .metric = "area_node_s"},
+      {.header = "mean nodes", .metric = "mean_nodes", .decimals = 1}};
+  plan.notes = [traces](const SweepSpec&, const SweepResult& sweep) {
+    // One config, so the runs are in seed order and the last is unstable.
     const std::vector<RunRecord>& runs = sweep.runs;
-
-    std::printf("\nTable IV: area beneath the Fig. 5 node-availability "
-                "curves\n\n");
-    // Paper reference values for the canonical three-run configuration.
-    struct PaperRow {
-      double response;
-      double area;
+    const auto unstable_largest = [&runs](const char* metric) {
+      return std::all_of(runs.begin(), runs.end() - 1,
+                         [&](const RunRecord& run) {
+                           return runs.back().Metric(metric) >
+                                  run.Metric(metric);
+                         });
     };
-    const PaperRow paper[] = {{4396, 181020}, {3896, 172360}, {6235, 252455}};
-    const bool canonical = runs.size() == 3;
-    TextTable table({"Figure No.", "Response Time (s)", "Area (node-s)",
-                     "mean nodes", "paper response", "paper area"});
-    for (std::size_t idx = 0; idx < runs.size(); ++idx) {
-      std::string figure = "5";
-      figure += static_cast<char>('a' + idx);
-      table.AddRow({figure, FormatDouble(runs[idx].Metric("response_s"), 0),
-                    FormatDouble(runs[idx].Metric("area_node_s"), 0),
-                    FormatDouble(runs[idx].Metric("mean_nodes"), 1),
-                    canonical ? FormatDouble(paper[idx].response, 0) : "-",
-                    canonical ? FormatDouble(paper[idx].area, 0) : "-"});
-    }
-    table.Print(std::cout);
-    bool ordering_holds = true;
-    for (std::size_t idx = 0; idx + 1 < runs.size(); ++idx) {
-      ordering_holds = ordering_holds && runs.back().Metric("response_s") >
-                                             runs[idx].Metric("response_s");
-    }
     std::printf("\nShape check: unstable run (last) has the longest "
-                "response: %s\n", ordering_holds ? "YES (matches paper)" : "NO");
-    std::printf("Paper's rule reproduced: more fluctuation beneath the curve "
-                "=> longer response for the same workload.\n");
+                "response: %s\n",
+                unstable_largest("response_s") ? "YES (matches paper)" : "NO");
+    std::printf("Area check: unstable run (last) has the largest area "
+                "beneath its curve: %s\n",
+                unstable_largest("area_node_s") ? "YES (matches paper)"
+                                                : "NO (paper: 5c largest)");
 
     for (std::size_t idx = 0; idx < runs.size(); ++idx) {
       const bool unstable = idx + 1 == runs.size();
       const Fig5Trace& trace = (*traces)[idx];
-      std::printf("\nFig. 5%c (%s): response %.0f s, area %.0f node-s, mean "
-                  "%.1f reported nodes, %llu preemptions\n",
+      std::printf("\nFig. 5%c (seed %llu, %s): %llu preemptions\n",
                   static_cast<char>('a' + idx),
+                  static_cast<unsigned long long>(runs[idx].seed),
                   unstable ? "55 unstable nodes" : "55 stable nodes",
-                  runs[idx].Metric("response_s"),
-                  runs[idx].Metric("area_node_s"),
-                  runs[idx].Metric("mean_nodes"),
                   static_cast<unsigned long long>(trace.preemptions));
       std::printf("  t(s)    nodes  |bar (each # = 2 nodes)\n");
       for (const auto& [t, v] : trace.samples) {
@@ -460,27 +392,19 @@ Plan ZombiePlan(const Setup& setup) {
   Plan plan;
   for (const ZombieVariant& variant : kZombieVariants) {
     plan.configs.push_back(
-        {.label = variant.label, .run = [&setup, &variant](std::uint64_t seed) {
+        {.label = variant.label,
+         .name = variant.name,
+         .run = [&setup, &variant](std::uint64_t seed) {
            return RunZombie(variant, seed, setup);
          }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("§IV.D.1: abandoned (zombie) datanodes\n");
-    std::printf("(identical 6-wave preemption injection; only the daemons' "
-                "fate differs; %zu seed(s))\n\n", spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"variant", "response (s)", "failed jobs", "attempts",
-                     "zombie events", "zombies at end"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({kZombieVariants[c].name,
-                    FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "failed_jobs"), 1),
-                    FormatDouble(sweep.Mean(c, "attempts"), 0),
-                    FormatDouble(sweep.Mean(c, "zombie_events"), 1),
-                    FormatDouble(sweep.Mean(c, "zombies_left"), 1)});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "attempts", .metric = "attempts"},
+      {.header = "zombie events", .metric = "zombie_events", .decimals = 1},
+      {.header = "zombies at end", .metric = "zombies_left", .decimals = 1}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nExpected shape: under the bug EVERY zombie haunts the pool to the "
         "end — tasks keep landing on them and failing instantly, so jobs "
@@ -489,20 +413,20 @@ Plan ZombiePlan(const Setup& setup) {
         "zombies within ~3 minutes, cutting the failures; the process-tree "
         "fix never creates zombies and is the only variant that completes "
         "the whole workload.\n");
-    const auto failed = [&](std::size_t c) {
-      return sweep.Mean(c, "failed_jobs");
+    const auto failed = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "failed_jobs");
     };
-    const auto left = [&](std::size_t c) {
-      return sweep.Mean(c, "zombies_left");
+    const auto left = [&](const char* label) {
+      return ConfigMean(spec, sweep, label, "zombies_left");
     };
-    std::printf("Failed jobs strictly improve bug -> probe -> process-tree: "
-                "%s; zombies drained by the fixes: %s\n",
-                (failed(0) > failed(1) && failed(1) > failed(2)) ? "YES"
-                                                                 : "NO",
-                (left(0) >= sweep.Mean(0, "zombie_events") && left(1) <= 2 &&
-                 left(2) == 0)
-                    ? "YES"
-                    : "NO");
+    std::printf(
+        "Failed jobs strictly improve bug -> probe -> process-tree: %s; "
+        "zombies drained by the fixes: %s\n",
+        YesNo(failed("bug_no_probe") > failed("probe_3min") &&
+              failed("probe_3min") > failed("process_tree")),
+        YesNo(left("bug_no_probe") >=
+                  ConfigMean(spec, sweep, "bug_no_probe", "zombie_events") &&
+              left("probe_3min") <= 2 && left("process_tree") == 0));
   };
   return plan;
 }
@@ -569,47 +493,59 @@ Metrics RunDiskOverflow(const DiskCase& c, std::uint64_t seed,
 Plan DiskOverflowPlan(const Setup& setup) {
   Plan plan;
   for (const DiskCase& c : kDiskCases) {
-    plan.configs.push_back(
-        {.label = c.label, .run = [&setup, &c](std::uint64_t seed) {
-           return RunDiskOverflow(c, seed, setup);
-         }});
+    plan.configs.push_back({.label = c.label, .name = c.name,
+                            .run = [&setup, &c](std::uint64_t seed) {
+                              return RunDiskOverflow(c, seed, setup);
+                            }});
   }
-  plan.header = [](const SweepSpec& spec) {
-    std::printf("§IV.D.2: disk overflow from retained intermediate data\n");
-    std::printf("(replication 10, 40 nodes, bins 1-5; Hadoop keeps map "
-                "output until the job completes; %zu seed(s))\n\n",
-                spec.seeds.size());
-  };
-  plan.table = [](const SweepSpec& spec, const SweepResult& sweep) {
-    TextTable table({"configuration", "response (s)", "jobs ok",
-                     "jobs failed", "attempts", "peak disk util"});
-    for (std::size_t c = 0; c < spec.configs; ++c) {
-      table.AddRow({kDiskCases[c].name,
-                    FormatDouble(sweep.Mean(c, "response_s"), 0),
-                    FormatDouble(sweep.Mean(c, "jobs_ok"), 1),
-                    FormatDouble(sweep.Mean(c, "jobs_failed"), 1),
-                    FormatDouble(sweep.Mean(c, "attempts"), 0),
-                    FormatDouble(sweep.Mean(c, "peak_disk_util") * 100, 1) +
-                        "%"});
-    }
-    table.Print(std::cout);
+  plan.columns = {
+      {.header = "response (s)", .metric = "response_s"},
+      {.header = "jobs ok", .metric = "jobs_ok", .decimals = 1},
+      {.header = "jobs failed", .metric = "jobs_failed", .decimals = 1},
+      {.header = "attempts", .metric = "attempts"},
+      {.header = "peak disk util", .metric = "peak_disk_util", .decimals = 1,
+       .scale = 100, .unit = "%"}};
+  plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nExpected shape: tight disks run at ~100%% utilization and report "
         "out-of-disk task failures (extra attempts, possibly failed jobs), "
         "exactly the worker-out-of-disk errors the paper saw; roomy disks "
         "stay clean.\n");
-    std::printf(
-        "Overflow visible on tight disks: %s\n",
-        (sweep.Mean(0, "peak_disk_util") > 0.97 &&
-         (sweep.Mean(0, "jobs_failed") > sweep.Mean(1, "jobs_failed") ||
-          sweep.Mean(0, "attempts") > sweep.Mean(1, "attempts")))
-            ? "YES"
-            : "NO");
+    const auto tight = [&](const char* metric) {
+      return ConfigMean(spec, sweep, "disk8gib", metric);
+    };
+    const auto roomy = [&](const char* metric) {
+      return ConfigMean(spec, sweep, "disk100gib", metric);
+    };
+    std::printf("Overflow visible on tight disks: %s\n",
+                YesNo(tight("peak_disk_util") > 0.97 &&
+                      (tight("jobs_failed") > roomy("jobs_failed") ||
+                       tight("attempts") > roomy("attempts"))));
   };
   return plan;
 }
 
 }  // namespace
+
+std::optional<double> Fig4Crossover(const SweepSpec& spec,
+                                    const SweepResult& sweep) {
+  const double cluster = ConfigMean(spec, sweep, "cluster100", "response_s");
+  double prev_nodes = 0, prev_mean = 0;  // no point above the cluster yet
+  for (const int nodes : kFig4Nodes) {
+    const std::size_t config = ConfigIndex(spec, "hog" + std::to_string(nodes));
+    if (config == spec.configs) continue;
+    const RunningStats& response = sweep.Summary(config, "response_s").stats;
+    if (response.count() == 0) continue;
+    if (prev_mean > cluster && response.mean() <= cluster) {
+      return prev_nodes + (prev_mean - cluster) /
+                              (prev_mean - response.mean()) *
+                              (nodes - prev_nodes);
+    }
+    prev_nodes = nodes;
+    prev_mean = response.mean();
+  }
+  return std::nullopt;
+}
 
 extern const Experiment kTable1 = {
     .name = "table1",

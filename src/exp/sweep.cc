@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <exception>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
-#include "src/util/log.h"
+#include "src/obs/json_util.h"
 
 namespace hogsim::exp {
 
@@ -41,31 +39,47 @@ const MetricSummary& SweepResult::Summary(std::size_t config,
                           " summaries");
 }
 
-namespace {
-
-std::vector<std::vector<MetricSummary>> Aggregate(const SweepSpec& spec,
-                                                  const std::vector<RunRecord>& runs) {
+std::vector<std::vector<MetricSummary>> Summarize(
+    const SweepSpec& spec, const std::vector<RunRecord>& runs) {
   std::vector<std::vector<MetricSummary>> summaries(spec.configs);
   const std::size_t n = spec.seeds.size();
   for (std::size_t c = 0; c < spec.configs; ++c) {
     if (n == 0) continue;
-    const Metrics& first = runs[c * n].metrics;
+    const RunRecord& head = runs[c * n];
+    const Metrics& first = head.metrics;
+    // A run whose layout differs from its config's first run would drop
+    // out of that config's means without a word.
+    for (std::size_t s = 1; s < n; ++s) {
+      const RunRecord& run = runs[c * n + s];
+      std::size_t m = 0;
+      while (m < first.size() && m < run.metrics.size() &&
+             run.metrics[m].first == first[m].first) {
+        ++m;
+      }
+      if (m == first.size() && m == run.metrics.size()) continue;
+      const auto name = [m](const Metrics& metrics) {
+        return m < metrics.size() ? "\"" + metrics[m].first + "\""
+                                  : std::string("nothing");
+      };
+      throw std::runtime_error(
+          spec.Label(c) + " seed " + std::to_string(run.seed) + ": metric " +
+          std::to_string(m) + " is " + name(run.metrics) + ", but seed " +
+          std::to_string(head.seed) + " has " + name(first));
+    }
     for (std::size_t m = 0; m < first.size(); ++m) {
       MetricSummary summary;
       summary.name = first[m].first;
       std::vector<double> values;
       values.reserve(n);
       for (std::size_t s = 0; s < n; ++s) {
-        const Metrics& metrics = runs[c * n + s].metrics;
-        // Run functions must emit a fixed metric layout per config.
-        if (m >= metrics.size() || metrics[m].first != summary.name) continue;
+        const double value = runs[c * n + s].metrics[m].second;
         // Non-finite values mark runs where the metric was unmeasurable
         // (e.g. a deployment that never reached its node target); they
         // serialize as null per-run and are excluded from the summary so
         // they cannot poison the mean or the percentile sort.
-        if (!std::isfinite(metrics[m].second)) continue;
-        values.push_back(metrics[m].second);
-        summary.stats.Add(metrics[m].second);
+        if (!std::isfinite(value)) continue;
+        values.push_back(value);
+        summary.stats.Add(value);
       }
       std::sort(values.begin(), values.end());
       summary.p50 = PercentileSorted(values, 0.50);
@@ -81,34 +95,6 @@ std::vector<std::vector<MetricSummary>> Aggregate(const SweepSpec& spec,
   }
   return summaries;
 }
-
-// JSON-safe number rendering: full double precision, finite-only.
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 SweepResult RunSweep(const SweepSpec& spec, const RunFn& fn) {
   SweepResult result;
@@ -154,14 +140,16 @@ SweepResult RunSweep(const SweepSpec& spec, const RunFn& fn) {
   }
   if (error) std::rethrow_exception(error);
 
-  result.summaries = Aggregate(spec, result.runs);
+  result.summaries = Summarize(spec, result.runs);
   return result;
 }
 
 std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
+  using obs::JsonEscape;
+  using obs::JsonNumber;
   std::ostringstream os;
   os << "{\n";
-  os << "  \"name\": \"" << JsonEscape(spec.name) << "\",\n";
+  os << "  \"name\": " << JsonEscape(spec.name) << ",\n";
   os << "  \"configs\": " << spec.configs << ",\n";
   os << "  \"seeds\": [";
   for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
@@ -175,9 +163,9 @@ std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
     for (const MetricSummary& m : result.summaries[c]) {
       if (!first_summary) os << ",\n";
       first_summary = false;
-      os << "    {\"config\": \"" << JsonEscape(spec.Label(c))
-         << "\", \"metric\": \"" << JsonEscape(m.name)
-         << "\", \"count\": " << m.stats.count()
+      os << "    {\"config\": " << JsonEscape(spec.Label(c))
+         << ", \"metric\": " << JsonEscape(m.name)
+         << ", \"count\": " << m.stats.count()
          << ", \"mean\": " << JsonNumber(m.stats.mean())
          << ", \"stddev\": " << JsonNumber(m.stats.stddev())
          << ", \"min\": " << JsonNumber(m.stats.min())
@@ -193,30 +181,18 @@ std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
   for (std::size_t i = 0; i < result.runs.size(); ++i) {
     const RunRecord& r = result.runs[i];
     if (i) os << ",\n";
-    os << "    {\"config\": \"" << JsonEscape(spec.Label(r.config_index))
-       << "\", \"seed\": " << r.seed << ", \"metrics\": {";
+    os << "    {\"config\": " << JsonEscape(spec.Label(r.config_index))
+       << ", \"seed\": " << r.seed << ", \"metrics\": {";
     for (std::size_t m = 0; m < r.metrics.size(); ++m) {
       if (m) os << ", ";
-      os << "\"" << JsonEscape(r.metrics[m].first)
-         << "\": " << JsonNumber(r.metrics[m].second);
+      os << JsonEscape(r.metrics[m].first) << ": "
+         << JsonNumber(r.metrics[m].second);
     }
     os << "}}";
   }
   os << "\n  ]\n";
   os << "}\n";
   return os.str();
-}
-
-bool WriteBenchJson(const std::string& path, const SweepSpec& spec,
-                    const SweepResult& result) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    HOG_LOG(kWarn, 0, "exp") << "cannot open " << path << " for writing";
-    return false;
-  }
-  out << ToBenchJson(spec, result);
-  out.flush();
-  return static_cast<bool>(out);
 }
 
 }  // namespace hogsim::exp

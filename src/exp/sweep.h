@@ -122,12 +122,13 @@ struct SweepResult {
 /// thread after the pool drains.
 SweepResult RunSweep(const SweepSpec& spec, const RunFn& fn);
 
+/// Per-config summaries of `runs`, one per (config, seed) in RunSweep's
+/// order. Throws std::runtime_error, naming the config, seed and metric,
+/// when a run's metric names differ from its config's first run.
+std::vector<std::vector<MetricSummary>> Summarize(
+    const SweepSpec& spec, const std::vector<RunRecord>& runs);
+
 /// Serializes spec + result to the BENCH_*.json format.
 std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result);
-
-/// Writes ToBenchJson to `path`; returns false (with a log warning) on I/O
-/// failure.
-bool WriteBenchJson(const std::string& path, const SweepSpec& spec,
-                    const SweepResult& result);
 
 }  // namespace hogsim::exp

@@ -1,7 +1,7 @@
-// Tiny JSON emission helpers shared by the obs serializers. Mirrors the
-// conventions of exp::WriteBenchJson (src/exp/sweep.cc): numbers at full
-// double precision via "%.17g", non-finite values as null, strings escaped
-// per RFC 8259. Emission only — parsing lives in src/exp/bench_compare.h.
+// Tiny JSON emission helpers shared by the obs serializers and the
+// BENCH_*.json writer (exp::ToBenchJson): numbers at full double precision
+// via "%.17g", non-finite values as null, strings quoted and escaped per
+// RFC 8259. Emission only — parsing lives in src/exp/bench_compare.h.
 #pragma once
 
 #include <cmath>

@@ -6,7 +6,7 @@
 // (plain counter increments, see metrics.h); tracing is off unless
 // something enables it.
 //
-// The bench harness (exp::RunBenchSweep) never sees the Simulation objects
+// The bench runner (exp::RunExperiment) never sees the Simulation objects
 // its run functions construct internally, so output is delivered through a
 // thread-local RunCapture: the harness installs one per run, the
 // Simulation constructor consults RunCapture::Current() to decide whether

@@ -22,15 +22,17 @@ void TextTable::Print(std::ostream& os) const {
     }
   }
   auto print_row = [&](const std::vector<std::string>& row) {
+    os << '|';
     for (std::size_t c = 0; c < row.size(); ++c) {
-      os << "  " << row[c] << std::string(width[c] - row[c].size(), ' ');
+      os << ' ' << row[c] << std::string(width[c] - row[c].size(), ' ')
+         << " |";
     }
     os << '\n';
   };
   print_row(header_);
-  std::size_t total = 0;
-  for (auto w : width) total += w + 2;
-  os << std::string(total, '-') << '\n';
+  os << '|';
+  for (auto w : width) os << std::string(w + 2, '-') << '|';
+  os << '\n';
   for (const auto& row : rows_) print_row(row);
 }
 

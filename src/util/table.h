@@ -1,5 +1,5 @@
-// Plain-text table rendering for bench output: benches print the paper's
-// tables/figures as aligned text for the terminal.
+// Table rendering for bench output: column-aligned GitHub Markdown, so a
+// table on the terminal pastes into a Markdown document unchanged.
 #pragma once
 
 #include <ostream>
@@ -15,7 +15,8 @@ class TextTable {
   /// Appends a row; must have the same arity as the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Renders with column alignment and a separator under the header.
+  /// Renders a Markdown table: every column padded to its widest cell,
+  /// and a delimiter row under the header.
   void Print(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }

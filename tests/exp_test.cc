@@ -125,21 +125,13 @@ TEST(Sweep, WritesBenchJson) {
   spec.threads = 2;
   const auto result = RunSweep(spec, SimWorkload);
 
-  const std::string path = testing::TempDir() + "BENCH_exp_test.json";
-  ASSERT_TRUE(WriteBenchJson(path, spec, result));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  std::remove(path.c_str());
-
+  const std::string json = ToBenchJson(spec, result);
   EXPECT_NE(json.find("\"name\": \"core\""), std::string::npos);
   EXPECT_NE(json.find("\"seeds\": [7, 9]"), std::string::npos);
   EXPECT_NE(json.find("\"config\": \"schedule_fire\""), std::string::npos);
   EXPECT_NE(json.find("\"metric\": \"executed\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"ci95\""), std::string::npos);
-  EXPECT_EQ(json, ToBenchJson(spec, result));
 }
 
 // The thread count is a pure performance knob: any pool width must produce
@@ -222,6 +214,31 @@ TEST(Sweep, NonFiniteRunValuesAreExcludedFromSummaries) {
 // Golden-output test: integral values render exactly, so the whole
 // artifact can be pinned byte for byte. Guards the BENCH_*.json format
 // against accidental drift (compare_bench and external tooling parse it).
+// A run must report its config's metrics in its config's layout: one that
+// does not fails the summary, naming the config, seed and metric, instead
+// of dropping out of that metric's mean.
+TEST(Sweep, MisShapedRunThrowsNamingConfigSeedAndMetric) {
+  SweepSpec spec;
+  spec.seeds = {1, 2};
+  spec.config_labels = {"c"};
+  spec.threads = 1;
+  const auto message = [&spec](const Metrics& second) -> std::string {
+    try {
+      RunSweep(spec, [&](std::size_t, std::uint64_t seed) {
+        return seed == 1 ? Metrics{{"a", 1}, {"b", 2}} : second;
+      });
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message({{"b", 2}, {"a", 1}}),
+            "c seed 2: metric 0 is \"b\", but seed 1 has \"a\"");
+  EXPECT_EQ(message({{"a", 1}}),
+            "c seed 2: metric 1 is nothing, but seed 1 has \"b\"");
+  EXPECT_EQ(message({{"a", 1}, {"b", 2}}), "no throw");
+}
+
 TEST(Sweep, GoldenBenchJson) {
   SweepSpec spec;
   spec.name = "golden";

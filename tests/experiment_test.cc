@@ -1,24 +1,31 @@
-// The hogbench experiment table, its runner, and the gates carried over
-// from the per-bench contract loops: each gate fails on one violating run,
-// fed through RunSweep with a stand-in run function, with a message
-// naming the config, seed and metric, and the same input without the
-// violation passes.
+// The hogbench experiment table, its runner, its table renderer, and the
+// gates carried over from the per-bench contract loops: each gate fails on
+// one violating run, fed through RunSweep with a stand-in run function,
+// with a message naming the config, seed and metric, and the same input
+// without the violation passes. EXPERIMENTS.md's rendered tables are
+// checked against the committed baselines here too.
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/check/auditor.h"
+#include "src/exp/bench_compare.h"
 #include "src/exp/bench_main.h"
 #include "src/exp/experiment.h"
+#include "src/exp/experiments.h"
 #include "src/sim/simulation.h"
 
 namespace hogsim::exp {
@@ -292,6 +299,30 @@ class Contract {
     return EvaluateGates(plan_, spec_, result);
   }
 
+  /// The table `hogbench <name>` prints for `file`'s runs at the default
+  /// seeds. Throws when the file lacks one of the plan's runs.
+  std::string Rendered(const BenchFile& file) const {
+    SweepResult result;
+    for (std::size_t c = 0; c < spec_.configs; ++c) {
+      for (const std::uint64_t seed : spec_.seeds) {
+        const auto run = std::find_if(
+            file.runs.begin(), file.runs.end(), [&](const BenchRun& r) {
+              return r.config == spec_.config_labels[c] && r.seed == seed;
+            });
+        if (run == file.runs.end()) {
+          throw std::runtime_error("no run " + spec_.config_labels[c] +
+                                   " seed " + std::to_string(seed));
+        }
+        result.runs.push_back(
+            {.config_index = c, .seed = seed, .metrics = run->metrics});
+      }
+    }
+    result.summaries = Summarize(spec_, result.runs);
+    std::ostringstream os;
+    RenderTable(plan_, spec_, result).Print(os);
+    return os.str();
+  }
+
   /// The gates with `fake`'s run of (label, seed) changed by `violate`.
   std::vector<std::string> GatesWith(
       const FakeRun& fake, const std::string& label, std::uint64_t seed,
@@ -549,6 +580,164 @@ TEST(Contracts, GrayPhiOnTheFrontierAndQuarantinePays) {
   EXPECT_TRUE(Names(storm, {"storm-quarantine", "goodput_per_slot_hour",
                             "seed 23: -2", "storm-bare"}));
 }
+
+// --- the table renderer ----------------------------------------------------
+
+/// `fake` swept over configs `labels` at seeds 1 and 2, with a plan whose
+/// configs carry those labels.
+struct FakeSweep {
+  FakeSweep(const std::vector<std::string>& labels, const FakeRun& fake) {
+    spec.seeds = {1, 2};
+    spec.configs = labels.size();
+    spec.config_labels = labels;
+    for (const std::string& label : labels) {
+      plan.configs.push_back({.label = label});
+    }
+    result = RunSweep(spec, [&](std::size_t config, std::uint64_t seed) {
+      return fake(labels[config], seed);
+    });
+  }
+
+  std::string Render() const {
+    std::ostringstream os;
+    RenderTable(plan, spec, result).Print(os);
+    return os.str();
+  }
+
+  Plan plan;
+  SweepSpec spec;
+  SweepResult result;
+};
+
+TEST(RenderTable, OneRowPerConfigWithEveryStatistic) {
+  FakeSweep fake({"a", "b", "c"},
+                 [](const std::string& label, std::uint64_t seed) -> Metrics {
+                   const double s = static_cast<double>(seed);
+                   if (label == "a") return {{"x", 10 * s}, {"y", 0.001}};
+                   if (label == "b") return {{"x", 10 + 20 * s}};
+                   return {{"x", std::nan("")}, {"y", 0.002}};
+                 });
+  fake.plan.configs[0].name = "alpha";
+  fake.plan.columns = {
+      {.header = "x", .metric = "x"},
+      {.header = "ci", .metric = "x", .stat = Stat::kCi95, .decimals = 1},
+      {.header = "seeds", .metric = "x", .stat = Stat::kSeeds},
+      {.header = "vs a", .metric = "x", .stat = Stat::kRatio, .of = "a",
+       .decimals = 2, .unit = "x"},
+      {.header = "vs z", .metric = "x", .stat = Stat::kRatio, .of = "z"},
+      {.header = "y", .metric = "y", .scale = 1000, .unit = " ms"}};
+  // a: x = 10, 20 (CI 1.96 x 7.07 / sqrt 2); b: x = 30, 50 and no y; c: no
+  // finite x. There is no config z to divide by.
+  EXPECT_EQ(fake.Render(),
+            "| config | x  | ci     | seeds   | vs a  | vs z | y    |\n"
+            "|--------|----|--------|---------|-------|------|------|\n"
+            "| alpha  | 15 | +-9.8  | 10 / 20 | 1.00x | -    | 1 ms |\n"
+            "| b      | 40 | +-19.6 | 30 / 50 | 2.67x | -    | -    |\n"
+            "| c      | -  | -      | -       | -     | -    | 2 ms |\n");
+}
+
+TEST(RenderTable, OneConfigMeansOneRowPerSeed) {
+  FakeSweep fake({"only"}, [](const std::string&, std::uint64_t seed) {
+    return Metrics{{"x", 1.5 * static_cast<double>(seed)}};
+  });
+  fake.plan.columns = {
+      {.header = "x", .metric = "x", .decimals = 1},
+      {.header = "ci", .metric = "x", .stat = Stat::kCi95},
+      {.header = "vs only", .metric = "x", .stat = Stat::kRatio,
+       .of = "only"}};
+  EXPECT_EQ(fake.Render(),
+            "| seed | x   | ci | vs only |\n"
+            "|------|-----|----|---------|\n"
+            "| 1    | 1.5 | -  | -       |\n"
+            "| 2    | 3.0 | -  | -       |\n");
+}
+
+TEST(RenderTable, ColumnOfAnUnreportedMetricThrowsNamingTheColumn) {
+  FakeSweep fake({"a", "b"}, [](const std::string&, std::uint64_t) {
+    return Metrics{{"x", 1.0}};
+  });
+  fake.plan.columns = {{.header = "x", .metric = "x"},
+                       {.header = "misspelt", .metric = "xx"}};
+  try {
+    fake.Render();
+    FAIL() << "no throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("column \"misspelt\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Fig4Crossover, InterpolatesBetweenThePointsAroundTheCluster) {
+  const auto crossover =
+      [](const std::vector<std::pair<std::string, double>>& responses) {
+        std::vector<std::string> labels;
+        for (const auto& [label, response] : responses) labels.push_back(label);
+        const FakeSweep fake(labels, [&](const std::string& label,
+                                         std::uint64_t) {
+          const auto row = std::find_if(
+              responses.begin(), responses.end(),
+              [&](const auto& r) { return r.first == label; });
+          return Metrics{{"response_s", row->second}};
+        });
+        return Fig4Crossover(fake.spec, fake.result);
+      };
+  // 150 s at 50 nodes and 50 s at 55 cross the 100 s cluster line halfway.
+  EXPECT_EQ(crossover({{"cluster100", 100},
+                       {"hog40", 200},
+                       {"hog50", 150},
+                       {"hog55", 50},
+                       {"hog60", 120}}),
+            52.5);
+  // An unmeasured point is passed over: 200 s at 40, 50 s at 100.
+  EXPECT_DOUBLE_EQ(*crossover({{"cluster100", 100},
+                               {"hog40", 200},
+                               {"hog50", std::nan("")},
+                               {"hog100", 50}}),
+                   80.0);
+  EXPECT_EQ(crossover({{"cluster100", 100}, {"hog40", 200}, {"hog1101", 150}}),
+            std::nullopt);
+}
+
+// --- EXPERIMENTS.md's rendered tables --------------------------------------
+
+// Each block EXPERIMENTS.md renders from a committed baseline must equal the
+// table `hogbench <name>` prints for that baseline, so a re-pinned baseline
+// or a changed column fails here until the doc block is refreshed.
+class DocTable : public testing::TestWithParam<const char*> {};
+
+TEST_P(DocTable, MatchesItsCommittedBaseline) {
+  const std::string name = GetParam();
+  const std::string source = HOGSIM_SOURCE_DIR;
+  const std::string expected =
+      Contract(name).Rendered(
+          LoadBenchJson(source + "/BENCH_" + name + ".json")) +
+      "\n";
+  std::ifstream in(source + "/EXPERIMENTS.md");
+  ASSERT_TRUE(in);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string doc = buffer.str();
+  const std::string begin = "<!-- rendered from BENCH_" + name + ".json -->\n";
+  const std::string end = "<!-- end of rendered table -->";
+  const std::size_t start = doc.find(begin);
+  const std::string block =
+      start == std::string::npos
+          ? "(no block)"
+          : doc.substr(start + begin.size(),
+                       doc.find(end, start) - start - begin.size());
+  EXPECT_EQ(block, expected)
+      << "EXPERIMENTS.md's " << name << " table differs from the rendering "
+      << "of BENCH_" << name << ".json; replace its block with:\n"
+      << begin << expected << end;
+}
+
+INSTANTIATE_TEST_SUITE_P(Experiments, DocTable,
+                         testing::Values("sched", "repl", "topo", "gray",
+                                         "scale"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hogsim::exp
