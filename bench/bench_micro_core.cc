@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
-// queue throughput, flow-network churn, disk fair queue, and namenode
-// placement. These bound how large a HOG experiment the simulator can run
-// per wall-clock second.
+// queue throughput, heartbeat fan-in, flow-network churn, disk fair queue,
+// and namenode placement. These bound how large a HOG experiment the
+// simulator can run per wall-clock second.
 //
 // After the google-benchmark suite, an exp::Sweep of the core event-queue
 // scenarios (schedule+fire, cancel-heavy, heartbeat cancel/re-arm) runs
@@ -21,6 +21,7 @@
 #include "src/hdfs/namenode.h"
 #include "src/hdfs/placement.h"
 #include "src/hdfs/topology.h"
+#include "src/health/liveness.h"
 #include "src/net/flow_network.h"
 #include "src/sim/simulation.h"
 #include "src/storage/disk.h"
@@ -80,6 +81,35 @@ void BM_EventQueueCancelReArm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueCancelReArm)->Arg(65536);
+
+void BM_HeartbeatFanIn(benchmark::State& state) {
+  // The event mix of a large spin-up: n daemons, started staggered across
+  // one period, each heartbeat every 3 s through health::SendHeartbeat at
+  // a fixed 40 ms latency, for 10 simulated minutes. Items are executed
+  // events (ticks plus deliveries).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr SimDuration kPeriod = 3 * kSecond;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    std::uint64_t received = 0;
+    std::vector<std::uint64_t> seqs(n, 0);
+    std::vector<sim::PeriodicTimer> timers(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sim.RunUntil(static_cast<SimTime>(i) * kPeriod /
+                   static_cast<SimTime>(n));
+      timers[i].Start(sim, kPeriod, [&sim, &received, &seq = seqs[i], i] {
+        health::SendHeartbeat(sim, 40 * kMillisecond, i, ++seq, 0,
+                              [&received] { ++received; });
+      });
+    }
+    sim.RunUntil(10 * kMinute);
+    benchmark::DoNotOptimize(received);
+    events += sim.executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_HeartbeatFanIn)->Arg(1000)->Arg(10000);
 
 void RunFlowChurn(int sites, int nodes_per_site, int flows) {
   sim::Simulation sim;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -337,12 +338,12 @@ Metrics RunTopo(const TopoConfig& cfg, std::uint64_t seed,
       {"response_s", result.workload.response_time_s},
       {"fully_replicated", result.fully_replicated ? 1.0 : 0.0},
       {"time_to_full_repl_s", result.time_to_full_replication_s},
+      // NaN (not measured) on shuffle rows and on a drain that never healed.
       {"burst_to_healed_s",
        cfg.mode == TopoMode::kShuffle
-           ? -1.0
+           ? std::numeric_limits<double>::quiet_NaN()
            : result.workload.response_time_s +
-                 std::max(result.time_to_full_replication_s, 0.0) -
-                 kBurstOffsetS},
+                 result.time_to_full_replication_s - kBurstOffsetS},
       {"repair_gib", static_cast<double>(result.repair_bytes) / kGiBDouble},
       {"jobs_survived", static_cast<double>(result.workload.succeeded)},
       {"maps_reexecuted", static_cast<double>(result.maps_reexecuted)},
@@ -351,7 +352,7 @@ Metrics RunTopo(const TopoConfig& cfg, std::uint64_t seed,
 }
 
 /// Per seed: config `slow` must report a strictly larger `metric` than
-/// config `fast` (both present and non-negative).
+/// config `fast` (both present; a NaN on either side fails).
 Relation SlowerPerSeed(std::string slow, std::string fast,
                        std::string metric) {
   return [slow, fast, metric](const SweepSpec& spec, const SweepResult& sweep,
@@ -362,9 +363,7 @@ Relation SlowerPerSeed(std::string slow, std::string fast,
       if (a == nullptr || b == nullptr) continue;
       const double slow_value = a->Metric(metric);
       const double fast_value = b->Metric(metric);
-      if (slow_value < 0 || fast_value < 0 || slow_value > fast_value) {
-        continue;
-      }
+      if (slow_value > fast_value) continue;
       char buf[200];
       std::snprintf(buf, sizeof(buf),
                     "%s seed %llu: %s %.3f not above %s's %.3f",

@@ -90,13 +90,10 @@ void HogRun::Drain() {
   // at target replication.
   const SimTime drain_start = cluster_.sim().now();
   hdfs::Namenode& nn = cluster_.namenode();
-  result_.fully_replicated = workload::RunSimUntil(
+  const bool drained = workload::RunSimUntil(
       cluster_.sim(), [&nn] { return nn.under_replicated() == 0; },
       drain_start + options_.drain_deadline, 5 * kSecond);
-  if (result_.fully_replicated) {
-    result_.time_to_full_replication_s =
-        ToSeconds(cluster_.sim().now() - drain_start);
-  }
+  const SimTime drain_end = cluster_.sim().now();
   // Committed outputs of succeeded jobs must still exist somewhere.
   const mr::JobTracker& jt = cluster_.jobtracker();
   for (std::size_t j = 0; j < jt.job_count(); ++j) {
@@ -120,6 +117,12 @@ void HogRun::Drain() {
           << nn.FileName(job.output_file) << " has no live replica";
       ++result_.outputs_lost;
     }
+  }
+  // A block with no live replica is not under-replicated (there is nothing
+  // to copy), so a drained queue alone does not mean the data survived.
+  result_.fully_replicated = drained && result_.outputs_lost == 0;
+  if (result_.fully_replicated) {
+    result_.time_to_full_replication_s = ToSeconds(drain_end - drain_start);
   }
 }
 

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,8 +51,10 @@ struct HogRunResult {
   std::uint64_t audit_violations = 0;
 
   // Populated when HogRunOptions.drain_deadline > 0.
-  bool fully_replicated = false;  // under-replication queue drained
-  double time_to_full_replication_s = -1;  // workload end -> queue empty
+  /// The under-replication queue drained and no committed output was lost.
+  bool fully_replicated = false;
+  /// Workload end -> fully replicated; NaN (not measured) otherwise.
+  double time_to_full_replication_s = std::numeric_limits<double>::quiet_NaN();
   /// Committed output blocks of succeeded jobs with zero believed-alive
   /// replicas at end of run ("the workload said done but the data is
   /// gone") — the soak harness asserts this stays 0.

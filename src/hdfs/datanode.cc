@@ -60,12 +60,10 @@ void Datanode::EnterZombieMode() {
 void Datanode::SendHeartbeat() {
   if (!process_alive_) return;
   // The heartbeat is a small RPC: model only its one-way latency.
-  const SimDuration delay = health::HeartbeatDelay(
-      net_.Latency(node_, namenode_.master_node()), node_, ++heartbeat_seq_,
-      heartbeat_jitter_);
-  const DatanodeId id = id_;
   Namenode& nn = namenode_;
-  sim_.ScheduleAfter(delay, [&nn, id] { nn.Heartbeat(id); });
+  health::SendHeartbeat(sim_, net_.Latency(node_, nn.master_node()), node_,
+                        ++heartbeat_seq_, heartbeat_jitter_,
+                        [&nn, id = id_] { nn.Heartbeat(id); });
 }
 
 void Datanode::ProbeWorkingDirectory() {

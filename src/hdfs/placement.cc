@@ -1,7 +1,7 @@
 #include "src/hdfs/placement.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 
 #include "src/hdfs/topology.h"
@@ -139,13 +139,22 @@ std::vector<DatanodeId> SiteAwarePlacement::ChooseTargets(
   Pool pool(view, size, exclude);
   // Rack strings refine sites under a multi-rack topology (src/net/topo):
   // "/fnal.gov/r3" is rack r3 of site fnal.gov. Spread is sought at both
-  // granularities — distinct sites first, then distinct racks.
-  std::unordered_set<std::string> sites_used;
-  std::unordered_set<std::string> racks_used;
+  // granularities — distinct sites first, then distinct racks. The used
+  // sets hold at most one entry per replica, so they are small vectors,
+  // searched linearly, of views into the view's rack strings (stable: no
+  // datanode registers during the call).
+  std::vector<std::string_view> sites_used;
+  std::vector<std::string_view> racks_used;
+  const auto used = [](const std::vector<std::string_view>& set,
+                       std::string_view name) {
+    return std::find(set.begin(), set.end(), name) != set.end();
+  };
   const auto mark = [&](DatanodeId id) {
-    const std::string& rack = view.RackOf(id);
-    sites_used.insert(std::string(SiteOfRack(rack)));
-    racks_used.insert(rack);
+    const std::string_view rack = view.RackOf(id);
+    if (!used(sites_used, SiteOfRack(rack))) {
+      sites_used.push_back(SiteOfRack(rack));
+    }
+    if (!used(racks_used, rack)) racks_used.push_back(rack);
   };
   for (DatanodeId id : exclude) mark(id);
 
@@ -173,11 +182,11 @@ std::vector<DatanodeId> SiteAwarePlacement::ChooseTargets(
   // byte-stream identical to the pre-topology policy.
   while (static_cast<int>(result.size()) < count) {
     DatanodeId pick = pool.TakeHealthyFirst(rng, [&](DatanodeId id) {
-      return !sites_used.contains(std::string(SiteOfRack(view.RackOf(id))));
+      return !used(sites_used, SiteOfRack(view.RackOf(id)));
     });
     if (pick == kInvalidDatanode) {
       pick = pool.TakeHealthyFirst(rng, [&](DatanodeId id) {
-        return !racks_used.contains(view.RackOf(id));
+        return !used(racks_used, view.RackOf(id));
       });
     }
     if (pick == kInvalidDatanode) pick = pool.TakeHealthyFirst(rng);

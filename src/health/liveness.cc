@@ -110,4 +110,15 @@ SimDuration HeartbeatDelay(SimDuration latency, std::uint64_t node,
          static_cast<SimDuration>(h % static_cast<std::uint64_t>(jitter + 1));
 }
 
+void SendHeartbeat(sim::Simulation& sim, SimDuration latency,
+                   std::uint64_t node, std::uint64_t seq, SimDuration jitter,
+                   sim::Simulation::Callback deliver) {
+  if (jitter <= 0) {
+    sim.ScheduleAfterOnLane(latency, std::move(deliver));
+  } else {
+    sim.ScheduleAfter(HeartbeatDelay(latency, node, seq, jitter),
+                      std::move(deliver));
+  }
+}
+
 }  // namespace hogsim::health

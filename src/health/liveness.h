@@ -118,4 +118,13 @@ class Liveness {
 SimDuration HeartbeatDelay(SimDuration latency, std::uint64_t node,
                            std::uint64_t seq, SimDuration jitter);
 
+/// Sends heartbeat number `seq` from `node`: `deliver` runs at the master
+/// HeartbeatDelay(latency, node, seq, jitter) from now, at ScheduleAfter's
+/// (time, seq). A nominal heartbeat (jitter 0) rides the Simulation's lane
+/// for `latency`; a jittered one goes to the heap, since its delay changes
+/// window by window and would use up the lanes.
+void SendHeartbeat(sim::Simulation& sim, SimDuration latency,
+                   std::uint64_t node, std::uint64_t seq, SimDuration jitter,
+                   sim::Simulation::Callback deliver);
+
 }  // namespace hogsim::health

@@ -104,12 +104,10 @@ void TaskTracker::EnterZombieMode() {
 
 void TaskTracker::SendHeartbeat() {
   if (!process_alive_) return;
-  const SimDuration delay = health::HeartbeatDelay(
-      net_.Latency(node_, jt_.master_node()), node_, ++heartbeat_seq_,
-      heartbeat_jitter_);
-  const TrackerId id = id_;
   JobTracker& jt = jt_;
-  sim_.ScheduleAfter(delay, [&jt, id] { jt.Heartbeat(id); });
+  health::SendHeartbeat(sim_, net_.Latency(node_, jt.master_node()), node_,
+                        ++heartbeat_seq_, heartbeat_jitter_,
+                        [&jt, id = id_] { jt.Heartbeat(id); });
 }
 
 void TaskTracker::ProbeWorkingDirectory() {

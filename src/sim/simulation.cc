@@ -18,7 +18,7 @@ Simulation::Simulation() {
   m.RegisterProbe("sim.queue.depth",
                   [this] { return static_cast<double>(live_); });
   m.RegisterProbe("sim.queue.entries",
-                  [this] { return static_cast<double>(heap_.size()); });
+                  [this] { return static_cast<double>(queued()); });
   m.RegisterProbe("sim.queue.compactions",
                   [this] { return static_cast<double>(compactions_); });
   if (obs::RunCapture* capture = obs::RunCapture::Current()) {
@@ -37,10 +37,8 @@ EventHandle Simulation::ScheduleAt(SimTime t, Callback cb) {
   return ScheduleAtSeq(t, next_seq_++, std::move(cb));
 }
 
-EventHandle Simulation::ScheduleAtSeq(SimTime t, std::uint64_t seq,
-                                      Callback cb) {
+std::uint32_t Simulation::TakeSlot(Callback cb, bool on_lane) {
   assert(cb);
-  assert(t >= now_ && seq < next_seq_);
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -50,10 +48,18 @@ EventHandle Simulation::ScheduleAtSeq(SimTime t, std::uint64_t seq,
     slots_.emplace_back();
   }
   slots_[slot].cb = std::move(cb);
+  slots_[slot].on_lane = on_lane;
+  ++live_;
+  return slot;
+}
+
+EventHandle Simulation::ScheduleAtSeq(SimTime t, std::uint64_t seq,
+                                      Callback cb) {
+  assert(t >= now_ && seq < next_seq_);
+  const std::uint32_t slot = TakeSlot(std::move(cb), /*on_lane=*/false);
   const std::uint32_t gen = slots_[slot].gen;
   heap_.push_back(Entry{t, seq, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), Later);
-  ++live_;
   return EventHandle(this, slot, gen);
 }
 
@@ -62,49 +68,89 @@ EventHandle Simulation::ScheduleAfter(SimDuration delay, Callback cb) {
   return ScheduleAt(now_ + delay, std::move(cb));
 }
 
+EventHandle Simulation::ScheduleAfterOnLane(SimDuration delay, Callback cb) {
+  if (delay < 0) delay = 0;
+  auto lane = std::find_if(lanes_.begin(), lanes_.end(),
+                           [delay](const Lane& l) { return l.delay == delay; });
+  if (lane == lanes_.end()) {
+    if (lanes_.size() == kMaxLanes) return ScheduleAfter(delay, std::move(cb));
+    lane = lanes_.insert(lanes_.end(), Lane{delay, {}});
+  }
+  const std::uint32_t slot = TakeSlot(std::move(cb), /*on_lane=*/true);
+  const std::uint32_t gen = slots_[slot].gen;
+  // Appending keeps the lane sorted: now_ + delay never decreases and the
+  // seq always grows.
+  lane->fifo.push_back(Entry{now_ + delay, next_seq_++, slot, gen});
+  ++lane_live_;
+  return EventHandle(this, slot, gen);
+}
+
+std::size_t Simulation::queued() const {
+  std::size_t n = heap_.size();
+  for (const Lane& lane : lanes_) n += lane.fifo.size();
+  return n;
+}
+
 void Simulation::ReleaseSlot(std::uint32_t slot) {
-  ++slots_[slot].gen;   // invalidates the heap entry and all handles
+  ++slots_[slot].gen;   // invalidates the queue entry and all handles
   slots_[slot].cb = nullptr;
   free_.push_back(slot);
 }
 
 void Simulation::Cancel(EventHandle& handle) {
   if (handle.sim_ == this && IsPending(handle.slot_, handle.gen_)) {
+    const bool on_lane = slots_[handle.slot_].on_lane;
     ReleaseSlot(handle.slot_);
     assert(live_ > 0);
     --live_;
     ++cancelled_;
-    // heap_.size() - live_ is the stale-entry count: every live event has
-    // exactly one heap entry.
-    if (heap_.size() >= kCompactMinEntries &&
-        heap_.size() - live_ > heap_.size() / 2) {
-      Compact();
+    if (on_lane) {
+      --lane_live_;
+    } else {
+      // heap_.size() - (live_ - lane_live_) is the heap's stale-entry
+      // count: every live heap event has exactly one heap entry.
+      const std::size_t heap_live = live_ - lane_live_;
+      if (heap_.size() >= kCompactMinEntries &&
+          heap_.size() - heap_live > heap_.size() / 2) {
+        Compact();
+      }
     }
   }
   handle.sim_ = nullptr;
 }
 
 void Simulation::Compact() {
-  std::erase_if(heap_, [this](const Entry& e) {
-    return slots_[e.slot].gen != e.gen;
-  });
+  std::erase_if(heap_, [this](const Entry& e) { return Stale(e); });
   std::make_heap(heap_.begin(), heap_.end(), Later);
   ++compactions_;
 }
 
 bool Simulation::Step(SimTime until) {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (slots_[top.slot].gen != top.gen) {
-      // Stale entry of a cancelled event: drop it regardless of timestamp.
+  while (true) {
+    // The least (time, seq) among the heap top and the lane heads. An
+    // entry is checked for staleness only once it is the least; a stale
+    // one is dropped regardless of timestamp.
+    const Entry* next = heap_.empty() ? nullptr : &heap_.front();
+    Lane* from = nullptr;  // the lane `next` heads, if any
+    for (Lane& lane : lanes_) {
+      if (!lane.fifo.empty() &&
+          (next == nullptr || Later(*next, lane.fifo.front()))) {
+        next = &lane.fifo.front();
+        from = &lane;
+      }
+    }
+    if (next == nullptr) return false;
+    const bool stale = Stale(*next);
+    if (!stale && next->time > until) return false;
+    const Entry entry = *next;
+    if (from != nullptr) {
+      from->fifo.pop_front();
+    } else {
       std::pop_heap(heap_.begin(), heap_.end(), Later);
       heap_.pop_back();
-      continue;
     }
-    if (top.time > until) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    const Entry entry = heap_.back();
-    heap_.pop_back();
+    if (stale) continue;
+    if (from != nullptr) --lane_live_;
     // Move the callback out and free the slot before executing, so the
     // callback can freely schedule/cancel (including reusing this slot).
     Callback cb = std::move(slots_[entry.slot].cb);
@@ -116,7 +162,6 @@ bool Simulation::Step(SimTime until) {
     cb();
     return true;
   }
-  return false;
 }
 
 void Simulation::RunUntil(SimTime until) {
@@ -152,7 +197,7 @@ void PeriodicTimer::Stop() {
 }
 
 void PeriodicTimer::Arm() {
-  pending_ = sim_->ScheduleAfter(period_, [this] {
+  pending_ = sim_->ScheduleAfterOnLane(period_, [this] {
     if (!running_) return;
     // Re-arm before ticking so a callback that calls Stop() wins.
     Arm();

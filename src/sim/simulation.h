@@ -5,15 +5,24 @@
 // by callbacks scheduled here, which makes every run single-threaded and
 // deterministic: two events at the same timestamp fire in scheduling order.
 //
-// Queue representation: callbacks live in a pooled slot arena; the heap
+// Queue representation: callbacks live in a pooled slot arena; the queue
 // itself holds only trivially-copyable {time, seq, slot, generation}
 // entries, so scheduling an event performs no allocation once the pool is
-// warm and heap sifts move 24-byte PODs instead of std::functions.
-// Cancellation is lazy (the heap entry goes stale and is skipped on pop),
-// but a cancelled event's callback is destroyed immediately and the heap is
-// compacted whenever stale entries outnumber live ones, so cancel/re-arm
-// loops — heartbeat timers re-armed every 30 s for a whole run — hold the
-// queue at O(live events) instead of growing with simulated time.
+// warm and the queue moves 24-byte PODs instead of std::functions. Entries
+// sit either in a binary min-heap or in a constant-delay lane: a FIFO per
+// distinct ScheduleAfterOnLane delay (at most kMaxLanes of them). Since
+// `now` never decreases and seq always grows, entries appended with one
+// delay arrive in ascending (time, seq) order, so each lane is sorted by
+// construction and Step pops the least key among the heap top and the
+// lane heads — every event fires at exactly the (time, seq) position
+// ScheduleAfter would have given it, without a heap sift. Heartbeats and
+// every PeriodicTimer, nearly all of a large run's events, ride lanes.
+// Cancellation is lazy (the entry goes stale and is skipped on pop), but a
+// cancelled event's callback is destroyed immediately and the heap is
+// compacted whenever its stale entries outnumber its live ones, so
+// cancel/re-arm loops hold the queue at O(live events) instead of growing
+// with simulated time. A lane needs no compaction: it holds only events
+// scheduled within one of its delays of now.
 //
 // Units: all times in this header are sim-time microsecond ticks (SimTime /
 // SimDuration, src/util/units.h) — never wall-clock, never seconds.
@@ -24,6 +33,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -87,6 +97,12 @@ class Simulation {
   /// Schedules `cb` after `delay` ticks (negative delays clamp to 0).
   EventHandle ScheduleAfter(SimDuration delay, Callback cb);
 
+  /// ScheduleAfter with the same (time, seq) key, queued on the FIFO lane
+  /// of `delay` instead of the heap. For delays a caller reuses constantly
+  /// (timer periods, nominal heartbeat latency): a lane push and pop cost
+  /// O(1). Once kMaxLanes delays hold lanes, a new delay goes to the heap.
+  EventHandle ScheduleAfterOnLane(SimDuration delay, Callback cb);
+
   /// Reserves the same-tick order a ScheduleAt made right now would draw,
   /// without scheduling anything. Pair it with ScheduleAtSeq to place an
   /// event later at exactly that queue position (see sim::Calendar).
@@ -122,15 +138,16 @@ class Simulation {
   /// Number of live (uncancelled, unfired) events in the queue.
   std::size_t pending() const { return live_; }
 
-  /// Raw heap size, including stale entries of cancelled events that have
-  /// not been compacted away yet. Bounded at < 2x pending() plus a small
-  /// floor by compaction.
-  std::size_t queued() const { return heap_.size(); }
+  /// Raw entry count of the heap and the lanes, including stale entries of
+  /// cancelled events not dropped yet. Compaction bounds the heap's share
+  /// at < 2x its live events plus a small floor; a lane holds at most the
+  /// events scheduled on it within one of its delays.
+  std::size_t queued() const;
 
   /// Number of events cancelled so far.
   std::uint64_t cancelled() const { return cancelled_; }
 
-  /// Number of heap compactions performed so far.
+  /// Number of heap compactions performed so far (lanes never compact).
   std::uint64_t compactions() const { return compactions_; }
 
   /// True if the {slot, generation} ticket still names a pending event.
@@ -141,12 +158,13 @@ class Simulation {
  private:
   // Callback storage, reused across events. `gen` is bumped every time the
   // slot is released (fired or cancelled), which atomically invalidates the
-  // matching heap entry and every outstanding handle.
+  // matching queue entry and every outstanding handle.
   struct Slot {
     Callback cb;
     std::uint32_t gen = 0;
+    bool on_lane = false;  // its entry sits in a lane, not the heap
   };
-  // Heap entries are trivially copyable; the callback stays in the arena.
+  // Queue entries are trivially copyable; the callback stays in the arena.
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
@@ -159,15 +177,29 @@ class Simulation {
     return a.seq > b.seq;
   }
 
+  // One constant delay's FIFO; ascending (time, seq) by construction.
+  struct Lane {
+    SimDuration delay;
+    std::deque<Entry> fifo;
+  };
+
   // Don't bother compacting tiny heaps; below this the stale entries cost
   // less than the make_heap.
   static constexpr std::size_t kCompactMinEntries = 64;
+  // Step scans every lane head, so the lane count stays small.
+  static constexpr std::size_t kMaxLanes = 16;
+
+  bool Stale(const Entry& e) const { return slots_[e.slot].gen != e.gen; }
+
+  /// Stores `cb` in a free slot and counts the event live; returns the
+  /// slot.
+  std::uint32_t TakeSlot(Callback cb, bool on_lane);
 
   /// Pops and executes the earliest event; skips cancelled entries.
   /// Returns false when the queue is empty.
   bool Step(SimTime until);
 
-  /// Bumps the slot's generation (invalidating its heap entry and all
+  /// Bumps the slot's generation (invalidating its queue entry and all
   /// handles), destroys the callback, and returns the slot to the pool.
   void ReleaseSlot(std::uint32_t slot);
 
@@ -181,8 +213,10 @@ class Simulation {
   std::uint64_t cancelled_ = 0;
   std::uint64_t compactions_ = 0;
   std::size_t live_ = 0;
+  std::size_t lane_live_ = 0;  // the live events that sit in lanes
   bool limit_reached_ = false;
   std::vector<Entry> heap_;
+  std::vector<Lane> lanes_;  // at most kMaxLanes, in order of first use
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // released slot indices
 };

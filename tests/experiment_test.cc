@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -479,7 +480,9 @@ TEST(Contracts, TopoFabricBindsAndEveryRunHeals) {
             {"all_terminated", 1},
             {"response_s", tor16 ? 150.0 : star ? 100.0 : 120.0},
             {"fully_replicated", shuffle ? 0.0 : 1.0},
-            {"burst_to_healed_s", shuffle ? -1.0 : tor16 ? 80.0 : 50.0}};
+            {"burst_to_healed_s",
+             shuffle ? std::numeric_limits<double>::quiet_NaN()
+                     : tor16 ? 80.0 : 50.0}};
   };
   EXPECT_TRUE(topo.Gates(pass).empty());
   for (const auto& [metric, value] :
@@ -507,6 +510,13 @@ TEST(Contracts, TopoFabricBindsAndEveryRunHeals) {
   EXPECT_EQ(drain.size(), 1u);
   EXPECT_TRUE(
       Names(drain, {"tor16-drain seed 11", "burst_to_healed_s", "star-drain"}));
+  // A drain that never healed reads NaN, which no per-seed order accepts.
+  const auto never = topo.GatesWith(pass, "tor16-drain", 47, [](Metrics& m) {
+    Set(m, "burst_to_healed_s", std::numeric_limits<double>::quiet_NaN());
+  });
+  EXPECT_EQ(never.size(), 1u);
+  EXPECT_TRUE(
+      Names(never, {"tor16-drain seed 47", "burst_to_healed_s", "star-drain"}));
 }
 
 // Frontier values per row: phi quiet at 120 s; dl240 quiet on all but seed

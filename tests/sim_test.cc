@@ -674,5 +674,203 @@ TEST(Calendar, ChurnKeepsEveryLiveDeadline) {
   EXPECT_TRUE(calendar.calendar().empty());
 }
 
+// ---------------------------------------------------------------------------
+// Lanes: constant-delay FIFOs beside the heap, fired in ScheduleAfter order
+
+// Plays one seeded script of schedules, cancels and bounded runs, and logs
+// (now, op id) per fired event. The lane twin sends its lane operations to
+// ScheduleAfterOnLane; the reference twin sends them to ScheduleAfter.
+class LaneTwin {
+ public:
+  explicit LaneTwin(bool lanes) : lanes_(lanes) {}
+
+  Simulation& sim() { return sim_; }
+  const std::vector<std::pair<SimTime, int>>& log() const { return log_; }
+  const std::vector<std::size_t>& pending_trace() const { return pending_; }
+
+  void Run(std::uint64_t seed, int ops) {
+    Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+      const std::int64_t r = rng.UniformInt(0, 99);
+      if (r < 15) {
+        At(sim_.now() + rng.UniformInt(-100, 5000));  // some in the past
+      } else if (r < 30) {
+        After(rng.UniformInt(-5, 5000));
+      } else if (r < 65) {
+        OnLane(kDelays[rng.UniformInt(0, 3)]);
+      } else if (r < 85 && !handles_.empty()) {
+        // A live, fired, cancelled or (slot reused) stale handle, mostly a
+        // recent one: cancel a copy, so the kept ticket goes stale for a
+        // later pick.
+        const auto n = static_cast<std::int64_t>(handles_.size());
+        const std::int64_t recent = std::min<std::int64_t>(n, 32);
+        const std::int64_t pick = r < 75
+                                      ? n - 1 - rng.UniformInt(0, recent - 1)
+                                      : rng.UniformInt(0, n - 1);
+        EventHandle copy = handles_[static_cast<std::size_t>(pick)];
+        sim_.Cancel(copy);
+      } else {
+        sim_.RunUntil(sim_.now() + rng.UniformInt(0, 3000));
+      }
+      pending_.push_back(sim_.pending());
+    }
+    sim_.RunAll();
+  }
+
+ private:
+  static constexpr SimDuration kDelays[] = {0, 7, 40, 3000};
+
+  void At(SimTime t) {
+    const int id = NextId();
+    handles_.push_back(sim_.ScheduleAt(t, Fire(id)));
+  }
+  void After(SimDuration delay) {
+    const int id = NextId();
+    handles_.push_back(sim_.ScheduleAfter(delay, Fire(id)));
+  }
+  void OnLane(SimDuration delay) {
+    const int id = NextId();
+    handles_.push_back(lanes_ ? sim_.ScheduleAfterOnLane(delay, Fire(id))
+                              : sim_.ScheduleAfter(delay, Fire(id)));
+  }
+  int NextId() { return static_cast<int>(handles_.size()); }
+
+  // Every third event schedules a follow-up from inside its callback, on a
+  // lane or on the heap by its id.
+  Simulation::Callback Fire(int id) {
+    return [this, id] {
+      log_.emplace_back(sim_.now(), id);
+      if (id % 3 != 0) return;
+      if (id % 2 == 0) {
+        OnLane(kDelays[static_cast<std::size_t>(id / 3) % 4]);
+      } else {
+        After(id % 11);
+      }
+    };
+  }
+
+  bool lanes_;
+  Simulation sim_;
+  std::vector<EventHandle> handles_;  // by op id
+  std::vector<std::pair<SimTime, int>> log_;
+  std::vector<std::size_t> pending_;  // after each script op
+};
+
+TEST(Lanes, TwinRunFiresEveryEventAtItsScheduleAfterPosition) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    LaneTwin heap(false);
+    LaneTwin lanes(true);
+    heap.Run(seed, 2500);
+    lanes.Run(seed, 2500);
+    EXPECT_GT(heap.log().size(), 1500u) << "seed " << seed;
+    EXPECT_EQ(lanes.log(), heap.log()) << "seed " << seed;
+    EXPECT_EQ(lanes.pending_trace(), heap.pending_trace()) << "seed " << seed;
+    EXPECT_EQ(lanes.sim().executed(), heap.sim().executed());
+    EXPECT_EQ(lanes.sim().cancelled(), heap.sim().cancelled());
+    EXPECT_GT(heap.sim().cancelled(), 40u);
+    EXPECT_EQ(lanes.sim().pending(), 0u);
+    EXPECT_EQ(lanes.sim().queued(), 0u);
+  }
+}
+
+TEST(Lanes, SeventeenthDelayFallsBackToTheHeapInOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  // Sixteen delays take the lanes; the 17th (delay 84) goes to the heap.
+  for (int i = 0; i < 17; ++i) {
+    sim.ScheduleAfterOnLane(100 - i, [&order, i] { order.push_back(i); });
+  }
+  // Same-tick peers of the heap-held delay, before and after it in seq.
+  sim.ScheduleAt(84, [&order] { order.push_back(17); });
+  sim.ScheduleAfterOnLane(84, [&order] { order.push_back(18); });
+  sim.ScheduleAfterOnLane(85, [&order] { order.push_back(19); });
+  // Only the heap compacts: churn on a lane delay never compacts, churn
+  // on the 17th delay does.
+  std::vector<EventHandle> churn;
+  for (int i = 0; i < 200; ++i) {
+    churn.push_back(sim.ScheduleAfterOnLane(100, [] {}));
+  }
+  for (EventHandle& h : churn) sim.Cancel(h);
+  EXPECT_EQ(sim.compactions(), 0u);
+  churn.clear();
+  for (int i = 0; i < 200; ++i) {
+    churn.push_back(sim.ScheduleAfterOnLane(84, [] {}));
+  }
+  for (EventHandle& h : churn) sim.Cancel(h);
+  EXPECT_GT(sim.compactions(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{16, 17, 18, 15, 19, 14, 13, 12, 11, 10,
+                                     9, 8, 7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(sim.executed(), 20u);
+  // Fired and cancelled lane events left the heap's live count exact:
+  // cancelling fewer than half of 100 heap events does not compact.
+  const std::uint64_t compactions = sim.compactions();
+  churn.clear();
+  for (int i = 0; i < 100; ++i) churn.push_back(sim.ScheduleAfter(5, [] {}));
+  for (int i = 0; i < 40; ++i) sim.Cancel(churn[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(sim.compactions(), compactions);
+}
+
+TEST(Lanes, CancelReArmLoopKeepsQueueBounded) {
+  Simulation sim;
+  EventHandle timeout;
+  std::size_t peak = 0;
+  // The heartbeat pattern on one lane, behind a stream of live events on
+  // the same lane (deliveries), so the stale entries sit behind live heads
+  // and only leave as those fire: the lane holds what was scheduled within
+  // one delay of now.
+  constexpr SimDuration kDelay = 10 * kMinute;
+  constexpr SimDuration kPeriod = 30 * kSecond;
+  for (int i = 0; i < 20000; ++i) {
+    sim.Cancel(timeout);
+    timeout = sim.ScheduleAfterOnLane(kDelay, [] {});
+    sim.ScheduleAfterOnLane(kDelay, [] {});
+    sim.RunUntil(sim.now() + kPeriod);
+    peak = std::max(peak, sim.queued());
+  }
+  EXPECT_LE(peak, static_cast<std::size_t>(2 * (kDelay / kPeriod) + 2));
+  EXPECT_EQ(sim.compactions(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(sim.queued(), 0u);
+  EXPECT_EQ(sim.executed(), 20000u + 1);
+}
+
+TEST(Lanes, CancelDestroysLaneCallbackImmediately) {
+  Simulation sim;
+  auto payload = std::make_shared<int>(42);
+  std::weak_ptr<int> observer = payload;
+  sim.ScheduleAfterOnLane(kHour, [] {});  // a live head ahead of it
+  auto handle = sim.ScheduleAfterOnLane(kHour, [payload] { (void)*payload; });
+  payload.reset();
+  EXPECT_FALSE(observer.expired());
+  sim.Cancel(handle);
+  EXPECT_TRUE(observer.expired());
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.queued(), 2u);  // its stale entry waits behind the head
+}
+
+TEST(Lanes, CalendarDeadlineInterleavesWithLaneEventsInSeqOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  Calendar calendar(sim, [&order](Calendar::Key key) {
+    order.push_back(static_cast<int>(key));
+  });
+  Calendar::Slot slot;
+  const auto log = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  sim.ScheduleAfterOnLane(100, log(1));
+  calendar.Set(slot, 2, 100);  // reserves its seq here, between 1 and 3
+  sim.ScheduleAfterOnLane(100, log(3));
+  sim.ScheduleAt(100, log(4));
+  calendar.Arm();  // armed after 3 and 4, still fires at the reserved seq
+  sim.ScheduleAfterOnLane(100, log(5));
+  // Another lane's event at the same tick, scheduled last.
+  sim.ScheduleAt(50, [&sim, log] { sim.ScheduleAfterOnLane(50, log(6)); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(calendar.empty());
+}
+
 }  // namespace
 }  // namespace hogsim::sim
