@@ -14,7 +14,11 @@
 # every committed BENCH_*.json baseline run by run, exactly: the fast
 # sched, repl, scale, topo and soak outputs of that loop, a fast unaudited
 # gray run, and bench_micro_core's event-queue sweep; and every example
-# program, run from the repo root, each exit code checked. A preflight first
+# program, run from the repo root, each exit code checked. The default
+# preset then reruns the 13 paper experiments (Tables I-III, Fig. 4,
+# Fig. 5/Table IV, both §IV.D experiences and the six ablations) at full
+# default seeds, unaudited, and compares each with its committed
+# BENCH_<name>.json (~1 min on 4 cores). A preflight first
 # fails the gate if any of those baselines is not tracked by git, and each
 # preset fails if a tier-1 ctest name embeds raw parameter bytes wider
 # than a scoped enum. This is what a PR must keep green; see ROADMAP.md
@@ -35,6 +39,12 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 2)
 
+# The paper's experiments, each pinned by a full-seed BENCH_<name>.json.
+paper_experiments="table1 table2 table3 fig4 fig5_table4 exp_zombie_datanodes
+  exp_disk_overflow ablation_delay_scheduling ablation_heartbeat
+  ablation_multicopy ablation_replication ablation_security
+  ablation_site_awareness"
+
 echo "== tracked baselines =="
 # Every baseline a compare_bench leg below diffs against must be committed:
 # an untracked or ignored baseline passes locally and is missing from a
@@ -43,6 +53,9 @@ for baseline in BENCH_sched.json BENCH_repl.json BENCH_scale.json \
                 BENCH_topo.json BENCH_soak.json BENCH_gray.json \
                 BENCH_core.json; do
   git ls-files --error-unmatch "$baseline" > /dev/null
+done
+for name in $paper_experiments; do
+  git ls-files --error-unmatch "BENCH_$name.json" > /dev/null
 done
 
 echo "== docs links =="
@@ -178,6 +191,15 @@ run_preset() {
 }
 
 run_preset default build
+echo "== [default] paper experiments against their baselines =="
+# Full default seeds and no auditor, as the baselines were made: every
+# deterministic row of every run must equal the committed one.
+mkdir -p build/paper
+for name in $paper_experiments; do
+  echo "-- hogbench $name"
+  build/bench/hogbench "$name" --out="build/paper/BENCH_$name.json"
+  build/bench/compare_bench "BENCH_$name.json" "build/paper/BENCH_$name.json"
+done
 if [ "$fast" -eq 0 ]; then
   run_preset sanitize build-sanitize
 fi

@@ -21,29 +21,11 @@
 
 namespace hogsim::baseline {
 
-struct SlaveGroup {
-  int count = 0;
-  int map_slots = 0;
-  int reduce_slots = 0;
-};
-
-struct ClusterConfig {
-  /// Table III: 20 dual-dual-core slaves and 10 dual-single-core slaves.
-  std::vector<SlaveGroup> groups = {{20, 4, 1}, {10, 2, 1}};
-
-  Rate nic = Gbps(1.0);
-  Bytes slave_disk = 400 * kGiB;
-  Rate slave_disk_bw = MiBps(80.0);
-
-  hdfs::HdfsConfig hdfs;  // stock defaults: replication 3, 10.5 min recheck
-  mr::MrConfig mr;        // stock defaults: 10 min tracker expiry
-};
-
 /// A fully wired dedicated cluster. All daemons are started at
 /// construction; time 0 is "cluster is up".
 class DedicatedCluster {
  public:
-  explicit DedicatedCluster(std::uint64_t seed, ClusterConfig config = {});
+  explicit DedicatedCluster(std::uint64_t seed);
   ~DedicatedCluster();
   DedicatedCluster(const DedicatedCluster&) = delete;
   DedicatedCluster& operator=(const DedicatedCluster&) = delete;
@@ -67,7 +49,6 @@ class DedicatedCluster {
     net::NodeId net_node = net::kInvalidNode;
   };
 
-  ClusterConfig config_;
   sim::Simulation sim_;
   net::FlowNetwork net_;
   net::NodeId master_ = net::kInvalidNode;

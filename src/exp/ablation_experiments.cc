@@ -127,7 +127,7 @@ Metrics RunHeartbeat(const HeartbeatCase& c, std::uint64_t seed,
   run.Run();
   const HogRunResult result = run.Finish();
   return {{"response_s", result.workload.response_time_s},
-          {"failed_jobs", static_cast<double>(result.workload.failed)},
+          {"jobs_failed", static_cast<double>(result.workload.failed)},
           {"maps_reexecuted", static_cast<double>(result.maps_reexecuted)}};
 }
 
@@ -142,7 +142,7 @@ Plan HeartbeatPlan(const Setup& setup) {
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
       {.header = "ci95", .metric = "response_s", .stat = Stat::kCi95},
-      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "failed jobs", .metric = "jobs_failed", .decimals = 1},
       {.header = "maps re-executed", .metric = "maps_reexecuted"}};
   plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
@@ -197,9 +197,9 @@ Metrics RunMulticopy(int copies, std::uint64_t seed, const Setup& setup) {
   for (double r : result.job_response_s) per_job.Add(r);
   return {{"response_s", result.response_time_s},
           {"mean_job_latency_s", per_job.mean()},
-          {"attempts", static_cast<double>(
+          {"attempts_launched", static_cast<double>(
                            run.cluster().jobtracker().attempts_launched())},
-          {"failed_jobs", static_cast<double>(result.failed)}};
+          {"jobs_failed", static_cast<double>(result.failed)}};
 }
 
 Plan MulticopyPlan(const Setup& setup) {
@@ -214,8 +214,8 @@ Plan MulticopyPlan(const Setup& setup) {
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
       {.header = "mean job latency (s)", .metric = "mean_job_latency_s"},
-      {.header = "attempts launched", .metric = "attempts"},
-      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1}};
+      {.header = "attempts launched", .metric = "attempts_launched"},
+      {.header = "failed jobs", .metric = "jobs_failed", .decimals = 1}};
   plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
     std::printf(
         "\nThe paper hypothesizes (§VI) that redundant copies let HOG finish "
@@ -260,7 +260,7 @@ Metrics RunReplication(int replication, std::uint64_t seed,
   run.Finish();
   const hdfs::Namenode& nn = run.cluster().namenode();
   return {{"response_s", result.response_time_s},
-          {"failed_jobs", static_cast<double>(result.failed)},
+          {"jobs_failed", static_cast<double>(result.failed)},
           {"missing_blocks", static_cast<double>(nn.missing_blocks())},
           {"replications", static_cast<double>(nn.replications_completed())},
           {"replication_gib", static_cast<double>(nn.replication_bytes()) /
@@ -278,7 +278,7 @@ Plan ReplicationPlan(const Setup& setup) {
   }
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
-      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "failed jobs", .metric = "jobs_failed", .decimals = 1},
       {.header = "missing blocks", .metric = "missing_blocks", .decimals = 1},
       {.header = "re-replications", .metric = "replications"},
       {.header = "re-repl (GiB)", .metric = "replication_gib",
@@ -395,7 +395,7 @@ Metrics RunSiteAwareness(bool site_aware, std::uint64_t seed,
     remote += job.remote_maps;
   }
   return {{"response_s", result.response_time_s},
-          {"failed_jobs", static_cast<double>(result.failed)},
+          {"jobs_failed", static_cast<double>(result.failed)},
           {"missing_blocks",
            static_cast<double>(cluster.namenode().missing_blocks())},
           {"data_local_maps", static_cast<double>(data_local)},
@@ -413,7 +413,7 @@ Plan SiteAwarenessPlan(const Setup& setup) {
   }
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
-      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
+      {.header = "failed jobs", .metric = "jobs_failed", .decimals = 1},
       {.header = "missing blocks", .metric = "missing_blocks", .decimals = 1},
       {.header = "node-local maps", .metric = "data_local_maps"},
       {.header = "remote maps", .metric = "remote_maps"}};

@@ -258,9 +258,9 @@ void WriteTextFile(const std::string& path, const std::string& content) {
 
 /// Runs the sweep, writes the BENCH_<spec.name>.json baseline (or
 /// opts.out), and prints one summary line per (config, metric): mean ±
-/// ci95 and p50/p95/p99. Throws std::runtime_error naming the path when
-/// the BENCH JSON or a requested --metrics-out/--trace-out file cannot be
-/// written.
+/// ci95 and p50/p95/p99, or "not measured" when no run measured it.
+/// Throws std::runtime_error naming the path when the BENCH JSON or a
+/// requested --metrics-out/--trace-out file cannot be written.
 SweepResult RunBenchSweep(const BenchOptions& opts, const SweepSpec& spec,
                           const RunFn& fn) {
   // Per-run observability capture: wrap the run function in an
@@ -306,6 +306,11 @@ SweepResult RunBenchSweep(const BenchOptions& opts, const SweepSpec& spec,
   for (std::size_t c = 0; c < result.summaries.size(); ++c) {
     const std::string label = spec.Label(c);
     for (const MetricSummary& m : result.summaries[c]) {
+      if (m.stats.count() == 0) {
+        std::printf("  %-24s %-20s not measured\n", label.c_str(),
+                    m.name.c_str());
+        continue;
+      }
       std::printf("  %-24s %-20s mean %.6g +-%.3g  [p50 %.6g p95 %.6g p99 "
                   "%.6g]\n",
                   label.c_str(), m.name.c_str(), m.stats.mean(),

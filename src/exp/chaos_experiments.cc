@@ -40,7 +40,7 @@ Plan StormPlan(const Setup& setup) {
          const auto result =
              RunHogWorkload(55, seed, {}, &setup.scenario, setup.hog);
          return {{"response_s", result.workload.response_time_s},
-                 {"failed_jobs", static_cast<double>(result.workload.failed)},
+                 {"jobs_failed", static_cast<double>(result.workload.failed)},
                  {"preemptions", static_cast<double>(result.preemptions)},
                  {"maps_reexecuted",
                   static_cast<double>(result.maps_reexecuted)},
@@ -51,7 +51,7 @@ Plan StormPlan(const Setup& setup) {
        }});
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
-      {.header = "failed jobs", .metric = "failed_jobs"},
+      {.header = "failed jobs", .metric = "jobs_failed"},
       {.header = "preemptions", .metric = "preemptions"},
       {.header = "maps re-executed", .metric = "maps_reexecuted"},
       {.header = "faults injected", .metric = "faults_injected"},

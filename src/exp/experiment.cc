@@ -53,13 +53,22 @@ std::string Format(const Column& column, double value) {
   return FormatDouble(value * column.scale, column.decimals) + column.unit;
 }
 
+/// " (k/n)" when `summary` covers only k of the config's n seeds, so a
+/// mean over the seeds that measured the metric says so.
+std::string Coverage(const MetricSummary& summary, const SweepSpec& spec) {
+  if (summary.stats.count() >= spec.seeds.size()) return "";
+  return " (" + std::to_string(summary.stats.count()) + "/" +
+         std::to_string(spec.seeds.size()) + ")";
+}
+
 std::string ConfigCell(const Column& column, const SweepSpec& spec,
                        const SweepResult& sweep, std::size_t config) {
   const MetricSummary* summary = FindSummary(sweep, config, column.metric);
   if (summary == nullptr || summary->stats.count() == 0) return "-";
   switch (column.stat) {
     case Stat::kMean:
-      return Format(column, summary->stats.mean());
+      return Format(column, summary->stats.mean()) +
+             Coverage(*summary, spec);
     case Stat::kCi95:
       return "+-" + Format(column, summary->ci95_halfwidth);
     case Stat::kSeeds: {
@@ -75,7 +84,8 @@ std::string ConfigCell(const Column& column, const SweepSpec& spec,
       const MetricSummary* base =
           FindSummary(sweep, ConfigIndex(spec, column.of), column.metric);
       if (base == nullptr || base->stats.count() == 0) return "-";
-      return Format(column, summary->stats.mean() / base->stats.mean());
+      return Format(column, summary->stats.mean() / base->stats.mean()) +
+             Coverage(*summary, spec);
     }
   }
   return "-";

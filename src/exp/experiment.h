@@ -81,7 +81,9 @@ struct Config {
 using Relation = std::function<void(const SweepSpec&, const SweepResult&,
                                     std::vector<std::string>& failures)>;
 
-/// What a table column makes of its metric.
+/// What a table column makes of its metric. A mean (or ratio) over fewer
+/// seeds than the config ran, the others not having measured the metric,
+/// is printed with its coverage, e.g. "0 (1/3)".
 enum class Stat {
   kMean,   ///< the mean over the config's seeds
   kCi95,   ///< the 95% CI half-width of that mean, printed "+-x"

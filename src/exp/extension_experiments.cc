@@ -2,6 +2,7 @@
 // the scale grid and the gray-failure frontier.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -249,14 +250,16 @@ Plan ScalePlan(const Setup& setup) {
 // Frontier rows: per jitter palette (max per-heartbeat delay J), a quiet
 // cluster runs a 2 h steady window (every tracker declared lost is a false
 // suspicion) and then loses one whole site cold (detect_all_s = time to
-// declare every killed tracker). The fixed-deadline ladder (dl30 / dl90 /
-// dl240) exposes its inherent trade — a deadline short enough to detect
-// fast false-fires under jitter, one long enough to stay quiet under every
-// palette is slow everywhere — while one phi-accrual config adapts its
-// silence budget to the observed cadence. Gates, per palette: phi stays at
+// declare every killed tracker, NaN if the wait times out). The
+// fixed-deadline ladder (dl30 / dl90 / dl240) exposes its inherent trade
+// — a deadline short enough to detect fast false-fires under jitter, one
+// long enough to stay quiet under every palette is slow everywhere —
+// while one phi-accrual config adapts its silence budget to the observed
+// cadence. Gates, per palette: phi stays at
 // zero false suspicions, no deadline point dominates phi, and phi
 // strictly dominates at least one deadline point (fp no worse, detect
-// strictly faster).
+// strictly faster). A seed that never declared counts as never (+inf) in
+// the detection means.
 //
 // Storm rows: a multi-job workload during which a fixed set of leases is
 // slowed 4x, with quarantine off vs on. Gate: mean goodput_per_slot_hour
@@ -310,9 +313,10 @@ Metrics RunGrayDetection(const std::string& detector, SimDuration expiry,
   const mr::JobTracker& jt = cluster.jobtracker();
   obs::Histogram& latency_hist = cluster.sim().obs().metrics().GetHistogram(
       "mr.tracker.detection_latency_s");
+  // NaN: never declared (or never spun up).
   double false_suspects = 0;
-  double detect_all_s = -1;
-  double detect_mean_silence_s = 0;
+  double detect_all_s = std::nan("");
+  double detect_mean_silence_s = std::nan("");
   double killed = 0;
   if (reached) {
     // Jitter palette on: every running node's daemons hold each heartbeat
@@ -474,11 +478,23 @@ struct Palette {
   std::vector<std::string> deadlines = {};
 };
 
+/// `metric`'s mean over `config`'s seeds, +inf when a seed did not
+/// measure it: a detection that never happened counts as never, so one
+/// missed seed cannot make a detector look faster.
+double MeanOrNever(const SweepSpec& spec, const SweepResult& sweep,
+                   std::size_t config, const char* metric) {
+  const MetricSummary& summary = sweep.Summary(config, metric);
+  if (summary.stats.count() < spec.seeds.size()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return summary.stats.mean();
+}
+
 /// "<mean> (seed 11: v, seed 23: v, ...)": a mean-gate message names the
 /// seed that moved it.
 std::string MeanWithSeeds(const SweepSpec& spec, const SweepResult& sweep,
                           std::size_t config, const char* metric) {
-  std::string text = Printf("%g (", sweep.Mean(config, metric));
+  std::string text = Printf("%g (", MeanOrNever(spec, sweep, config, metric));
   for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
     if (s) text += ", ";
     text += Printf("seed %llu: %g",
@@ -494,8 +510,8 @@ void FrontierGate(const Palette& palette, const SweepSpec& spec,
   const std::size_t phi = ConfigIndex(spec, palette.phi);
   if (phi == spec.configs) return;
   const double phi_fp = sweep.Mean(phi, "false_suspects");
-  const double phi_detect = sweep.Mean(phi, "detect_all_s");
-  if (phi_detect <= 0) {
+  const double phi_detect = MeanOrNever(spec, sweep, phi, "detect_all_s");
+  if (std::isinf(phi_detect)) {
     failures.push_back(palette.phi + ": phi never declared the killed site: "
                        "detect_all_s mean " +
                        MeanWithSeeds(spec, sweep, phi, "detect_all_s"));
@@ -504,7 +520,7 @@ void FrontierGate(const Palette& palette, const SweepSpec& spec,
   for (const std::string& label : palette.deadlines) {
     const std::size_t dl = ConfigIndex(spec, label);
     const double fp = sweep.Mean(dl, "false_suspects");
-    const double detect = sweep.Mean(dl, "detect_all_s");
+    const double detect = MeanOrNever(spec, sweep, dl, "detect_all_s");
     // The adaptive point must strictly dominate the clean end of the
     // deadline frontier: any deadline as quiet as phi must be slower.
     if (fp <= phi_fp && detect <= phi_detect) {

@@ -146,7 +146,7 @@ Plan Table2Plan(const Setup&) {
 Metrics RunCluster(std::uint64_t seed) {
   const auto result = RunClusterWorkload(seed);
   return {{"response_s", result.response_time_s},
-          {"jobs_ok", static_cast<double>(result.succeeded)},
+          {"jobs_succeeded", static_cast<double>(result.succeeded)},
           {"jobs_failed", static_cast<double>(result.failed)}};
 }
 
@@ -168,7 +168,7 @@ Plan Table3Plan(const Setup&) {
       " map slots, " + std::to_string(probe.total_reduce_slots()) +
       " reduce slots (paper: 100 cores)\n";
   plan.columns = {{.header = "response (s)", .metric = "response_s"},
-                  {.header = "jobs ok", .metric = "jobs_ok"},
+                  {.header = "jobs ok", .metric = "jobs_succeeded"},
                   {.header = "jobs failed", .metric = "jobs_failed"}};
   return plan;
 }
@@ -379,8 +379,8 @@ Metrics RunZombie(const ZombieVariant& variant, std::uint64_t seed,
   const auto result = run.Run();
   run.Finish();
   return {{"response_s", result.response_time_s},
-          {"failed_jobs", static_cast<double>(result.failed)},
-          {"attempts",
+          {"jobs_failed", static_cast<double>(result.failed)},
+          {"attempts_launched",
            static_cast<double>(cluster.jobtracker().attempts_launched())},
           {"zombie_events",
            static_cast<double>(cluster.grid().zombie_events())},
@@ -400,8 +400,8 @@ Plan ZombiePlan(const Setup& setup) {
   }
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
-      {.header = "failed jobs", .metric = "failed_jobs", .decimals = 1},
-      {.header = "attempts", .metric = "attempts"},
+      {.header = "failed jobs", .metric = "jobs_failed", .decimals = 1},
+      {.header = "attempts", .metric = "attempts_launched"},
       {.header = "zombie events", .metric = "zombie_events", .decimals = 1},
       {.header = "zombies at end", .metric = "zombies_left", .decimals = 1}};
   plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
@@ -414,7 +414,7 @@ Plan ZombiePlan(const Setup& setup) {
         "fix never creates zombies and is the only variant that completes "
         "the whole workload.\n");
     const auto failed = [&](const char* label) {
-      return ConfigMean(spec, sweep, label, "failed_jobs");
+      return ConfigMean(spec, sweep, label, "jobs_failed");
     };
     const auto left = [&](const char* label) {
       return ConfigMean(spec, sweep, label, "zombies_left");
@@ -483,9 +483,9 @@ Metrics RunDiskOverflow(const DiskCase& c, std::uint64_t seed,
   const auto result = run.Run(0);
   run.Finish();
   return {{"response_s", result.response_time_s},
-          {"jobs_ok", static_cast<double>(result.succeeded)},
+          {"jobs_succeeded", static_cast<double>(result.succeeded)},
           {"jobs_failed", static_cast<double>(result.failed)},
-          {"attempts",
+          {"attempts_launched",
            static_cast<double>(cluster.jobtracker().attempts_launched())},
           {"peak_disk_util", peak_disk_util}};
 }
@@ -500,9 +500,9 @@ Plan DiskOverflowPlan(const Setup& setup) {
   }
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},
-      {.header = "jobs ok", .metric = "jobs_ok", .decimals = 1},
+      {.header = "jobs ok", .metric = "jobs_succeeded", .decimals = 1},
       {.header = "jobs failed", .metric = "jobs_failed", .decimals = 1},
-      {.header = "attempts", .metric = "attempts"},
+      {.header = "attempts", .metric = "attempts_launched"},
       {.header = "peak disk util", .metric = "peak_disk_util", .decimals = 1,
        .scale = 100, .unit = "%"}};
   plan.notes = [](const SweepSpec& spec, const SweepResult& sweep) {
@@ -520,7 +520,8 @@ Plan DiskOverflowPlan(const Setup& setup) {
     std::printf("Overflow visible on tight disks: %s\n",
                 YesNo(tight("peak_disk_util") > 0.97 &&
                       (tight("jobs_failed") > roomy("jobs_failed") ||
-                       tight("attempts") > roomy("attempts"))));
+                       tight("attempts_launched") >
+                           roomy("attempts_launched"))));
   };
   return plan;
 }

@@ -39,6 +39,12 @@ const MetricSummary& SweepResult::Summary(std::size_t config,
                           " summaries");
 }
 
+double SweepResult::Mean(std::size_t config, std::string_view name) const {
+  const MetricSummary& summary = Summary(config, name);
+  if (summary.stats.count() == 0) return std::nan("");
+  return summary.stats.mean();
+}
+
 std::vector<std::vector<MetricSummary>> Summarize(
     const SweepSpec& spec, const std::vector<RunRecord>& runs) {
   std::vector<std::vector<MetricSummary>> summaries(spec.configs);
@@ -163,17 +169,21 @@ std::string ToBenchJson(const SweepSpec& spec, const SweepResult& result) {
     for (const MetricSummary& m : result.summaries[c]) {
       if (!first_summary) os << ",\n";
       first_summary = false;
+      // A metric no run measured has no statistics: null, never 0.
+      const auto stat = [&m](double value) {
+        return m.stats.count() == 0 ? std::string("null") : JsonNumber(value);
+      };
       os << "    {\"config\": " << JsonEscape(spec.Label(c))
          << ", \"metric\": " << JsonEscape(m.name)
          << ", \"count\": " << m.stats.count()
-         << ", \"mean\": " << JsonNumber(m.stats.mean())
-         << ", \"stddev\": " << JsonNumber(m.stats.stddev())
-         << ", \"min\": " << JsonNumber(m.stats.min())
-         << ", \"max\": " << JsonNumber(m.stats.max())
-         << ", \"p50\": " << JsonNumber(m.p50)
-         << ", \"p95\": " << JsonNumber(m.p95)
-         << ", \"p99\": " << JsonNumber(m.p99)
-         << ", \"ci95\": " << JsonNumber(m.ci95_halfwidth) << "}";
+         << ", \"mean\": " << stat(m.stats.mean())
+         << ", \"stddev\": " << stat(m.stats.stddev())
+         << ", \"min\": " << stat(m.stats.min())
+         << ", \"max\": " << stat(m.stats.max())
+         << ", \"p50\": " << stat(m.p50)
+         << ", \"p95\": " << stat(m.p95)
+         << ", \"p99\": " << stat(m.p99)
+         << ", \"ci95\": " << stat(m.ci95_halfwidth) << "}";
     }
   }
   os << "\n  ],\n";

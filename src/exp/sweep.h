@@ -85,7 +85,9 @@ struct RunRecord {
 
 /// Per-config, per-metric summary across seeds. Non-finite per-run values
 /// (a metric that was unmeasurable for that run) are excluded, so
-/// stats.count() may be smaller than the seed count.
+/// stats.count() may be smaller than the seed count. A summary of count 0
+/// measured nothing: its statistics are not numbers, and serialize as
+/// null.
 struct MetricSummary {
   std::string name;
   RunningStats stats;
@@ -112,10 +114,9 @@ struct SweepResult {
   /// and gates read summaries by name, never by position.
   const MetricSummary& Summary(std::size_t config,
                                std::string_view name) const;
-  /// Summary(config, name).stats.mean(): what bench tables print.
-  double Mean(std::size_t config, std::string_view name) const {
-    return Summary(config, name).stats.mean();
-  }
+  /// Summary(config, name).stats.mean(): what bench tables print. NaN
+  /// when no run measured the metric, so a gate never reads 0 there.
+  double Mean(std::size_t config, std::string_view name) const;
 };
 
 /// Runs the sweep. Exceptions thrown by `fn` are re-thrown on the calling

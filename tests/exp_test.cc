@@ -260,8 +260,8 @@ TEST(Sweep, GoldenBenchJson) {
       "\"mean\": 7, \"stddev\": 0, \"min\": 7, \"max\": 7, \"p50\": 7, "
       "\"p95\": 7, \"p99\": 7, \"ci95\": 0},\n"
       "    {\"config\": \"cfg\", \"metric\": \"u\", \"count\": 0, "
-      "\"mean\": 0, \"stddev\": 0, \"min\": 0, \"max\": 0, \"p50\": 0, "
-      "\"p95\": 0, \"p99\": 0, \"ci95\": 0}\n"
+      "\"mean\": null, \"stddev\": null, \"min\": null, \"max\": null, "
+      "\"p50\": null, \"p95\": null, \"p99\": null, \"ci95\": null}\n"
       "  ],\n"
       "  \"runs\": [\n"
       "    {\"config\": \"cfg\", \"seed\": 5, \"metrics\": {\"v\": 7, "
@@ -269,6 +269,29 @@ TEST(Sweep, GoldenBenchJson) {
       "  ]\n"
       "}\n";
   EXPECT_EQ(ToBenchJson(spec, result), expected);
+}
+
+// A metric no run measured has no mean: Mean is NaN, so a gate or a note
+// never reads 0 for it, while a partly measured one averages its
+// measured seeds.
+TEST(Sweep, UnmeasuredMetricHasNoMean) {
+  SweepSpec spec;
+  spec.seeds = {1, 2};
+  spec.threads = 1;
+  const auto result =
+      RunSweep(spec, [](std::size_t, std::uint64_t seed) -> Metrics {
+        return {{"never", std::nan("")},
+                {"once", seed == 2 ? 4.0 : std::nan("")}};
+      });
+  EXPECT_EQ(result.Summary(0, "never").stats.count(), 0u);
+  EXPECT_TRUE(std::isnan(result.Mean(0, "never")));
+  EXPECT_EQ(result.Summary(0, "once").stats.count(), 1u);
+  EXPECT_EQ(result.Mean(0, "once"), 4.0);
+  const std::string json = ToBenchJson(spec, result);
+  EXPECT_NE(
+      json.find("\"metric\": \"never\", \"count\": 0, \"mean\": null"),
+      std::string::npos)
+      << json;
 }
 
 TEST(BenchMain, DefaultSeedsProgression) {

@@ -574,13 +574,24 @@ TEST(Contracts, GrayPhiOnTheFrontierAndQuarantinePays) {
   EXPECT_EQ(dominates_none.size(), 1u);
   EXPECT_TRUE(Names(dominates_none, {"j45-phi dominates no deadline point",
                                      "detect_all_s", "seed 23: 700"}));
-  // phi must declare the killed site.
+  // phi must declare the killed site (NaN: never declared)...
   const auto undetected = gray.Gates([](const std::string& l, std::uint64_t s) {
     Metrics m = GrayPass(l, s);
-    if (l == "j45-phi") Set(m, "detect_all_s", -1);
+    if (l == "j45-phi") Set(m, "detect_all_s", std::nan(""));
     return m;
   });
   EXPECT_TRUE(Names(undetected, {"j45-phi", "never declared", "detect_all_s"}));
+  // ...on every seed: one miss counts as never, not as a faster mean.
+  const auto missed_once = gray.GatesWith(
+      GrayPass, "j45-phi", 23,
+      [](Metrics& m) { Set(m, "detect_all_s", std::nan("")); });
+  EXPECT_TRUE(Names(missed_once, {"j45-phi", "never declared",
+                                  "detect_all_s mean inf", "seed 23: nan"}));
+  // A deadline point that never declared cannot dominate phi.
+  EXPECT_TRUE(gray.GatesWith(GrayPass, "j6-dl240", 23, [](Metrics& m) {
+                    Set(m, "false_suspects", 0);
+                    Set(m, "detect_all_s", std::nan(""));
+                  }).empty());
   // Quarantine beats the bare storm on mean goodput.
   const auto storm = gray.GatesWith(GrayPass, "storm-quarantine", 23,
                                     [](Metrics& m) {
@@ -660,6 +671,25 @@ TEST(RenderTable, OneConfigMeansOneRowPerSeed) {
             "|------|-----|----|---------|\n"
             "| 1    | 1.5 | -  | -       |\n"
             "| 2    | 3.0 | -  | -       |\n");
+}
+
+TEST(RenderTable, PartialMeanShowsItsSeedCoverage) {
+  FakeSweep fake({"a", "b"},
+                 [](const std::string& label, std::uint64_t seed) -> Metrics {
+                   const double s = static_cast<double>(seed);
+                   if (label == "a") return {{"x", 10 * s}};
+                   return {{"x", seed == 2 ? 0 : std::nan("")}};
+                 });
+  fake.plan.columns = {
+      {.header = "x", .metric = "x"},
+      {.header = "vs a", .metric = "x", .stat = Stat::kRatio, .of = "a",
+       .decimals = 2, .unit = "x"}};
+  // b measured x on seed 2 alone: its mean and ratio say so.
+  EXPECT_EQ(fake.Render(),
+            "| config | x       | vs a        |\n"
+            "|--------|---------|-------------|\n"
+            "| a      | 15      | 1.00x       |\n"
+            "| b      | 0 (1/2) | 0.00x (1/2) |\n");
 }
 
 TEST(RenderTable, ColumnOfAnUnreportedMetricThrowsNamingTheColumn) {

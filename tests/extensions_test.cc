@@ -2,86 +2,26 @@
 // §VI security model.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
-#include "src/mapreduce/jobtracker.h"
-#include "src/mapreduce/tasktracker.h"
-#include "src/workload/runner.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim {
 namespace {
 
-// Multi-rack cluster harness with adjustable configs (distinct from the
-// flat MrHarness in mapreduce_test.cc: locality only matters with racks).
-class RackedHarness {
- public:
-  RackedHarness(int racks, int per_rack, mr::MrConfig mr_config,
-                hdfs::HdfsConfig hdfs_config,
-                net::FlowNetworkConfig net_config = {})
-      : net_(sim_, net_config) {
-    const net::SiteId central = net_.AddSite(Gbps(10));
-    const net::NodeId master = net_.AddNode(central, Gbps(1));
-    nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master, hdfs::SiteAwarenessScript(),
-        hdfs::MakeSiteAwarePlacement(), Rng(17), hdfs_config);
-    nn_->Start();
-    jt_ = std::make_unique<mr::JobTracker>(sim_, net_, *nn_, master,
-                                           hdfs::SiteAwarenessScript(),
-                                           mr_config);
-    jt_->Start();
-    dfs_ = std::make_unique<hdfs::DfsClient>(*nn_);
-    for (int r = 0; r < racks; ++r) {
-      const net::SiteId site = net_.AddSite(Gbps(2));
-      for (int n = 0; n < per_rack; ++n) {
-        const net::NodeId node = net_.AddNode(site, Gbps(1));
-        disks_.push_back(
-            std::make_unique<storage::Disk>(sim_, 50 * kGiB, MiBps(80)));
-        const std::string hostname =
-            "w" + std::to_string(n) + ".rack" + std::to_string(r) + ".edu";
-        datanodes_.push_back(std::make_unique<hdfs::Datanode>(
-            sim_, net_, *nn_, hostname, node, *disks_.back()));
-        datanodes_.back()->Start();
-        trackers_.push_back(std::make_unique<mr::TaskTracker>(
-            sim_, net_, *jt_, *dfs_, hostname, node, *disks_.back(), 2, 1));
-        trackers_.back()->Start();
-      }
-    }
-  }
-
-  mr::JobId Submit(Bytes input_bytes, int reduces) {
-    mr::JobSpec spec;
-    spec.name = "xjob";
-    spec.input = nn_->ImportFile("in" + std::to_string(jt_->job_count()),
-                                 input_bytes);
-    spec.num_reduces = reduces;
-    spec.map_compute_rate = MiBps(20);
-    spec.reduce_compute_rate = MiBps(20);
-    return jt_->SubmitJob(spec);
-  }
-
-  bool RunToCompletion(SimTime deadline = 8 * kHour) {
-    return workload::RunSimUntil(
-        sim_, [&] { return jt_->AllJobsDone(); }, deadline);
-  }
-
-  hdfs::Namenode& nn() { return *nn_; }
-  mr::JobTracker& jt() { return *jt_; }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  std::unique_ptr<hdfs::Namenode> nn_;
-  std::unique_ptr<mr::JobTracker> jt_;
-  std::unique_ptr<hdfs::DfsClient> dfs_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
-  std::vector<std::unique_ptr<mr::TaskTracker>> trackers_;
-};
+// `racks` sites of `per_rack` workers each: locality only matters with
+// racks (mapreduce_test.cc's cluster is a single rack).
+TestCluster RackedCluster(int racks, int per_rack, mr::MrConfig mr_config,
+                          hdfs::HdfsConfig hdfs_config,
+                          net::FlowNetworkConfig net_config = {}) {
+  return TestCluster(
+      {.seed = 17,
+       .hdfs = hdfs_config,
+       .mr = mr_config,
+       .net = net_config,
+       .disk = 50 * kGiB},
+      [&](TestCluster& c) {
+        c.AddSites(racks, per_rack, Gbps(2), GridHost("w", "rack"));
+      });
+}
 
 hdfs::HdfsConfig ScarceReplication() {
   hdfs::HdfsConfig config;
@@ -94,7 +34,7 @@ TEST(DelayScheduling, ImprovesMapLocality) {
     mr::MrConfig mr_config;
     mr_config.locality_wait_node = wait;
     mr_config.locality_wait_rack = wait;
-    RackedHarness h(3, 4, mr_config, ScarceReplication());
+    TestCluster h = RackedCluster(3, 4, mr_config, ScarceReplication());
     const auto job = h.Submit(24 * 64 * kMiB, 2);
     EXPECT_TRUE(h.RunToCompletion());
     const auto& info = h.jt().job(job);
@@ -114,7 +54,7 @@ TEST(DelayScheduling, WaitExpiryPreventsStarvation) {
   mr::MrConfig mr_config;
   mr_config.locality_wait_node = 5 * kSecond;
   mr_config.locality_wait_rack = 5 * kSecond;
-  RackedHarness h(1, 2, mr_config, ScarceReplication());
+  TestCluster h = RackedCluster(1, 2, mr_config, ScarceReplication());
   // 2 nodes, input on at most 2 nodes; job must still complete even if no
   // offer is ever node-local for some maps.
   const auto job = h.Submit(6 * 64 * kMiB, 1);
@@ -123,7 +63,7 @@ TEST(DelayScheduling, WaitExpiryPreventsStarvation) {
 }
 
 TEST(Counters, ConserveBytesThroughThePipeline) {
-  RackedHarness h(2, 3, {}, {});
+  TestCluster h = RackedCluster(2, 3, {}, {});
   const auto job = h.Submit(6 * 64 * kMiB, 3);
   ASSERT_TRUE(h.RunToCompletion());
   const mr::JobCounters& c = h.jt().job(job).counters;
@@ -145,7 +85,7 @@ TEST(Counters, ConserveBytesThroughThePipeline) {
 TEST(Counters, LocalityCountersMatchSchedulerView) {
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.default_replication = 3;
-  RackedHarness h(2, 4, {}, hdfs_config);
+  TestCluster h = RackedCluster(2, 4, {}, hdfs_config);
   const auto job = h.Submit(8 * 64 * kMiB, 2);
   ASSERT_TRUE(h.RunToCompletion());
   const auto& info = h.jt().job(job);
@@ -162,7 +102,7 @@ TEST(Security, CryptoOverheadSlowsTransfersAndRpc) {
   pki.crypto_byte_overhead = 0.15;
 
   auto time_job = [](net::FlowNetworkConfig net_config) {
-    RackedHarness h(2, 3, {}, {}, net_config);
+    TestCluster h = RackedCluster(2, 3, {}, {}, net_config);
     const auto job = h.Submit(6 * 64 * kMiB, 2);
     EXPECT_TRUE(h.RunToCompletion());
     EXPECT_EQ(h.jt().job(job).state, mr::JobState::kSucceeded);

@@ -7,11 +7,7 @@
 #include <set>
 
 #include "src/hdfs/balancer.h"
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::hdfs {
 namespace {
@@ -21,63 +17,6 @@ TEST(Topology, Scripts) {
   EXPECT_EQ(SiteAwarenessScript()("node1.red.unl.edu"), "/unl.edu");
   EXPECT_EQ(SiteAwarenessScript()("g3.fnal.gov"), "/fnal.gov");
 }
-
-// A small harness: a namenode plus datanodes across `sites` sites with
-// `per_site` nodes each.
-class HdfsHarness {
- public:
-  HdfsHarness(int sites, int per_site, HdfsConfig config,
-              bool site_aware = true, Bytes disk = 10 * kGiB)
-      : net_(sim_) {
-    const net::SiteId central = net_.AddSite(Gbps(10));
-    master_ = net_.AddNode(central, Gbps(1));
-    nn_ = std::make_unique<Namenode>(
-        sim_, net_, master_,
-        site_aware ? SiteAwarenessScript() : FlatTopology(),
-        site_aware ? MakeSiteAwarePlacement() : MakeDefaultPlacement(),
-        Rng(7), config);
-    nn_->Start();
-    for (int s = 0; s < sites; ++s) {
-      const net::SiteId site = net_.AddSite(Gbps(2));
-      for (int n = 0; n < per_site; ++n) {
-        const net::NodeId node = net_.AddNode(site, Gbps(1));
-        disks_.push_back(
-            std::make_unique<storage::Disk>(sim_, disk, MiBps(60)));
-        const std::string hostname = "w" + std::to_string(n) + ".site" +
-                                     std::to_string(s) + ".edu";
-        daemons_.push_back(std::make_unique<Datanode>(
-            sim_, net_, *nn_, hostname, node, *disks_.back()));
-        daemons_.back()->Start();
-      }
-    }
-    client_ = std::make_unique<DfsClient>(*nn_);
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  net::FlowNetwork& net() { return net_; }
-  Namenode& nn() { return *nn_; }
-  DfsClient& client() { return *client_; }
-  Datanode& daemon(std::size_t i) { return *daemons_[i]; }
-  std::size_t daemon_count() const { return daemons_.size(); }
-
-  /// Distinct sites covered by a block's replicas.
-  std::set<std::string> SitesOf(BlockId block) {
-    std::set<std::string> sites;
-    for (DatanodeId dn : nn_->BlockHolders(block)) {
-      sites.insert(nn_->RackOf(dn));
-    }
-    return sites;
-  }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<Namenode> nn_;
-  std::unique_ptr<DfsClient> client_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<Datanode>> daemons_;
-};
 
 HdfsConfig HogConfig() {
   HdfsConfig config;
@@ -92,7 +31,7 @@ HdfsConfig StockConfig() {
 }
 
 TEST(Hdfs, ImportPlacesAllReplicasOnDistinctNodes) {
-  HdfsHarness h(5, 6, HogConfig());
+  TestCluster h = HdfsCluster(5, 6, HogConfig());
   const FileId file = h.nn().ImportFile("f", 5 * 64 * kMiB);
   const auto blocks = h.nn().GetFileBlocks(file);
   ASSERT_EQ(blocks.size(), 5u);
@@ -104,7 +43,7 @@ TEST(Hdfs, ImportPlacesAllReplicasOnDistinctNodes) {
 }
 
 TEST(Hdfs, SiteAwarePlacementCoversAllSites) {
-  HdfsHarness h(5, 6, HogConfig());
+  TestCluster h = HdfsCluster(5, 6, HogConfig());
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const BlockId block = h.nn().GetFileBlocks(file)[0].block;
   // 10 replicas across 5 sites: every site must hold at least one (HOG's
@@ -114,7 +53,7 @@ TEST(Hdfs, SiteAwarePlacementCoversAllSites) {
 
 TEST(Hdfs, DefaultPlacementUsesTwoRacks) {
   HdfsConfig config = StockConfig();
-  HdfsHarness h(4, 5, config, /*site_aware=*/false);
+  TestCluster h = HdfsCluster(4, 5, config, /*site_aware=*/false);
   // Flat topology: all nodes report /default-rack, so the rack rule
   // degenerates gracefully — 3 replicas, 3 distinct nodes.
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
@@ -127,62 +66,50 @@ TEST(Hdfs, DefaultPlacementUsesTwoRacks) {
 TEST(Hdfs, DefaultPlacementSpreadsAcrossTwoSitesWhenRacked) {
   // Default policy with a real topology: replica 2 must leave replica 1's
   // rack; replica 3 joins replica 2.
-  HdfsConfig config = StockConfig();
-  sim::Simulation sim;
-  net::FlowNetwork net(sim);
-  const net::NodeId master = net.AddNode(net.AddSite(Gbps(10)), Gbps(1));
-  Namenode nn(sim, net, master, SiteAwarenessScript(), MakeDefaultPlacement(),
-              Rng(3), config);
-  nn.Start();
-  std::vector<std::unique_ptr<storage::Disk>> disks;
-  std::vector<std::unique_ptr<Datanode>> daemons;
-  for (int s = 0; s < 3; ++s) {
-    const net::SiteId site = net.AddSite(Gbps(2));
-    for (int n = 0; n < 4; ++n) {
-      disks.push_back(std::make_unique<storage::Disk>(sim, kGiB, MiBps(60)));
-      daemons.push_back(std::make_unique<Datanode>(
-          sim, net, nn, "n" + std::to_string(n) + ".s" + std::to_string(s) +
-                            ".edu",
-          net.AddNode(site, Gbps(1)), *disks.back()));
-      daemons.back()->Start();
-    }
-  }
+  TestCluster h({.placement = MakeDefaultPlacement,
+                 .seed = 3,
+                 .hdfs = StockConfig(),
+                 .disk = kGiB,
+                 .disk_rate = MiBps(60)},
+                [](TestCluster& c) {
+                  c.AddSites(3, 4, Gbps(2), GridHost("n", "s"));
+                });
   for (int i = 0; i < 20; ++i) {
-    const FileId file = nn.ImportFile("f" + std::to_string(i), 64 * kMiB);
-    const auto loc = nn.GetFileBlocks(file)[0];
+    const FileId file = h.nn().ImportFile("f" + std::to_string(i), 64 * kMiB);
+    const auto loc = h.nn().GetFileBlocks(file)[0];
     std::set<std::string> racks(loc.racks.begin(), loc.racks.end());
     EXPECT_EQ(racks.size(), 2u) << "replicas 2+3 share a rack != replica 1's";
   }
 }
 
 TEST(Hdfs, ImportReservesDiskSpace) {
-  HdfsHarness h(2, 2, StockConfig());
+  TestCluster h = HdfsCluster(2, 2, StockConfig());
   const Bytes before = [&] {
     Bytes used = 0;
-    for (std::size_t i = 0; i < h.daemon_count(); ++i) {
-      used += h.daemon(i).disk().used();
+    for (std::size_t i = 0; i < h.worker_count(); ++i) {
+      used += h.datanode(i).disk().used();
     }
     return used;
   }();
   EXPECT_EQ(before, 0);
   h.nn().ImportFile("f", 2 * 64 * kMiB);
   Bytes used = 0;
-  for (std::size_t i = 0; i < h.daemon_count(); ++i) {
-    used += h.daemon(i).disk().used();
+  for (std::size_t i = 0; i < h.worker_count(); ++i) {
+    used += h.datanode(i).disk().used();
   }
   EXPECT_EQ(used, 2 * 3 * 64 * kMiB);  // 2 blocks x replication 3
 }
 
 TEST(Hdfs, ImportThrowsWhenNoSpace) {
-  HdfsHarness h(1, 2, StockConfig(), true, /*disk=*/32 * kMiB);
+  TestCluster h = HdfsCluster(1, 2, StockConfig(), true, /*disk=*/32 * kMiB);
   EXPECT_THROW(h.nn().ImportFile("f", 64 * kMiB), std::runtime_error);
 }
 
 TEST(Hdfs, HeartbeatTimeoutDeclaresDead) {
-  HdfsHarness h(2, 3, HogConfig());
+  TestCluster h = HdfsCluster(2, 3, HogConfig());
   h.sim().RunUntil(10 * kSecond);
   EXPECT_EQ(h.nn().live_datanodes(), 6);
-  h.daemon(0).Shutdown();
+  h.datanode(0).Shutdown();
   // HOG recheck: 30 s. Well within a minute the node must be dead.
   h.sim().RunUntil(h.sim().now() + 90 * kSecond);
   EXPECT_EQ(h.nn().live_datanodes(), 5);
@@ -190,9 +117,9 @@ TEST(Hdfs, HeartbeatTimeoutDeclaresDead) {
 }
 
 TEST(Hdfs, StockTimeoutIsSlow) {
-  HdfsHarness h(2, 3, StockConfig());
+  TestCluster h = HdfsCluster(2, 3, StockConfig());
   h.sim().RunUntil(10 * kSecond);
-  h.daemon(0).Shutdown();
+  h.datanode(0).Shutdown();
   h.sim().RunUntil(h.sim().now() + 5 * kMinute);
   EXPECT_EQ(h.nn().live_datanodes(), 6) << "traditional Hadoop still waits";
   h.sim().RunUntil(h.sim().now() + 15 * kMinute);
@@ -202,13 +129,13 @@ TEST(Hdfs, StockTimeoutIsSlow) {
 TEST(Hdfs, ReReplicationRestoresFactor) {
   HdfsConfig config = HogConfig();
   config.default_replication = 4;
-  HdfsHarness h(3, 4, config);
+  TestCluster h = HdfsCluster(3, 4, config);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const BlockId block = h.nn().GetFileBlocks(file)[0].block;
   ASSERT_EQ(h.nn().BlockHolders(block).size(), 4u);
   // Kill one replica holder.
   const DatanodeId victim = h.nn().BlockHolders(block)[0];
-  h.daemon(victim).Shutdown();
+  h.datanode(victim).Shutdown();
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
   EXPECT_EQ(h.nn().BlockHolders(block).size(), 4u)
       << "replication monitor must restore the factor";
@@ -219,11 +146,11 @@ TEST(Hdfs, ReReplicationRestoresFactor) {
 TEST(Hdfs, SurvivesWholeSiteLossWithSiteAwarePlacement) {
   HdfsConfig config = HogConfig();
   config.default_replication = 5;
-  HdfsHarness h(5, 4, config);
+  TestCluster h = HdfsCluster(5, 4, config);
   const FileId file = h.nn().ImportFile("f", 10 * 64 * kMiB);
   // Site-aware placement covers all 5 sites; kill every node in site 0
   // (daemons 0..3 — hostnames w*.site0.edu).
-  for (int i = 0; i < 4; ++i) h.daemon(static_cast<std::size_t>(i)).Shutdown();
+  for (std::size_t i = 0; i < 4; ++i) h.datanode(i).Shutdown();
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
   EXPECT_EQ(h.nn().missing_blocks(), 0u);
   for (const auto& loc : h.nn().GetFileBlocks(file)) {
@@ -235,7 +162,7 @@ TEST(Hdfs, MissingBlockCallbackFiresWhenAllReplicasDie) {
   HdfsConfig config = StockConfig();
   config.default_replication = 2;
   config.heartbeat_recheck = 30 * kSecond;
-  HdfsHarness h(1, 3, config);
+  TestCluster h = HdfsCluster(1, 3, config);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const BlockId block = h.nn().GetFileBlocks(file)[0].block;
   int missing = 0;
@@ -243,7 +170,7 @@ TEST(Hdfs, MissingBlockCallbackFiresWhenAllReplicasDie) {
     EXPECT_EQ(b, block);
     ++missing;
   });
-  for (DatanodeId dn : h.nn().BlockHolders(block)) h.daemon(dn).Shutdown();
+  for (DatanodeId dn : h.nn().BlockHolders(block)) h.datanode(dn).Shutdown();
   h.sim().RunUntil(h.sim().now() + 2 * kMinute);
   EXPECT_EQ(missing, 1);
   EXPECT_EQ(h.nn().missing_blocks(), 1u);
@@ -252,31 +179,31 @@ TEST(Hdfs, MissingBlockCallbackFiresWhenAllReplicasDie) {
 TEST(Hdfs, ZombieDatanodeKeepsHeartbeatingWithoutFix) {
   HdfsConfig config = HogConfig();
   config.disk_check_interval = 0;  // stock behaviour: no probe
-  HdfsHarness h(2, 3, config);
+  TestCluster h = HdfsCluster(2, 3, config);
   h.sim().RunUntil(10 * kSecond);
-  h.daemon(0).EnterZombieMode();
+  h.datanode(0).EnterZombieMode();
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
-  EXPECT_TRUE(h.daemon(0).zombie());
+  EXPECT_TRUE(h.datanode(0).zombie());
   EXPECT_EQ(h.nn().live_datanodes(), 6)
       << "the namenode cannot tell a zombie from a healthy node";
 }
 
 TEST(Hdfs, DiskProbeShutsDownZombie) {
-  HdfsHarness h(2, 3, HogConfig());  // probe every 3 minutes
+  TestCluster h = HdfsCluster(2, 3, HogConfig());  // probe every 3 minutes
   h.sim().RunUntil(10 * kSecond);
   bool exited = false;
-  h.daemon(0).set_on_exit([&] { exited = true; });
-  h.daemon(0).EnterZombieMode();
+  h.datanode(0).set_on_exit([&] { exited = true; });
+  h.datanode(0).EnterZombieMode();
   h.sim().RunUntil(h.sim().now() + 4 * kMinute);
   EXPECT_TRUE(exited) << "probe must self-shutdown within one interval";
-  EXPECT_FALSE(h.daemon(0).process_alive());
+  EXPECT_FALSE(h.datanode(0).process_alive());
   // ...and the namenode then learns via the 30 s heartbeat timeout.
   h.sim().RunUntil(h.sim().now() + kMinute);
   EXPECT_EQ(h.nn().live_datanodes(), 5);
 }
 
 TEST(Hdfs, ClientReadsLocalReplicaFromDisk) {
-  HdfsHarness h(2, 3, HogConfig());
+  TestCluster h = HdfsCluster(2, 3, HogConfig());
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   bool ok = false;
@@ -291,13 +218,13 @@ TEST(Hdfs, ClientReadsLocalReplicaFromDisk) {
 TEST(Hdfs, ClientFallsBackAcrossDeadReplicas) {
   HdfsConfig config = StockConfig();
   config.default_replication = 3;
-  HdfsHarness h(3, 2, config);
+  TestCluster h = HdfsCluster(3, 2, config);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   // Kill two of the three replica holders outright (before the namenode
   // notices): the client must fail over and still succeed.
-  h.daemon(loc.datanodes[0]).Shutdown();
-  h.daemon(loc.datanodes[1]).Shutdown();
+  h.datanode(loc.datanodes[0]).Shutdown();
+  h.datanode(loc.datanodes[1]).Shutdown();
   // Read from the master's position (not a datanode).
   bool ok = false;
   h.client().ReadBlock(h.nn().master_node(), loc.block,
@@ -310,10 +237,10 @@ TEST(Hdfs, ClientFallsBackAcrossDeadReplicas) {
 TEST(Hdfs, ReadFailsWhenAllReplicasGone) {
   HdfsConfig config = StockConfig();
   config.default_replication = 2;
-  HdfsHarness h(1, 2, config);
+  TestCluster h = HdfsCluster(1, 2, config);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
-  for (DatanodeId dn : loc.datanodes) h.daemon(dn).Shutdown();
+  for (DatanodeId dn : loc.datanodes) h.datanode(dn).Shutdown();
   bool done = false, ok = true;
   h.client().ReadBlock(h.nn().master_node(), loc.block, [&](bool r, bool) {
     done = true;
@@ -328,10 +255,10 @@ TEST(Hdfs, ZombieReplicaCostsRetryTimeout) {
   HdfsConfig config = StockConfig();
   config.default_replication = 2;
   config.read_retry_timeout = 10 * kSecond;
-  HdfsHarness h(1, 3, config);
+  TestCluster h = HdfsCluster(1, 3, config);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
-  h.daemon(loc.datanodes[0]).EnterZombieMode();
+  h.datanode(loc.datanodes[0]).EnterZombieMode();
   SimTime done_at = -1;
   const SimTime start = h.sim().now();
   // Read from the zombie's own node: the local (zombie) replica is tried
@@ -346,7 +273,7 @@ TEST(Hdfs, ZombieReplicaCostsRetryTimeout) {
 }
 
 TEST(Hdfs, WritePipelineCommitsAllReplicas) {
-  HdfsHarness h(3, 3, HogConfig());
+  TestCluster h = HdfsCluster(3, 3, HogConfig());
   const FileId file = h.nn().CreateFile("out", /*replication=*/6);
   bool ok = false;
   // Write from daemon 0's node.
@@ -364,7 +291,7 @@ TEST(Hdfs, WritePipelineCommitsAllReplicas) {
 TEST(Hdfs, WriteSurvivesMidPipelineDeath) {
   HdfsConfig config = HogConfig();
   config.default_replication = 5;
-  HdfsHarness h(5, 2, config);
+  TestCluster h = HdfsCluster(5, 2, config);
   const FileId file = h.nn().CreateFile("out");
   bool ok = false;
   bool killed = false;
@@ -373,7 +300,7 @@ TEST(Hdfs, WriteSurvivesMidPipelineDeath) {
   // Kill a datanode shortly after the pipeline starts.
   h.sim().ScheduleAfter(kSecond, [&] {
     killed = true;
-    h.daemon(3).Shutdown();
+    h.datanode(3).Shutdown();
     h.net().FailFlowsAtNode(h.nn().datanode(3).net_node);
   });
   h.sim().RunAll(kHour);
@@ -383,7 +310,7 @@ TEST(Hdfs, WriteSurvivesMidPipelineDeath) {
 }
 
 TEST(Hdfs, WriteFailsCleanlyWithNoTargets) {
-  HdfsHarness h(1, 2, StockConfig(), true, /*disk=*/16 * kMiB);
+  TestCluster h = HdfsCluster(1, 2, StockConfig(), true, /*disk=*/16 * kMiB);
   const FileId file = h.nn().CreateFile("out");
   bool done = false, ok = true;
   h.client().WriteBlock(h.nn().master_node(), file, 64 * kMiB, [&](bool r) {
@@ -397,7 +324,7 @@ TEST(Hdfs, WriteFailsCleanlyWithNoTargets) {
 }
 
 TEST(Hdfs, WriteToUnknownFileFails) {
-  HdfsHarness h(1, 2, HogConfig());
+  TestCluster h = HdfsCluster(1, 2, HogConfig());
   const FileId file = h.nn().CreateFile("out");
   bool done = false, ok = true;
   h.client().WriteBlock(h.nn().datanode(0).net_node, file + 1, 64 * kMiB,
@@ -413,7 +340,7 @@ TEST(Hdfs, WriteToUnknownFileFails) {
 }
 
 TEST(Hdfs, CancelledReadNeverCallsBack) {
-  HdfsHarness h(2, 3, HogConfig());
+  TestCluster h = HdfsCluster(2, 3, HogConfig());
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   bool fired = false;
@@ -425,7 +352,7 @@ TEST(Hdfs, CancelledReadNeverCallsBack) {
 }
 
 TEST(Hdfs, CancelledWriteReleasesReservations) {
-  HdfsHarness h(2, 3, HogConfig());
+  TestCluster h = HdfsCluster(2, 3, HogConfig());
   const FileId file = h.nn().CreateFile("out", 4);
   DfsOp op = h.client().WriteBlock(h.nn().datanode(0).net_node, file,
                                    64 * kMiB, [](bool) { FAIL(); });
@@ -433,8 +360,8 @@ TEST(Hdfs, CancelledWriteReleasesReservations) {
   op.Cancel();
   h.sim().RunAll(kHour);
   Bytes used = 0;
-  for (std::size_t i = 0; i < h.daemon_count(); ++i) {
-    used += h.daemon(i).disk().used();
+  for (std::size_t i = 0; i < h.worker_count(); ++i) {
+    used += h.datanode(i).disk().used();
   }
   EXPECT_EQ(used, 0) << "abandoned write must return all reserved space";
   EXPECT_EQ(h.nn().FileSize(file), 0);
@@ -448,7 +375,7 @@ TEST(Hdfs, CancelledWriteReleasesReservations) {
 TEST(Hdfs, WriteChainReleasesItselfAfterRecovery) {
   HdfsConfig config = HogConfig();
   config.default_replication = 5;
-  HdfsHarness h(4, 2, config);
+  TestCluster h = HdfsCluster(4, 2, config);
   const FileId file = h.nn().CreateFile("freed");
   auto payload = std::make_shared<int>(7);
   std::weak_ptr<int> observer = payload;
@@ -461,7 +388,7 @@ TEST(Hdfs, WriteChainReleasesItselfAfterRecovery) {
                           done = true;
                         });
   h.sim().ScheduleAfter(kSecond, [&] {
-    h.daemon(0).Shutdown();
+    h.datanode(0).Shutdown();
     h.net().FailFlowsAtNode(h.nn().datanode(0).net_node);
   });
   h.sim().RunAll(kHour);
@@ -481,7 +408,7 @@ TEST(Hdfs, CancelledWriteReleasesItsChain) {
   auto payload = std::make_shared<int>(7);
   std::weak_ptr<int> observer = payload;
   {
-    HdfsHarness h(2, 3, HogConfig());
+    TestCluster h = HdfsCluster(2, 3, HogConfig());
     const FileId file = h.nn().CreateFile("cancelled", 4);
     DfsOp op = h.client().WriteBlock(
         h.nn().datanode(0).net_node, file, 64 * kMiB,
@@ -497,19 +424,13 @@ TEST(Hdfs, CancelledWriteReleasesItsChain) {
 TEST(Balancer, MovesBlocksTowardEmptyNodes) {
   HdfsConfig config = StockConfig();
   config.default_replication = 2;
-  HdfsHarness h(2, 2, config);  // 4 nodes
+  TestCluster h = HdfsCluster(2, 2, config);  // 4 nodes
   h.nn().ImportFile("f", 20 * 64 * kMiB);
   // Add two fresh, empty datanodes (elastic growth).
   sim::Simulation& sim = h.sim();
-  const net::SiteId site = h.net().AddSite(Gbps(2));
-  storage::Disk fresh_disk1(sim, 10 * kGiB, MiBps(60));
-  storage::Disk fresh_disk2(sim, 10 * kGiB, MiBps(60));
-  Datanode fresh1(sim, h.net(), h.nn(), "f1.new.edu",
-                  h.net().AddNode(site, Gbps(1)), fresh_disk1);
-  Datanode fresh2(sim, h.net(), h.nn(), "f2.new.edu",
-                  h.net().AddNode(site, Gbps(1)), fresh_disk2);
-  fresh1.Start();
-  fresh2.Start();
+  const net::SiteId site = h.AddSite(Gbps(2));
+  storage::Disk& fresh_disk1 = h.disk(h.AddWorker(site, "f1.new.edu"));
+  storage::Disk& fresh_disk2 = h.disk(h.AddWorker(site, "f2.new.edu"));
 
   BalancerConfig bal_config;
   bal_config.threshold = 0.02;  // the test dataset is small
@@ -532,7 +453,7 @@ TEST_P(HdfsAvailabilityTest, NoDataLossWhileOneSiteSurvives) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   HdfsConfig config = HogConfig();
   config.default_replication = 5;
-  HdfsHarness h(5, 3, config);
+  TestCluster h = HdfsCluster(5, 3, config);
   h.nn().ImportFile("f", 8 * 64 * kMiB);
   // Kill every node in 4 random sites (12 of 15 nodes max).
   std::set<int> doomed_sites;
@@ -541,7 +462,7 @@ TEST_P(HdfsAvailabilityTest, NoDataLossWhileOneSiteSurvives) {
   }
   for (int s : doomed_sites) {
     for (int n = 0; n < 3; ++n) {
-      h.daemon(static_cast<std::size_t>(s * 3 + n)).Shutdown();
+      h.datanode(static_cast<std::size_t>(s * 3 + n)).Shutdown();
     }
   }
   h.sim().RunUntil(h.sim().now() + 5 * kMinute);

@@ -5,96 +5,13 @@
 
 #include <set>
 
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
-#include "src/mapreduce/jobtracker.h"
-#include "src/mapreduce/tasktracker.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::mr {
 namespace {
 
-// A compact single-rack Hadoop cluster with per-test knobs.
-class MrHarness {
- public:
-  explicit MrHarness(int workers, MrConfig mr_config = {},
-                     hdfs::HdfsConfig hdfs_config = {}, int map_slots = 2,
-                     int reduce_slots = 1, Bytes disk = 20 * kGiB)
-      : net_(sim_) {
-    const net::SiteId site = net_.AddSite(Gbps(100));
-    master_ = net_.AddNode(site, Gbps(1));
-    nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master_, hdfs::FlatTopology(),
-        hdfs::MakeDefaultPlacement(), Rng(11), hdfs_config);
-    nn_->Start();
-    jt_ = std::make_unique<JobTracker>(sim_, net_, *nn_, master_,
-                                       hdfs::FlatTopology(), mr_config);
-    jt_->Start();
-    dfs_ = std::make_unique<hdfs::DfsClient>(*nn_);
-    for (int i = 0; i < workers; ++i) {
-      const net::NodeId node = net_.AddNode(site, Gbps(1));
-      disks_.push_back(std::make_unique<storage::Disk>(sim_, disk, MiBps(80)));
-      const std::string hostname = "w" + std::to_string(i) + ".cluster.local";
-      datanodes_.push_back(std::make_unique<hdfs::Datanode>(
-          sim_, net_, *nn_, hostname, node, *disks_.back()));
-      datanodes_.back()->Start();
-      trackers_.push_back(std::make_unique<TaskTracker>(
-          sim_, net_, *jt_, *dfs_, hostname, node, *disks_.back(), map_slots,
-          reduce_slots));
-      trackers_.back()->Start();
-    }
-  }
-
-  JobId Submit(Bytes input_bytes, int reduces, double map_rate_mibps = 20,
-               double reduce_rate_mibps = 20) {
-    JobSpec spec;
-    spec.name = "job";
-    spec.input = nn_->ImportFile("in" + std::to_string(jt_->job_count()),
-                                 input_bytes);
-    spec.num_reduces = reduces;
-    spec.map_compute_rate = MiBps(map_rate_mibps);
-    spec.reduce_compute_rate = MiBps(reduce_rate_mibps);
-    return jt_->SubmitJob(spec);
-  }
-
-  bool RunToCompletion(SimTime deadline = 8 * kHour) {
-    while (!jt_->AllJobsDone() && sim_.now() < deadline) {
-      sim_.RunUntil(sim_.now() + kSecond);
-    }
-    return jt_->AllJobsDone();
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  hdfs::Namenode& nn() { return *nn_; }
-  JobTracker& jt() { return *jt_; }
-  TaskTracker& tracker(std::size_t i) { return *trackers_[i]; }
-  hdfs::Datanode& datanode(std::size_t i) { return *datanodes_[i]; }
-  storage::Disk& disk(std::size_t i) { return *disks_[i]; }
-  net::FlowNetwork& net() { return net_; }
-
-  void KillWorker(std::size_t i) {
-    datanodes_[i]->Shutdown();
-    trackers_[i]->Shutdown();
-    net_.FailFlowsAtNode(trackers_[i]->net_node());
-    disks_[i]->CancelAll();
-  }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<hdfs::Namenode> nn_;
-  std::unique_ptr<JobTracker> jt_;
-  std::unique_ptr<hdfs::DfsClient> dfs_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
-  std::vector<std::unique_ptr<TaskTracker>> trackers_;
-};
-
 TEST(MapReduce, JobLifecycleBasics) {
-  MrHarness h(4);
+  TestCluster h = MrCluster(4);
   const JobId job = h.Submit(4 * 64 * kMiB, 2);
   ASSERT_TRUE(h.RunToCompletion());
   const JobInfo& info = h.jt().job(job);
@@ -110,7 +27,7 @@ TEST(MapReduce, JobLifecycleBasics) {
 }
 
 TEST(MapReduce, MapOnlyJobCompletes) {
-  MrHarness h(3);
+  TestCluster h = MrCluster(3);
   const JobId job = h.Submit(3 * 64 * kMiB, /*reduces=*/0);
   ASSERT_TRUE(h.RunToCompletion());
   EXPECT_EQ(h.jt().job(job).state, JobState::kSucceeded);
@@ -122,7 +39,7 @@ TEST(MapReduce, FifoOrderAcrossJobs) {
   // Two identical jobs: FIFO must finish the first before the second
   // (with single-slot capacity and no overlap benefit for job 2).
   MrConfig config;
-  MrHarness h(2, config, {}, /*map_slots=*/1, /*reduce_slots=*/1);
+  TestCluster h = MrCluster(2, config, {}, /*map_slots=*/1);
   const JobId first = h.Submit(8 * 64 * kMiB, 1);
   const JobId second = h.Submit(8 * 64 * kMiB, 1);
   ASSERT_TRUE(h.RunToCompletion());
@@ -143,7 +60,7 @@ TEST(MapReduce, FifoOrderAcrossJobs) {
 TEST(MapReduce, DataLocalSchedulingDominatesOnReplicatedInput) {
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.default_replication = 3;
-  MrHarness h(6, {}, hdfs_config);
+  TestCluster h = MrCluster(6, {}, hdfs_config);
   const JobId job = h.Submit(12 * 64 * kMiB, 2);
   ASSERT_TRUE(h.RunToCompletion());
   const JobInfo& info = h.jt().job(job);
@@ -157,7 +74,7 @@ TEST(MapReduce, DataLocalSchedulingDominatesOnReplicatedInput) {
 TEST(MapReduce, ReduceSlowstartHoldsReducesBack) {
   MrConfig config;
   config.reduce_slowstart = 1.0;  // reduces only after ALL maps
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   const JobId job = h.Submit(8 * 64 * kMiB, 4);
   ASSERT_TRUE(h.RunToCompletion());
   const JobInfo& info = h.jt().job(job);
@@ -176,8 +93,8 @@ TEST(MapReduce, TrackerLossReExecutesCompletedMaps) {
   config.reduce_slowstart = 1.0;  // keep reduces from consuming outputs early
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.heartbeat_recheck = 30 * kSecond;
-  MrHarness h(4, config, hdfs_config);
-  const JobId job = h.Submit(12 * 64 * kMiB, 2, /*map rate*/ 4);
+  TestCluster h = MrCluster(4, config, hdfs_config);
+  const JobId job = h.Submit(12 * 64 * kMiB, 2, {.map_rate_mibps = 4});
   // Let some maps complete, then kill a worker: its completed map outputs
   // are gone and must re-execute (§III.B).
   bool killed = false;
@@ -199,8 +116,8 @@ TEST(MapReduce, FetchFailureTriggersMapReExecution) {
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.default_replication = 3;
   hdfs_config.heartbeat_recheck = 10 * kMinute;
-  MrHarness h(6, config, hdfs_config);
-  const JobId job = h.Submit(6 * 64 * kMiB, 2, 8);
+  TestCluster h = MrCluster(6, config, hdfs_config);
+  const JobId job = h.Submit(6 * 64 * kMiB, 2, {.map_rate_mibps = 8});
   // Kill a worker right when its maps are done but before reduces fetched
   // everything: the reduce's fetch failure must revive the map without
   // waiting for the 10-minute expiry.
@@ -222,13 +139,13 @@ TEST(MapReduce, SpeculativeExecutionLaunchesSecondCopy) {
   MrConfig config;
   config.speculative_execution = true;
   // A straggler: one worker with a pathologically slow disk.
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   // Slow down worker 3's disk by replacing... instead: use small input so
   // one map lands per node, then make node 3's map crawl via its disk.
   // Simpler: submit a job whose maps are quick except those reading from a
   // zombie... Instead we directly verify the mechanism: speculation occurs
   // when one attempt runs 4/3 slower than the completed mean.
-  const JobId job = h.Submit(8 * 64 * kMiB, 1, /*map rate*/ 30);
+  const JobId job = h.Submit(8 * 64 * kMiB, 1, {.map_rate_mibps = 30});
   // Stall worker 0 by flooding its disk with a huge background read, so
   // any map attempt there crawls.
   h.sim().ScheduleAfter(2 * kSecond, [&] {
@@ -242,7 +159,7 @@ TEST(MapReduce, SpeculativeExecutionLaunchesSecondCopy) {
 TEST(MapReduce, SpeculationDisabledMeansNoExtraCopies) {
   MrConfig config;
   config.speculative_execution = false;
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   const JobId job = h.Submit(8 * 64 * kMiB, 2);
   ASSERT_TRUE(h.RunToCompletion());
   EXPECT_EQ(h.jt().job(job).state, JobState::kSucceeded);
@@ -254,7 +171,7 @@ TEST(MapReduce, MultiCopyRunsEveryTaskNTimes) {
   MrConfig config;
   config.task_copies = 2;  // §VI extension
   config.speculative_execution = false;
-  MrHarness h(6, config);
+  TestCluster h = MrCluster(6, config);
   const JobId job = h.Submit(6 * 64 * kMiB, 2);
   ASSERT_TRUE(h.RunToCompletion());
   EXPECT_EQ(h.jt().job(job).state, JobState::kSucceeded);
@@ -267,7 +184,7 @@ TEST(MapReduce, ZombieTrackerGetsBlacklistedPerJob) {
   MrConfig config;
   config.tracker_blacklist_failures = 4;
   config.task_copies = 1;
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   // Zombify worker 0 before submitting: it keeps heartbeating and taking
   // tasks, each failing fast (§IV.D.1's observed behaviour).
   h.tracker(0).EnterZombieMode();
@@ -288,7 +205,7 @@ TEST(MapReduce, DiskFullFailsMapsWithDiskFullKind) {
   hdfs_config.default_replication = 1;
   MrConfig config;
   config.max_attempts = 2;
-  MrHarness h(2, config, hdfs_config, 2, 1, /*disk=*/300 * kMiB);
+  TestCluster h = MrCluster(2, config, hdfs_config, 2, /*disk=*/300 * kMiB);
   // Input fits (2 blocks x 1 replica x 64 MiB), but map outputs
   // (selectivity 1.0) + shuffle spill exhaust the 300 MiB disks quickly
   // across several jobs' retained intermediates.
@@ -307,7 +224,7 @@ TEST(MapReduce, JobFailsAfterMaxAttempts) {
   MrConfig config;
   config.max_attempts = 2;
   config.zombie_fail_delay = 100 * kMillisecond;
-  MrHarness h(2, config);
+  TestCluster h = MrCluster(2, config);
   // Input goes in first (zombie disks cannot receive writes), then all
   // workers zombify: every attempt fails everywhere and the job fails via
   // attempt exhaustion.
@@ -322,8 +239,8 @@ TEST(MapReduce, JobFailsAfterMaxAttempts) {
 TEST(MapReduce, IntermediateBytesTrackRetention) {
   MrConfig config;
   config.reduce_slowstart = 1.0;
-  MrHarness h(2, config);
-  const JobId job = h.Submit(4 * 64 * kMiB, 1, 8);
+  TestCluster h = MrCluster(2, config);
+  const JobId job = h.Submit(4 * 64 * kMiB, 1, {.map_rate_mibps = 8});
   // Mid-flight: after maps complete but before the job finishes, trackers
   // hold intermediate output.
   bool saw_intermediate = false;
@@ -348,7 +265,7 @@ TEST(MapReduce, IntermediateBytesTrackRetention) {
 TEST(MapReduce, OutputReplicationFollowsJobSpec) {
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.default_replication = 2;
-  MrHarness h(5, {}, hdfs_config);
+  TestCluster h = MrCluster(5, {}, hdfs_config);
   JobSpec spec;
   spec.name = "rep4";
   spec.input = h.nn().ImportFile("in", 2 * 64 * kMiB);
@@ -364,7 +281,7 @@ TEST(MapReduce, OutputReplicationFollowsJobSpec) {
 }
 
 TEST(MapReduce, ReportsByteConservationThroughShuffle) {
-  MrHarness h(4);
+  TestCluster h = MrCluster(4);
   const JobId job = h.Submit(6 * 64 * kMiB, 3);
   ASSERT_TRUE(h.RunToCompletion());
   const JobInfo& info = h.jt().job(job);
@@ -383,8 +300,8 @@ TEST(MapReduce, ReportsByteConservationThroughShuffle) {
 TEST(MapReduce, JobTrackerBlackoutQueuesReportsAndRecovers) {
   MrConfig config;
   config.tracker_expiry = 30 * kSecond;
-  MrHarness h(4, config);
-  const JobId job = h.Submit(8 * 64 * kMiB, 2, /*map rate*/ 8);
+  TestCluster h = MrCluster(4, config);
+  const JobId job = h.Submit(8 * 64 * kMiB, 2, {.map_rate_mibps = 8});
   // A 90 s blackout, three times the tracker expiry: mid-blackout
   // heartbeats earn no liveness credit and task reports queue
   // client-side; the restart re-admits every still-alive tracker and
@@ -401,7 +318,7 @@ TEST(MapReduce, JobTrackerBlackoutQueuesReportsAndRecovers) {
 }
 
 TEST(MapReduce, JobTrackerCrashAndRestartAreIdempotent) {
-  MrHarness h(2);
+  TestCluster h = MrCluster(2);
   const JobId job = h.Submit(2 * 64 * kMiB, 1);
   h.sim().ScheduleAfter(30 * kSecond, [&] {
     h.jt().Crash();
@@ -422,8 +339,9 @@ TEST_P(ChurnSweep, JobSurvivesRandomKills) {
   hdfs::HdfsConfig hdfs_config;
   hdfs_config.default_replication = 4;
   hdfs_config.heartbeat_recheck = 30 * kSecond;
-  MrHarness h(8, config, hdfs_config);
-  const JobId job = h.Submit(10 * 64 * kMiB, 4, 8, 8);
+  TestCluster h = MrCluster(8, config, hdfs_config);
+  const JobId job = h.Submit(10 * 64 * kMiB, 4, {.map_rate_mibps = 8,
+                                                 .reduce_rate_mibps = 8});
   // Kill 2 random distinct workers at random times in the first 3 minutes.
   std::set<std::size_t> victims;
   while (victims.size() < 2) {

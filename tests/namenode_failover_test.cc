@@ -6,64 +6,23 @@
 #include <string_view>
 
 #include "src/check/auditor.h"
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
 #include "src/workload/runner.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::hdfs {
 namespace {
 
-class FailoverHarness {
- public:
-  explicit FailoverHarness(int nodes, HdfsConfig config = {}) : net_(sim_) {
-    const net::SiteId central = net_.AddSite(Gbps(10));
-    master_ = net_.AddNode(central, Gbps(1));
-    config.heartbeat_recheck = 30 * kSecond;
-    nn_ = std::make_unique<Namenode>(sim_, net_, master_,
-                                     SiteAwarenessScript(),
-                                     MakeSiteAwarePlacement(), Rng(5), config);
-    nn_->Start();
-    const net::SiteId site = net_.AddSite(Gbps(2));
-    for (int i = 0; i < nodes; ++i) {
-      disks_.push_back(
-          std::make_unique<storage::Disk>(sim_, 20 * kGiB, MiBps(60)));
-      daemons_.push_back(std::make_unique<Datanode>(
-          sim_, net_, *nn_, "w" + std::to_string(i) + ".site.edu",
-          net_.AddNode(site, Gbps(1)), *disks_.back()));
-      daemons_.back()->Start();
-    }
-    client_ = std::make_unique<DfsClient>(*nn_);
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  Namenode& nn() { return *nn_; }
-  DfsClient& client() { return *client_; }
-  Datanode& daemon(std::size_t i) { return *daemons_[i]; }
-  net::NodeId master() const { return master_; }
-  net::FlowNetwork& net() { return net_; }
-
-  void AddLateDatanode() {
-    const net::SiteId site = net_.AddSite(Gbps(2));
-    disks_.push_back(
-        std::make_unique<storage::Disk>(sim_, 20 * kGiB, MiBps(60)));
-    daemons_.push_back(std::make_unique<Datanode>(
-        sim_, net_, *nn_, "late.other.edu", net_.AddNode(site, Gbps(1)),
-        *disks_.back()));
-    daemons_.back()->Start();
-  }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<Namenode> nn_;
-  std::unique_ptr<DfsClient> client_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<Datanode>> daemons_;
-};
+// A namenode and `nodes` datanodes on one site, with HOG's 30 s recheck.
+TestCluster FailoverCluster(int nodes, HdfsConfig config = {}) {
+  config.heartbeat_recheck = 30 * kSecond;
+  return TestCluster(
+      {.seed = 5, .hdfs = config, .disk_rate = MiBps(60)},
+      [&](TestCluster& c) {
+        c.AddSites(1, nodes, Gbps(2), [](int, int n) {
+          return "w" + std::to_string(n) + ".site.edu";
+        });
+      });
+}
 
 // The last sample of a trace counter track (-1 if it has none).
 double LastCounterSample(const obs::Tracer& tracer, std::string_view track) {
@@ -77,7 +36,7 @@ double LastCounterSample(const obs::Tracer& tracer, std::string_view track) {
 }
 
 TEST(NamenodeFailover, NoDataLostAcrossRestart) {
-  FailoverHarness h(6);  // stock replication 3
+  TestCluster h = FailoverCluster(6);  // stock replication 3
   const FileId file = h.nn().ImportFile("f", 8 * 64 * kMiB);
   h.sim().RunUntil(kMinute);
   h.nn().Crash();
@@ -95,7 +54,7 @@ TEST(NamenodeFailover, NoDataLostAcrossRestart) {
 }
 
 TEST(NamenodeFailover, ReadsStallDuringOutageThenComplete) {
-  FailoverHarness h(4);
+  TestCluster h = FailoverCluster(4);
   const FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const BlockId block = h.nn().GetFileBlocks(file)[0].block;
   h.sim().RunUntil(kMinute);
@@ -116,7 +75,7 @@ TEST(NamenodeFailover, ReadsStallDuringOutageThenComplete) {
 }
 
 TEST(NamenodeFailover, WritesStallWithoutBurningAttempts) {
-  FailoverHarness h(4);
+  TestCluster h = FailoverCluster(4);
   const FileId file = h.nn().CreateFile("out", 3);
   h.sim().RunUntil(kMinute);
   h.nn().Crash();
@@ -137,13 +96,13 @@ TEST(NamenodeFailover, WritesStallWithoutBurningAttempts) {
 TEST(NamenodeFailover, NodesThatDiedDuringOutageArePruned) {
   HdfsConfig config;
   config.default_replication = 4;
-  FailoverHarness h(8, config);
+  TestCluster h = FailoverCluster(8, config);
   const FileId file = h.nn().ImportFile("f", 4 * 64 * kMiB);
   h.sim().RunUntil(kMinute);
   h.nn().Crash();
   // Two nodes die while the master is blind.
-  h.daemon(0).Shutdown();
-  h.daemon(1).Shutdown();
+  h.datanode(0).Shutdown();
+  h.datanode(1).Shutdown();
   h.sim().RunUntil(h.sim().now() + 5 * kMinute);
   h.nn().Restart();
   EXPECT_EQ(h.nn().live_datanodes(), 6);
@@ -161,12 +120,12 @@ TEST(NamenodeFailover, NodesThatDiedDuringOutageArePruned) {
 }
 
 TEST(NamenodeFailover, LateDatanodeRegistersAfterRestart) {
-  FailoverHarness h(3);
+  TestCluster h = FailoverCluster(3);
   h.sim().RunUntil(kMinute);
   h.nn().Crash();
   // A brand-new glidein starts while the master is down: its registration
   // retries until the namenode answers.
-  h.AddLateDatanode();
+  h.AddWorker(h.AddSite(Gbps(2)), "late.other.edu");
   h.sim().RunUntil(h.sim().now() + 3 * kMinute);
   EXPECT_EQ(h.nn().live_datanodes(), 3);  // crash froze the namenode view
   h.nn().Restart();
@@ -175,15 +134,15 @@ TEST(NamenodeFailover, LateDatanodeRegistersAfterRestart) {
 }
 
 TEST(NamenodeFailover, RestartReadmissionKeepsTheLiveGaugeInStep) {
-  FailoverHarness h(3);
+  TestCluster h = FailoverCluster(3);
   h.sim().obs().tracer().set_enabled(true);
   // A gray datanode: heavy heartbeat jitter opens a silence past the 30 s
   // recheck and the namenode declares a process that is still running.
-  h.daemon(0).set_heartbeat_jitter(30 * kMinute);
+  h.datanode(0).set_heartbeat_jitter(30 * kMinute);
   ASSERT_TRUE(workload::RunSimUntil(
       h.sim(), [&] { return h.nn().datanodes_declared_dead() == 1; }, kHour));
   ASSERT_EQ(h.nn().live_datanodes(), 2);
-  h.daemon(0).set_heartbeat_jitter(0);
+  h.datanode(0).set_heartbeat_jitter(0);
   // The restart sweep re-admits it, and nothing afterwards re-publishes
   // the count: no register, no declare, only steady heartbeats.
   h.nn().Crash();

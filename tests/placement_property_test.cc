@@ -6,10 +6,7 @@
 #include <set>
 #include <string>
 
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::hdfs {
 namespace {
@@ -38,38 +35,34 @@ std::string PlacementCaseName(
          std::to_string(c.seed);
 }
 
+// `sites` sites of `per_site` datanodes under the site-awareness script,
+// with site-aware or default placement.
+TestCluster PlacementCluster(int sites, int per_site, int replication,
+                             bool site_aware, int seed) {
+  HdfsConfig config;
+  config.default_replication = replication;
+  return TestCluster(
+      {.placement = site_aware ? MakeSiteAwarePlacement : MakeDefaultPlacement,
+       .seed = static_cast<std::uint64_t>(seed),
+       .hdfs = config,
+       .disk = 10 * kGiB,
+       .disk_rate = MiBps(60)},
+      [&](TestCluster& c) {
+        c.AddSites(sites, per_site, Gbps(2), GridHost("n", "s"));
+      });
+}
+
 class PlacementProperty : public ::testing::TestWithParam<PlacementCase> {};
 
 TEST_P(PlacementProperty, Invariants) {
   const PlacementCase c = GetParam();
-  sim::Simulation sim;
-  net::FlowNetwork net(sim);
-  const net::NodeId master = net.AddNode(net.AddSite(Gbps(10)), Gbps(1));
-  HdfsConfig config;
-  config.default_replication = c.replication;
-  Namenode nn(sim, net, master, SiteAwarenessScript(),
-              c.site_aware ? MakeSiteAwarePlacement() : MakeDefaultPlacement(),
-              Rng(static_cast<std::uint64_t>(c.seed)), config);
-  nn.Start();
-  std::vector<std::unique_ptr<storage::Disk>> disks;
-  std::vector<std::unique_ptr<Datanode>> daemons;
-  for (int s = 0; s < c.sites; ++s) {
-    const net::SiteId site = net.AddSite(Gbps(2));
-    for (int n = 0; n < c.per_site; ++n) {
-      disks.push_back(
-          std::make_unique<storage::Disk>(sim, 10 * kGiB, MiBps(60)));
-      daemons.push_back(std::make_unique<Datanode>(
-          sim, net, nn,
-          "n" + std::to_string(n) + ".s" + std::to_string(s) + ".edu",
-          net.AddNode(site, Gbps(1)), *disks.back()));
-      daemons.back()->Start();
-    }
-  }
+  TestCluster h = PlacementCluster(c.sites, c.per_site, c.replication,
+                                   c.site_aware, c.seed);
 
   const int total_nodes = c.sites * c.per_site;
   for (int i = 0; i < 12; ++i) {
-    const FileId file = nn.ImportFile("f" + std::to_string(i), 64 * kMiB);
-    const BlockLocation loc = nn.GetFileBlocks(file)[0];
+    const FileId file = h.nn().ImportFile("f" + std::to_string(i), 64 * kMiB);
+    const BlockLocation loc = h.nn().GetFileBlocks(file)[0];
 
     // Invariant 1: replica count = min(replication, cluster size).
     EXPECT_EQ(static_cast<int>(loc.datanodes.size()),
@@ -113,36 +106,14 @@ class WriterLocality : public ::testing::TestWithParam<bool> {};
 
 TEST_P(WriterLocality, FirstReplicaIsWriterLocal) {
   const bool site_aware = GetParam();
-  sim::Simulation sim;
-  net::FlowNetwork net(sim);
-  const net::NodeId master = net.AddNode(net.AddSite(Gbps(10)), Gbps(1));
-  HdfsConfig config;
-  config.default_replication = 3;
-  Namenode nn(sim, net, master, SiteAwarenessScript(),
-              site_aware ? MakeSiteAwarePlacement() : MakeDefaultPlacement(),
-              Rng(11), config);
-  nn.Start();
-  std::vector<std::unique_ptr<storage::Disk>> disks;
-  std::vector<std::unique_ptr<Datanode>> daemons;
-  for (int s = 0; s < 3; ++s) {
-    const net::SiteId site = net.AddSite(Gbps(2));
-    for (int n = 0; n < 3; ++n) {
-      disks.push_back(
-          std::make_unique<storage::Disk>(sim, 10 * kGiB, MiBps(60)));
-      daemons.push_back(std::make_unique<Datanode>(
-          sim, net, nn,
-          "n" + std::to_string(n) + ".s" + std::to_string(s) + ".edu",
-          net.AddNode(site, Gbps(1)), *disks.back()));
-      daemons.back()->Start();
-    }
-  }
-  const FileId file = nn.CreateFile("f", 3);
+  TestCluster h = PlacementCluster(3, 3, 3, site_aware, 11);
+  const FileId file = h.nn().CreateFile("f", 3);
   for (DatanodeId writer = 0; writer < 9; ++writer) {
-    const BlockId block = nn.AllocateBlock(file, 64 * kMiB);
-    const auto targets = nn.ChooseTargets(3, writer, {}, 64 * kMiB);
+    const BlockId block = h.nn().AllocateBlock(file, 64 * kMiB);
+    const auto targets = h.nn().ChooseTargets(3, writer, {}, 64 * kMiB);
     ASSERT_EQ(targets.size(), 3u);
     EXPECT_EQ(targets.front(), writer);
-    nn.AbandonBlock(block);
+    h.nn().AbandonBlock(block);
   }
 }
 

@@ -5,7 +5,6 @@
 // seeded random chaos scenarios.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -15,16 +14,10 @@
 #include "src/exp/paper_runs.h"
 #include "src/fault/random_scenario.h"
 #include "src/fault/scenario.h"
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
 #include "src/hdfs/replication_queue.h"
-#include "src/hdfs/topology.h"
 #include "src/hog/hog_cluster.h"
-#include "src/mapreduce/jobtracker.h"
-#include "src/mapreduce/tasktracker.h"
 #include "src/workload/runner.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim {
 namespace {
@@ -105,65 +98,20 @@ TEST(ReplicationQueue, SpreadAwareLevelEscalatesHuddledSurvivors) {
   EXPECT_EQ(Q::LevelFor(5, 10, 3), Q::kBadly);
 }
 
-// ---- HDFS harness (compact copy of hdfs_test.cc's) -------------------------
-
-class HdfsHarness {
- public:
-  HdfsHarness(int sites, int per_site, hdfs::HdfsConfig config,
-              Bytes disk = 10 * kGiB)
-      : net_(sim_) {
-    const net::SiteId central = net_.AddSite(Gbps(10));
-    master_ = net_.AddNode(central, Gbps(1));
-    nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master_, hdfs::SiteAwarenessScript(),
-        hdfs::MakeSiteAwarePlacement(), Rng(7), config);
-    nn_->Start();
-    for (int s = 0; s < sites; ++s) {
-      const net::SiteId site = net_.AddSite(Gbps(2));
-      for (int n = 0; n < per_site; ++n) {
-        const net::NodeId node = net_.AddNode(site, Gbps(1));
-        disks_.push_back(
-            std::make_unique<storage::Disk>(sim_, disk, MiBps(60)));
-        const std::string hostname = "w" + std::to_string(n) + ".site" +
-                                     std::to_string(s) + ".edu";
-        daemons_.push_back(std::make_unique<hdfs::Datanode>(
-            sim_, net_, *nn_, hostname, node, *disks_.back()));
-        daemons_.back()->Start();
-      }
-    }
-    client_ = std::make_unique<hdfs::DfsClient>(*nn_);
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  net::FlowNetwork& net() { return net_; }
-  hdfs::Namenode& nn() { return *nn_; }
-  hdfs::DfsClient& client() { return *client_; }
-  hdfs::Datanode& daemon(std::size_t i) { return *daemons_[i]; }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<hdfs::Namenode> nn_;
-  std::unique_ptr<hdfs::DfsClient> client_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<hdfs::Datanode>> daemons_;
-};
-
 // ---- Zombie-aware missing-block accounting ---------------------------------
 
 TEST(ZombieAccounting, ZombifiedSoleHolderCountsAsMissing) {
   hdfs::HdfsConfig config;
   config.default_replication = 1;
   config.disk_check_interval = 0;  // no probe: the zombie lingers
-  HdfsHarness h(1, 2, config);
+  TestCluster h = HdfsCluster(1, 2, config);
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   ASSERT_EQ(loc.datanodes.size(), 1u);
   EXPECT_EQ(h.nn().missing_blocks(), 0u);
   // The sole holder's disk dies but its process keeps heartbeating: the
   // namenode still believes in the replica, yet nothing can serve it.
-  h.daemon(loc.datanodes[0]).EnterZombieMode();
+  h.datanode(loc.datanodes[0]).EnterZombieMode();
   EXPECT_EQ(h.nn().missing_blocks(), 1u)
       << "a zombie copy must not mask a missing block";
   // The belief itself is intact — the holder set still lists the zombie.
@@ -178,7 +126,7 @@ TEST(PipelineRecovery, ReplacesDeadMemberAndCommitsFullWidth) {
   config.heartbeat_recheck = 30 * kSecond;
   // 8 nodes: the dead member also feeds its downstream hop, so BOTH need
   // replacement targets outside the original pipeline.
-  HdfsHarness h(4, 2, config);
+  TestCluster h = HdfsCluster(4, 2, config);
   const hdfs::FileId file = h.nn().CreateFile("out");
   bool done = false, ok = false;
   // Write from datanode 0's node: replica 0 is writer-local, so killing
@@ -189,7 +137,7 @@ TEST(PipelineRecovery, ReplacesDeadMemberAndCommitsFullWidth) {
                           ok = r;
                         });
   h.sim().ScheduleAfter(kSecond, [&] {
-    h.daemon(0).Shutdown();
+    h.datanode(0).Shutdown();
     h.net().FailFlowsAtNode(h.nn().datanode(0).net_node);
   });
   // Stop the moment the commit lands: the replication monitor must not get
@@ -214,7 +162,7 @@ TEST(PipelineRecovery, CommitsWithSurvivorsWhenNoReplacementExists) {
   hdfs::HdfsConfig config;
   config.default_replication = 2;
   config.heartbeat_recheck = 30 * kSecond;
-  HdfsHarness h(1, 2, config);  // both nodes are in the pipeline; no spare
+  TestCluster h = HdfsCluster(1, 2, config);  // both in the pipeline, no spare
   const hdfs::FileId file = h.nn().CreateFile("out");
   bool done = false, ok = false;
   h.client().WriteBlock(h.nn().master_node(), file, 256 * kMiB, [&](bool r) {
@@ -222,7 +170,7 @@ TEST(PipelineRecovery, CommitsWithSurvivorsWhenNoReplacementExists) {
     ok = r;
   });
   h.sim().ScheduleAfter(kSecond, [&] {
-    h.daemon(1).Shutdown();
+    h.datanode(1).Shutdown();
     h.net().FailFlowsAtNode(h.nn().datanode(1).net_node);
   });
   while (!done && h.sim().now() < 3 * kMinute) {
@@ -239,74 +187,6 @@ TEST(PipelineRecovery, CommitsWithSurvivorsWhenNoReplacementExists) {
             1u);
 }
 
-// ---- MapReduce harness (compact copy of mapreduce_test.cc's) ---------------
-
-class MrHarness {
- public:
-  explicit MrHarness(int workers, mr::MrConfig mr_config = {},
-                     hdfs::HdfsConfig hdfs_config = {})
-      : net_(sim_) {
-    const net::SiteId site = net_.AddSite(Gbps(100));
-    master_ = net_.AddNode(site, Gbps(1));
-    nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master_, hdfs::FlatTopology(),
-        hdfs::MakeDefaultPlacement(), Rng(11), hdfs_config);
-    nn_->Start();
-    jt_ = std::make_unique<mr::JobTracker>(sim_, net_, *nn_, master_,
-                                           hdfs::FlatTopology(), mr_config);
-    jt_->Start();
-    dfs_ = std::make_unique<hdfs::DfsClient>(*nn_);
-    for (int i = 0; i < workers; ++i) {
-      const net::NodeId node = net_.AddNode(site, Gbps(1));
-      disks_.push_back(
-          std::make_unique<storage::Disk>(sim_, 20 * kGiB, MiBps(80)));
-      const std::string hostname = "w" + std::to_string(i) + ".cluster.local";
-      datanodes_.push_back(std::make_unique<hdfs::Datanode>(
-          sim_, net_, *nn_, hostname, node, *disks_.back()));
-      datanodes_.back()->Start();
-      trackers_.push_back(std::make_unique<mr::TaskTracker>(
-          sim_, net_, *jt_, *dfs_, hostname, node, *disks_.back(), 2, 1));
-      trackers_.back()->Start();
-    }
-  }
-
-  mr::JobId Submit(Bytes input_bytes, int reduces,
-                   double map_rate_mibps = 20) {
-    mr::JobSpec spec;
-    spec.name = "job";
-    spec.input = nn_->ImportFile("in" + std::to_string(jt_->job_count()),
-                                 input_bytes);
-    spec.num_reduces = reduces;
-    spec.map_compute_rate = MiBps(map_rate_mibps);
-    spec.reduce_compute_rate = MiBps(map_rate_mibps);
-    return jt_->SubmitJob(spec);
-  }
-
-  bool RunToCompletion(SimTime deadline = 8 * kHour) {
-    while (!jt_->AllJobsDone() && sim_.now() < deadline) {
-      sim_.RunUntil(sim_.now() + kSecond);
-    }
-    return jt_->AllJobsDone();
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  hdfs::Namenode& nn() { return *nn_; }
-  mr::JobTracker& jt() { return *jt_; }
-  mr::TaskTracker& tracker(std::size_t i) { return *trackers_[i]; }
-  hdfs::Datanode& datanode(std::size_t i) { return *datanodes_[i]; }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<hdfs::Namenode> nn_;
-  std::unique_ptr<mr::JobTracker> jt_;
-  std::unique_ptr<hdfs::DfsClient> dfs_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<hdfs::Datanode>> datanodes_;
-  std::vector<std::unique_ptr<mr::TaskTracker>> trackers_;
-};
-
 // ---- Blacklist forgiveness --------------------------------------------------
 
 TEST(Blacklist, ShrinksWhenTrackerReincarnates) {
@@ -317,11 +197,12 @@ TEST(Blacklist, ShrinksWhenTrackerReincarnates) {
   // The zombie fails attempts fast; give tasks headroom to outlive the
   // blacklisting threshold instead of exhausting their own attempt budget.
   config.max_attempts = 12;
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   h.tracker(0).EnterZombieMode();
   h.datanode(0).EnterZombieMode();
   // A long job keeps the blacklist live while forgiveness is exercised.
-  const mr::JobId job = h.Submit(32 * 64 * kMiB, 2, /*map_rate_mibps=*/1);
+  const mr::JobId job = h.Submit(
+      32 * 64 * kMiB, 2, {.map_rate_mibps = 1, .reduce_rate_mibps = 1});
   SimTime deadline = h.sim().now() + kHour;
   while (!h.jt().job(job).blacklist.contains(0) && h.sim().now() < deadline) {
     h.sim().RunUntil(h.sim().now() + kSecond);
@@ -353,10 +234,11 @@ TEST(Blacklist, PrunedWhenBlacklistedTrackerDiesDuringBlackout) {
   config.tracker_blacklist_failures = 4;
   config.tracker_expiry = 30 * kSecond;
   config.max_attempts = 12;
-  MrHarness h(4, config);
+  TestCluster h = MrCluster(4, config);
   h.tracker(0).EnterZombieMode();
   h.datanode(0).EnterZombieMode();
-  const mr::JobId job = h.Submit(32 * 64 * kMiB, 2, /*map_rate_mibps=*/1);
+  const mr::JobId job = h.Submit(
+      32 * 64 * kMiB, 2, {.map_rate_mibps = 1, .reduce_rate_mibps = 1});
   SimTime deadline = h.sim().now() + kHour;
   while (!h.jt().job(job).blacklist.contains(0) && h.sim().now() < deadline) {
     h.sim().RunUntil(h.sim().now() + kSecond);
@@ -399,9 +281,10 @@ TEST(JobTrackerBlackout, RecoveryIsDeterministic) {
   const auto run = [] {
     mr::MrConfig config;
     config.tracker_expiry = 30 * kSecond;
-    MrHarness h(5, config);
-    const mr::JobId j1 = h.Submit(8 * 64 * kMiB, 2, /*map_rate_mibps=*/4);
-    const mr::JobId j2 = h.Submit(8 * 64 * kMiB, 2, /*map_rate_mibps=*/4);
+    TestCluster h = MrCluster(5, config);
+    const TestJob job{.map_rate_mibps = 4, .reduce_rate_mibps = 4};
+    const mr::JobId j1 = h.Submit(8 * 64 * kMiB, 2, job);
+    const mr::JobId j2 = h.Submit(8 * 64 * kMiB, 2, job);
     h.sim().ScheduleAfter(40 * kSecond, [&h] { h.jt().Crash(); });
     h.sim().ScheduleAfter(100 * kSecond, [&h] { h.jt().Restart(); });
     EXPECT_TRUE(h.RunToCompletion());
@@ -425,7 +308,7 @@ TEST(JobTrackerBlackout, RecoveryIsDeterministic) {
 TEST(JobTrackerBlackout, RestartReadmissionKeepsTheLiveGaugeInStep) {
   mr::MrConfig config;
   config.tracker_expiry = 30 * kSecond;
-  MrHarness h(3, config);
+  TestCluster h = MrCluster(3, config);
   h.sim().obs().tracer().set_enabled(true);
   h.tracker(0).set_heartbeat_jitter(30 * kMinute);
   ASSERT_TRUE(workload::RunSimUntil(
@@ -454,7 +337,7 @@ TEST(JobTrackerBlackout, RestartReadmissionKeepsTheLiveGaugeInStep) {
 // ---- Invariant auditor ------------------------------------------------------
 
 TEST(Auditor, HealthyRunStaysViolationFree) {
-  MrHarness h(4);
+  TestCluster h = MrCluster(4);
   check::Auditor::Options options;
   options.period = 5 * kSecond;
   check::Auditor auditor(h.sim(), &h.nn(), &h.jt(), nullptr, options);
@@ -470,14 +353,14 @@ TEST(Auditor, HealthyRunStaysViolationFree) {
 
 TEST(Auditor, CatchesSeededDiskInconsistency) {
   hdfs::HdfsConfig config;  // stock: replication 3
-  HdfsHarness h(2, 3, config);
+  TestCluster h = HdfsCluster(2, 3, config);
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   check::Auditor auditor(h.sim(), &h.nn(), nullptr, nullptr);
   EXPECT_EQ(auditor.AuditNow(), 0u);
   // Corrupt a mirror: the holder's disk silently drops the replica's bytes
   // while the namenode still believes in the copy.
-  h.daemon(loc.datanodes[0]).disk().Release(64 * kMiB);
+  h.datanode(loc.datanodes[0]).disk().Release(64 * kMiB);
   EXPECT_GE(auditor.AuditNow(), 1u);
   ASSERT_FALSE(auditor.records().empty());
   EXPECT_EQ(std::string(auditor.records()[0].invariant),
@@ -487,7 +370,7 @@ TEST(Auditor, CatchesSeededDiskInconsistency) {
 }
 
 TEST(Auditor, CatchesSeededLiveGaugeDrift) {
-  MrHarness h(3);
+  TestCluster h = MrCluster(3);
   check::Auditor auditor(h.sim(), &h.nn(), &h.jt(), nullptr);
   h.sim().RunUntil(kMinute);
   EXPECT_EQ(auditor.AuditNow(), 0u);
@@ -509,13 +392,13 @@ TEST(Auditor, CatchesSeededLiveGaugeDrift) {
 
 TEST(Auditor, FailFastThrowsAuditError) {
   hdfs::HdfsConfig config;
-  HdfsHarness h(2, 3, config);
+  TestCluster h = HdfsCluster(2, 3, config);
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const auto loc = h.nn().GetFileBlocks(file)[0];
   check::Auditor::Options options;
   options.fail_fast = true;
   check::Auditor auditor(h.sim(), &h.nn(), nullptr, nullptr, options);
-  h.daemon(loc.datanodes[0]).disk().Release(64 * kMiB);
+  h.datanode(loc.datanodes[0]).disk().Release(64 * kMiB);
   EXPECT_THROW(auditor.AuditNow(), check::AuditError);
 }
 

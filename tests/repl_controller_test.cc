@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,13 +14,9 @@
 #include "src/exp/paper_runs.h"
 #include "src/fault/random_scenario.h"
 #include "src/fault/scenario.h"
-#include "src/hdfs/datanode.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
 #include "src/hdfs/repl_controller.h"
-#include "src/hdfs/topology.h"
 #include "src/hog/hog_cluster.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim {
 namespace {
@@ -117,56 +111,6 @@ TEST(ReplEstimator, ConvergesOnOsgReplayTrace) {
 
 // ---- Trim safety ------------------------------------------------------------
 
-class ReplHarness {
- public:
-  ReplHarness(int sites, int per_site, hdfs::ReplControllerConfig rcfg,
-              hdfs::HdfsConfig config = {}) : net_(sim_) {
-    const net::SiteId central = net_.AddSite(Gbps(10));
-    master_ = net_.AddNode(central, Gbps(1));
-    nn_ = std::make_unique<hdfs::Namenode>(
-        sim_, net_, master_, hdfs::SiteAwarenessScript(),
-        hdfs::MakeSiteAwarePlacement(), Rng(7), config);
-    nn_->Start();
-    for (int s = 0; s < sites; ++s) {
-      const net::SiteId site = net_.AddSite(Gbps(2));
-      for (int n = 0; n < per_site; ++n) {
-        const net::NodeId node = net_.AddNode(site, Gbps(1));
-        disks_.push_back(
-            std::make_unique<storage::Disk>(sim_, 10 * kGiB, MiBps(60)));
-        const std::string hostname = "w" + std::to_string(n) + ".site" +
-                                     std::to_string(s) + ".edu";
-        daemons_.push_back(std::make_unique<hdfs::Datanode>(
-            sim_, net_, *nn_, hostname, node, *disks_.back()));
-        daemons_.back()->Start();
-      }
-    }
-    ctl_ = std::make_unique<ReplController>(*nn_, rcfg);
-    ctl_->Start();
-  }
-
-  sim::Simulation& sim() { return sim_; }
-  hdfs::Namenode& nn() { return *nn_; }
-  ReplController& ctl() { return *ctl_; }
-  hdfs::Datanode& daemon(std::size_t i) { return *daemons_[i]; }
-
-  int DistinctHolderSites(hdfs::BlockId block) {
-    std::set<std::string> racks;
-    for (hdfs::DatanodeId dn : nn_->BlockHolders(block)) {
-      racks.insert(nn_->datanode(dn).rack);
-    }
-    return static_cast<int>(racks.size());
-  }
-
- private:
-  sim::Simulation sim_;
-  net::FlowNetwork net_;
-  net::NodeId master_ = net::kInvalidNode;
-  std::unique_ptr<hdfs::Namenode> nn_;
-  std::unique_ptr<ReplController> ctl_;
-  std::vector<std::unique_ptr<storage::Disk>> disks_;
-  std::vector<std::unique_ptr<hdfs::Datanode>> daemons_;
-};
-
 hdfs::ReplControllerConfig EagerTrimConfig() {
   hdfs::ReplControllerConfig rcfg;
   rcfg.availability_target = 0.999;
@@ -177,7 +121,9 @@ hdfs::ReplControllerConfig EagerTrimConfig() {
 TEST(ReplTrim, ShedsExcessButKeepsFloorAndSpread) {
   hdfs::HdfsConfig config;
   config.default_replication = 10;
-  ReplHarness h(5, 3, EagerTrimConfig(), config);
+  TestCluster h = HdfsCluster(5, 3, config);
+  ReplController ctl(h.nn(), EagerTrimConfig());
+  ctl.Start();
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const hdfs::BlockId block = h.nn().GetFileBlocks(file)[0].block;
   ASSERT_EQ(h.nn().BlockHolders(block).size(), 10u);
@@ -186,15 +132,15 @@ TEST(ReplTrim, ShedsExcessButKeepsFloorAndSpread) {
   // and the controller trims down to it across successive ticks.
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
   const int target = h.nn().BlockReplication(block);
-  EXPECT_EQ(target, h.ctl().config().min_replication);
+  EXPECT_EQ(target, ctl.config().min_replication);
   const int live = static_cast<int>(h.nn().BlockHolders(block).size());
   // Hysteresis: trimming stops at target + trim_slack, never cuts below.
-  EXPECT_LE(live, target + h.ctl().config().trim_slack);
+  EXPECT_LE(live, target + ctl.config().trim_slack);
   EXPECT_GE(live, target);
-  EXPECT_GE(h.DistinctHolderSites(block),
-            std::min(h.ctl().config().min_site_spread, 5));
-  EXPECT_GT(h.ctl().excess_removed(), 0u);
-  EXPECT_EQ(h.ctl().unsafe_trims(), 0u);
+  EXPECT_GE(static_cast<int>(h.SitesOf(block).size()),
+            std::min(ctl.config().min_site_spread, 5));
+  EXPECT_GT(ctl.excess_removed(), 0u);
+  EXPECT_EQ(ctl.unsafe_trims(), 0u);
   EXPECT_EQ(h.nn().missing_blocks(), 0u);
 }
 
@@ -202,7 +148,9 @@ TEST(ReplTrim, ZombieHolderFreezesTrimming) {
   hdfs::HdfsConfig config;
   config.default_replication = 10;
   config.disk_check_interval = 0;  // no probe: the zombie lingers
-  ReplHarness h(5, 3, EagerTrimConfig(), config);
+  TestCluster h = HdfsCluster(5, 3, config);
+  ReplController ctl(h.nn(), EagerTrimConfig());
+  ctl.Start();
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const hdfs::BlockId block = h.nn().GetFileBlocks(file)[0].block;
   const auto holders = h.nn().BlockHolders(block);
@@ -212,12 +160,12 @@ TEST(ReplTrim, ZombieHolderFreezesTrimming) {
   // namenode still believes in the copy, so trimming any OTHER copy would
   // overestimate the block's redundancy. The controller may lower the
   // target but must not remove a single replica.
-  h.daemon(holders[3]).EnterZombieMode();
+  h.datanode(holders[3]).EnterZombieMode();
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
   EXPECT_EQ(h.nn().BlockHolders(block).size(), 10u)
       << "no trim may fire while a zombie holder poisons the live count";
-  EXPECT_EQ(h.ctl().excess_removed(), 0u);
-  EXPECT_EQ(h.ctl().unsafe_trims(), 0u);
+  EXPECT_EQ(ctl.excess_removed(), 0u);
+  EXPECT_EQ(ctl.unsafe_trims(), 0u);
 }
 
 TEST(ReplTrim, WarmupBlocksLoweringButNotRaising) {
@@ -225,7 +173,9 @@ TEST(ReplTrim, WarmupBlocksLoweringButNotRaising) {
   config.default_replication = 10;
   hdfs::ReplControllerConfig rcfg;
   rcfg.availability_target = 0.999;  // default one-hour warmup
-  ReplHarness h(5, 3, rcfg, config);
+  TestCluster h = HdfsCluster(5, 3, config);
+  ReplController ctl(h.nn(), rcfg);
+  ctl.Start();
   const hdfs::FileId file = h.nn().ImportFile("f", 64 * kMiB);
   const hdfs::BlockId block = h.nn().GetFileBlocks(file)[0].block;
 
@@ -234,12 +184,12 @@ TEST(ReplTrim, WarmupBlocksLoweringButNotRaising) {
   h.sim().RunUntil(h.sim().now() + 10 * kMinute);
   EXPECT_EQ(h.nn().BlockReplication(block), 10);
   EXPECT_EQ(h.nn().BlockHolders(block).size(), 10u);
-  EXPECT_EQ(h.ctl().targets_lowered(), 0u);
-  EXPECT_EQ(h.ctl().excess_removed(), 0u);
+  EXPECT_EQ(ctl.targets_lowered(), 0u);
+  EXPECT_EQ(ctl.excess_removed(), 0u);
   // Past the warmup the same quiet evidence finally counts.
   h.sim().RunUntil(h.sim().now() + 60 * kMinute);
   EXPECT_LT(h.nn().BlockReplication(block), 10);
-  EXPECT_GT(h.ctl().targets_lowered(), 0u);
+  EXPECT_GT(ctl.targets_lowered(), 0u);
 }
 
 // ---- Chaos soak with the controller in charge ------------------------------

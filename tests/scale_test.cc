@@ -2,22 +2,11 @@
 // trackers, and byte-identical BENCH_scale output across thread counts.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/exp/experiments.h"
 #include "src/exp/sweep.h"
-#include "src/hdfs/dfs_client.h"
-#include "src/hdfs/namenode.h"
-#include "src/hdfs/placement.h"
-#include "src/hdfs/topology.h"
-#include "src/mapreduce/jobtracker.h"
-#include "src/mapreduce/tasktracker.h"
-#include "src/net/flow_network.h"
-#include "src/sim/simulation.h"
-#include "src/storage/disk.h"
-#include "src/util/rng.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim {
 namespace {
@@ -31,32 +20,25 @@ TEST(Scale, TenThousandTrackerExpiryLatency) {
   constexpr int kTrackers = 10000;
   constexpr int kKilled = 64;
 
-  sim::Simulation sim;
-  net::FlowNetwork net(sim);
-  const net::SiteId site = net.AddSite(Gbps(100));
-  const net::NodeId master = net.AddNode(site, Gbps(1));
-  hdfs::Namenode nn(sim, net, master, hdfs::FlatTopology(),
-                    hdfs::MakeDefaultPlacement(), Rng(11), {});
-  nn.Start();
   mr::MrConfig mr_config;
   mr_config.tracker_expiry = 30 * kSecond;  // HOG's aggressive expiry
-  mr::JobTracker jt(sim, net, nn, master, hdfs::FlatTopology(), mr_config);
-  jt.Start();
-  hdfs::DfsClient dfs(nn);
-
-  std::vector<std::unique_ptr<storage::Disk>> disks;
-  std::vector<std::unique_ptr<mr::TaskTracker>> trackers;
-  disks.reserve(kTrackers);
-  trackers.reserve(kTrackers);
-  for (int i = 0; i < kTrackers; ++i) {
-    const net::NodeId node = net.AddNode(site, Gbps(1));
-    disks.push_back(
-        std::make_unique<storage::Disk>(sim, 1 * kGiB, MiBps(60)));
-    trackers.push_back(std::make_unique<mr::TaskTracker>(
-        sim, net, jt, dfs, "w" + std::to_string(i) + ".cluster.local", node,
-        *disks.back(), 1, 1));
-    trackers.back()->Start();
-  }
+  // Tasktrackers alone, on the master's site: no datanode heartbeats.
+  TestCluster cluster(
+      {.master_uplink = Gbps(100),
+       .topology = hdfs::FlatTopology(),
+       .placement = hdfs::MakeDefaultPlacement,
+       .mr = mr_config,
+       .disk = 1 * kGiB,
+       .disk_rate = MiBps(60),
+       .map_slots = 1},
+      [](TestCluster& c) {
+        for (int i = 0; i < kTrackers; ++i) {
+          const std::string host = "w" + std::to_string(i) + ".cluster.local";
+          c.AddWorker(c.master_site(), host, /*datanode=*/false);
+        }
+      });
+  sim::Simulation& sim = cluster.sim();
+  mr::JobTracker& jt = cluster.jt();
 
   sim.RunUntil(10 * kSecond);
   ASSERT_EQ(jt.tracker_count(), static_cast<std::size_t>(kTrackers));
@@ -64,8 +46,8 @@ TEST(Scale, TenThousandTrackerExpiryLatency) {
 
   // Kill a cohort spread across the id space at t = 10 s.
   for (int k = 0; k < kKilled; ++k) {
-    trackers[static_cast<std::size_t>(k) * (kTrackers / kKilled)]
-        ->Shutdown();
+    cluster.tracker(static_cast<std::size_t>(k) * (kTrackers / kKilled))
+        .Shutdown();
   }
 
   // Not yet expired: silence must exceed tracker_expiry (30 s).

@@ -37,13 +37,10 @@
 #include "src/sched/policy.h"
 #include "src/util/rng.h"
 #include "src/util/spec.h"
-#include "tests/sched_harness.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::sched {
 namespace {
-
-using schedtest::SchedHarness;
-using schedtest::SchedHarnessConfig;
 
 struct PolicyCase {
   const char* label;  // gtest-safe name
@@ -69,7 +66,7 @@ struct RunSignature {
   }
 };
 
-RunSignature Signature(SchedHarness& h) {
+RunSignature Signature(TestCluster& h) {
   RunSignature sig;
   sig.executed = h.sim().executed();
   sig.launched = h.jt().attempts_launched();
@@ -83,17 +80,16 @@ RunSignature Signature(SchedHarness& h) {
 
 /// The standard mixed workload: two users across two queues, job sizes
 /// chosen so every policy has ordering decisions to make.
-void SubmitMixedWorkload(SchedHarness& h) {
-  h.Submit(24, 2, "alice", "prod");
-  h.Submit(16, 1, "bob", "adhoc");
-  h.Submit(8, 1, "alice", "adhoc");
-  h.Submit(6, 1, "bob", "prod");
+void SubmitMixedWorkload(TestCluster& h) {
+  h.Submit(Maps(24), 2, {"alice", "prod"});
+  h.Submit(Maps(16), 1, {"bob", "adhoc"});
+  h.Submit(Maps(8), 1, {"alice", "adhoc"});
+  h.Submit(Maps(6), 1, {"bob", "prod"});
 }
 
-SchedHarnessConfig ConfigFor(const PolicyCase& param, std::uint64_t seed = 11) {
-  SchedHarnessConfig config;
-  config.seed = seed;
-  config.mr.scheduler = param.spec;
+mr::MrConfig ConfigFor(const PolicyCase& param) {
+  mr::MrConfig config;
+  config.scheduler = param.spec;
   return config;
 }
 
@@ -136,7 +132,7 @@ TEST_P(SchedConformance, DeterministicAcrossSeeds) {
   for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
     RunSignature sigs[2];
     for (int run = 0; run < 2; ++run) {
-      SchedHarness h(ConfigFor(GetParam(), seed));
+      TestCluster h = SchedCluster(ConfigFor(GetParam()), seed);
       SubmitMixedWorkload(h);
       ASSERT_TRUE(h.RunToCompletion())
           << GetParam().label << " stalled (seed " << seed << ")";
@@ -151,7 +147,7 @@ TEST_P(SchedConformance, DeterministicAcrossSeeds) {
 // ---- Heartbeat discipline ---------------------------------------------------
 
 TEST_P(SchedConformance, AtMostOneLaunchPerSlotTypePerHeartbeat) {
-  SchedHarness h(ConfigFor(GetParam()));
+  TestCluster h = SchedCluster(ConfigFor(GetParam()));
   // (time, tracker, is_map) -> launches at that instant.
   std::map<std::tuple<SimTime, mr::TrackerId, bool>, int> launches;
   int worst = 0;
@@ -171,7 +167,7 @@ TEST_P(SchedConformance, AtMostOneLaunchPerSlotTypePerHeartbeat) {
 // ---- Work conservation ------------------------------------------------------
 
 TEST_P(SchedConformance, WorkConservation) {
-  SchedHarness h(ConfigFor(GetParam()));
+  TestCluster h = SchedCluster(ConfigFor(GetParam()));
   SimTime last_progress = 0;  // last launch or last instant with no offer
   SimTime worst_idle = 0;
   h.jt().set_on_attempt_event([&](const mr::JobTracker::AttemptEvent& ev) {
@@ -200,12 +196,12 @@ TEST_P(SchedConformance, WorkConservation) {
 // ---- No starvation ----------------------------------------------------------
 
 TEST_P(SchedConformance, LateLightUsersFinishDespiteHeavyBacklog) {
-  SchedHarness h(ConfigFor(GetParam()));
-  h.Submit(48, 4, "hog", "prod");  // saturates all 24 map slots for a while
+  TestCluster h = SchedCluster(ConfigFor(GetParam()));
+  h.Submit(Maps(48), 4, {"hog", "prod"});  // saturates all 24 map slots
   std::vector<mr::JobId> light;
   for (int i = 0; i < 4; ++i) {
     h.sim().RunUntil(h.sim().now() + 30 * kSecond);
-    light.push_back(h.Submit(4, 1, "mouse", "adhoc"));
+    light.push_back(h.Submit(Maps(4), 1, {"mouse", "adhoc"}));
   }
   ASSERT_TRUE(h.RunToCompletion()) << GetParam().label << " starved a job";
   for (mr::JobId id : light) {
@@ -216,8 +212,8 @@ TEST_P(SchedConformance, LateLightUsersFinishDespiteHeavyBacklog) {
 // ---- Locality preference ----------------------------------------------------
 
 TEST_P(SchedConformance, UncontendedJobRunsMostlyNodeLocal) {
-  SchedHarness h(ConfigFor(GetParam()));
-  const mr::JobId id = h.Submit(24, 1);
+  TestCluster h = SchedCluster(ConfigFor(GetParam()));
+  const mr::JobId id = h.Submit(Maps(24), 1);
   ASSERT_TRUE(h.RunToCompletion());
   const mr::JobInfo& job = h.jt().job(id);
   EXPECT_GE(job.data_local_maps, 12)
@@ -230,7 +226,7 @@ TEST_P(SchedConformance, UncontendedJobRunsMostlyNodeLocal) {
 // ---- Blackout-recovery replay equivalence -----------------------------------
 
 RunSignature RunBlackoutWorkload(const PolicyCase& param) {
-  SchedHarness h(ConfigFor(param));
+  TestCluster h = SchedCluster(ConfigFor(param));
   SubmitMixedWorkload(h);
   h.sim().RunUntil(90 * kSecond);
   h.jt().Crash();
@@ -258,10 +254,10 @@ TEST_P(SchedConformance, BlackoutRecoveryIsReplayEquivalent) {
 /// auditor-clean. Auditor invariants covered include mr.pending_valid,
 /// mr.blacklist_live, mr.slot_accounting, and mr.scheduler_liveness.
 void FuzzPolicy(const PolicyCase& param, std::uint64_t seed) {
-  SchedHarnessConfig config = ConfigFor(param, /*seed=*/seed);
+  mr::MrConfig config = ConfigFor(param);
   // Keep losses survivable: expiry well under the drain deadline.
-  config.mr.tracker_expiry = 2 * kMinute;
-  SchedHarness h(std::move(config));
+  config.tracker_expiry = 2 * kMinute;
+  TestCluster h = SchedCluster(config, seed);
   auto auditor = h.ArmAuditor(/*period=*/10 * kSecond);
 
   Rng rng(seed * 7919 + 17);
@@ -271,9 +267,12 @@ void FuzzPolicy(const PolicyCase& param, std::uint64_t seed) {
   for (int step = 0; step < 40; ++step) {
     const double roll = rng.NextDouble();
     if (roll < 0.5) {
-      h.Submit(static_cast<int>(rng.UniformInt(1, 12)),
-               static_cast<int>(rng.UniformInt(0, 2)),
-               users[rng.UniformInt(0, 2)], queues[rng.UniformInt(0, 1)]);
+      // Queue first, size last: each seed's run depends on this order.
+      const char* queue = queues[rng.UniformInt(0, 1)];
+      const char* user = users[rng.UniformInt(0, 2)];
+      const auto reduces = static_cast<int>(rng.UniformInt(0, 2));
+      const auto maps = static_cast<int>(rng.UniformInt(1, 12));
+      h.Submit(Maps(maps), reduces, {user, queue});
     } else if (roll < 0.7 && kills + 3 < static_cast<int>(h.worker_count())) {
       // Kill a random original worker at most once each; keep >=3 alive.
       const auto victim = static_cast<std::size_t>(
@@ -284,7 +283,7 @@ void FuzzPolicy(const PolicyCase& param, std::uint64_t seed) {
         ++kills;
       }
     } else if (roll < 0.85) {
-      h.AddWorkerOnSite(static_cast<int>(rng.UniformInt(0, 2)));
+      AddSchedWorker(h, static_cast<int>(rng.UniformInt(0, 2)));
     }
     h.sim().RunUntil(h.sim().now() + rng.UniformInt(5, 60) * kSecond);
   }
@@ -364,14 +363,14 @@ TEST(SchedRegistry, ParamGrammarExtendsListValues) {
 // pool has waited out the timeout — and preemption charges no task
 // failures, so the heavy job still succeeds.
 TEST(SchedFair, PreemptsHoggingPoolForStarvedPool) {
-  SchedHarnessConfig config;
-  config.mr.scheduler = "fair:preempt_timeout_s=60;tick_s=15";
-  SchedHarness h(std::move(config));
+  mr::MrConfig config;
+  config.scheduler = "fair:preempt_timeout_s=60;tick_s=15";
+  TestCluster h = SchedCluster(config);
   // Slow maps (64 MiB at 0.5 MiB/s = 128 s): the hog holds all 24 slots
   // far past the preemption timeout.
-  const mr::JobId hog = h.Submit(24, 0, "hog", "", /*map_rate_mibps=*/0.5);
+  const mr::JobId hog = h.Submit(Maps(24), 0, {"hog", "", 0.5});
   h.sim().RunUntil(30 * kSecond);  // hog occupies every slot
-  const mr::JobId mouse = h.Submit(4, 0, "mouse", "", /*map_rate_mibps=*/40);
+  const mr::JobId mouse = h.Submit(Maps(4), 0, {"mouse", "", 40});
   ASSERT_TRUE(h.RunToCompletion());
   EXPECT_GT(h.jt().attempts_preempted(), 0u)
       << "fair never preempted despite a starved pool";
@@ -386,12 +385,12 @@ TEST(SchedFair, PreemptsHoggingPoolForStarvedPool) {
 // same queue borrow the idle remainder.
 TEST(SchedCapacity, HardCapBoundsConcurrencyAndElasticityLiftsIt) {
   auto peak_running = [](const char* spec) {
-    SchedHarnessConfig config;
-    config.mr.scheduler = spec;
+    mr::MrConfig config;
+    config.scheduler = spec;
     // No speculation: backup-kill events are silent, which would skew the
     // launch-minus-finish concurrency counter below.
-    config.mr.speculative_execution = false;
-    SchedHarness h(std::move(config));
+    config.speculative_execution = false;
+    TestCluster h = SchedCluster(config);
     int running = 0;
     int peak = 0;
     h.jt().set_on_attempt_event([&](const mr::JobTracker::AttemptEvent& ev) {
@@ -403,7 +402,7 @@ TEST(SchedCapacity, HardCapBoundsConcurrencyAndElasticityLiftsIt) {
         --running;
       }
     });
-    h.Submit(48, 0, "alice", "adhoc");
+    h.Submit(Maps(48), 0, {"alice", "adhoc"});
     EXPECT_TRUE(h.RunToCompletion());
     return peak;
   };
@@ -420,13 +419,13 @@ TEST(SchedCapacity, HardCapBoundsConcurrencyAndElasticityLiftsIt) {
 // in-flight maps get insurance clones on safe trackers even with classic
 // slowness speculation disabled.
 TEST(SchedAtlas, RiskSpeculationClonesAttemptsOffRiskySite) {
-  SchedHarnessConfig config;
-  config.mr.scheduler = "atlas";
-  config.mr.speculative_execution = false;  // isolate the risk trigger
+  mr::MrConfig config;
+  config.scheduler = "atlas";
+  config.speculative_execution = false;  // isolate the risk trigger
   // Losses surface at heartbeat expiry; keep that inside the test window.
-  config.mr.tracker_expiry = 2 * kMinute;
-  SchedHarness h(std::move(config));
-  h.Submit(24, 0, "", "", /*map_rate_mibps=*/2);
+  config.tracker_expiry = 2 * kMinute;
+  TestCluster h = SchedCluster(config);
+  h.Submit(Maps(24), 0, {"", "", /*map_rate_mibps=*/2});
   h.sim().RunUntil(30 * kSecond);
   // Kill 3 of site 0's 4 workers (workers 0..3): site risk jumps to
   // 1 - 0.65^3 = 0.73 >= 0.5, so survivor w3 is risky by association.
@@ -445,9 +444,9 @@ TEST(SchedAtlas, RiskSpeculationClonesAttemptsOffRiskySite) {
 // so with speculation off it behaves exactly like FIFO on a clean run.
 TEST(SchedAtlas, DegeneratesToFifoWhenNothingIsRisky) {
   auto run = [](const char* spec) {
-    SchedHarnessConfig config;
-    config.mr.scheduler = spec;
-    SchedHarness h(std::move(config));
+    mr::MrConfig config;
+    config.scheduler = spec;
+    TestCluster h = SchedCluster(config);
     SubmitMixedWorkload(h);
     EXPECT_TRUE(h.RunToCompletion());
     return Signature(h);

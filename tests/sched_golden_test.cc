@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "tests/sched_harness.h"
+#include "tests/test_cluster.h"
 
 namespace hogsim::mr {
 namespace {
@@ -49,17 +49,15 @@ bool operator==(const WorkloadGolden& a, const WorkloadGolden& b) {
 /// enough maps to queue behind 24 map slots, submitted together so FIFO
 /// ordering matters.
 WorkloadGolden RunFixedWorkload(const std::string& scheduler) {
-  schedtest::SchedHarnessConfig config;
-  config.sites = 3;
-  config.workers_per_site = 4;
-  config.mr.scheduler = scheduler;
-  schedtest::SchedHarness h(std::move(config));
+  MrConfig config;
+  config.scheduler = scheduler;
+  TestCluster h = SchedCluster(config);
 
   std::vector<JobId> jobs;
-  jobs.push_back(h.Submit(24, 2));
-  jobs.push_back(h.Submit(16, 1));
-  jobs.push_back(h.Submit(8, 1));
-  jobs.push_back(h.Submit(6, 1));
+  jobs.push_back(h.Submit(Maps(24), 2));
+  jobs.push_back(h.Submit(Maps(16), 1));
+  jobs.push_back(h.Submit(Maps(8), 1));
+  jobs.push_back(h.Submit(Maps(6), 1));
   EXPECT_TRUE(h.RunToCompletion());
 
   WorkloadGolden golden;
