@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   std::printf("Input loaded: %zu blocks, replication %d, site-aware "
               "placement '%s'\n",
               hog.namenode().GetFileBlocks(input).size(),
-              hog.config().replication, hog.namenode().policy().name().c_str());
+              hog.config().hdfs.default_replication,
+              hog.namenode().policy().name().c_str());
 
   mr::JobSpec spec;
   spec.name = "drill-job";

@@ -83,7 +83,8 @@ int main() {
         hog.sim().now() + kHour);
     // Give the namenode time to notice the departures (heartbeat recheck),
     // then wait for the replication monitor to drain the deficit.
-    hog.sim().RunUntil(hog.sim().now() + 2 * hog.config().heartbeat_recheck);
+    hog.sim().RunUntil(hog.sim().now() +
+                       2 * hog.config().hdfs.heartbeat_recheck);
     workload::RunSimUntil(
         hog.sim(), [&] { return hog.namenode().under_replicated() == 0; },
         hog.sim().now() + 2 * kHour);
@@ -94,6 +95,7 @@ int main() {
   PrintState(hog, "shrunk");
   std::printf("missing blocks after staged shrink: %zu (replication %d plus "
               "staging keeps data safe through the contraction)\n",
-              hog.namenode().missing_blocks(), hog.config().replication);
+              hog.namenode().missing_blocks(),
+              hog.config().hdfs.default_replication);
   return hog.namenode().missing_blocks() == 0 ? 0 : 1;
 }

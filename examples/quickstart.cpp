@@ -38,7 +38,7 @@ queue 50
               "datanode with site-aware placement, replication %d)\n",
               hog.grid().running_nodes(),
               FormatDuration(hog.sim().now()).c_str(),
-              hog.config().replication);
+              hog.config().hdfs.default_replication);
 
   // 3. Load input data into the grid-wide HDFS (16 blocks -> 16 maps).
   const hdfs::FileId input = hog.namenode().ImportFile("demo-input",

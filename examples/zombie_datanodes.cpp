@@ -22,7 +22,8 @@ struct DrillResult {
 DrillResult Run(bool with_fix) {
   hog::HogConfig config;
   config.grid.zombie_probability = 0.7;  // most preemptions escape the kill
-  config.disk_check_interval = with_fix ? 3 * kMinute : 0;
+  config.hdfs.disk_check_interval = config.mr.disk_check_interval =
+      with_fix ? 3 * kMinute : 0;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) site.node_mtbf_s = 1800.0;
   hog::HogCluster hog(/*seed=*/5, config);

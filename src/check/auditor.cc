@@ -48,7 +48,6 @@ void Auditor::Start() {
 
 std::size_t Auditor::AuditNow() {
   pass_violations_ = 0;
-  ++audits_run_;
   ins_.audits.Add();
   if (nn_ != nullptr) AuditHdfs();
   if (nn_ != nullptr && repl_ != nullptr) AuditReplController();
@@ -59,7 +58,6 @@ std::size_t Auditor::AuditNow() {
 
 void Auditor::Report(const char* invariant, std::string detail) {
   Violation v{invariant, std::move(detail), sim_.now()};
-  ++total_violations_;
   ++pass_violations_;
   ins_.violations.Add();
   sim_.obs().tracer().EmitInstant("check", invariant, sim_.now());

@@ -93,8 +93,8 @@ class Auditor {
   std::size_t AuditNow();
 
   /// Total violations across all passes (the check.violations counter).
-  std::uint64_t violations() const { return total_violations_; }
-  std::uint64_t audits_run() const { return audits_run_; }
+  std::uint64_t violations() const { return ins_.violations.value(); }
+  std::uint64_t audits_run() const { return ins_.audits.value(); }
 
   /// Retained violation records, oldest first (capped at kMaxRecords so a
   /// systemic breakage cannot balloon memory; the counter keeps the true
@@ -129,8 +129,6 @@ class Auditor {
   Options options_;
   Instruments ins_;
   sim::PeriodicTimer timer_;
-  std::uint64_t total_violations_ = 0;
-  std::uint64_t audits_run_ = 0;
   std::size_t pass_violations_ = 0;  // scratch for the current AuditNow
   std::vector<Violation> records_;
 };

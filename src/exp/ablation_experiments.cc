@@ -30,10 +30,10 @@ constexpr DelayCase kDelayCases[] = {
 
 Metrics RunDelay(const DelayCase& c, std::uint64_t seed, const Setup& setup) {
   hog::HogConfig config;
-  config.replication = c.replication;
+  config.hdfs.default_replication = c.replication;
   config.mr.locality_wait_node = c.wait;
   config.mr.locality_wait_rack = c.wait;
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(60);
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));
   run.Submit(&setup.scenario);
@@ -119,8 +119,8 @@ constexpr HeartbeatCase kHeartbeatCases[] = {
 Metrics RunHeartbeat(const HeartbeatCase& c, std::uint64_t seed,
                      const Setup& setup) {
   hog::HogConfig config;
-  config.heartbeat_recheck = c.recheck;
-  HogRun run(seed, config, setup.hog);
+  config.hdfs.heartbeat_recheck = config.mr.tracker_expiry = c.recheck;
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(60);
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));
   run.Submit(&setup.scenario);
@@ -170,14 +170,14 @@ constexpr int kMulticopyNodes = 240;
 
 Metrics RunMulticopy(int copies, std::uint64_t seed, const Setup& setup) {
   hog::HogConfig config;
-  config.task_copies = copies;
+  config.mr.task_copies = copies;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) {
     site.node_mtbf_s = 3600.0;  // volatile grid: where §VI should help
     site.burst_interval_s = 900.0;
     site.burst_fraction = 0.15;
   }
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   // Over-request: under churn, running nodes settle below the lease
   // target (replacements sit in remote batch queues), so keep extra
   // pressure — standard GlideinWMS practice. SpinUp keeps the larger
@@ -245,14 +245,14 @@ Plan MulticopyPlan(const Setup& setup) {
 Metrics RunReplication(int replication, std::uint64_t seed,
                        const Setup& setup) {
   hog::HogConfig config;
-  config.replication = replication;
+  config.hdfs.default_replication = replication;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) {
     site.node_mtbf_s = 5400.0;
     site.burst_interval_s = 900.0;  // simultaneous preemptions are common
     site.burst_fraction = 0.15;
   }
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(60);
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));
   run.Submit(&setup.scenario);
@@ -326,7 +326,7 @@ Metrics RunSecurity(const SecurityCase& c, std::uint64_t seed,
   hog::HogConfig config;
   config.net.crypto_latency = c.handshake;
   config.net.crypto_byte_overhead = c.overhead;
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(60);
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));
   run.Submit(&setup.scenario);
@@ -369,13 +369,13 @@ Metrics RunSiteAwareness(bool site_aware, std::uint64_t seed,
                          const Setup& setup) {
   hog::HogConfig config;
   config.site_awareness = site_aware;
-  config.replication = 4;
+  config.hdfs.default_replication = 4;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) {
     site.node_mtbf_s = 1e9;  // isolate the site-outage effect
     site.burst_interval_s = 0;
   }
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(60);
 
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));

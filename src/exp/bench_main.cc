@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "src/exp/experiment.h"
-#include "src/exp/paper_runs.h"
 #include "src/fault/scenario.h"
 #include "src/health/detector.h"
 #include "src/net/topo/topology.h"
@@ -99,7 +98,7 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv) {
       continue;
     }
     if (arg == "--audit") {
-      opts.audit = true;
+      opts.hog.audit = opts.hog.audit_fail_fast = true;
       continue;
     }
     const auto eat = [&](std::string_view flag,
@@ -200,11 +199,13 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv) {
       field = std::string(value);
       return true;
     };
-    if (spec_flag("--scheduler=", opts.scheduler, sched::CreatePolicy) ||
-        spec_flag("--topology=", opts.topology, net::topo::CreateTopology) ||
-        spec_flag("--detector=", opts.detector, [](const std::string& spec) {
-          return health::CreateDetector(spec, kMinute);
-        })) {
+    if (spec_flag("--scheduler=", opts.hog.scheduler, sched::CreatePolicy) ||
+        spec_flag("--topology=", opts.hog.topology,
+                  net::topo::CreateTopology) ||
+        spec_flag("--detector=", opts.hog.detector,
+                  [](const std::string& spec) {
+                    return health::CreateDetector(spec, kMinute);
+                  })) {
       continue;
     }
     if (eat("--repl-target=", value)) {
@@ -215,7 +216,7 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv) {
                      prog, std::string(value).c_str());
         Usage(prog, 2);
       }
-      opts.repl_target = *target;
+      opts.hog.repl_target = *target;
       continue;
     }
     std::fprintf(stderr, "%s: unknown argument '%s'\n", prog,
@@ -223,15 +224,6 @@ BenchOptions ParseBenchOptions(int argc, char* const* argv) {
     Usage(prog, 2);
   }
   return opts;
-}
-
-HogRunOptions HogRunOptionsFrom(const BenchOptions& opts) {
-  return {.audit = opts.audit,
-          .audit_fail_fast = opts.audit,
-          .repl_target = opts.repl_target,
-          .topology = opts.topology,
-          .detector = opts.detector,
-          .scheduler = opts.scheduler};
 }
 
 std::string PerRunOutPath(const std::string& base, std::string_view config,
@@ -357,7 +349,7 @@ int RunExperiment(const Experiment& experiment, int argc,
   }
   if (opts.fast) TrimSeeds(opts.seeds, experiment.fast_seeds);
   try {
-    const Setup setup{opts, LoadBenchScenario(opts), HogRunOptionsFrom(opts)};
+    const Setup setup{opts, LoadBenchScenario(opts)};
     Plan plan = experiment.plan(setup);
     if (opts.fast) {
       std::erase_if(plan.configs, [](const Config& c) { return !c.fast; });

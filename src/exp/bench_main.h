@@ -20,8 +20,9 @@
 //                      in every run, fail-fast: the first violated
 //                      invariant aborts the experiment with a diagnostic.
 //   --scheduler/--topology/--detector/--repl-target
-//                      HOG-cluster knobs; HogRunOptionsFrom carries them
-//                      and --audit into every HOG run of an experiment.
+//                      HOG-cluster knobs; ParseBenchOptions writes them and
+//                      --audit into BenchOptions::hog, the HogRunOptions
+//                      every HOG run of an experiment starts from.
 //
 // Every row is deterministic per (config, seed) except the host-measured
 // "host.*" rows (IsHostMetric) of scale and topo.
@@ -41,12 +42,12 @@
 #include <string>
 #include <vector>
 
+#include "src/exp/paper_runs.h"
 #include "src/exp/sweep.h"
 
 namespace hogsim::exp {
 
-struct Experiment;     // src/exp/experiment.h
-struct HogRunOptions;  // src/exp/paper_runs.h
+struct Experiment;  // src/exp/experiment.h
 
 struct BenchOptions {
   /// Seeds for the sweep. Default: the paper's "3 runs at each sampling
@@ -66,36 +67,11 @@ struct BenchOptions {
   /// per process; runs arm it on their own Simulation, so sweeps stay
   /// deterministic and thread-count independent.
   std::string scenario;
-  /// Arm the cross-layer invariant auditor (src/check) in every run, in
-  /// fail-fast mode: the first violated invariant aborts the experiment
-  /// with a diagnostic. Audits read state only, so results are unchanged.
-  bool audit = false;
-  /// Scheduler policy spec for benches that run a HOG cluster
-  /// ("" = the bench's default, fifo). Passed to sched::CreatePolicy, so
-  /// "name[:params]" grammars work: --scheduler=fair or
-  /// --scheduler="capacity:queues=prod:0.7:1;adhoc:0.3:1". Validated at
-  /// parse time, since every HOG run builds the policy. The sched
-  /// experiment sets the policy per config and treats the flag as a filter
-  /// over its head-to-head.
-  std::string scheduler;
-  /// Intra-site network topology spec for benches that run a HOG cluster
-  /// ("" = the bench's default, star). Passed to net::topo::CreateTopology,
-  /// so "name[:key=value;...]" grammars work: --topology=tor:racks=4 or
-  /// --topology="fattree:k=4;gbps=1". Validated at parse time; an unknown
-  /// name or parameter fails the bench up front.
-  std::string topology;
-  /// Availability target in (0, 1) for the adaptive replication
-  /// controller (--repl-target=0.999). 0 = flat RF (the bench's default).
-  /// The repl experiment instead runs its own fixed-vs-adaptive ladder and
-  /// treats a non-zero value as an extra adaptive config.
-  double repl_target = 0;
-  /// Failure-detector spec for both masters' heartbeat expiry
-  /// ("" = the bench's default, the fixed-recheck deadline detector).
-  /// Passed to health::CreateDetector, so "name[:key=value;...]" grammars
-  /// work: --detector=deadline or --detector="phi:threshold=8;window=64".
-  /// Validated at parse time. The gray experiment's frontier rows set
-  /// their own detector per config; its storm rows honour the flag.
-  std::string detector;
+  /// --audit (audit and audit_fail_fast), --scheduler, --topology,
+  /// --detector and --repl-target (specs validated at parse time): what
+  /// every HOG run of the experiment starts from. sched, repl, topo and
+  /// gray sweep one of these knobs and set it per config.
+  HogRunOptions hog;
 };
 
 /// The per-run output path for --metrics-out/--trace-out: `base` verbatim
@@ -113,12 +89,6 @@ std::vector<std::uint64_t> DefaultSeeds(std::size_t count);
 /// Unknown arguments print usage and exit with status 2; --help prints
 /// usage and exits 0.
 BenchOptions ParseBenchOptions(int argc, char* const* argv);
-
-/// The one mapping from the bench flags onto a HOG run: --audit (armed
-/// fail-fast), --scheduler, --topology, --detector and --repl-target.
-/// Every experiment that runs a HOG cluster starts from it; one that
-/// sweeps one of these knobs overrides that field per config.
-HogRunOptions HogRunOptionsFrom(const BenchOptions& opts);
 
 /// Runs `experiment` with the flags in argv[1..] (argv[0] names the
 /// program in messages) and returns the exit status: 0 when the sweep ran

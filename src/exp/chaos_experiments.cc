@@ -38,7 +38,7 @@ Plan StormPlan(const Setup& setup) {
        .checks = {Eq("faults_skipped", 0)},
        .run = [&setup](std::uint64_t seed) -> Metrics {
          const auto result =
-             RunHogWorkload(55, seed, {}, &setup.scenario, setup.hog);
+             RunHogWorkload(55, seed, {}, &setup.scenario, setup.opts.hog);
          return {{"response_s", result.workload.response_time_s},
                  {"jobs_failed", static_cast<double>(result.workload.failed)},
                  {"preemptions", static_cast<double>(result.preemptions)},
@@ -91,7 +91,7 @@ Plan SoakPlan(const Setup& setup) {
   chaos.gray = true;
   // The auditor is always armed (violations are a soak row); --audit
   // makes it fail fast.
-  HogRunOptions ropts = setup.hog;
+  HogRunOptions ropts = setup.opts.hog;
   ropts.audit = true;
   ropts.drain_deadline = 2 * kHour;
   Plan plan;
@@ -145,7 +145,7 @@ Plan SoakPlan(const Setup& setup) {
 
 struct ReplConfig {
   std::string label;
-  int fixed_rf = 10;  // HogConfig.replication (placement width)
+  int fixed_rf = 10;  // hdfs.default_replication (placement width)
   double target = 0;  // > 0: adaptive controller at this availability
   bool fast = false;
 
@@ -157,7 +157,7 @@ struct ReplConfig {
 Metrics RunRepl(const ReplConfig& cfg, std::uint64_t seed,
                 const fault::Scenario& scenario, HogRunOptions ropts) {
   hog::HogConfig hog;
-  hog.replication = cfg.fixed_rf;
+  hog.hdfs.default_replication = cfg.fixed_rf;
   ropts.repl_target = cfg.target;
   const auto result = RunHogWorkload(55, seed, hog, &scenario, ropts);
   const double logical =
@@ -190,14 +190,14 @@ Plan ReplPlan(const Setup& setup) {
       {"rf5", 5, 0},
       {"adaptive9999", 10, 0.9999},
   };
-  if (setup.opts.repl_target > 0) {
-    ladder.push_back({"adaptive-custom", 10, setup.opts.repl_target});
+  if (setup.opts.hog.repl_target > 0) {
+    ladder.push_back({"adaptive-custom", 10, setup.opts.hog.repl_target});
   }
   // The same chaos schedule for every (config, seed) run: scenario 1000 of
   // the soak corpus, so the ladder differs only in replication policy. The
   // auditor is always armed (violations are gated); --audit makes it fail
   // fast. The repl target is this experiment's per-config knob.
-  HogRunOptions base = setup.hog;
+  HogRunOptions base = setup.opts.hog;
   base.audit = true;
   base.drain_deadline = 2 * kHour;
   const auto chaos = std::make_shared<const fault::Scenario>(
@@ -394,7 +394,7 @@ Plan TopoPlan(const Setup& setup) {
   constexpr std::size_t kFastConfigs = 4;
   // The auditor is always armed (violations are gated); --audit makes it
   // fail fast. The topology is this experiment's per-config knob.
-  HogRunOptions base = setup.hog;
+  HogRunOptions base = setup.opts.hog;
   base.audit = true;
   const auto drain = std::make_shared<const fault::Scenario>(
       fault::ParseScenario(kDrainScenario, "<topo drain>"));
@@ -413,8 +413,9 @@ Plan TopoPlan(const Setup& setup) {
     plan.configs.push_back(std::move(config));
   };
   for (std::size_t i = 0; i < zoo.size(); ++i) add(zoo[i], i < kFastConfigs);
-  if (!setup.opts.topology.empty()) {
-    add({"custom-shuffle", setup.opts.topology, TopoMode::kShuffle}, true);
+  if (!setup.opts.hog.topology.empty()) {
+    add({"custom-shuffle", setup.opts.hog.topology, TopoMode::kShuffle},
+        true);
   }
   plan.columns = {
       {.header = "response (s)", .metric = "response_s"},

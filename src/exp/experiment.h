@@ -49,7 +49,6 @@ enum class FastSeeds {
 struct Setup {
   BenchOptions opts;         ///< The parsed flags, seeds trimmed for --fast.
   fault::Scenario scenario;  ///< --scenario (empty when none).
-  HogRunOptions hog;         ///< HogRunOptionsFrom(opts).
 };
 
 /// A per-run gate on one named metric: every run of the config that

@@ -86,7 +86,7 @@ Plan SchedPlan(const Setup& setup) {
   // --scheduler restricts the head-to-head to one row; an exact label
   // match keeps the row comparable against the committed baseline, and
   // any other spec becomes a single custom row (label = spec).
-  const std::string& scheduler = setup.opts.scheduler;
+  const std::string& scheduler = setup.opts.hog.scheduler;
   if (!scheduler.empty()) {
     std::erase_if(zoo, [&](const PolicyRow& row) {
       return row.label != scheduler || (setup.opts.fast && !row.fast);
@@ -95,7 +95,7 @@ Plan SchedPlan(const Setup& setup) {
   }
   Plan plan;
   for (const PolicyRow& row : zoo) {
-    HogRunOptions ropts = setup.hog;
+    HogRunOptions ropts = setup.opts.hog;
     ropts.scheduler = row.spec;
     plan.configs.push_back(
         {.label = row.label,
@@ -227,7 +227,7 @@ Plan ScalePlan(const Setup& setup) {
                     AtMost("cancelled_events", kMaxCancelShare,
                            "executed_events")},
          .run = [&setup, point](std::uint64_t seed) {
-           return RunScaleWorkload(point, seed, setup.hog);
+           return RunScaleWorkload(point, seed, setup.opts.hog);
          }});
   }
   plan.columns = {
@@ -294,17 +294,15 @@ constexpr SimTime kSlowAt = 30 * kSecond;
 /// A quiet cluster under a heartbeat-jitter palette (the delay-heartbeats
 /// gray fault applied to every site): counts false suspicions over the
 /// steady window, then preempts one site cold and measures how long
-/// `detector` takes to declare every killed tracker. `expiry` is
-/// mr.tracker_expiry: the deadline detector's timeout and the phi
+/// `detector` takes to declare every killed tracker. `expiry` is both
+/// masters' heartbeat recheck: the deadline detector's timeout and the phi
 /// detector's bootstrap silence budget. The detector under test overrides
 /// options.detector.
 Metrics RunGrayDetection(const std::string& detector, SimDuration expiry,
                          SimDuration jitter, std::uint64_t seed,
                          HogRunOptions options) {
   hog::HogConfig hog = QuietGrid();
-  // HogCluster fans heartbeat_recheck out to both masters (tracker expiry
-  // and datanode recheck) — the per-layer knobs would be overwritten.
-  hog.heartbeat_recheck = expiry;
+  hog.hdfs.heartbeat_recheck = hog.mr.tracker_expiry = expiry;
   options.detector = detector;
   HogRun run(seed, std::move(hog), options);
   hog::HogCluster& cluster = run.cluster();
@@ -406,7 +404,7 @@ std::vector<workload::ScheduledJob> StormShapes() {
 Metrics RunGrayStorm(bool quarantine, std::uint64_t seed,
                      HogRunOptions options) {
   hog::HogConfig hog = QuietGrid();
-  hog.quarantine.enabled = quarantine;
+  if (quarantine) hog.quarantine.emplace();
   options.audit = true;
   HogRun run(seed, std::move(hog), options);
   hog::HogCluster& cluster = run.cluster();
@@ -581,7 +579,7 @@ Plan GrayPlan(const Setup& setup) {
                     .run = [&setup, det, jitter = j.jitter](
                                std::uint64_t seed) {
                       return RunGrayDetection(det.spec, det.expiry, jitter,
-                                              seed, setup.hog);
+                                              seed, setup.opts.hog);
                     }};
       if (std::string_view(det.name) == "phi") {
         config.checks.push_back(Eq("false_suspects", 0));
@@ -600,7 +598,7 @@ Plan GrayPlan(const Setup& setup) {
         {.label = quarantine ? "storm-quarantine" : "storm-bare",
          .checks = {Eq("reached_target", 1), Eq("audit_violations", 0)},
          .run = [&setup, quarantine](std::uint64_t seed) {
-           return RunGrayStorm(quarantine, seed, setup.hog);
+           return RunGrayStorm(quarantine, seed, setup.opts.hog);
          }});
   }
   plan.columns = {

@@ -195,7 +195,8 @@ Plan Fig4Plan(const Setup& setup) {
          .fast = nodes == 55 || nodes == 100 || nodes == 180,
          .run = [&setup, nodes](std::uint64_t seed) -> Metrics {
            const auto result =
-               RunHogWorkload(nodes, seed, {}, &setup.scenario, setup.hog);
+               RunHogWorkload(nodes, seed, {}, &setup.scenario,
+                              setup.opts.hog);
            // An unreached deployment target leaves the response
            // unmeasurable; NaN serializes as null and is excluded from the
            // summaries.
@@ -259,7 +260,7 @@ Plan Fig5Table4Plan(const Setup& setup) {
          const bool unstable = idx + 1 == seeds.size();
          const HogRunResult run = RunHogWorkload(
              55, seed, unstable ? UnstableGrid() : hog::HogConfig{},
-             &setup.scenario, setup.hog);
+             &setup.scenario, setup.opts.hog);
          // Downsampled trace: reported nodes every ~5% of the run.
          Fig5Trace& trace = (*traces)[idx];
          trace.preemptions = run.preemptions;
@@ -356,13 +357,14 @@ Metrics RunZombie(const ZombieVariant& variant, std::uint64_t seed,
                   const Setup& setup) {
   hog::HogConfig config;
   config.grid.zombie_probability = variant.zombie_probability;
-  config.disk_check_interval = variant.probe_interval;
+  config.hdfs.disk_check_interval = config.mr.disk_check_interval =
+      variant.probe_interval;
   config.sites = hog::DefaultOsgSites();
   for (auto& site : config.sites) {
     site.node_mtbf_s = 1e9;  // all preemption comes from the injections
     site.burst_interval_s = 0;
   }
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(55);
   run.Prepare(FacebookSchedule(seed, setup.opts.fast));
   run.Submit(&setup.scenario);
@@ -459,7 +461,7 @@ Metrics RunDiskOverflow(const DiskCase& c, std::uint64_t seed,
     site.node_mtbf_s = 1e9;  // isolate the disk effect from churn
     site.burst_interval_s = 0;
   }
-  HogRun run(seed, config, setup.hog);
+  HogRun run(seed, config, setup.opts.hog);
   run.RequireSpinUp(40);
 
   // Keep input volume modest so the *intermediate* data is what overflows.

@@ -21,7 +21,9 @@ hog::HogConfig WithOverrides(hog::HogConfig config,
     config.repl.availability_target = options.repl_target;
   }
   if (!options.topology.empty()) config.net.topology = options.topology;
-  if (!options.detector.empty()) config.detector = options.detector;
+  if (!options.detector.empty()) {
+    config.hdfs.detector = config.mr.detector = options.detector;
+  }
   if (!options.scheduler.empty()) config.mr.scheduler = options.scheduler;
   return config;
 }

@@ -76,7 +76,7 @@ struct HogRunResult {
 };
 
 /// What a HOG run adds to its HogConfig: the uniform bench flags
-/// (HogRunOptionsFrom maps BenchOptions onto them) and the drain.
+/// (ParseBenchOptions fills BenchOptions::hog) and the drain.
 struct HogRunOptions {
   /// Arm a check::Auditor over all four layers for the whole run (periodic
   /// tick + one final end-of-run pass). The auditor only reads state and
@@ -103,7 +103,8 @@ struct HogRunOptions {
   std::string topology;
   /// When non-empty: the failure-detector spec for both masters
   /// (health::CreateDetector grammar, e.g. "phi:threshold=8") — the
-  /// --detector knob. Overrides config.detector.
+  /// --detector knob. Overrides config.hdfs.detector and
+  /// config.mr.detector.
   std::string detector;
   /// When non-empty: the MapReduce scheduling policy spec
   /// (sched::CreatePolicy grammar, e.g. "fair") — the --scheduler knob.

@@ -346,7 +346,6 @@ void FaultInjector::Apply(const Action& action) {
         << "skipped " << ActionName(action.kind) << " (" << missing << ")";
     return;
   }
-  ++injected_;
   total_counter_.Add();
   kind_counters_[static_cast<std::size_t>(action.kind)]->Add();
   sim_.obs().tracer().EmitInstant(

@@ -84,7 +84,7 @@ class FaultInjector {
   SimTime origin() const { return origin_; }
 
   /// Actions actually applied so far (== fault.actions.injected).
-  std::uint64_t injected() const { return injected_; }
+  std::uint64_t injected() const { return total_counter_.value(); }
   /// Actions that reached no target: an absent layer, an out-of-range
   /// site, a rack or fabric no named site has, or no running lease.
   std::uint64_t skipped() const { return skipped_; }
@@ -108,7 +108,6 @@ class FaultInjector {
   std::vector<sim::EventHandle> restore_events_;  // heals/restarts/restores
   SimTime origin_ = 0;
   bool armed_ = false;
-  std::uint64_t injected_ = 0;
   std::uint64_t skipped_ = 0;
 };
 

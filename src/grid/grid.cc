@@ -203,7 +203,6 @@ void Grid::Preempt(GridNodeId id, ZombieMode mode) {
   --active_leases_;
   if (was_running) {
     --running_;
-    ++preemptions_;
     ins_.node_preempted.Add();
     ins_.nodes_running.Set(running_);
     sim_.obs().tracer().EmitCounter("grid", "nodes.running", sim_.now(),
@@ -218,7 +217,6 @@ void Grid::Preempt(GridNodeId id, ZombieMode mode) {
     // the double-forked daemons escaped the process tree (§IV.D.1).
     node.state_ = NodeState::kZombie;
     ++zombies_;
-    ++zombie_events_;
     ins_.node_zombied.Add();
     ins_.nodes_zombie.Set(zombies_);
     sim_.obs().tracer().EmitInstant("grid", "node.zombie", sim_.now(), id);

@@ -248,8 +248,8 @@ class Grid {
   std::vector<GridNodeId> RunningNodeIds() const;
 
   // Lifetime counters (for experiment reporting).
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t zombie_events() const { return zombie_events_; }
+  std::uint64_t preemptions() const { return ins_.node_preempted.value(); }
+  std::uint64_t zombie_events() const { return ins_.node_zombied.value(); }
 
  private:
   // The invariant auditor (src/check) reads — never mutates — the node
@@ -316,8 +316,6 @@ class Grid {
   int active_leases_ = 0;  // queued + starting + running
   int running_ = 0;
   int zombies_ = 0;
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t zombie_events_ = 0;
   std::function<void(GridNode&)> on_node_start_;
   std::function<void(GridNode&)> on_node_preempt_;
   std::function<void(GridNode&)> on_node_zombie_;

@@ -561,7 +561,6 @@ void Namenode::FinishTransfer(std::uint64_t transfer_id, bool ok) {
                       datanodes_[t.dst].daemon != nullptr &&
                       datanodes_[t.dst].daemon->can_serve();
   if (ok && block_live && dst_ok) {
-    ++replications_completed_;
     replication_bytes_ += size;
     ins_.replication_completed.Add();
     // The re-replication pipeline span: schedule -> WAN copy -> disk write.

@@ -186,7 +186,7 @@ class Namenode final : public ClusterView {
   /// Blocks with zero serving replicas right now.
   std::size_t missing_blocks() const;
   std::uint64_t replications_completed() const {
-    return replications_completed_;
+    return ins_.replication_completed.value();
   }
   Bytes replication_bytes() const { return replication_bytes_; }
   std::uint64_t datanodes_declared_dead() const {
@@ -335,7 +335,6 @@ class Namenode final : public ClusterView {
   sim::PeriodicTimer replication_monitor_;
 
   bool available_ = true;
-  std::uint64_t replications_completed_ = 0;
   Bytes replication_bytes_ = 0;
   std::function<void(BlockId)> on_block_missing_;
   std::function<void(DatanodeId)> on_datanode_dead_;

@@ -157,7 +157,6 @@ int ReplController::AliveSites() const {
 }
 
 void ReplController::Tick() {
-  ++ticks_run_;
   ins_.ticks.Add();
   FoldHazards();
 
@@ -255,12 +254,10 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
   if (needed > cur) {
     desired = needed;
     nn_.SetBlockReplication(block, desired);
-    ++targets_raised_;
     ins_.target_raised.Add();
   } else if (may_lower && hold < cur) {
     desired = hold;
     nn_.SetBlockReplication(block, desired);
-    ++targets_lowered_;
     ins_.target_lowered.Add();
   }
 
@@ -316,7 +313,6 @@ void ReplController::AdjustBlock(BlockId block, double spare_q,
     std::erase(holders, victim);
     const Bytes size = nn_.BlockSize(block);
     nn_.RemoveReplica(block, victim);
-    ++excess_removed_;
     ins_.excess_removed.Add();
     ins_.excess_bytes_freed.Add(static_cast<std::uint64_t>(size));
     --remaining;

@@ -175,10 +175,12 @@ class ReplController {
   double SiteHazardPerHour(const std::string& rack) const;
 
   const ReplControllerConfig& config() const { return config_; }
-  std::uint64_t targets_raised() const { return targets_raised_; }
-  std::uint64_t targets_lowered() const { return targets_lowered_; }
-  std::uint64_t excess_removed() const { return excess_removed_; }
-  std::uint64_t ticks_run() const { return ticks_run_; }
+  std::uint64_t targets_raised() const { return ins_.target_raised.value(); }
+  std::uint64_t targets_lowered() const {
+    return ins_.target_lowered.value();
+  }
+  std::uint64_t excess_removed() const { return ins_.excess_removed.value(); }
+  std::uint64_t ticks_run() const { return ins_.ticks.value(); }
   /// Trims that would have violated a safety guard had they fired. The
   /// guards are checked before acting, so this stays 0; the auditor
   /// asserts it (hdfs.repl_safe_trim).
@@ -238,11 +240,7 @@ class ReplController {
   SimTime started_at_ = 0;
   BlockId cursor_ = 1;
 
-  std::uint64_t targets_raised_ = 0;
-  std::uint64_t targets_lowered_ = 0;
-  std::uint64_t excess_removed_ = 0;
   std::uint64_t unsafe_trims_ = 0;
-  std::uint64_t ticks_run_ = 0;
 };
 
 }  // namespace hogsim::hdfs

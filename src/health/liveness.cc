@@ -57,7 +57,6 @@ bool Liveness::Declare(DaemonId id) {
   // heartbeat's long gap widens an adaptive budget. Dead daemons never
   // heartbeat again and replacements register under fresh ids.
   --live_;
-  ++declared_;
   declared_counter_.Add();
   // The silence the master sat through: what the 30 s recheck targets.
   latency_.Observe(ToSeconds(sim_.now() - detector_->LastHeartbeat(id)));

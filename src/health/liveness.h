@@ -69,7 +69,7 @@ class Liveness {
 
   bool alive(DaemonId id) const { return daemons_[id].alive; }
   int live() const { return live_; }
-  std::uint64_t declared() const { return declared_; }
+  std::uint64_t declared() const { return declared_counter_.value(); }
 
  private:
   // The auditor (src/check) checks the counts, the gauge and the heap.
@@ -105,7 +105,6 @@ class Liveness {
   std::vector<Expiry> heap_;
   sim::PeriodicTimer monitor_;
   int live_ = 0;
-  std::uint64_t declared_ = 0;
 };
 
 /// The daemon's half: when heartbeat number `seq` from `node` reaches the

@@ -7,14 +7,15 @@
 namespace hogsim::health {
 
 Quarantine::Quarantine(sim::Simulation& sim, QuarantineConfig config,
+                       SimDuration heartbeat_interval,
                        std::function<int(std::uint32_t)> site_of)
     : sim_(sim),
       config_(config),
+      heartbeat_interval_(heartbeat_interval),
       site_of_(std::move(site_of)),
       ins_(sim.obs().metrics()) {}
 
 void Quarantine::Start() {
-  if (!config_.enabled) return;
   timer_.Start(sim_, config_.tick, [this] { Tick(); });
 }
 
@@ -26,10 +27,9 @@ Quarantine::NodeState& Quarantine::StateOf(std::uint32_t node) {
 void Quarantine::OnFlap(std::uint32_t node) {
   NodeState& s = StateOf(node);
   ++s.flaps;
-  ++flaps_;
   ins_.flaps.Add();
   s.last_bad = sim_.now();
-  if (config_.enabled && s.flaps >= config_.flap_threshold) {
+  if (s.flaps >= config_.flap_threshold) {
     MaybeProbate(node, s, "flapping");
   }
 }
@@ -45,9 +45,9 @@ void Quarantine::OnHeartbeat(std::uint32_t node, SimTime now) {
           config_.jitter_alpha * (interval_s - s.jitter_ewma_s);
     }
     ++s.heartbeat_samples;
-    if (config_.enabled && s.heartbeat_samples >= config_.min_task_samples &&
-        s.jitter_ewma_s > config_.jitter_factor *
-                              ToSeconds(config_.heartbeat_interval)) {
+    if (s.heartbeat_samples >= config_.min_task_samples &&
+        s.jitter_ewma_s >
+            config_.jitter_factor * ToSeconds(heartbeat_interval_)) {
       s.last_bad = now;
       MaybeProbate(node, s, "heartbeat jitter");
     }
@@ -85,8 +85,8 @@ void Quarantine::OnTaskDuration(std::uint32_t node, double seconds) {
 
   if (s.site < 0) return;
   const double median = PeerMedian(node, s.site);
-  if (config_.enabled && s.task_samples >= config_.min_task_samples &&
-      median > 0 && s.duration_ewma_s > config_.degrade_factor * median) {
+  if (s.task_samples >= config_.min_task_samples && median > 0 &&
+      s.duration_ewma_s > config_.degrade_factor * median) {
     s.last_bad = sim_.now();
     ins_.degraded_detected.Add();
     MaybeProbate(node, s, "degraded vs site peers");
@@ -116,7 +116,6 @@ void Quarantine::MaybeProbate(std::uint32_t node, NodeState& s,
   if (s.probated) return;
   s.probated = true;
   s.probated_at = sim_.now();
-  ++probations_entered_;
   ++probated_count_;
   ins_.probations_entered.Add();
   ins_.probated.Set(static_cast<double>(probated_count_));
@@ -131,7 +130,6 @@ void Quarantine::Release(std::uint32_t node, NodeState& s) {
   // Flap evidence resets on release so the next probation needs fresh
   // cycles; the EWMAs keep their history (they already decayed to good).
   s.flaps = 0;
-  ++probations_released_;
   --probated_count_;
   ins_.probations_released.Add();
   ins_.probated.Set(static_cast<double>(probated_count_));
@@ -142,7 +140,7 @@ bool Quarantine::Bad(std::uint32_t node, NodeState& s) {
   bool bad = false;
   if (s.heartbeat_samples >= config_.min_task_samples &&
       s.jitter_ewma_s > config_.release_fraction * config_.jitter_factor *
-                            ToSeconds(config_.heartbeat_interval)) {
+                            ToSeconds(heartbeat_interval_)) {
     bad = true;
   }
   if (s.site >= 0 && s.task_samples >= config_.min_task_samples) {

@@ -12,8 +12,7 @@
 //
 //   flaps          a master declared the node lost and a later heartbeat
 //                  revived it (fed from both masters' revival seams;
-//                  counted in health.flaps even when quarantine is off —
-//                  the flap history satellite).
+//                  counted in health.flaps).
 //   heartbeat      EWMA of the tasktracker's inter-arrival jitter vs the
 //   jitter         configured cadence; sustained lateness is the gray
 //                  signature that precedes death.
@@ -35,9 +34,10 @@
 //
 // Everything is deterministic (no RNG) and observational state is updated
 // inline on the feeds; the periodic tick only evaluates release.
-// Quarantine is OFF by default (`enabled=false`): evidence is still
-// tracked and health.* metrics emitted, but no node is ever probated, so
-// default-config runs stay byte-identical to the pre-health baselines.
+// A HogCluster builds a Quarantine only when its config.quarantine is
+// engaged; without one, the masters feed nothing and no node is ever
+// probated, so default-config runs stay byte-identical to the pre-health
+// baselines.
 #pragma once
 
 #include <cstdint>
@@ -56,17 +56,11 @@ class Auditor;
 namespace hogsim::health {
 
 struct QuarantineConfig {
-  /// Master switch. When false the feeds still maintain evidence and the
-  /// health.* counters (flap history is a satellite deliverable on its
-  /// own), but Probated() is constant-false and scheduling/placement/
-  /// replication are untouched.
-  bool enabled = false;
-
   /// Probation trigger: lost-then-revived cycles on this node.
   int flap_threshold = 2;
 
   /// Probation trigger: heartbeat inter-arrival EWMA above
-  /// jitter_factor * nominal heartbeat interval.
+  /// jitter_factor * the nominal heartbeat interval.
   double jitter_factor = 3.0;
 
   /// Probation trigger: per-node task-duration EWMA above
@@ -74,10 +68,6 @@ struct QuarantineConfig {
   /// min_task_samples on the node and on >= 3 peers).
   double degrade_factor = 1.8;
   int min_task_samples = 4;
-
-  /// Nominal heartbeat cadence the jitter trigger compares against
-  /// (propagated from the cluster config by HogCluster).
-  SimDuration heartbeat_interval = 3 * kSecond;
 
   /// EWMA gains for the jitter and duration estimators.
   double jitter_alpha = 0.2;
@@ -96,12 +86,15 @@ struct QuarantineConfig {
 
 class Quarantine {
  public:
-  /// `site_of` maps a net node to its site index (from the grid); it must
-  /// stay valid for the quarantine's lifetime.
+  /// `heartbeat_interval` is the tasktrackers' nominal cadence, which the
+  /// jitter trigger compares against. `site_of` maps a net node to its
+  /// site index (from the grid); it must stay valid for the quarantine's
+  /// lifetime.
   Quarantine(sim::Simulation& sim, QuarantineConfig config,
+             SimDuration heartbeat_interval,
              std::function<int(std::uint32_t)> site_of);
 
-  /// Arms the release tick (no-op when disabled).
+  /// Arms the release tick.
   void Start();
 
   // -- Evidence feeds ----------------------------------------------------
@@ -125,9 +118,13 @@ class Quarantine {
   bool Probated(std::uint32_t node) const;
   int FlapCount(std::uint32_t node) const;
 
-  std::uint64_t flaps() const { return flaps_; }
-  std::uint64_t probations_entered() const { return probations_entered_; }
-  std::uint64_t probations_released() const { return probations_released_; }
+  std::uint64_t flaps() const { return ins_.flaps.value(); }
+  std::uint64_t probations_entered() const {
+    return ins_.probations_entered.value();
+  }
+  std::uint64_t probations_released() const {
+    return ins_.probations_released.value();
+  }
   std::size_t probated_count() const { return probated_count_; }
 
   /// Release evaluation right now (tests drive this directly).
@@ -177,14 +174,12 @@ class Quarantine {
 
   sim::Simulation& sim_;
   QuarantineConfig config_;
+  SimDuration heartbeat_interval_;
   std::function<int(std::uint32_t)> site_of_;
   Instruments ins_;
   std::vector<NodeState> nodes_;  // dense by net node id
   sim::PeriodicTimer timer_;
 
-  std::uint64_t flaps_ = 0;
-  std::uint64_t probations_entered_ = 0;
-  std::uint64_t probations_released_ = 0;
   std::size_t probated_count_ = 0;
 };
 

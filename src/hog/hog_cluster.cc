@@ -33,16 +33,6 @@ HogCluster::HogCluster(std::uint64_t seed, HogConfig config)
 
   if (config_.sites.empty()) config_.sites = DefaultOsgSites();
 
-  // Propagate HOG's headline modifications into the Hadoop configs.
-  config_.hdfs.default_replication = config_.replication;
-  config_.hdfs.heartbeat_recheck = config_.heartbeat_recheck;
-  config_.hdfs.disk_check_interval = config_.disk_check_interval;
-  config_.mr.tracker_expiry = config_.heartbeat_recheck;
-  config_.mr.disk_check_interval = config_.disk_check_interval;
-  config_.mr.task_copies = config_.task_copies;
-  config_.hdfs.detector = config_.detector;
-  config_.mr.detector = config_.detector;
-
   // The stable central server: namenode, jobtracker, and the web
   // repository hosting the 75 MB worker package, in its own "site".
   const net::SiteId central = net_.AddSite(config_.master_uplink);
@@ -52,10 +42,10 @@ HogCluster::HogCluster(std::uint64_t seed, HogConfig config)
                                        rng.Fork("grid"), config_.grid);
   for (const grid::SiteConfig& site : config_.sites) grid_->AddSite(site);
 
-  if (config_.quarantine.enabled) {
-    config_.quarantine.heartbeat_interval = config_.mr.heartbeat_interval;
+  if (config_.quarantine) {
     quarantine_ = std::make_unique<health::Quarantine>(
-        sim_, config_.quarantine, [this](std::uint32_t node) {
+        sim_, *config_.quarantine, config_.mr.heartbeat_interval,
+        [this](std::uint32_t node) {
           return static_cast<int>(net_.site_of(node));
         });
     quarantine_->Start();

@@ -9,10 +9,14 @@
 //  3. MapReduce on the grid — jobtracker on the central server, FIFO
 //     scheduling with site locality, 1 map + 1 reduce slot per glidein
 //     (grid jobs are single-core allocations), 30 s tracker expiry, and
-//     optionally the §VI multi-copy task extension.
+//     optionally the §VI multi-copy task extension (mr.task_copies).
+// HogConfig holds each setting once: HOG's values are the defaults of its
+// hdfs and mr members, which the cluster hands to the masters as given,
+// and the optional gray-failure quarantine runs only when configured.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,24 +37,23 @@
 namespace hogsim::hog {
 
 struct HogConfig {
-  // --- HOG's Hadoop modifications (§III.B) ---
-  int replication = 10;
-  SimDuration heartbeat_recheck = 30 * kSecond;   // namenode + jobtracker
-  SimDuration disk_check_interval = 3 * kMinute;  // §IV.D.1 fix; 0 = stock
+  // --- HOG's Hadoop modifications (§III.B, §IV.D.1): replication 10, a
+  // 30 s heartbeat recheck on both masters and the 3-minute working-
+  // directory probe; every other knob is stock. A caller changing a value
+  // both masters share (recheck, probe, detector) writes both fields. ---
+  hdfs::HdfsConfig hdfs{.default_replication = 10,
+                        .heartbeat_recheck = 30 * kSecond,
+                        .disk_check_interval = 3 * kMinute};
+  mr::MrConfig mr{.tracker_expiry = 30 * kSecond,
+                  .disk_check_interval = 3 * kMinute};
   bool site_awareness = true;  // false = flat topology (ablation)
 
-  /// Failure detector for both masters, resolved through
-  /// health::CreateDetector ("deadline" — byte-identical to the fixed
-  /// heartbeat_recheck expiry — or "phi[:k=v;...]"). Overrides
-  /// hdfs.detector and mr.detector at construction.
-  std::string detector = "deadline";
-
-  /// Gray-failure quarantine (src/health). quarantine.enabled = true runs
-  /// a Quarantine manager fed by both masters: flapping or degraded nodes
-  /// enter probation, the scheduler and placement steer away from them,
-  /// and the RF controller prices their replicas at elevated loss risk.
-  /// Disabled by default (byte-identical to the pre-health cluster).
-  health::QuarantineConfig quarantine;
+  /// Gray-failure quarantine (src/health): when engaged, the cluster runs
+  /// a Quarantine fed by both masters — flapping or degraded nodes enter
+  /// probation, the scheduler and placement steer away from them, and the
+  /// RF controller prices their replicas at elevated loss risk. Empty by
+  /// default: no Quarantine is built.
+  std::optional<health::QuarantineConfig> quarantine;
 
   // --- Worker shape (§IV.A): one core per glidein ---
   int map_slots_per_node = 1;
@@ -68,19 +71,11 @@ struct HogConfig {
   /// Network model knobs (latencies, WAN per-flow cap, §VI PKI overhead).
   net::FlowNetworkConfig net;
 
-  /// §VI extension: copies per task (1 = stock).
-  int task_copies = 1;
-
-  /// Remaining Hadoop knobs (replication/recheck/expiry above override the
-  /// corresponding fields here at construction).
-  hdfs::HdfsConfig hdfs;
-  mr::MrConfig mr;
-
   /// Adaptive replication (src/hdfs/repl_controller.h). With
   /// repl.availability_target > 0 the cluster runs a ReplController that
   /// right-sizes per-block RF between repl.min_replication and
-  /// repl.max_replication; `replication` above then only sets the initial
-  /// placement width. Target <= 0 (default) keeps HOG's flat RF.
+  /// repl.max_replication; hdfs.default_replication then only sets the
+  /// initial placement width. Target <= 0 (default) keeps HOG's flat RF.
   hdfs::ReplControllerConfig repl;
 };
 
@@ -107,7 +102,7 @@ class HogCluster {
   /// config.repl.availability_target <= 0 (flat-RF mode).
   hdfs::ReplController* repl_controller() { return repl_controller_.get(); }
   /// The gray-failure quarantine manager, or nullptr when
-  /// config.quarantine.enabled is false.
+  /// config.quarantine is empty.
   health::Quarantine* quarantine() { return quarantine_.get(); }
   const HogConfig& config() const { return config_; }
 

@@ -351,12 +351,8 @@ void JobTracker::LaunchAttempt(JobInfo& job, TaskInfo& task, TrackerId tracker,
     ++job.running_reduce_attempts;
   }
   if (task.first_launch < 0) task.first_launch = sim_.now();
-  ++attempts_launched_;
   ins_.attempt_launched.Add();
-  if (speculative) {
-    ++speculative_attempts_;
-    ins_.attempt_speculative.Add();
-  }
+  if (speculative) ins_.attempt_speculative.Add();
   const AttemptEvent launched{sim_.now(),  AttemptEvent::Kind::kLaunched,
                               job.id,      task.type,
                               task.index,  id,
@@ -671,7 +667,6 @@ void JobTracker::RevertCompletedMap(JobInfo& job, int map_index) {
   task.completed_on = kInvalidTracker;
   task.completed_at = -1;
   --job.maps_completed;
-  ++maps_reexecuted_;
   ins_.map_reexecuted.Add();
   sim_.obs().tracer().EmitInstant("mr", "map.reexecute", sim_.now(),
                                   static_cast<std::uint64_t>(map_index));
@@ -769,7 +764,6 @@ void JobTracker::PreemptAttempt(AttemptId id) {
       pending.push_back(record.task_index);
     }
   }
-  ++attempts_preempted_;
   ins_.attempt_preempted.Add();
   sim_.obs().tracer().EmitInstant("mr", "attempt.preempted", sim_.now(),
                                   static_cast<std::uint64_t>(record.tracker));

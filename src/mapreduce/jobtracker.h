@@ -215,11 +215,17 @@ class JobTracker {
   std::uint64_t trackers_declared_lost() const {
     return liveness_.declared();
   }
-  std::uint64_t maps_reexecuted() const { return maps_reexecuted_; }
-  std::uint64_t speculative_attempts() const { return speculative_attempts_; }
-  std::uint64_t attempts_launched() const { return attempts_launched_; }
+  std::uint64_t maps_reexecuted() const { return ins_.map_reexecuted.value(); }
+  std::uint64_t speculative_attempts() const {
+    return ins_.attempt_speculative.value();
+  }
+  std::uint64_t attempts_launched() const {
+    return ins_.attempt_launched.value();
+  }
   /// Attempts killed by scheduler preemption (no task failure charged).
-  std::uint64_t attempts_preempted() const { return attempts_preempted_; }
+  std::uint64_t attempts_preempted() const {
+    return ins_.attempt_preempted.value();
+  }
   const MrConfig& config() const { return config_; }
   net::NodeId master_node() const { return master_; }
 
@@ -369,10 +375,6 @@ class JobTracker {
   std::vector<std::pair<JobId, int>> queued_fetch_failures_;
   int running_jobs_ = 0;
   int blacklist_active_ = 0;  // blacklist entries across running jobs
-  std::uint64_t maps_reexecuted_ = 0;
-  std::uint64_t speculative_attempts_ = 0;
-  std::uint64_t attempts_launched_ = 0;
-  std::uint64_t attempts_preempted_ = 0;
   std::function<void(const AttemptEvent&)> on_attempt_event_;
 };
 

@@ -463,7 +463,7 @@ TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {
                         "--detector=phi:threshold=8",
                         "--repl-target=0.999"};
   const HogRunOptions ropts =
-      HogRunOptionsFrom(ParseBenchOptions(6, const_cast<char* const*>(argv)));
+      ParseBenchOptions(6, const_cast<char* const*>(argv)).hog;
   EXPECT_TRUE(ropts.audit);
   EXPECT_TRUE(ropts.audit_fail_fast);
   EXPECT_EQ(ropts.scheduler, "fair");
@@ -477,7 +477,7 @@ TEST(BenchMain, HogRunOptionsCarryEveryHogFlag) {
 
   const char* plain[] = {"bench"};
   const HogRunOptions none =
-      HogRunOptionsFrom(ParseBenchOptions(1, const_cast<char* const*>(plain)));
+      ParseBenchOptions(1, const_cast<char* const*>(plain)).hog;
   EXPECT_FALSE(none.audit);
   EXPECT_FALSE(none.audit_fail_fast);
   EXPECT_TRUE(none.scheduler.empty());
@@ -548,7 +548,7 @@ TEST(HogRun, AuditedDrainedRunIsPinnedAndTwinIdentical) {
       "at 20m preempt-site 0 1.0\nat 21m preempt-site 2 1.0\n", "<pin>");
   const auto run = [&storm] {
     hog::HogConfig config;
-    config.replication = 3;
+    config.hdfs.default_replication = 3;
     HogRunOptions options;
     options.audit = true;
     options.drain_deadline = 30 * kMinute;

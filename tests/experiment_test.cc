@@ -173,7 +173,7 @@ Plan MissedSpinUpPlan(const Setup& setup) {
          hog::HogConfig config = QuietGrid();
          config.sites.resize(2);
          for (auto& site : config.sites) site.pool_size = 10;
-         HogRun run(seed, config, setup.hog);
+         HogRun run(seed, config, setup.opts.hog);
          run.RequireSpinUp(25);
          return Metrics{{"response_s", 0.0}};
        }});
@@ -282,7 +282,6 @@ class Contract {
   explicit Contract(std::string_view name) {
     const Experiment* experiment = FindExperiment(name);
     EXPECT_NE(experiment, nullptr) << name;
-    setup_.hog = HogRunOptionsFrom(setup_.opts);
     plan_ = experiment->plan(setup_);
     spec_.name = std::string(name);
     spec_.seeds = setup_.opts.seeds;
@@ -772,12 +771,17 @@ TEST_P(DocTable, MatchesItsCommittedBaseline) {
       << begin << expected << end;
 }
 
-INSTANTIATE_TEST_SUITE_P(Experiments, DocTable,
-                         testing::Values("sched", "repl", "topo", "gray",
-                                         "scale"),
-                         [](const testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Experiments, DocTable,
+    testing::Values("table1", "table2", "table3", "fig4", "fig5_table4",
+                    "exp_zombie_datanodes", "exp_disk_overflow",
+                    "ablation_delay_scheduling", "ablation_heartbeat",
+                    "ablation_multicopy", "ablation_replication",
+                    "ablation_security", "ablation_site_awareness", "sched",
+                    "repl", "topo", "gray", "scale"),
+    [](const testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
 }  // namespace hogsim::exp

@@ -233,7 +233,6 @@ TEST(HeartbeatDelayTest, EachWindowOf16HeartbeatsSharesOneDraw) {
 
 QuarantineConfig TestQuarantineConfig() {
   QuarantineConfig config;
-  config.enabled = true;
   config.flap_threshold = 2;
   config.min_task_samples = 2;
   config.degrade_factor = 1.8;
@@ -244,9 +243,12 @@ QuarantineConfig TestQuarantineConfig() {
 
 int AllSiteZero(std::uint32_t) { return 0; }
 
+// The tasktrackers' nominal heartbeat cadence (MrConfig's default).
+constexpr SimDuration kCadence = 3 * kSecond;
+
 TEST(QuarantineTest, FlapThresholdProbates) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   q.OnFlap(5);
   EXPECT_FALSE(q.Probated(5));
   q.OnFlap(5);
@@ -256,20 +258,9 @@ TEST(QuarantineTest, FlapThresholdProbates) {
   EXPECT_EQ(q.probated_count(), 1u);
 }
 
-TEST(QuarantineTest, DisabledStillCountsFlapsButNeverProbates) {
-  sim::Simulation sim;
-  QuarantineConfig config = TestQuarantineConfig();
-  config.enabled = false;
-  Quarantine q(sim, config, AllSiteZero);
-  for (int i = 0; i < 5; ++i) q.OnFlap(3);
-  EXPECT_EQ(q.flaps(), 5u);  // the flap-history satellite: always tracked
-  EXPECT_FALSE(q.Probated(3));
-  EXPECT_EQ(q.probations_entered(), 0u);
-}
-
 TEST(QuarantineTest, DegradedVsPeerMedianProbates) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   // Three healthy peers at ~10 s map walls establish the site baseline.
   for (std::uint32_t peer : {1u, 2u, 3u}) {
     q.OnTaskDuration(peer, 10.0);
@@ -286,7 +277,7 @@ TEST(QuarantineTest, DegradedVsPeerMedianProbates) {
 
 TEST(QuarantineTest, ThinPeerBaselineNeverConvicts) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   // Only two qualified peers: no verdict, however slow the node looks.
   for (std::uint32_t peer : {1u, 2u}) {
     q.OnTaskDuration(peer, 10.0);
@@ -299,7 +290,7 @@ TEST(QuarantineTest, ThinPeerBaselineNeverConvicts) {
 
 TEST(QuarantineTest, SlowMinorityDoesNotDragThePeerBaseline) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   // Five healthy peers and one other slow node: the MEDIAN baseline stays
   // at the healthy walls (a pooled site mean would be polluted by the
   // slow pair and miss the conviction).
@@ -317,7 +308,7 @@ TEST(QuarantineTest, SlowMinorityDoesNotDragThePeerBaseline) {
 
 TEST(QuarantineTest, HeartbeatJitterProbates) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   // 15 s inter-arrivals against a 3 s cadence: 5x the nominal interval,
   // past jitter_factor 3.
   q.OnHeartbeat(7, 3 * kSecond);
@@ -329,7 +320,7 @@ TEST(QuarantineTest, HeartbeatJitterProbates) {
 
 TEST(QuarantineTest, HystereticReleaseNeedsMinimumAndQuietWindow) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   q.OnFlap(4);
   q.OnFlap(4);
   ASSERT_TRUE(q.Probated(4));
@@ -353,7 +344,7 @@ TEST(QuarantineTest, HystereticReleaseNeedsMinimumAndQuietWindow) {
 
 TEST(QuarantineTest, NodeDeathRetiresEvidence) {
   sim::Simulation sim;
-  Quarantine q(sim, TestQuarantineConfig(), AllSiteZero);
+  Quarantine q(sim, TestQuarantineConfig(), kCadence, AllSiteZero);
   q.OnFlap(2);
   q.OnFlap(2);
   ASSERT_TRUE(q.Probated(2));
@@ -395,7 +386,7 @@ struct RunResult {
 RunResult RunSmallWorkload(const std::string& detector) {
   hog::HogConfig config;
   config.sites = QuietSites();
-  if (!detector.empty()) config.detector = detector;
+  if (!detector.empty()) config.hdfs.detector = config.mr.detector = detector;
   hog::HogCluster hog(/*seed=*/7, config);
   hog.RequestNodes(20);
   if (!hog.WaitForNodes(20, kItDeadline)) return {};

@@ -32,6 +32,18 @@ TEST(HogConfiguration, PropagatesPaperModifications) {
   EXPECT_EQ(hog.namenode().policy().name(), "hog-site-aware");
 }
 
+// config.quarantine is the one switch: empty builds no Quarantine, engaged
+// builds one.
+TEST(HogConfiguration, QuarantineRunsOnlyWhenEngaged) {
+  HogConfig config;
+  config.sites = QuietSites();
+  HogCluster plain(1, config);
+  EXPECT_EQ(plain.quarantine(), nullptr);
+  config.quarantine.emplace();
+  HogCluster guarded(1, config);
+  EXPECT_NE(guarded.quarantine(), nullptr);
+}
+
 TEST(HogConfiguration, SiteAwarenessOffFallsBackToFlat) {
   HogConfig config;
   config.sites = QuietSites();
@@ -99,7 +111,9 @@ TEST(HogZombie, WithFixZombiesSelfTerminate) {
   config.sites = QuietSites();
   for (auto& site : config.sites) site.node_mtbf_s = 600.0;
   config.grid.zombie_probability = 1.0;
-  config.disk_check_interval = 3 * kMinute;  // the fix is on
+  // The fix is on.
+  config.hdfs.disk_check_interval = config.mr.disk_check_interval =
+      3 * kMinute;
   HogCluster hog(5, config);
   hog.RequestNodes(20);
   ASSERT_TRUE(hog.WaitForNodes(20, kDeadline));
@@ -117,7 +131,8 @@ TEST(HogZombie, WithoutFixZombiesAccumulate) {
   config.sites = QuietSites();
   for (auto& site : config.sites) site.node_mtbf_s = 600.0;
   config.grid.zombie_probability = 1.0;
-  config.disk_check_interval = 0;  // stock daemons never probe
+  // Stock daemons never probe.
+  config.hdfs.disk_check_interval = config.mr.disk_check_interval = 0;
   HogCluster hog(5, config);
   hog.RequestNodes(20);
   ASSERT_TRUE(hog.WaitForNodes(20, kDeadline));
